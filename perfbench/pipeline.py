@@ -36,7 +36,7 @@ from tracing import HOOKS, LAYERS, Tracer
 PREDICT_L = 10
 PREDICT_QUERIES = 100  # per iteration, spread over the arms
 K = 4
-SETUP_REPEATS = 2  # synth runs per untraced iteration; setup_s is their median
+SETUP_REPEATS = 2  # synth runs per untraced iteration; setup_s is the median of all
 
 DESK = ("--d", "10", "--n", "1000", "--noise", "0.05", "--distractors", "5",
         "--hyper-angle", "25")
@@ -59,10 +59,11 @@ class Workload:
 
 
 # Every iteration of a run samples the host's speed at another moment. On a
-# shared 2-vCPU host that speed drifts by 10-20% over seconds, so the desk
-# workloads train fewer epochs at a larger step: 200 epochs at alpha 0.005 and
-# 100 at 0.01 reach the hit@10 of 700 at the default 0.001, and a run holds
-# several short iterations instead of three or four long ones.
+# shared 2-vCPU host that speed drifts by 10-40% over seconds and minutes,
+# and each operation's time is the fastest of its repeats, so the desk
+# workloads train fewer epochs at a larger step: 200 epochs at alpha 0.005
+# and 100 at 0.01 reach the hit@10 of 700 at the default 0.001, and a run
+# holds many short iterations instead of three or four long ones.
 WORKLOADS = {
     # per-epoch Python work dominates: negative sampling, row lookups, small GEMMs, Adam
     "desk-sweep": Workload(
@@ -78,7 +79,7 @@ WORKLOADS = {
 
 END_TO_END_UNITS = {
     "setup_s": "s", "pipeline_s": "s", "train_s": "s", "eval_s": "s",
-    "predict_p50_ms": "ms", "predict_p95_ms": "ms", "peak_rss_mb": "MB",
+    "predict_p50_ms": "ms", "predict_p90_ms": "ms", "peak_rss_mb": "MB",
 }
 
 # cli.<command>.<stage>_s metrics, read from the manifests' own stage timer
@@ -142,6 +143,9 @@ class Runner:
         self.problems: list[str] = []
         self.tracer: Tracer | None = None
         self.step_times: list = []
+        # untraced seconds of each operation, by a key that names the same
+        # operation in every iteration: "setup", "train2", "predict17", ...
+        self.samples: dict[str, list[float]] = defaultdict(list)
         self.fixture_digests: list[str] | None = None
 
     def _span(self, name: str):
@@ -152,7 +156,11 @@ class Runner:
         self.problems.append(what)
         print(f"perfbench: FAILED {what}", file=sys.stderr)
 
-    def cli(self, argv: list[str], manifest: Path, stages: dict | None = None,
+    def _sample(self, key: str, seconds: float) -> None:
+        if self.tracer is None:
+            self.samples[key].append(seconds)
+
+    def cli(self, key: str, argv: list[str], manifest: Path, stages: dict | None = None,
             check=None) -> float:
         """One CLI command as one operation; returns its wall time.
 
@@ -170,6 +178,7 @@ class Runner:
             rc = "exception"
         seconds = perf_counter() - t0
         self.step_times.append((argv[0], seconds))
+        self._sample(key, seconds)
         if rc != 0:
             self._fail(f"{argv[0]}: exit {rc}")
             return seconds
@@ -195,7 +204,7 @@ class Runner:
         for i in range(repeats):
             out = d / f"fixture{i}"
             manifest = out / "manifest.json"
-            times.append(self.cli(["synth", *self.wl.synth, "--seed", str(self.seed),
+            times.append(self.cli("setup", ["synth", *self.wl.synth, "--seed", str(self.seed),
                                    "--out", str(out)], manifest, synth_stages))
             if manifest.is_file():
                 got = sorted(json.loads(manifest.read_text())["outputs"].values())
@@ -228,30 +237,30 @@ class Runner:
                "reports": [], "stages": stages}
         split, clusters = d / "split", d / "clusters.json"
 
-        steps = self.cli(["split", "--relations", str(fixture / "relations.tsv"),
+        steps = self.cli("split", ["split", "--relations", str(fixture / "relations.tsv"),
                           "--seed", seed, "--out", str(split)],
                          split / "manifest.json", stages)
         test_path = split / "test.tsv"
         test_pairs = _hypernym_rows(test_path) if test_path.is_file() else []
-        steps += self.cli(["cluster", "--embeddings", emb, "--split-dir", str(split),
+        steps += self.cli("cluster", ["cluster", "--embeddings", emb, "--split-dir", str(split),
                            "--k", str(K), "--seed", seed, "--out", str(clusters)],
                           d / "clusters.json.manifest.json", stages)
-        table, secs = self._load(lambda: embeddings.load_embeddings(emb))
+        table, secs = self._load("load_table", lambda: embeddings.load_embeddings(emb))
         steps += secs
         hyponyms = list(dict.fromkeys(src for src, _ in test_pairs)) or ["<no test pairs>"]
         words = [hyponyms[i % len(hyponyms)] for i in range(PREDICT_QUERIES)]
         for i, arm in enumerate(wl.arms):
             model = d / f"model{i}.hprj"
-            secs = self.cli(["train", "--embeddings", emb, "--split-dir", str(split),
+            secs = self.cli(f"train{i}", ["train", "--embeddings", emb, "--split-dir", str(split),
                              "--k", str(K), "--clusters", str(clusters), *arm,
                              "--seed", seed, "--out", str(model)],
                             d / f"model{i}.hprj.manifest.json", stages)
             rec["train_s"] += secs
             # this arm's share of the queries: half before its eval, half after
-            share = words[i * len(words) // len(wl.arms):(i + 1) * len(words) // len(wl.arms)]
-            loaded, secs = self._load(lambda: projection.load_model(model))
-            steps += secs + self._queries(loaded, table, share[:len(share) // 2],
-                                          rec["predict_ms"])
+            lo, hi = i * len(words) // len(wl.arms), (i + 1) * len(words) // len(wl.arms)
+            mid = (lo + hi) // 2
+            loaded, secs = self._load(f"load_model{i}", lambda: projection.load_model(model))
+            steps += secs + self._queries(loaded, table, words, range(lo, mid), rec["predict_ms"])
             report = d / f"report{i}.json"
 
             def check_eval(report=report, arm=arm):
@@ -260,16 +269,16 @@ class Runner:
                 rec["reports"].append({"arm": " ".join(arm), "hits": payload["hits"],
                                        "auc": payload["auc"]})
 
-            secs = self.cli(["eval", "--model", str(model), "--embeddings", emb,
+            secs = self.cli(f"eval{i}", ["eval", "--model", str(model), "--embeddings", emb,
                              "--test", str(test_path), "--out", str(report)],
                             d / f"report{i}.json.manifest.json", stages, check_eval)
             rec["eval_s"] += secs
-            steps += self._queries(loaded, table, share[len(share) // 2:], rec["predict_ms"])
+            steps += self._queries(loaded, table, words, range(mid, hi), rec["predict_ms"])
         rec["pipeline_s"] = steps + rec["train_s"] + rec["eval_s"]
         shutil.rmtree(d, ignore_errors=True)
         return rec
 
-    def _load(self, load):
+    def _load(self, key: str, load):
         """Load the table or a model for the predict queries; None if that fails."""
         t0 = perf_counter()
         try:
@@ -278,12 +287,16 @@ class Runner:
         except Exception:  # the queries that need it then fail one by one
             traceback.print_exc()
             loaded = None
-        return loaded, perf_counter() - t0
+        seconds = perf_counter() - t0
+        self._sample(key, seconds)
+        return loaded, seconds
 
-    def _queries(self, model, table, words: list[str], latencies_ms: list) -> float:
-        """One predict operation per word; returns the time they took."""
+    def _queries(self, model, table, words: list[str], which: range,
+                 latencies_ms: list) -> float:
+        """One predict operation per query index; returns the time they took."""
         total = 0.0
-        for word in words:
+        for q in which:
+            word = words[q]
             self.attempted += 1
             t0 = perf_counter()
             try:
@@ -294,6 +307,7 @@ class Runner:
             secs = perf_counter() - t0
             total += secs
             latencies_ms.append(secs * 1e3)
+            self._sample(f"predict{q}", secs)
             try:
                 checks.check_candidates(word, cands, PREDICT_L)
             except checks.CheckError as exc:
@@ -316,16 +330,28 @@ def _mean(values: list[float]) -> float:
     return statistics.fmean(values) if values else float("nan")
 
 
-def end_to_end(iterations: list[dict]) -> dict[str, float]:
-    """Medians over the iterations; latency percentiles over every query of the run."""
-    latencies = [ms for r in iterations for ms in r["predict_ms"]]
+def end_to_end(samples: dict[str, list[float]]) -> dict[str, float]:
+    """Each operation's fastest time over the run's iterations, summed per metric.
+
+    Other tenants of the host only ever slow an operation down, and by an
+    amount that changes from second to second, so the fastest of an
+    operation's repeats varies far less between runs than their median.
+    Latency percentiles are taken over the queries, each at its fastest.
+    Set-up time is the median of every set-up in the run.
+    """
+    best = {key: min(times) for key, times in samples.items()}
+
+    def total(prefix: str) -> float:
+        return sum(t for key, t in best.items() if key.startswith(prefix))
+
+    latencies = [t * 1e3 for key, t in best.items() if key.startswith("predict")]
     return {
-        "setup_s": _median([t for r in iterations for t in r["setup_s"]]),
-        "pipeline_s": _median([r["pipeline_s"] for r in iterations]),
-        "train_s": _median([r["train_s"] for r in iterations]),
-        "eval_s": _median([r["eval_s"] for r in iterations]),
+        "setup_s": _median(samples.get("setup", [])),
+        "pipeline_s": sum(t for key, t in best.items() if key != "setup"),
+        "train_s": total("train"),
+        "eval_s": total("eval"),
         "predict_p50_ms": _percentile(latencies, 50),
-        "predict_p95_ms": _percentile(latencies, 95),
+        "predict_p90_ms": _percentile(latencies, 90),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -378,7 +404,8 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool, work: Path) 
     """Run one workload; returns the result line plus the full record.
 
     Untraced, iterations repeat while another one still fits in
-    ``seconds`` (at least one runs); timings are medians over them.
+    ``seconds`` (at least one runs); each operation's time is its fastest
+    over them.
     Traced, each repeat is an untraced iteration followed by a traced one,
     each with a single set-up.
     """
@@ -417,7 +444,7 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool, work: Path) 
                                      / metrics["trace.untraced_pipeline_s"])
         units = PER_LAYER_UNITS
     else:
-        metrics = end_to_end(untraced)
+        metrics = end_to_end(runner.samples)
         units = END_TO_END_UNITS
 
     result = {
@@ -431,6 +458,7 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool, work: Path) 
         "iterations": [{k: r[k] for k in ("setup_s", "pipeline_s", "train_s", "eval_s",
                                           "predict_ms")} for r in untraced],
         "step_times": runner.step_times,
+        "samples": runner.samples,
         "quality": runs[0]["reports"],
         "trace": [t.to_json() for t, _ in traced],
         "self_s": [t.self_times() for t, _ in traced],

@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload desk-sweep --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload desk-sweep --seed 1 --seconds 55 --trace 0
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``. With ``--trace 0``

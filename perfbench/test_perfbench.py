@@ -65,6 +65,20 @@ def test_tiny_run_emits_every_metric_with_its_unit(name, trace, tmp_path):
             assert metrics["training.validation.calls"]["value"] == 0
 
 
+def test_end_to_end_sums_each_operations_fastest_time():
+    samples = {"setup": [0.3, 0.2, 0.6], "split": [0.5, 0.1], "train0": [2.0, 3.0],
+               "train1": [1.5, 1.0], "eval0": [0.4, 0.6],
+               **{f"predict{q}": [0.002 + q * 1e-5, 0.009] for q in range(100)}}
+    m = pipeline.end_to_end(samples)
+    assert m["setup_s"] == 0.3
+    assert m["train_s"] == pytest.approx(3.0)
+    assert m["eval_s"] == pytest.approx(0.4)
+    assert m["pipeline_s"] == pytest.approx(0.1 + 3.0 + 0.4 + sum(
+        0.002 + q * 1e-5 for q in range(100)))
+    assert m["predict_p50_ms"] == pytest.approx(2.495)
+    assert m["predict_p90_ms"] == pytest.approx(2.891)
+
+
 def _report(**changes):
     hits = [0.5, 0.6, 0.7, 0.8, 0.8, 0.85, 0.9, 0.9, 0.95, 1.0]
     report = {"hits": hits, "l_max": 10, "n_pairs": 20, "skips": 0,
