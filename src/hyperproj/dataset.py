@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import InputError
+from .errors import InputError, utf8_lines
 
 log = logging.getLogger(__name__)
 
@@ -91,28 +91,27 @@ def load_relations(path: str | Path) -> list[RelationPair]:
     pairs: list[RelationPair] = []
     seen: set[tuple[str, str, str]] = set()
     dupes = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) < 3:
-                raise InputError(f"{path}:{lineno}: expected 3 tab-separated columns")
-            source, target, relation = cols[0], cols[1], cols[2]
-            if relation not in RELATIONS:
-                raise InputError(
-                    f"{path}:{lineno}: unknown relation {relation!r} "
-                    f"(expected one of {', '.join(RELATIONS)})"
-                )
-            if source == target:
-                raise InputError(f"{path}:{lineno}: source equals target ({source!r})")
-            key = (source, target, relation)
-            if key in seen:
-                dupes += 1
-                continue
-            seen.add(key)
-            pairs.append(RelationPair(source, target, relation))
+    for lineno, line in utf8_lines(path):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) < 3:
+            raise InputError(f"{path}:{lineno}: expected 3 tab-separated columns")
+        source, target, relation = cols[0], cols[1], cols[2]
+        if relation not in RELATIONS:
+            raise InputError(
+                f"{path}:{lineno}: unknown relation {relation!r} "
+                f"(expected one of {', '.join(RELATIONS)})"
+            )
+        if source == target:
+            raise InputError(f"{path}:{lineno}: source equals target ({source!r})")
+        key = (source, target, relation)
+        if key in seen:
+            dupes += 1
+            continue
+        seen.add(key)
+        pairs.append(RelationPair(source, target, relation))
     if dupes:
         log.warning("%s: dropped %d duplicate row(s)", path, dupes)
     return pairs

@@ -5,21 +5,26 @@ line, optional ``count dim`` header) and the conventional word2vec binary
 layout (ASCII ``count dim\\n`` header, then per word a space-terminated
 token followed by d little-endian float32 values). Vectors are held as
 float64 internally regardless of the file precision.
+
+Every similarity search, from ``nearest_neighbors`` here to ranking in
+the evaluation module, scores through ``cosine_blocks``.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, utf8_lines
 
 log = logging.getLogger(__name__)
 
 TEXT_PRECISION = 9  # significant digits written by save_embeddings_text
+BLOCK_ENTRIES = 1 << 15  # scores cosine_blocks holds at once: 256 KiB of float64
 
 
 @dataclass(eq=False)
@@ -124,37 +129,36 @@ def _load_text(path: Path, normalize: bool) -> EmbeddingTable:
     seen: set[str] = set()
     dupes = 0
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            tokens = line.split(" ")
-            if tokens and tokens[-1] == "":  # tolerate one trailing space
-                tokens.pop()
-            if lineno == 1 and len(tokens) == 2 and _is_int(tokens[0]) and _is_int(tokens[1]):
-                continue  # `count dim` header
-            if len(tokens) < 2:
-                raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
-            word = tokens[0]
-            try:
-                vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: unparsable vector component ({exc})") from None
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise InputError(
-                    f"{path}:{lineno}: dimension mismatch (got {vec.size}, expected {dim})"
-                )
-            if not np.isfinite(vec).all():
-                raise InputError(f"{path}:{lineno}: non-finite vector component")
-            if word in seen:
-                dupes += 1
-                continue
-            seen.add(word)
-            words.append(word)
-            rows.append(vec)
+    for lineno, line in utf8_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        tokens = line.split(" ")
+        if tokens and tokens[-1] == "":  # tolerate one trailing space
+            tokens.pop()
+        if lineno == 1 and len(tokens) == 2 and _is_int(tokens[0]) and _is_int(tokens[1]):
+            continue  # `count dim` header
+        if len(tokens) < 2:
+            raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
+        word = tokens[0]
+        try:
+            vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: unparsable vector component ({exc})") from None
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise InputError(
+                f"{path}:{lineno}: dimension mismatch (got {vec.size}, expected {dim})"
+            )
+        if not np.isfinite(vec).all():
+            raise InputError(f"{path}:{lineno}: non-finite vector component")
+        if word in seen:
+            dupes += 1
+            continue
+        seen.add(word)
+        words.append(word)
+        rows.append(vec)
     return _finish(words, rows, normalize, str(path), dupes)
 
 
@@ -191,7 +195,12 @@ def _load_binary(path: Path, normalize: bool) -> EmbeddingTable:
         end = data.find(b" ", pos)
         if end < 0 or end + vec_bytes > len(data):
             raise InputError(f"{path}: truncated at word {i + 1} of {count}")
-        word = data[pos:end].decode("utf-8")
+        try:
+            word = data[pos:end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise InputError(
+                f"{path}: word {i + 1} of {count} is not valid UTF-8 ({data[pos:end]!r})"
+            ) from None
         vec = np.frombuffer(data, dtype="<f4", count=dim, offset=end + 1).astype(np.float64)
         pos = end + 1 + vec_bytes
         if not np.isfinite(vec).all():
@@ -241,42 +250,74 @@ def save_embeddings_text(table: EmbeddingTable, path: str | Path) -> None:
             fh.write(f"{word} {comps}\n")
 
 
-def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, l: int,
-                      exclude: str | None = None, metric: str = "cosine") -> NeighborList:
-    """Exhaustive top-``l`` scan of the vocabulary.
+def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
+                  exclude: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Cosine similarity of every query row with every vocabulary row.
 
-    ``metric`` is "cosine" (default) or "dot". Under cosine, zero-norm
-    rows are unusable and never returned. If ``l`` exceeds the usable
-    vocabulary, all usable words are returned. A zero query vector is an
-    error under cosine (similarity undefined).
+    Yields ``(start, S)`` where ``S[i, j]`` scores query ``start + i``
+    against vocabulary row j, for blocks of at most
+    ``max(1, BLOCK_ENTRIES // len(table))`` queries. Zero-norm vocabulary
+    rows, zero-norm queries and, per query, the row ``exclude[i]`` (when
+    it is >= 0) score -inf. ``S`` is overwritten by the next block.
+
+    Each query row is one matrix-vector product with the table, so its
+    scores are bitwise the same whatever block it lands in.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    n, vocab = queries.shape[0], len(table)
+    rows = max(1, BLOCK_ENTRIES // vocab)
+    qnorms = np.sqrt((queries[:, None, :] @ queries[:, :, None]).reshape(n))
+    dead = np.flatnonzero(table._row_norms == 0.0)
+    scores = np.empty((min(rows, n), 1, vocab))
+    denom = np.empty((min(rows, n), vocab))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        S, D = scores[:stop - start], denom[:stop - start]
+        np.matmul(queries[start:stop, None, :], table.vectors.T, out=S)
+        S = S.reshape(D.shape)
+        np.multiply(table._row_norms, qnorms[start:stop, None], out=D)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(S, D, out=S)
+        S[:, dead] = -np.inf
+        S[qnorms[start:stop] == 0.0] = -np.inf
+        if exclude is not None:
+            ex = exclude[start:stop]
+            hit = np.flatnonzero(ex >= 0)
+            S[hit, ex[hit]] = -np.inf
+        yield start, S
+
+
+def top_indices(scores: np.ndarray, l: int) -> np.ndarray:
+    """Indices of the ``l`` best finite scores, by descending score then index."""
+    m = min(l, int(np.count_nonzero(scores > -np.inf)))
+    if m == 0:
+        return np.zeros(0, dtype=np.intp)
+    cutoff = -np.partition(-scores, m - 1)[m - 1]
+    tied_or_better = np.flatnonzero(scores >= cutoff)  # the whole tie class at the cut
+    order = np.argsort(-scores[tied_or_better], kind="stable")
+    return tied_or_better[order[:m]]
+
+
+def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, l: int,
+                      exclude: str | None = None) -> NeighborList:
+    """Exhaustive top-``l`` cosine scan of the vocabulary.
+
+    Zero-norm rows are unusable and never returned. If ``l`` exceeds the
+    usable vocabulary, all usable words are returned. A zero query vector
+    is an error (similarity undefined).
     """
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
     query = np.asarray(query, dtype=np.float64).reshape(-1)
     if query.shape[0] != table.dim:
         raise InputError(f"query has dimension {query.shape[0]}, table has {table.dim}")
-    scores = table.vectors @ query
-    if metric == "cosine":
-        qnorm = float(np.linalg.norm(query))
-        if qnorm == 0.0:
-            raise InputError("cosine similarity is undefined for a zero query vector")
-        usable = table._row_norms > 0.0
-        scores = np.divide(scores, table._row_norms * qnorm,
-                           out=np.full_like(scores, -np.inf), where=usable)
-    elif metric == "dot":
-        usable = np.ones(len(table.vocab), dtype=bool)
-    else:
-        raise InputError(f"unknown metric {metric!r} (expected cosine or dot)")
-    if exclude is not None:
-        idx = table.lookup(exclude)
-        if idx is not None:
-            usable[idx] = False
-            scores[idx] = -np.inf
-    # stable sort on negated scores: ties resolve to the lower vocab index
-    order = np.argsort(-scores, kind="stable")
-    n_usable = int(usable.sum())
-    top = order[: min(l, n_usable)]
-    entries = [(table.vocab[i], float(scores[i])) for i in top]
+    if float(np.linalg.norm(query)) == 0.0:
+        raise InputError("cosine similarity is undefined for a zero query vector")
+    idx = table.lookup(exclude) if exclude is not None else None
+    ex = np.array([-1 if idx is None else idx])
+    _, S = next(cosine_blocks(table, query[None, :], ex))
+    scores = S[0]
+    entries = [(table.vocab[i], float(scores[i])) for i in top_indices(scores, l)]
     return NeighborList(query=query, entries=entries)
 
 

@@ -4,6 +4,15 @@ A test pair counts as a hit at level l when the gold hypernym appears
 among the l nearest neighbors of the projected hyponym vector. The
 hyponym itself is excluded from the candidate list by default. The AUC
 summarizes the hit curve as the area under its l-1 trapezoids.
+
+Evaluation protocol. eval (and validation during training) routes each
+pair to the cluster nearest its gold offset y - x, so the cluster choice
+uses the answer. predict has no gold word: it projects through every
+cluster and keeps each word's best cosine. Ties go to the lower
+vocabulary index. All three rank with one scorer,
+``embeddings.cosine_blocks``, which holds at most 256 KiB of scores at
+once (one query's row if the vocabulary has more than 2^15 words). A
+gold word's rank is counted from the scores, without sorting them.
 """
 
 from __future__ import annotations
@@ -14,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import assign_cluster
+from .clustering import assign_clusters
 from .dataset import RelationPair
-from .embeddings import EmbeddingTable, nearest_neighbors
+from .embeddings import EmbeddingTable, cosine_blocks, top_indices
+from .embeddings import nearest_neighbors  # noqa: F401  (the one-query form, re-exported)
 from .errors import InputError
 from .projection import ProjectionModel
 
@@ -50,25 +60,6 @@ def auc(hits: list[float]) -> float:
     return 0.5 * sum(hits[i] + hits[i + 1] for i in range(len(hits) - 1))
 
 
-def _rank_pair(model: ProjectionModel, table: EmbeddingTable, pair: RelationPair,
-               l: int, exclude_self: bool) -> PairResult:
-    """Cluster via the gold offset, project, and rank the gold hypernym."""
-    x = table.vector(pair.source)
-    y = table.vector(pair.target)
-    cluster = assign_cluster(model.clusters, y - x)
-    query = x @ model.matrices[cluster]
-    if float(np.linalg.norm(query)) == 0.0:
-        # degenerate projection: cosine undefined, the pair is a miss
-        return PairResult(pair.source, pair.target, cluster, None)
-    nn = nearest_neighbors(table, query, l, exclude=pair.source if exclude_self else None)
-    rank = None
-    for pos, (word, _) in enumerate(nn.entries, start=1):
-        if word == pair.target:
-            rank = pos
-            break
-    return PairResult(pair.source, pair.target, cluster, rank)
-
-
 def _usable_pairs(table: EmbeddingTable,
                   pairs: list[RelationPair]) -> tuple[list[RelationPair], int]:
     usable = [p for p in pairs if p.source in table and p.target in table]
@@ -80,6 +71,33 @@ def _usable_pairs(table: EmbeddingTable,
     return usable, skips
 
 
+def _rank_pairs(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPair],
+                exclude_self: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster of each pair (from its gold offset) and 1-based rank of its gold word.
+
+    A rank of 0 means the gold word cannot be ranked: its score is -inf
+    because the projection is zero, the word has a zero vector, or it is
+    the excluded hyponym.
+    """
+    sources = np.array([table.lookup(p.source) for p in pairs])
+    gold = np.array([table.lookup(p.target) for p in pairs])
+    X = table.vectors[sources]
+    clusters = assign_clusters(model.clusters, table.vectors[gold] - X)
+    queries = np.empty_like(X)
+    for c in range(model.k):
+        members = clusters == c
+        queries[members] = (X[members, None, :] @ model.matrices[c]).reshape(-1, table.dim)
+    ranks = np.zeros(len(pairs), dtype=np.intp)
+    for start, S in cosine_blocks(table, queries, sources if exclude_self else None):
+        for i, row in enumerate(S, start=start):
+            g = gold[i]
+            s_gold = row[g]
+            if s_gold > -np.inf:  # ties rank the lower vocabulary index first
+                ranks[i] = (1 + np.count_nonzero(row[:g] >= s_gold)
+                            + np.count_nonzero(row[g + 1:] > s_gold))
+    return clusters, ranks
+
+
 def hit_at(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPair],
            l: int, exclude_self: bool = True) -> float:
     """Fraction of pairs whose gold hypernym is in the top-l neighbor list."""
@@ -88,11 +106,8 @@ def hit_at(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPa
     if not pairs:
         raise InputError("pairs must be nonempty")
     usable, _ = _usable_pairs(table, pairs)
-    matches = sum(
-        1 for p in usable
-        if _rank_pair(model, table, p, l, exclude_self).rank is not None
-    )
-    return matches / len(usable)
+    _, ranks = _rank_pairs(model, table, usable, exclude_self)
+    return int(np.count_nonzero((ranks >= 1) & (ranks <= l))) / len(usable)
 
 
 def evaluate(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPair],
@@ -103,9 +118,11 @@ def evaluate(model: ProjectionModel, table: EmbeddingTable, pairs: list[Relation
     if not pairs:
         raise InputError("pairs must be nonempty")
     usable, skips = _usable_pairs(table, pairs)
-    per_pair = [_rank_pair(model, table, p, l_max, exclude_self) for p in usable]
+    clusters, ranks = _rank_pairs(model, table, usable, exclude_self)
+    per_pair = [PairResult(p.source, p.target, int(c), int(r) if 1 <= r <= l_max else None)
+                for p, c, r in zip(usable, clusters, ranks)]
     n = len(per_pair)
-    hits = [sum(1 for r in per_pair if r.rank is not None and r.rank <= i) / n
+    hits = [int(np.count_nonzero((ranks >= 1) & (ranks <= i))) / n
             for i in range(1, l_max + 1)]
     return EvalReport(hits, auc(hits), l_max, per_pair, n, skips)
 
@@ -115,24 +132,20 @@ def predict_candidates(model: ProjectionModel, table: EmbeddingTable, word: str,
     """Ranked hypernym candidates for a word without a gold pair.
 
     Without a gold offset no single cluster applies, so the word is
-    projected through every cluster matrix and the candidate lists are
-    merged, keeping the best score per word.
+    projected through every cluster matrix and each word keeps its best
+    score over the clusters. Zero projections take no part.
     """
+    if l < 1:
+        raise InputError(f"l must be >= 1, got {l}")
     if word not in table:
         raise InputError(f"word {word!r} is not in the vocabulary")
-    x = table.vector(word)
-    best: dict[str, float] = {}
-    for c in range(model.k):
-        query = x @ model.matrices[c]
-        if float(np.linalg.norm(query)) == 0.0:
-            continue
-        for cand, score in nearest_neighbors(
-                table, query, l, exclude=word if exclude_self else None).entries:
-            if cand not in best or score > best[cand]:
-                best[cand] = score
-    order = {w: i for i, w in enumerate(table.vocab)}
-    ranked = sorted(best.items(), key=lambda item: (-item[1], order[item[0]]))
-    return ranked[:l]
+    idx = table.lookup(word)
+    queries = table.vectors[idx] @ model.matrices
+    exclude = np.full(model.k, idx if exclude_self else -1)
+    best = np.full(len(table), -np.inf)
+    for _, S in cosine_blocks(table, queries, exclude):
+        np.maximum(best, S.max(axis=0), out=best)
+    return [(table.vocab[i], float(best[i])) for i in top_indices(best, l)]
 
 
 def write_report_json(report: EvalReport, path, config: dict | None = None) -> None:

@@ -296,8 +296,12 @@ def load_model(path: str | Path) -> ProjectionModel:
             steps=list(header.get("steps", [])),
         )
         vhash = str(header["vocab_hash"])
-    except (KeyError, ValueError) as exc:
+        raw_inertia = header.get("inertia")
+        inertia = float(raw_inertia) if raw_inertia is not None else float("nan")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: incomplete header ({exc})") from None
+    if dim < 1 or k < 1:
+        raise InputError(f"{path}: header declares dim={dim} k={k}")
     body = data[nul + 1:]
     expected = 8 * (k * dim + k * dim * dim)
     if len(body) != expected:
@@ -306,7 +310,5 @@ def load_model(path: str | Path) -> ProjectionModel:
         )
     centroids = np.frombuffer(body, dtype="<f8", count=k * dim).reshape(k, dim)
     matrices = np.frombuffer(body, dtype="<f8", offset=8 * k * dim).reshape(k, dim, dim)
-    raw_inertia = header.get("inertia")
-    inertia = float(raw_inertia) if raw_inertia is not None else float("nan")
     clusters = ClusterModel(centroids.copy(), inertia)
     return ProjectionModel(matrices.copy(), clusters, kind, lam, dim, meta, vhash)

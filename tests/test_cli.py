@@ -5,7 +5,7 @@ import pytest
 
 from hyperproj.cli import main
 from hyperproj.embeddings import load_embeddings
-from hyperproj.projection import load_model
+from hyperproj.projection import MODEL_MAGIC, load_model, save_model
 
 
 def run(*argv):
@@ -283,6 +283,65 @@ class TestEndToEndDeterminism:
                               (base / "r.json").read_bytes(),
                               (base / "r.json.pairs.tsv").read_bytes()))
         assert artifacts[0] == artifacts[1]
+
+
+def assert_one_error_line(code, capsys, expected=""):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and expected in errors[0]
+
+
+class TestBadInputExit2:
+    @pytest.mark.parametrize("changes, expected", [
+        ({"dim": None}, "incomplete header"),
+        ({"lambda": None}, "incomplete header"),
+        ({"seed": None}, "incomplete header"),
+        ({"inertia": "x"}, "incomplete header"),
+        ({"k": -1}, "declares dim=2 k=-1"),
+        ({"dim": 0}, "declares dim=0 k=1"),
+    ], ids=["dim-null", "lambda-null", "seed-null", "inertia-text", "k-negative", "dim-zero"])
+    def test_bad_model_header(self, tmp_path, capsys, changes, expected):
+        from conftest import make_model
+
+        emb = tmp_path / "e.txt"
+        emb.write_text("x1 1 0\ny1 0.9 0.3\n")
+        test = tmp_path / "t.tsv"
+        test.write_text("x1\ty1\thypernym\n")
+        model_path = tmp_path / "m.hprj"
+        save_model(make_model(np.eye(2)), model_path)
+        data = model_path.read_bytes()
+        nul = data.index(b"\x00", len(MODEL_MAGIC))
+        header = json.loads(data[len(MODEL_MAGIC):nul])
+        header.update(changes)
+        model_path.write_bytes(MODEL_MAGIC + json.dumps(header).encode() + data[nul:])
+        code = run("eval", "--model", model_path, "--embeddings", emb, "--test", test,
+                   "--out", tmp_path / "r.json")
+        assert_one_error_line(code, capsys, expected)
+
+    def test_non_utf8_relations(self, tmp_path, capsys):
+        relations = tmp_path / "r.tsv"
+        relations.write_bytes(b"a\tb\thypernym\n\xff\tc\thypernym\n")
+        code = run("split", "--relations", relations, "--out", tmp_path / "s")
+        assert_one_error_line(code, capsys, "r.tsv:2: not valid UTF-8")
+
+    def test_non_utf8_text_embeddings(self, tmp_path, capsys, fixture_dir, split_dir):
+        emb = tmp_path / "e.txt"
+        emb.write_bytes((fixture_dir / "embeddings.txt").read_bytes() + b"\xff 1 2 3 4 5 6\n")
+        capsys.readouterr()
+        code = run("cluster", "--embeddings", emb, "--split-dir", split_dir,
+                   "--out", tmp_path / "c.json")
+        assert_one_error_line(code, capsys, "e.txt:322: not valid UTF-8")
+
+    def test_non_utf8_binary_embeddings(self, tmp_path, capsys, split_dir):
+        emb = tmp_path / "e.bin"
+        emb.write_bytes(b"2 2\nab " + np.array([1, 0], "<f4").tobytes()
+                        + b"\xff " + np.array([0, 1], "<f4").tobytes())
+        capsys.readouterr()
+        code = run("cluster", "--embeddings", emb, "--format", "binary",
+                   "--split-dir", split_dir, "--out", tmp_path / "c.json")
+        assert_one_error_line(code, capsys, "word 2 of 2 is not valid UTF-8")
 
 
 def test_unknown_subcommand_exit_2():

@@ -161,10 +161,6 @@ class TestNearestNeighbors:
         nn = nearest_neighbors(table, np.array([0.0, 2.0]), 2)
         assert nn.words() == ["x", "y"]
 
-    def test_dot_metric(self, tiny_table):
-        nn = nearest_neighbors(tiny_table, np.array([2.0, 0.0]), 1, metric="dot")
-        assert nn.entries == [("a", 2.0)]
-
     def test_zero_rows_unusable_under_cosine(self):
         table = EmbeddingTable(["z", "a"], np.array([[0.0, 0.0], [1.0, 0.0]]))
         nn = nearest_neighbors(table, np.array([1.0, 0.0]), 5)

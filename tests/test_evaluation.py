@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from hyperproj import embeddings
+from hyperproj.clustering import assign_cluster
 from hyperproj.dataset import RelationPair
 from hyperproj.embeddings import EmbeddingTable, nearest_neighbors
 from hyperproj.errors import InputError
@@ -185,6 +187,160 @@ class TestPredictCandidates:
         table, _, Q = rotation_fixture()
         with pytest.raises(InputError, match="vocabulary"):
             predict_candidates(make_model(Q), table, "missing", 3)
+
+    @pytest.mark.parametrize("l", [0, -1])
+    def test_nonpositive_l_rejected(self, l):
+        table, _, Q = rotation_fixture()
+        with pytest.raises(InputError, match="l must be >= 1"):
+            predict_candidates(make_model(Q), table, "x0", l)
+
+
+# ---------------------------------------------------------------------------
+# the blocked scorer against the per-query scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_neighbors(table, query, l, exclude=None):
+    """One GEMV over the table and a stable argsort of the negated cosines."""
+    norms = np.linalg.norm(table.vectors, axis=1)
+    usable = norms > 0.0
+    scores = np.divide(table.vectors @ query, norms * float(np.linalg.norm(query)),
+                       out=np.full(len(table), -np.inf), where=usable)
+    if exclude is not None:
+        usable[table.lookup(exclude)] = False
+        scores[table.lookup(exclude)] = -np.inf
+    top = np.argsort(-scores, kind="stable")[: min(l, int(usable.sum()))]
+    return [(table.vocab[i], float(scores[i])) for i in top]
+
+
+def oracle_rank(model, table, pair, l, exclude_self=True):
+    """(cluster, rank within the top l or None), one pair at a time."""
+    x = table.vector(pair.source)
+    cluster = assign_cluster(model.clusters, table.vector(pair.target) - x)
+    query = x @ model.matrices[cluster]
+    if float(np.linalg.norm(query)) == 0.0:
+        return cluster, None
+    words = [w for w, _ in oracle_neighbors(
+        table, query, l, pair.source if exclude_self else None)]
+    return cluster, words.index(pair.target) + 1 if pair.target in words else None
+
+
+def oracle_predict(model, table, word, l, exclude_self=True):
+    """Merge each cluster's top-l list, keeping a word's best score."""
+    best = {}
+    for phi in model.matrices:
+        query = table.vector(word) @ phi
+        if float(np.linalg.norm(query)) == 0.0:
+            continue
+        for cand, score in oracle_neighbors(table, query, l, word if exclude_self else None):
+            best[cand] = max(score, best.get(cand, -np.inf))
+    order = {w: i for i, w in enumerate(table.vocab)}
+    return sorted(best.items(), key=lambda item: (-item[1], order[item[0]]))[:l]
+
+
+def random_fixture(seed, n_words=60, d=5, k=3, n_pairs=40):
+    rng = np.random.default_rng(seed)
+    table = EmbeddingTable([f"w{i}" for i in range(n_words)], rng.normal(size=(n_words, d)))
+    pairs = []
+    while len(pairs) < n_pairs:
+        a, b = rng.choice(n_words, size=2, replace=False)
+        pairs.append(hyp(f"w{a}", f"w{b}"))
+    model = make_model(rng.normal(size=(k, d, d)), centroids=rng.normal(size=(k, d)))
+    return table, pairs, model
+
+
+def assert_matches_oracle(model, table, pairs, l_max, exclude_self=True, words=None):
+    report = evaluate(model, table, pairs, l_max=l_max, exclude_self=exclude_self)
+    expected = [oracle_rank(model, table, p, l_max, exclude_self) for p in pairs]
+    assert [(r.cluster, r.rank) for r in report.per_pair] == expected
+    n = len(pairs)
+    assert report.hits == [sum(1 for _, r in expected if r is not None and r <= i) / n
+                           for i in range(1, l_max + 1)]
+    for l in (1, l_max):
+        assert hit_at(model, table, pairs, l, exclude_self) == report.hits[l - 1]
+    for word in words if words is not None else table.vocab[:10]:
+        got = predict_candidates(model, table, word, l_max, exclude_self)
+        want = oracle_predict(model, table, word, l_max, exclude_self)
+        assert [w for w, _ in got] == [w for w, _ in want]
+        np.testing.assert_allclose([s for _, s in got], [s for _, s in want], atol=1e-12)
+
+
+class TestBlockedScorerMatchesOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_fixtures(self, seed):
+        table, pairs, model = random_fixture(seed)
+        assert_matches_oracle(model, table, pairs, l_max=10)
+
+    def test_planted_ties_go_to_the_lower_index(self):
+        # w0 and w3 copy w2, so their cosines with any query are equal; of
+        # the two left after self-exclusion, the lower index ranks first
+        rng = np.random.default_rng(11)
+        vectors = rng.normal(size=(8, 3))
+        vectors[0] = vectors[3] = vectors[2]
+        vectors[6] = vectors[5]
+        table = EmbeddingTable([f"w{i}" for i in range(8)], vectors)
+        model = make_model(np.eye(3))
+        pairs = [hyp("w2", "w0"), hyp("w0", "w2"), hyp("w3", "w2"), hyp("w5", "w6"),
+                 hyp("w6", "w5"), hyp("w1", "w2"), hyp("w1", "w3")]
+        assert_matches_oracle(model, table, pairs, l_max=8, words=table.vocab)
+        ranks = [r.rank for r in evaluate(model, table, pairs, l_max=8).per_pair]
+        # gold w0 beats w3, gold w2 beats w3 but not w0, and w5/w6 tie alone
+        assert ranks[:5] == [1, 1, 2, 1, 1]
+        for l in (1, 2, 3):  # cut-offs inside a tie class
+            for word in table.vocab:
+                assert predict_candidates(model, table, word, l) == pytest.approx(
+                    oracle_predict(model, table, word, l), abs=1e-12)
+
+    def test_zero_norm_vocabulary_rows(self):
+        table, pairs, model = random_fixture(21, n_words=30)
+        vectors = table.vectors.copy()
+        vectors[[3, 7, 8]] = 0.0
+        table = EmbeddingTable(table.vocab, vectors)
+        pairs += [hyp("w1", "w7"), hyp("w8", "w2")]  # zero gold, zero hyponym
+        assert_matches_oracle(model, table, pairs, l_max=10, words=["w0", "w3", "w9"])
+        report = evaluate(model, table, pairs, l_max=10)
+        assert report.per_pair[-2].rank is None and report.per_pair[-1].rank is None
+        assert not {"w3", "w7", "w8"} & {w for w, _ in predict_candidates(model, table, "w0", 30)}
+
+    def test_zero_projection_matrix(self):
+        table, pairs, model = random_fixture(31, k=2)
+        matrices = model.matrices.copy()
+        matrices[1] = 0.0
+        model = make_model(matrices, centroids=model.clusters.centroids)
+        report = evaluate(model, table, pairs, l_max=10)
+        assert {r.cluster for r in report.per_pair} == {0, 1}
+        assert all(r.rank is None for r in report.per_pair if r.cluster == 1)
+        assert_matches_oracle(model, table, pairs, l_max=10)
+        everything_zero = make_model(np.zeros((2, 5, 5)), centroids=model.clusters.centroids)
+        assert predict_candidates(everything_zero, table, "w0", 5) == []
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_self_exclusion(self, exclude_self):
+        table, pairs, _ = rotation_fixture(n=10, d=4, seed=41)
+        model = make_model(np.eye(4))
+        self_pairs = pairs + [hyp("x1", "x1")]  # gold equal to the excluded hyponym
+        assert_matches_oracle(model, table, self_pairs, l_max=5, exclude_self=exclude_self)
+        top = predict_candidates(model, table, "x0", 1, exclude_self)[0][0]
+        assert (top == "x0") is not exclude_self
+
+    def test_l_larger_than_the_usable_vocabulary(self):
+        table, pairs, model = random_fixture(51, n_words=12, n_pairs=15)
+        vectors = table.vectors.copy()
+        vectors[4] = 0.0
+        table = EmbeddingTable(table.vocab, vectors)
+        pairs = [p for p in pairs if "w4" not in (p.source, p.target)]
+        assert_matches_oracle(model, table, pairs, l_max=20, words=table.vocab)
+        assert len(predict_candidates(model, table, "w0", 50)) == 10  # 12 - zero row - self
+
+    def test_scores_do_not_depend_on_the_block_size(self, monkeypatch):
+        table, pairs, model = random_fixture(61, n_words=50, k=4)
+        results = []
+        for entries in (1, len(table) * len(pairs)):
+            monkeypatch.setattr(embeddings, "BLOCK_ENTRIES", entries)
+            report = evaluate(model, table, pairs, l_max=10)
+            results.append(([r.rank for r in report.per_pair],
+                            [predict_candidates(model, table, w, 10) for w in table.vocab]))
+        assert results[0] == results[1]
 
 
 class TestWriters:
