@@ -36,12 +36,11 @@ from .projection import (
     save_model,
     total_loss,
 )
-from .training import AdamParams, AdamState, TrainConfig, adam_step, init_matrix, train
+from .training import AdamState, TrainConfig, adam_step, init_matrix, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamParams",
     "AdamState",
     "ClusterModel",
     "EmbeddingTable",

@@ -26,7 +26,7 @@ from .clustering import ClusterModel, fit_kmeans, offsets
 from .embeddings import load_embeddings, vocab_hash
 from .errors import HyperprojError, InputError
 from .projection import ProjectionModel, Regularizer, load_model, save_model
-from .training import AdamParams, TrainConfig
+from .training import TrainConfig
 
 log = logging.getLogger(__name__)
 
@@ -56,10 +56,11 @@ def _atomic_write(path: Path, write_fn) -> None:
 
 
 class Manifest:
-    """Run record: config, input/output hashes, stage timings."""
+    """Run record: the parsed flags, input/output hashes, stage timings."""
 
-    def __init__(self, command: str, config: dict):
-        self.payload: dict = {"command": command, "config": config,
+    def __init__(self, args: argparse.Namespace):
+        config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        self.payload: dict = {"command": args.command, "config": config,
                               "inputs": {}, "outputs": {}, "timings": {}}
         self._t0 = time.monotonic()
         self._stage_start = self._t0
@@ -124,8 +125,7 @@ def _read_clusters_json(path: Path) -> ClusterModel:
 def cmd_split(args) -> int:
     fractions = tuple(args.fractions)
     ds.validate_fractions(fractions)
-    manifest = Manifest("split", {"relations": args.relations, "fractions": list(fractions),
-                                  "seed": args.seed, "out": args.out})
+    manifest = Manifest(args)
     manifest.add_input(Path(args.relations))
     pairs = ds.load_relations(args.relations)
     positives = [p for p in pairs if p.relation == "hypernym"]
@@ -147,10 +147,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    manifest = Manifest("cluster", {"embeddings": args.embeddings, "split_dir": args.split_dir,
-                                    "k": args.k, "seed": args.seed, "max_iter": args.max_iter,
-                                    "tol": args.tol, "normalize": args.normalize,
-                                    "format": args.format, "out": args.out})
+    manifest = Manifest(args)
     table = _load_table(args, manifest)
     manifest.stage("load_embeddings")
     bound = ds.read_split_dir(args.split_dir, table)
@@ -174,7 +171,7 @@ def _train_config(args) -> TrainConfig:
         epochs=args.epochs,
         batch_size=args.batch_size,
         init_std=args.init_std,
-        adam=AdamParams(alpha=args.alpha),
+        alpha=args.alpha,
         lam=args.lam,
         regularizer=Regularizer(args.reg),
         k=args.k,
@@ -186,14 +183,7 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     cfg.validate()
-    manifest = Manifest("train", {
-        "embeddings": args.embeddings, "split_dir": args.split_dir, "k": args.k,
-        "reg": args.reg, "lambda": args.lam, "epochs": args.epochs,
-        "batch_size": args.batch_size, "init_std": args.init_std, "alpha": args.alpha,
-        "seed": args.seed, "select_on": args.select_on, "threads": args.threads,
-        "clusters": args.clusters, "normalize": args.normalize, "format": args.format,
-        "out": args.out,
-    })
+    manifest = Manifest(args)
     table = _load_table(args, manifest)
     manifest.stage("load_embeddings")
     bound = ds.read_split_dir(args.split_dir, table)
@@ -206,7 +196,7 @@ def cmd_train(args) -> int:
     if args.clusters:
         clusters = _read_clusters_json(Path(args.clusters))
         manifest.add_input(Path(args.clusters))
-    model = training.train(bound, table, cfg, clusters=clusters, threads=args.threads)
+    model = training.train(bound, table, cfg, clusters=clusters)
     manifest.stage("train")
     out = Path(args.out)
     _atomic_write(out, lambda p: save_model(model, p))
@@ -223,10 +213,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = Manifest("eval", {"model": args.model, "embeddings": args.embeddings,
-                                 "test": args.test, "l_max": args.l_max,
-                                 "normalize": args.normalize, "format": args.format,
-                                 "out": args.out})
+    manifest = Manifest(args)
     model = load_model(args.model)
     manifest.add_input(Path(args.model))
     table = _load_table(args, manifest)
@@ -282,11 +269,7 @@ def cmd_synth(args) -> int:
                             hyper_angle_deg=args.hyper_angle,
                             distractor_angle_deg=args.distractor_angle)
     cfg.validate()
-    manifest = Manifest("synth", {
-        "d": args.d, "n": args.n, "noise": args.noise, "distractors": args.distractors,
-        "seed": args.seed, "clusters": args.clusters, "hyper_angle": args.hyper_angle,
-        "distractor_angle": args.distractor_angle, "out": args.out,
-    })
+    manifest = Manifest(args)
     table, relations = synth.make_fixture(cfg)
     manifest.stage("generate")
     paths = synth.write_fixture(table, relations, args.out)
@@ -352,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--select-on", choices=("final", "best_validation_hit10"),
                    default="final")
     p.add_argument("--clusters", help="precomputed cluster JSON from the cluster command")
-    p.add_argument("--threads", type=int, default=1, help="parallel cluster workers")
     p.add_argument("--trace", help="loss trace CSV (default: <out>.trace.csv)")
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=cmd_train)

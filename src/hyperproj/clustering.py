@@ -8,6 +8,7 @@ later trained per cluster of offsets.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,8 @@ def fit_kmeans(points: np.ndarray, k: int, seed: int,
         raise InputError(f"k={k} exceeds the number of points ({n})")
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be non-negative and finite, got {tol}")
     if not np.isfinite(points).all():
         raise InputError("points contain non-finite values")
 

@@ -9,6 +9,7 @@ used for sampling during training.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -120,8 +121,8 @@ def load_relations(path: str | Path) -> list[RelationPair]:
 def validate_fractions(fractions: tuple[float, float, float]) -> None:
     if len(fractions) != 3:
         raise InputError("fractions must be (train, validation, test)")
-    if any(f <= 0 for f in fractions):
-        raise InputError(f"fractions must be positive, got {fractions}")
+    if not all(math.isfinite(f) and f > 0 for f in fractions):
+        raise InputError(f"fractions must be positive and finite, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise InputError(f"fractions must sum to 1, got {sum(fractions)}")
 

@@ -2,7 +2,7 @@
 
 A test pair counts as a hit at level l when the gold hypernym appears
 among the l nearest neighbors of the projected hyponym vector. The
-hyponym itself is excluded from the candidate list by default. The AUC
+hyponym itself is always excluded from the candidate list. The AUC
 summarizes the hit curve as the area under its l-1 trapezoids.
 
 Evaluation protocol. eval (and validation during training) routes each
@@ -71,8 +71,8 @@ def _usable_pairs(table: EmbeddingTable,
     return usable, skips
 
 
-def _rank_pairs(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPair],
-                exclude_self: bool) -> tuple[np.ndarray, np.ndarray]:
+def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
+                pairs: list[RelationPair]) -> tuple[np.ndarray, np.ndarray]:
     """Cluster of each pair (from its gold offset) and 1-based rank of its gold word.
 
     A rank of 0 means the gold word cannot be ranked: its score is -inf
@@ -88,7 +88,7 @@ def _rank_pairs(model: ProjectionModel, table: EmbeddingTable, pairs: list[Relat
         members = clusters == c
         queries[members] = (X[members, None, :] @ model.matrices[c]).reshape(-1, table.dim)
     ranks = np.zeros(len(pairs), dtype=np.intp)
-    for start, S in cosine_blocks(table, queries, sources if exclude_self else None):
+    for start, S in cosine_blocks(table, queries, sources):
         for i, row in enumerate(S, start=start):
             g = gold[i]
             s_gold = row[g]
@@ -99,26 +99,26 @@ def _rank_pairs(model: ProjectionModel, table: EmbeddingTable, pairs: list[Relat
 
 
 def hit_at(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPair],
-           l: int, exclude_self: bool = True) -> float:
+           l: int) -> float:
     """Fraction of pairs whose gold hypernym is in the top-l neighbor list."""
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
     if not pairs:
         raise InputError("pairs must be nonempty")
     usable, _ = _usable_pairs(table, pairs)
-    _, ranks = _rank_pairs(model, table, usable, exclude_self)
+    _, ranks = _rank_pairs(model, table, usable)
     return int(np.count_nonzero((ranks >= 1) & (ranks <= l))) / len(usable)
 
 
 def evaluate(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPair],
-             l_max: int = DEFAULT_L_MAX, exclude_self: bool = True) -> EvalReport:
+             l_max: int = DEFAULT_L_MAX) -> EvalReport:
     """Full hit@1..l_max curve, AUC, and per-pair ranks in one pass."""
     if l_max < 2:
         raise InputError(f"l_max must be >= 2, got {l_max}")
     if not pairs:
         raise InputError("pairs must be nonempty")
     usable, skips = _usable_pairs(table, pairs)
-    clusters, ranks = _rank_pairs(model, table, usable, exclude_self)
+    clusters, ranks = _rank_pairs(model, table, usable)
     per_pair = [PairResult(p.source, p.target, int(c), int(r) if 1 <= r <= l_max else None)
                 for p, c, r in zip(usable, clusters, ranks)]
     n = len(per_pair)
@@ -128,12 +128,13 @@ def evaluate(model: ProjectionModel, table: EmbeddingTable, pairs: list[Relation
 
 
 def predict_candidates(model: ProjectionModel, table: EmbeddingTable, word: str,
-                       l: int, exclude_self: bool = True) -> list[tuple[str, float]]:
+                       l: int) -> list[tuple[str, float]]:
     """Ranked hypernym candidates for a word without a gold pair.
 
     Without a gold offset no single cluster applies, so the word is
     projected through every cluster matrix and each word keeps its best
-    score over the clusters. Zero projections take no part.
+    score over the clusters. Zero projections and the word itself take no
+    part.
     """
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
@@ -141,7 +142,7 @@ def predict_candidates(model: ProjectionModel, table: EmbeddingTable, word: str,
         raise InputError(f"word {word!r} is not in the vocabulary")
     idx = table.lookup(word)
     queries = table.vectors[idx] @ model.matrices
-    exclude = np.full(model.k, idx if exclude_self else -1)
+    exclude = np.full(model.k, idx)
     best = np.full(len(table), -np.inf)
     for _, S in cosine_blocks(table, queries, exclude):
         np.maximum(best, S.max(axis=0), out=best)

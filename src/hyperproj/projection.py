@@ -12,8 +12,7 @@ reference vector:
 
 where z is a sampled negative (synonym / co-hyponym) of x. With z == x the
 neighbor forms reduce to the asymmetric ones exactly. All dot products are
-raw row-vector inner products by default; a cosine variant is available
-for experimentation.
+raw row-vector inner products.
 """
 
 from __future__ import annotations
@@ -132,16 +131,9 @@ def loss_baseline(phi: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
     return float((D * D).sum() / X.shape[0])
 
 
-def _dot_scores(Q: np.ndarray, Z: np.ndarray, cosine: bool) -> np.ndarray:
-    s = (Q * Z).sum(axis=1)
-    if cosine:
-        s = s / (np.linalg.norm(Q, axis=1) * np.linalg.norm(Z, axis=1))
-    return s
-
-
 def reg_neighbor(phi: np.ndarray, X: np.ndarray, Z: np.ndarray,
-                 reproject: bool = True, cosine: bool = False) -> float:
-    """Mean squared similarity between the (re-)projected X rows and Z rows."""
+                 reproject: bool = True) -> float:
+    """Mean squared dot product between the (re-)projected X rows and Z rows."""
     X = _as_batch(X, "X")
     Z = _as_batch(Z, "Z")
     if X.shape != Z.shape:
@@ -149,15 +141,14 @@ def reg_neighbor(phi: np.ndarray, X: np.ndarray, Z: np.ndarray,
     Q = X @ phi
     if reproject:
         Q = Q @ phi
-    s = _dot_scores(Q, Z, cosine)
+    s = (Q * Z).sum(axis=1)
     return float((s * s).sum() / X.shape[0])
 
 
-def reg_asymmetric(phi: np.ndarray, X: np.ndarray,
-                   reproject: bool = True, cosine: bool = False) -> float:
+def reg_asymmetric(phi: np.ndarray, X: np.ndarray, reproject: bool = True) -> float:
     """Neighbor regularizer with every negative replaced by the hyponym itself."""
     X = _as_batch(X, "X")
-    return reg_neighbor(phi, X, X, reproject=reproject, cosine=cosine)
+    return reg_neighbor(phi, X, X, reproject=reproject)
 
 
 def _resolve_negatives(kind: Regularizer, X: np.ndarray, Z: np.ndarray | None) -> np.ndarray:
@@ -172,7 +163,7 @@ def _resolve_negatives(kind: Regularizer, X: np.ndarray, Z: np.ndarray | None) -
 
 
 def total_loss(phi: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray | None,
-               kind: Regularizer, lam: float, cosine: bool = False) -> float:
+               kind: Regularizer, lam: float) -> float:
     """Fit term plus lam times the selected regularizer.
 
     ``kind`` NONE returns the fit term alone, whatever ``lam`` is.
@@ -182,12 +173,12 @@ def total_loss(phi: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray | No
         return base
     X = _as_batch(X, "X")
     Zr = _resolve_negatives(kind, X, Z)
-    return base + lam * reg_neighbor(phi, X, Zr, reproject=kind.reprojects, cosine=cosine)
+    return base + lam * reg_neighbor(phi, X, Zr, reproject=kind.reprojects)
 
 
 def loss_terms_and_gradient(
     phi: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray | None,
-    kind: Regularizer, lam: float, cosine: bool = False,
+    kind: Regularizer, lam: float,
 ) -> tuple[float, float, np.ndarray]:
     """(fit term, regularizer term, d total_loss / d phi) in one pass.
 
@@ -213,20 +204,11 @@ def loss_terms_and_gradient(
         Q = P @ phi
     else:
         Q = P
-    raw = (Q * Z).sum(axis=1)
-    if cosine:
-        qn = np.linalg.norm(Q, axis=1)
-        zn = np.linalg.norm(Z, axis=1)
-        s = raw / (qn * zn)
-        # d s / d Q rows: z / (|q||z|) - s * q / |q|^2
-        G = Z / (qn * zn)[:, None] - Q * (s / (qn * qn))[:, None]
-    else:
-        s = raw
-        G = Z
+    s = (Q * Z).sum(axis=1)
     reg = float((s * s).sum() / m)
-    SG = G * s[:, None]
+    SG = Z * s[:, None]
     if kind.reprojects:
-        # d(x phi phi . z)/d phi = x^T (z phi^T) + phi^T (x^T z), z -> G row
+        # d(x phi phi . z)/d phi = x^T (z phi^T) + phi^T (x^T z)
         grad_reg = (2.0 / m) * (X.T @ (SG @ phi.T) + phi.T @ (X.T @ SG))
     else:
         grad_reg = (2.0 / m) * (X.T @ SG)
@@ -234,9 +216,9 @@ def loss_terms_and_gradient(
 
 
 def gradient(phi: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray | None,
-             kind: Regularizer, lam: float, cosine: bool = False) -> np.ndarray:
+             kind: Regularizer, lam: float) -> np.ndarray:
     """Analytic gradient of total_loss with respect to phi."""
-    return loss_terms_and_gradient(phi, X, Y, Z, kind, lam, cosine)[2]
+    return loss_terms_and_gradient(phi, X, Y, Z, kind, lam)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ map used by the neighbor regularizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,9 @@ class SynthConfig:
     mixer_scale: float = 0.35
 
     def validate(self) -> None:
+        for name in ("noise", "hyper_angle_deg", "distractor_angle_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dim < 2:
             raise InputError(f"dim must be >= 2, got {self.dim}")
         if self.n_pairs < 1:

@@ -1,17 +1,18 @@
 """Per-cluster optimization: Adam updates, epoch loop, negative resampling.
 
 Every cluster owns an independent random stream derived from (seed,
-cluster id), its own Adam state, and its own example pool, so clusters can
-train in parallel without changing results. Within an epoch the stream is
-consumed in a fixed order: first the shuffle permutation, then one
-negative draw per example (neighbor regularizers only).
+cluster id), its own Adam state, and its own example pool, so one
+cluster's result does not depend on the others or on the order they
+train in. Within an epoch the stream is consumed in a fixed order: first
+the shuffle permutation, then one negative draw per example (neighbor
+regularizers only).
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +32,10 @@ log = logging.getLogger(__name__)
 
 VALIDATION_EVERY = 10  # epochs between hit@10 checks when selecting on validation
 
-
-@dataclass(frozen=True)
-class AdamParams:
-    """Adam meta-parameters; defaults are the conventional ones."""
-
-    alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+# Adam meta-parameters other than the step size: the conventional values
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -47,27 +43,24 @@ class TrainConfig:
     epochs: int = 700
     batch_size: int = 1024
     init_std: float = 0.1
-    adam: AdamParams = field(default_factory=AdamParams)
+    alpha: float = 0.001  # Adam step size
     lam: float = 0.1
     regularizer: Regularizer = Regularizer.NONE
     k: int = 1
     seed: int = 0
     select_on: str = "final"  # or "best_validation_hit10"
-    reg_cosine: bool = False
 
     def validate(self) -> None:
         if self.epochs < 1:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.init_std <= 0:
-            raise InputError(f"init_std must be positive, got {self.init_std}")
-        if not (0 <= self.adam.beta1 < 1 and 0 <= self.adam.beta2 < 1):
-            raise InputError("Adam betas must lie in [0, 1)")
-        if self.adam.epsilon <= 0:
-            raise InputError("Adam epsilon must be positive")
-        if self.lam < 0:
-            raise InputError(f"lambda must be non-negative, got {self.lam}")
+        if not (math.isfinite(self.init_std) and self.init_std > 0):
+            raise InputError(f"init_std must be positive and finite, got {self.init_std}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise InputError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InputError(f"lambda must be non-negative and finite, got {self.lam}")
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
         if self.select_on not in ("final", "best_validation_hit10"):
@@ -97,16 +90,16 @@ def _init_from_rng(d: int, rng: np.random.Generator, std: float) -> np.ndarray:
 
 
 def adam_step(phi: np.ndarray, grad: np.ndarray, state: AdamState,
-              params: AdamParams) -> tuple[np.ndarray, AdamState]:
-    """One Adam update; returns the new matrix and the advanced state."""
+              alpha: float) -> tuple[np.ndarray, AdamState]:
+    """One Adam update with step size alpha; returns the new matrix and state."""
     if phi.shape != grad.shape or phi.shape != state.m.shape:
         raise InputError("phi, gradient, and Adam state shapes must agree")
     state.t += 1
-    state.m = params.beta1 * state.m + (1.0 - params.beta1) * grad
-    state.v = params.beta2 * state.v + (1.0 - params.beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - params.beta1 ** state.t)
-    v_hat = state.v / (1.0 - params.beta2 ** state.t)
-    phi = phi - params.alpha * m_hat / (np.sqrt(v_hat) + params.epsilon)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    phi = phi - alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return phi, state
 
 
@@ -144,11 +137,11 @@ class _ClusterWorker:
             Zb = Z[start:stop] if Z is not None else None
             base, reg, grad = loss_terms_and_gradient(
                 self.phi, Xs[start:stop], Ys[start:stop], Zb,
-                cfg.regularizer, cfg.lam, cosine=cfg.reg_cosine)
+                cfg.regularizer, cfg.lam)
             if not np.isfinite(grad).all():
                 raise TrainingError(
                     f"non-finite gradient in cluster {self.cid} at epoch {epoch}")
-            self.phi, self.state = adam_step(self.phi, grad, self.state, cfg.adam)
+            self.phi, self.state = adam_step(self.phi, grad, self.state, cfg.alpha)
             self.steps += 1
             base_sum += base * (stop - start)
             reg_sum += reg * (stop - start)
@@ -159,7 +152,7 @@ class _ClusterWorker:
 
 
 def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
-          clusters: ClusterModel | None = None, threads: int = 1) -> ProjectionModel:
+          clusters: ClusterModel | None = None) -> ProjectionModel:
     """Fit one projection matrix per offset cluster.
 
     Clustering is fit on training-bucket offsets unless a precomputed
@@ -199,29 +192,21 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     best_hit = -1.0
     best_matrices: np.ndarray | None = None
     active = [w for w in workers if w.n > 0]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and len(active) > 1 else None
     vhash = vocab_hash(table)
 
     meta = TrainingMeta(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size)
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            if pool is not None:
-                list(pool.map(lambda w: w.run_epoch(epoch, cfg, dataset, table), active))
-            else:
-                for w in active:
-                    w.run_epoch(epoch, cfg, dataset, table)
-            if select_validation and (epoch % VALIDATION_EVERY == 0 or epoch == cfg.epochs):
-                snapshot = np.stack([w.phi for w in workers])
-                interim = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, d,
-                                          meta, vhash)
-                hit10 = evaluation.hit_at(interim, table, val_pairs, 10)
-                log.info("epoch %d validation hit@10 = %.4f", epoch, hit10)
-                if hit10 > best_hit:
-                    best_hit = hit10
-                    best_matrices = snapshot
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(1, cfg.epochs + 1):
+        for w in active:
+            w.run_epoch(epoch, cfg, dataset, table)
+        if select_validation and (epoch % VALIDATION_EVERY == 0 or epoch == cfg.epochs):
+            snapshot = np.stack([w.phi for w in workers])
+            interim = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, d,
+                                      meta, vhash)
+            hit10 = evaluation.hit_at(interim, table, val_pairs, 10)
+            log.info("epoch %d validation hit@10 = %.4f", epoch, hit10)
+            if hit10 > best_hit:
+                best_hit = hit10
+                best_matrices = snapshot
 
     matrices = best_matrices if best_matrices is not None else np.stack([w.phi for w in workers])
     meta.final_losses = [w.trace[-1][4] if w.trace else None for w in workers]

@@ -344,6 +344,59 @@ class TestBadInputExit2:
         assert_one_error_line(code, capsys, "word 2 of 2 is not valid UTF-8")
 
 
+    @pytest.mark.parametrize("command, flags, expected", [
+        ("train", ["--lambda", "nan"], "lambda"),
+        ("train", ["--reg", "neighbor", "--lambda", "inf"], "lambda"),
+        ("train", ["--alpha", "-1"], "alpha"),
+        ("train", ["--alpha", "nan"], "alpha"),
+        ("train", ["--init-std", "nan"], "init_std"),
+        ("split", ["--fractions", "nan", "0.5", "0.5"], "fractions"),
+        ("synth", ["--noise", "nan"], "noise"),
+        ("synth", ["--distractors", "1", "--distractor-angle", "inf"], "distractor_angle"),
+        ("cluster", ["--tol", "nan"], "tol"),
+    ], ids=["lambda-nan", "lambda-inf", "alpha-negative", "alpha-nan", "init-std-nan",
+            "fractions-nan", "noise-nan", "distractor-angle-inf", "tol-nan"])
+    def test_bad_numeric_flag(self, tmp_path, capsys, fixture_dir, split_dir,
+                              command, flags, expected):
+        emb = ["--embeddings", fixture_dir / "embeddings.txt"]
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", *emb, "--split-dir", split_dir, "--epochs", 2],
+            "split": ["split", "--relations", fixture_dir / "relations.tsv"],
+            "synth": ["synth", "--d", 4, "--n", 10],
+            "cluster": ["cluster", *emb, "--split-dir", split_dir],
+        }[command]
+        capsys.readouterr()
+        code = run(*argv, *flags, "--out", out)
+        assert_one_error_line(code, capsys, expected)
+        assert not out.exists()
+
+
+def test_manifest_config_is_the_parsed_flags(tmp_path, fixture_dir, split_dir):
+    emb = fixture_dir / "embeddings.txt"
+    model, trace = tmp_path / "m.hprj", tmp_path / "loss.csv"
+    report, pairs = tmp_path / "r.json", tmp_path / "ranks.tsv"
+    assert run("train", "--embeddings", emb, "--split-dir", split_dir, "--reg", "asym",
+               "--lambda", 0.25, "--epochs", 3, "--trace", trace, "--out", model) == 0
+    assert run("eval", "--model", model, "--embeddings", emb, "--test",
+               split_dir / "test.tsv", "--per-pair", pairs, "--out", report) == 0
+    train_manifest = json.loads((tmp_path / "m.hprj.manifest.json").read_text())
+    assert train_manifest["command"] == "train"
+    assert train_manifest["config"] == {
+        "embeddings": str(emb), "format": "text", "normalize": False,
+        "split_dir": str(split_dir), "k": 1, "reg": "asym", "lam": 0.25, "epochs": 3,
+        "batch_size": 1024, "init_std": 0.1, "alpha": 0.001, "seed": 0,
+        "select_on": "final", "clusters": None, "trace": str(trace), "out": str(model),
+    }
+    eval_manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert eval_manifest["command"] == "eval"
+    assert eval_manifest["config"] == {
+        "embeddings": str(emb), "format": "text", "normalize": False, "model": str(model),
+        "test": str(split_dir / "test.tsv"), "l_max": 10, "per_pair": str(pairs),
+        "out": str(report),
+    }
+
+
 def test_unknown_subcommand_exit_2():
     assert run("frobnicate") == 2
 

@@ -213,26 +213,25 @@ def oracle_neighbors(table, query, l, exclude=None):
     return [(table.vocab[i], float(scores[i])) for i in top]
 
 
-def oracle_rank(model, table, pair, l, exclude_self=True):
+def oracle_rank(model, table, pair, l):
     """(cluster, rank within the top l or None), one pair at a time."""
     x = table.vector(pair.source)
     cluster = assign_cluster(model.clusters, table.vector(pair.target) - x)
     query = x @ model.matrices[cluster]
     if float(np.linalg.norm(query)) == 0.0:
         return cluster, None
-    words = [w for w, _ in oracle_neighbors(
-        table, query, l, pair.source if exclude_self else None)]
+    words = [w for w, _ in oracle_neighbors(table, query, l, pair.source)]
     return cluster, words.index(pair.target) + 1 if pair.target in words else None
 
 
-def oracle_predict(model, table, word, l, exclude_self=True):
+def oracle_predict(model, table, word, l):
     """Merge each cluster's top-l list, keeping a word's best score."""
     best = {}
     for phi in model.matrices:
         query = table.vector(word) @ phi
         if float(np.linalg.norm(query)) == 0.0:
             continue
-        for cand, score in oracle_neighbors(table, query, l, word if exclude_self else None):
+        for cand, score in oracle_neighbors(table, query, l, word):
             best[cand] = max(score, best.get(cand, -np.inf))
     order = {w: i for i, w in enumerate(table.vocab)}
     return sorted(best.items(), key=lambda item: (-item[1], order[item[0]]))[:l]
@@ -249,18 +248,18 @@ def random_fixture(seed, n_words=60, d=5, k=3, n_pairs=40):
     return table, pairs, model
 
 
-def assert_matches_oracle(model, table, pairs, l_max, exclude_self=True, words=None):
-    report = evaluate(model, table, pairs, l_max=l_max, exclude_self=exclude_self)
-    expected = [oracle_rank(model, table, p, l_max, exclude_self) for p in pairs]
+def assert_matches_oracle(model, table, pairs, l_max, words=None):
+    report = evaluate(model, table, pairs, l_max=l_max)
+    expected = [oracle_rank(model, table, p, l_max) for p in pairs]
     assert [(r.cluster, r.rank) for r in report.per_pair] == expected
     n = len(pairs)
     assert report.hits == [sum(1 for _, r in expected if r is not None and r <= i) / n
                            for i in range(1, l_max + 1)]
     for l in (1, l_max):
-        assert hit_at(model, table, pairs, l, exclude_self) == report.hits[l - 1]
+        assert hit_at(model, table, pairs, l) == report.hits[l - 1]
     for word in words if words is not None else table.vocab[:10]:
-        got = predict_candidates(model, table, word, l_max, exclude_self)
-        want = oracle_predict(model, table, word, l_max, exclude_self)
+        got = predict_candidates(model, table, word, l_max)
+        want = oracle_predict(model, table, word, l_max)
         assert [w for w, _ in got] == [w for w, _ in want]
         np.testing.assert_allclose([s for _, s in got], [s for _, s in want], atol=1e-12)
 
@@ -314,14 +313,14 @@ class TestBlockedScorerMatchesOracle:
         everything_zero = make_model(np.zeros((2, 5, 5)), centroids=model.clusters.centroids)
         assert predict_candidates(everything_zero, table, "w0", 5) == []
 
-    @pytest.mark.parametrize("exclude_self", [True, False])
-    def test_self_exclusion(self, exclude_self):
+    def test_self_exclusion(self):
         table, pairs, _ = rotation_fixture(n=10, d=4, seed=41)
         model = make_model(np.eye(4))
         self_pairs = pairs + [hyp("x1", "x1")]  # gold equal to the excluded hyponym
-        assert_matches_oracle(model, table, self_pairs, l_max=5, exclude_self=exclude_self)
-        top = predict_candidates(model, table, "x0", 1, exclude_self)[0][0]
-        assert (top == "x0") is not exclude_self
+        assert_matches_oracle(model, table, self_pairs, l_max=5)
+        assert evaluate(model, table, self_pairs, l_max=5).per_pair[-1].rank is None
+        # the identity projection scores x0 highest against itself
+        assert predict_candidates(model, table, "x0", 1)[0][0] != "x0"
 
     def test_l_larger_than_the_usable_vocabulary(self):
         table, pairs, model = random_fixture(51, n_words=12, n_pairs=15)
