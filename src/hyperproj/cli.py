@@ -205,6 +205,7 @@ def cmd_train(args) -> int:
     _atomic_write(trace_path, lambda p: training.write_trace_csv(model, p))
     manifest.add_output(trace_path)
     manifest.stage("write")
+    manifest.payload["data"] = model.meta.data
     manifest.write(out.with_name(out.name + ".manifest.json"))
     losses = ", ".join("none" if v is None else f"{v:.6g}" for v in model.meta.final_losses)
     print(f"trained k={model.k} reg={model.regularizer.value} lambda={model.lam}; "

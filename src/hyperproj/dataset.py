@@ -217,15 +217,62 @@ def sample_negative(dataset: RelationDataset, source: str,
                     rng: np.random.Generator) -> str:
     """Draw a uniform negative for ``source``; falls back to ``source``.
 
-    Candidates are the bound negatives restricted to words outside the
-    validation and test vocabularies. An empty or missing candidate list
-    returns ``source`` itself, which reduces the neighbor regularizer to
-    the asymmetric one for that example.
+    The one-word reference form of ``sample_negatives``: for the same
+    sources it returns the same words and consumes the same random
+    stream. Candidates are the bound negatives restricted to words
+    outside the validation and test vocabularies. An empty or missing
+    candidate list returns ``source`` itself without a draw, which reduces
+    the neighbor regularizer to the asymmetric one for that example.
     """
     cands = dataset.train_negatives.get(source)
     if not cands:
         return source
     return cands[int(rng.integers(len(cands)))]
+
+
+def negative_index(dataset: RelationDataset,
+                   table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
+    """``dataset.train_negatives`` as a CSR table over the table's rows.
+
+    Returns ``(indptr, indices)``: the candidates of vocabulary row ``s``
+    are ``indices[indptr[s]:indptr[s + 1]]``, in the order of its
+    candidate list. Rows without candidates are empty.
+    """
+    cand_rows: dict[int, list[int]] = {}
+    for source, cands in dataset.train_negatives.items():
+        s = table.lookup(source)
+        if s is None:
+            continue  # never a training source: training needs its vector
+        rows = [table.lookup(w) for w in cands]
+        if None in rows:
+            missing = cands[rows.index(None)]
+            raise InputError(f"negative {missing!r} of {source!r} is not in the embedding table")
+        cand_rows[s] = rows
+    indptr = np.zeros(len(table) + 1, dtype=np.int64)
+    for s, rows in cand_rows.items():
+        indptr[s + 1] = len(rows)
+    np.cumsum(indptr, out=indptr)
+    indices = np.array([r for s in sorted(cand_rows) for r in cand_rows[s]], dtype=np.int64)
+    return indptr, indices
+
+
+def sample_negatives(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Draw one uniform negative per source row, all in one call.
+
+    ``sources`` and the result are vocabulary row indices; ``(indptr,
+    indices)`` comes from ``negative_index``. A source without candidates
+    returns itself and draws nothing. The others draw in source order, one
+    ``rng.integers(count)`` each, so the stream is the one a loop of
+    ``sample_negative`` over the same words consumes.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    starts = indptr[sources]
+    counts = indptr[sources + 1] - starts
+    drawn = counts > 0
+    out = sources.copy()
+    out[drawn] = indices[starts[drawn] + rng.integers(counts[drawn])]
+    return out
 
 
 def write_split(dataset: RelationDataset, out_dir: str | Path) -> dict[str, Path]:

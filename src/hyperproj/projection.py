@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -57,7 +58,9 @@ class TrainingMeta:
 
     ``trace`` holds (epoch, cluster, baseline_term, reg_term, total) rows;
     it stays in memory only and is written out as CSV, not into the model
-    file.
+    file. ``data`` is training's data accounting (see
+    ``training._data_accounting``); it too stays out of the model file and
+    goes into the train manifest.
     """
 
     seed: int
@@ -67,6 +70,7 @@ class TrainingMeta:
     steps: list[int] = field(default_factory=list)
     trace: list[tuple[int, int, float, float, float]] = field(
         default_factory=list, repr=False)
+    data: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(eq=False)
@@ -94,8 +98,8 @@ class ProjectionModel:
             raise InputError("cluster and matrix dimensions disagree")
         if not np.isfinite(self.matrices).all():
             raise InputError("matrices contain non-finite values")
-        if self.lam < 0:
-            raise InputError(f"lambda must be non-negative, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InputError(f"lambda must be non-negative and finite, got {self.lam}")
 
     @property
     def k(self) -> int:

@@ -4,8 +4,10 @@ Every cluster owns an independent random stream derived from (seed,
 cluster id), its own Adam state, and its own example pool, so one
 cluster's result does not depend on the others or on the order they
 train in. Within an epoch the stream is consumed in a fixed order: first
-the shuffle permutation, then one negative draw per example (neighbor
-regularizers only).
+the shuffle permutation, then (neighbor regularizers only) one negative
+draw per example whose source has a training negative, in example order.
+Examples that fall back to z = x draw nothing. All of an epoch's
+negatives are drawn in one call over vocabulary indices.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import evaluation
 from .clustering import ClusterModel, assign_clusters, fit_kmeans, offsets
-from .dataset import RelationDataset, sample_negative
+from .dataset import RelationDataset, negative_index, sample_negatives
 from .embeddings import EmbeddingTable, vocab_hash
 from .errors import InputError, TrainingError
 from .projection import (
@@ -106,12 +108,12 @@ def adam_step(phi: np.ndarray, grad: np.ndarray, state: AdamState,
 class _ClusterWorker:
     """Training state for one cluster: examples, matrix, Adam, rng, trace."""
 
-    def __init__(self, cid: int, X: np.ndarray, Y: np.ndarray, sources: list[str],
+    def __init__(self, cid: int, X: np.ndarray, Y: np.ndarray, sources: np.ndarray,
                  cfg: TrainConfig, d: int):
         self.cid = cid
         self.X = X
         self.Y = Y
-        self.sources = sources
+        self.sources = sources  # vocabulary rows of the hyponyms, parallel to X
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cid,)))
         self.phi = _init_from_rng(d, self.rng, cfg.init_std)
@@ -123,13 +125,15 @@ class _ClusterWorker:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def run_epoch(self, epoch: int, cfg: TrainConfig, dataset: RelationDataset,
+    def run_epoch(self, epoch: int, cfg: TrainConfig,
+                  negatives: tuple[np.ndarray, np.ndarray] | None,
                   table: EmbeddingTable) -> None:
+        """One pass over the examples; ``negatives`` is the CSR table or None."""
         perm = self.rng.permutation(self.n)
         Z = None
-        if cfg.regularizer.needs_negatives:
-            z_words = [sample_negative(dataset, w, self.rng) for w in self.sources]
-            Z = table.rows(z_words)[perm]
+        if negatives is not None:
+            z = sample_negatives(*negatives, self.sources, self.rng)
+            Z = table.vectors[z[perm]]
         Xs, Ys = self.X[perm], self.Y[perm]
         base_sum = reg_sum = 0.0
         for start in range(0, self.n, cfg.batch_size):  # final short batch is kept
@@ -173,6 +177,7 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     elif clusters.dim != d:
         raise InputError(f"cluster model dimension {clusters.dim} != embedding dim {d}")
     assign = assign_clusters(clusters, train_offsets)
+    negatives = negative_index(dataset, table) if cfg.regularizer.needs_negatives else None
 
     workers = []
     for cid in range(cfg.k):
@@ -180,9 +185,9 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
         pairs_c = [train_pairs[i] for i in idx]
         if not pairs_c:
             log.warning("cluster %d has no training pairs; matrix stays at initialization", cid)
-        X = table.rows([p.source for p in pairs_c]) if pairs_c else np.zeros((0, d))
+        sources = np.array([table.lookup(p.source) for p in pairs_c], dtype=np.int64)
         Y = table.rows([p.target for p in pairs_c]) if pairs_c else np.zeros((0, d))
-        workers.append(_ClusterWorker(cid, X, Y, [p.source for p in pairs_c], cfg, d))
+        workers.append(_ClusterWorker(cid, table.vectors[sources], Y, sources, cfg, d))
 
     select_validation = cfg.select_on == "best_validation_hit10"
     val_pairs = dataset.pairs_in("validation") if select_validation else []
@@ -197,7 +202,7 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     meta = TrainingMeta(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size)
     for epoch in range(1, cfg.epochs + 1):
         for w in active:
-            w.run_epoch(epoch, cfg, dataset, table)
+            w.run_epoch(epoch, cfg, negatives, table)
         if select_validation and (epoch % VALIDATION_EVERY == 0 or epoch == cfg.epochs):
             snapshot = np.stack([w.phi for w in workers])
             interim = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, d,
@@ -212,10 +217,32 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     meta.final_losses = [w.trace[-1][4] if w.trace else None for w in workers]
     meta.steps = [w.steps for w in workers]
     meta.trace = sorted(row for w in workers for row in w.trace)
+    meta.data = _data_accounting(dataset, workers, negatives)
     # lambda is inert without a regularizer; canonicalize so the model file
     # is identical whatever value was passed alongside kind NONE
     lam = 0.0 if cfg.regularizer is Regularizer.NONE else cfg.lam
     return ProjectionModel(matrices, clusters, cfg.regularizer, lam, d, meta, vhash)
+
+
+def _data_accounting(dataset: RelationDataset, workers: list[_ClusterWorker],
+                     negatives: tuple[np.ndarray, np.ndarray] | None) -> dict:
+    """What training consumed: dropped pairs, examples and fallbacks per cluster.
+
+    ``negative_fallbacks[c]`` counts cluster c's examples whose hyponym has
+    no training negative; each epoch they train with z = x. It is None
+    when the regularizer draws no negatives.
+    """
+    fallbacks = None
+    if negatives is not None:
+        indptr = negatives[0]
+        fallbacks = [int(np.count_nonzero(indptr[w.sources] == indptr[w.sources + 1]))
+                     for w in workers]
+    return {
+        "dropped_positives": dataset.dropped_positives,
+        "dropped_negatives": dataset.dropped_negatives,
+        "train_pairs": [w.n for w in workers],
+        "negative_fallbacks": fallbacks,
+    }
 
 
 def write_trace_csv(model: ProjectionModel, path) -> None:

@@ -301,7 +301,10 @@ class TestBadInputExit2:
         ({"inertia": "x"}, "incomplete header"),
         ({"k": -1}, "declares dim=2 k=-1"),
         ({"dim": 0}, "declares dim=0 k=1"),
-    ], ids=["dim-null", "lambda-null", "seed-null", "inertia-text", "k-negative", "dim-zero"])
+        ({"lambda": float("nan")}, "lambda must be non-negative and finite"),
+        ({"lambda": float("inf")}, "lambda must be non-negative and finite"),
+    ], ids=["dim-null", "lambda-null", "seed-null", "inertia-text", "k-negative", "dim-zero",
+            "lambda-nan", "lambda-inf"])
     def test_bad_model_header(self, tmp_path, capsys, changes, expected):
         from conftest import make_model
 
@@ -395,6 +398,32 @@ def test_manifest_config_is_the_parsed_flags(tmp_path, fixture_dir, split_dir):
         "test": str(split_dir / "test.tsv"), "l_max": 10, "per_pair": str(pairs),
         "out": str(report),
     }
+
+
+def test_train_manifest_records_data_accounting(tmp_path):
+    # x1..x4 train, x5 test; x2 and x4 have no negative, x3 only a held-out one
+    words = ["x1", "x2", "x3", "x4", "x5", "y1", "y5", "n1", "n2"]
+    emb = tmp_path / "e.txt"
+    emb.write_text("".join(f"{w} {i % 3 + 1} {i % 2} {i / 10}\n" for i, w in enumerate(words)))
+    split = tmp_path / "sp"
+    split.mkdir()
+    (split / "train.tsv").write_text(
+        "x1\ty1\thypernym\nx2\ty1\thypernym\nx3\ty1\thypernym\n"
+        "x4\ty1\thypernym\nx1\toov\thypernym\n")
+    (split / "validation.tsv").write_text("")
+    (split / "test.tsv").write_text("x5\ty5\thypernym\n")
+    (split / "negatives.tsv").write_text(
+        "x1\tn1\tsynonym\nx1\tn2\tcohyponym\nx3\tx5\tcohyponym\nx4\toov\tsynonym\n")
+    model = tmp_path / "m.hprj"
+    assert run("train", "--embeddings", emb, "--split-dir", split, "--reg", "neighbor",
+               "--epochs", 2, "--out", model) == 0
+    data = json.loads((tmp_path / "m.hprj.manifest.json").read_text())["data"]
+    assert data == {"dropped_positives": 1, "dropped_negatives": 1,
+                    "train_pairs": [4], "negative_fallbacks": [3]}
+    assert run("train", "--embeddings", emb, "--split-dir", split, "--reg", "asym",
+               "--epochs", 2, "--out", model) == 0
+    data = json.loads((tmp_path / "m.hprj.manifest.json").read_text())["data"]
+    assert data["negative_fallbacks"] is None and data["train_pairs"] == [4]
 
 
 def test_unknown_subcommand_exit_2():

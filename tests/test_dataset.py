@@ -12,8 +12,10 @@ from hyperproj.dataset import (
     build_dataset,
     lexical_split,
     load_relations,
+    negative_index,
     read_split_dir,
     sample_negative,
+    sample_negatives,
     write_split,
 )
 from hyperproj.embeddings import EmbeddingTable
@@ -185,6 +187,65 @@ class TestSampleNegative:
         rng = np.random.default_rng(7)
         for _ in range(200):
             assert sample_negative(data, "a", rng) in table
+
+
+class TestSampleNegatives:
+    """The one-call sampler against a loop of the one-word reference form."""
+
+    @pytest.fixture
+    def fixture(self):
+        sources = ["dog", "cat", "fox", "owl", "eel"]
+        table = table_for(sources + ["animal", "held", "creature",
+                                     "hound", "puppy", "kitten", "vixen"])
+        positives = [hyp(w, "animal") for w in sources] + [hyp("held", "creature")]
+        negatives = [
+            RelationPair("dog", "hound", "synonym"),
+            RelationPair("dog", "held", "cohyponym"),  # test-bucket word: excluded
+            RelationPair("dog", "puppy", "synonym"),
+            RelationPair("cat", "kitten", "synonym"),  # single candidate
+            RelationPair("fox", "held", "cohyponym"),  # only candidate held out: falls back
+            RelationPair("owl", "vixen", "cohyponym"),
+            RelationPair("owl", "dog", "cohyponym"),
+            RelationPair("owl", "cat", "cohyponym"),
+        ]  # eel has no negative at all: falls back
+        data = RelationDataset(positives, ["train"] * 5 + ["test"], negatives)
+        return data, table, [table.lookup(w) for w in sources]
+
+    def test_index_keeps_candidate_order(self, fixture):
+        data, table, _ = fixture
+        indptr, indices = negative_index(data, table)
+        assert indptr.shape == (len(table) + 1,)
+        cands = {w: [table.vocab[i] for i in indices[indptr[s]:indptr[s + 1]]]
+                 for s, w in enumerate(table.vocab)}
+        assert cands["dog"] == ["hound", "puppy"]
+        assert cands["owl"] == ["vixen", "dog", "cat"]
+        assert cands["cat"] == ["kitten"]
+        assert cands["fox"] == cands["eel"] == cands["hound"] == []
+
+    def test_index_rejects_candidate_outside_table(self):
+        data = RelationDataset([hyp("a", "b")], ["train"], [RelationPair("a", "zz", "synonym")])
+        with pytest.raises(InputError, match="'zz' of 'a'"):
+            negative_index(data, table_for(["a", "b"]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_same_draws_and_stream_as_the_loop(self, fixture, seed):
+        data, table, rows = fixture
+        order = np.random.default_rng(100 + seed).choice(rows, size=300)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_negatives(*negative_index(data, table), order, fast)
+        want = [table.lookup(sample_negative(data, table.vocab[s], slow)) for s in order]
+        assert got.tolist() == want
+        assert table.lookup("held") not in want
+        assert np.array_equal(fast.permutation(50), slow.permutation(50))
+
+    @pytest.mark.parametrize("words", [[], ["fox", "eel", "eel"]], ids=["empty", "fallbacks"])
+    def test_fallbacks_draw_nothing(self, fixture, words):
+        data, table, _ = fixture
+        order = np.array([table.lookup(w) for w in words], dtype=np.int64)
+        rng = np.random.default_rng(5)
+        assert sample_negatives(*negative_index(data, table), order, rng).tolist() == \
+            order.tolist()
+        assert np.array_equal(rng.permutation(50), np.random.default_rng(5).permutation(50))
 
 
 class TestSplitRoundTrip:

@@ -3,7 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from hyperproj.dataset import RelationDataset, RelationPair, build_dataset
+from hyperproj import training
+from hyperproj.dataset import RelationDataset, RelationPair, build_dataset, sample_negative
 from hyperproj.embeddings import EmbeddingTable
 from hyperproj.errors import InputError, TrainingError
 from hyperproj.projection import Regularizer, save_model
@@ -13,6 +14,7 @@ from hyperproj.training import (
     adam_step,
     init_matrix,
     train,
+    write_trace_csv,
 )
 
 
@@ -151,6 +153,40 @@ class TestTrain:
         model = train(data, table, cfg)
         assert np.isfinite(model.matrices).all()
         assert any(row[3] > 0 for row in model.meta.trace)  # regularizer term active
+
+    @pytest.mark.parametrize("batch_size", [1024, 8])
+    @pytest.mark.parametrize("kind", [Regularizer.NEIGHBOR_PLAIN, Regularizer.NEIGHBOR_REPROJ])
+    def test_one_call_negatives_match_per_example_loop(self, tmp_path, monkeypatch,
+                                                       kind, batch_size):
+        rng = np.random.default_rng(8)
+        words = [f"w{i}" for i in range(90)]
+        table = EmbeddingTable(words, rng.normal(size=(90, 4)))
+        pairs = [hyp(words[i], words[i + 30]) for i in range(30)]
+        # 0-3 candidates per hyponym, some of them held-out words
+        negatives = [RelationPair(words[i], words[j], "synonym")
+                     for i in range(30) for j in rng.choice(90, size=i % 4, replace=False)
+                     if j != i]
+        data = build_dataset(pairs + negatives, table, fractions=(0.7, 0.15, 0.15), seed=2)
+        cfg = TrainConfig(epochs=4, batch_size=batch_size, k=2, seed=9, regularizer=kind,
+                          lam=0.5)
+
+        def artifacts(name):
+            model = train(data, table, cfg)
+            save_model(model, tmp_path / f"{name}.hprj")
+            write_trace_csv(model, tmp_path / f"{name}.csv")
+            return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("hprj", "csv")]
+
+        fast = artifacts("fast")
+        calls = []
+
+        def per_example(indptr, indices, sources, rng):
+            calls.append(len(sources))
+            return np.array([table.lookup(sample_negative(data, words[s], rng))
+                             for s in sources], dtype=np.int64)
+
+        monkeypatch.setattr(training, "sample_negatives", per_example)
+        assert artifacts("slow") == fast
+        assert len(calls) == 2 * cfg.epochs and sum(calls) == 4 * len(data.pairs_in("train"))
 
     def test_validation_selection_smoke(self):
         table, data, _ = planted_fixture(n=80)
