@@ -112,7 +112,7 @@ def _read_clusters_json(path: Path) -> ClusterModel:
         payload = json.loads(path.read_text(encoding="utf-8"))
         centroids = np.array(payload["centroids"], dtype=np.float64)
         inertia = float(payload["inertia"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed cluster file ({exc})") from None
     return ClusterModel(centroids, inertia)
 

@@ -6,6 +6,13 @@ layout (ASCII ``count dim\\n`` header, then per word a space-terminated
 token followed by d little-endian float32 values). Vectors are held as
 float64 internally regardless of the file precision.
 
+Text components parse with Python ``float()``, in blocks of whole rows
+(``PARSE_TOKENS`` components at most) rather than one value at a time;
+binary payloads are gathered and converted in one call. Either way a bad
+file reports the error of its first failing line or word, exactly as a
+row-by-row reader would: within a text line an unparsable component
+comes before a dimension mismatch, which comes before a non-finite value.
+
 Every similarity search, from ``nearest_neighbors`` here to ranking in
 the evaluation module, scores through ``cosine_blocks``.
 """
@@ -25,6 +32,7 @@ log = logging.getLogger(__name__)
 
 TEXT_PRECISION = 9  # significant digits written by save_embeddings_text
 BLOCK_ENTRIES = 1 << 15  # scores cosine_blocks holds at once: 256 KiB of float64
+PARSE_TOKENS = 1 << 15  # components _load_text converts at once: max(1, PARSE_TOKENS // dim) rows
 
 
 @dataclass(eq=False)
@@ -111,55 +119,93 @@ def _normalize_rows(vectors: np.ndarray, origin: str) -> np.ndarray:
     return vectors / norms[:, None]
 
 
-def _finish(words: list[str], rows: list[np.ndarray], normalize: bool,
-            path: str, dupes: int) -> EmbeddingTable:
-    if not words:
-        raise InputError(f"{path}: no embedding rows found")
-    if dupes:
-        log.warning("%s: dropped %d duplicate word(s), kept first occurrence", path, dupes)
-    vectors = np.vstack(rows)
+def _finish(words: list[str], vectors: np.ndarray, normalize: bool,
+            path: str) -> EmbeddingTable:
+    """Table of the first occurrence of each word, in file order."""
+    n = len(words)
+    first = dict(zip(reversed(words), range(n - 1, -1, -1)))  # word -> its first row
+    if len(first) < n:
+        log.warning("%s: dropped %d duplicate word(s), kept first occurrence",
+                    path, n - len(first))
+        keep = np.sort(np.fromiter(first.values(), np.intp, count=len(first)))
+        words, vectors = [words[i] for i in keep], vectors[keep]
     if normalize:
         vectors = _normalize_rows(vectors, path)
     return EmbeddingTable(words, vectors, normalized=normalize)
 
 
+def _unparsable(path: Path, lineno: int, exc: ValueError) -> InputError:
+    return InputError(f"{path}:{lineno}: unparsable vector component ({exc})")
+
+
+def _parse_block(tokens: list[str], linenos: list[int], dim: int, path: Path) -> np.ndarray:
+    """The ``(len(linenos), dim)`` rows whose components are ``tokens``.
+
+    Row i comes from line ``linenos[i]``. If any row fails, the first
+    failing row is reported, with its first failure in the order an
+    unparsable component, then a non-finite one.
+    """
+    try:
+        block = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
+    except ValueError as exc:
+        if len(linenos) == 1:
+            raise _unparsable(path, linenos[0], exc) from None
+        for row, lineno in enumerate(linenos):  # an earlier row may fail first
+            _parse_block(tokens[row * dim:(row + 1) * dim], [lineno], dim, path)
+        raise  # not reached: the row holding the bad component fails above
+    block = block.reshape(len(linenos), dim)
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise InputError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite vector component")
+    return block
+
+
 def _load_text(path: Path, normalize: bool) -> EmbeddingTable:
     words: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-    dupes = 0
-    dim: int | None = None
-    for lineno, line in utf8_lines(path):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        tokens = line.split(" ")
-        if tokens and tokens[-1] == "":  # tolerate one trailing space
-            tokens.pop()
-        if lineno == 1 and len(tokens) == 2 and _is_int(tokens[0]) and _is_int(tokens[1]):
-            continue  # `count dim` header
-        if len(tokens) < 2:
-            raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
-        word = tokens[0]
-        try:
-            vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: unparsable vector component ({exc})") from None
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise InputError(
-                f"{path}:{lineno}: dimension mismatch (got {vec.size}, expected {dim})"
-            )
-        if not np.isfinite(vec).all():
-            raise InputError(f"{path}:{lineno}: non-finite vector component")
-        if word in seen:
-            dupes += 1
-            continue
-        seen.add(word)
-        words.append(word)
-        rows.append(vec)
-    return _finish(words, rows, normalize, str(path), dupes)
+    blocks: list[np.ndarray] = []
+    tokens: list[str] = []  # components of the rows not parsed yet
+    linenos: list[int] = []  # their line numbers
+    dim = block_rows = 0
+    try:
+        for lineno, line in utf8_lines(path):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(" ")
+            if parts and parts[-1] == "":  # tolerate one trailing space
+                parts.pop()
+            if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
+                continue  # `count dim` header
+            if len(parts) < 2:
+                raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
+            if not dim:
+                dim = len(parts) - 1
+                block_rows = max(1, PARSE_TOKENS // dim)
+            elif len(parts) - 1 != dim:
+                try:  # an unparsable component is reported before the mismatch
+                    [float(t) for t in parts[1:]]
+                except ValueError as exc:
+                    raise _unparsable(path, lineno, exc) from None
+                raise InputError(
+                    f"{path}:{lineno}: dimension mismatch (got {len(parts) - 1}, expected {dim})"
+                )
+            words.append(parts[0])
+            tokens += parts[1:]
+            linenos.append(lineno)
+            if len(linenos) == block_rows:
+                blocks.append(_parse_block(tokens, linenos, dim, path))
+                tokens, linenos = [], []
+    except InputError:
+        # the rows read before the failing line fail first; a block that
+        # failed to parse above fails here again with the same error
+        if linenos:
+            _parse_block(tokens, linenos, dim, path)
+        raise
+    if linenos:
+        blocks.append(_parse_block(tokens, linenos, dim, path))
+    if not words:
+        raise InputError(f"{path}: no embedding rows found")
+    return _finish(words, np.concatenate(blocks), normalize, str(path))
 
 
 def _is_int(token: str) -> bool:
@@ -168,6 +214,17 @@ def _is_int(token: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def _binary_rows(words: list[str], payloads: list[bytes], dim: int, path: Path) -> np.ndarray:
+    """float64 rows of the float32 ``payloads``; the first non-finite one is reported."""
+    vectors = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(len(words), dim)
+    vectors = vectors.astype(np.float64)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        word = words[int(np.argmin(finite))]
+        raise InputError(f"{path}: non-finite value in vector for {word!r}")
+    return vectors
 
 
 def _load_binary(path: Path, normalize: bool) -> EmbeddingTable:
@@ -186,32 +243,26 @@ def _load_binary(path: Path, normalize: bool) -> EmbeddingTable:
     vec_bytes = 4 * dim
     pos = nl + 1
     words: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-    dupes = 0
-    for i in range(count):
-        while pos < len(data) and data[pos : pos + 1] in (b"\n", b" "):
-            pos += 1
-        end = data.find(b" ", pos)
-        if end < 0 or end + vec_bytes > len(data):
-            raise InputError(f"{path}: truncated at word {i + 1} of {count}")
-        try:
-            word = data[pos:end].decode("utf-8")
-        except UnicodeDecodeError:
-            raise InputError(
-                f"{path}: word {i + 1} of {count} is not valid UTF-8 ({data[pos:end]!r})"
-            ) from None
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=end + 1).astype(np.float64)
-        pos = end + 1 + vec_bytes
-        if not np.isfinite(vec).all():
-            raise InputError(f"{path}: non-finite value in vector for {word!r}")
-        if word in seen:
-            dupes += 1
-            continue
-        seen.add(word)
-        words.append(word)
-        rows.append(vec)
-    return _finish(words, rows, normalize, str(path), dupes)
+    payloads: list[bytes] = []
+    try:
+        for i in range(count):
+            while pos < len(data) and data[pos : pos + 1] in (b"\n", b" "):
+                pos += 1
+            end = data.find(b" ", pos)
+            if end < 0 or end + 1 + vec_bytes > len(data):  # payload starts after the space
+                raise InputError(f"{path}: truncated at word {i + 1} of {count}")
+            try:
+                words.append(data[pos:end].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise InputError(
+                    f"{path}: word {i + 1} of {count} is not valid UTF-8 ({data[pos:end]!r})"
+                ) from None
+            pos = end + 1 + vec_bytes
+            payloads.append(data[end + 1:pos])
+    except InputError:
+        _binary_rows(words, payloads, dim, path)  # the words read before fail first
+        raise
+    return _finish(words, _binary_rows(words, payloads, dim, path), normalize, str(path))
 
 
 def load_embeddings(path: str | Path, format: str = "text",
@@ -243,11 +294,12 @@ def save_embeddings_text(table: EmbeddingTable, path: str | Path) -> None:
     Components are printed with 9 significant digits; values that fit in
     that precision round-trip bitwise through load_embeddings.
     """
+    row = "%s" + f" %.{TEXT_PRECISION}g" * table.dim + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
-        for word, row in zip(table.vocab, table.vectors):
-            comps = " ".join(f"{v:.{TEXT_PRECISION}g}" for v in row)
-            fh.write(f"{word} {comps}\n")
+        # one row of Python floats at a time: a whole-table tolist() holds 4x the table
+        fh.writelines(row % (word, *values.tolist())
+                      for word, values in zip(table.vocab, table.vectors))
 
 
 def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
@@ -325,8 +377,4 @@ def vocab_hash(table: EmbeddingTable) -> str:
     """SHA-256 over the newline-joined vocabulary; recorded in model files."""
     import hashlib
 
-    h = hashlib.sha256()
-    for word in table.vocab:
-        h.update(word.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
+    return hashlib.sha256("\n".join([*table.vocab, ""]).encode("utf-8")).hexdigest()

@@ -267,7 +267,7 @@ def load_model(path: str | Path) -> ProjectionModel:
         raise InputError(f"{path}: unterminated header")
     try:
         header = json.loads(data[len(MODEL_MAGIC):nul].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: malformed header ({exc})") from None
     try:
         dim = int(header["dim"])

@@ -1,9 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hyperproj.clustering import ClusterModel
 from hyperproj.embeddings import EmbeddingTable
 from hyperproj.projection import ProjectionModel, Regularizer, TrainingMeta
+
+# `ci` replays the same examples on every run and tries more of them; tests
+# that fix their own max_examples keep it under either profile
+settings.register_profile("default")
+settings.register_profile("ci", derandomize=True, max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -323,6 +323,25 @@ class TestBadInputExit2:
                    "--out", tmp_path / "r.json")
         assert_one_error_line(code, capsys, expected)
 
+    @pytest.mark.parametrize("file", ["clusters", "model"])
+    def test_deep_nesting(self, tmp_path, capsys, fixture_dir, split_dir, file):
+        emb = fixture_dir / "embeddings.txt"
+        deep = b"[" * 100_000
+        if file == "clusters":
+            clusters = tmp_path / "c.json"
+            clusters.write_bytes(deep)
+            argv = ["train", "--embeddings", emb, "--split-dir", split_dir,
+                    "--clusters", clusters, "--epochs", 1, "--out", tmp_path / "m.hprj"]
+            expected = "c.json: malformed cluster file"
+        else:
+            model = tmp_path / "m.hprj"
+            model.write_bytes(MODEL_MAGIC + deep + b"\x00")
+            argv = ["eval", "--model", model, "--embeddings", emb,
+                    "--test", split_dir / "test.tsv", "--out", tmp_path / "r.json"]
+            expected = "m.hprj: malformed header"
+        capsys.readouterr()
+        assert_one_error_line(run(*argv), capsys, expected)
+
     def test_non_utf8_relations(self, tmp_path, capsys):
         relations = tmp_path / "r.tsv"
         relations.write_bytes(b"a\tb\thypernym\n\xff\tc\thypernym\n")

@@ -1,19 +1,26 @@
+import hashlib
 import logging
 import struct
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperproj import embeddings
 from hyperproj.embeddings import (
+    TEXT_PRECISION,
     EmbeddingTable,
+    _is_int,
+    _normalize_rows,
     load_embeddings,
     nearest_neighbors,
     save_embeddings_text,
     vocab_hash,
 )
-from hyperproj.errors import InputError
+from hyperproj.errors import InputError, utf8_lines
 
 
 def write(path, text):
@@ -57,7 +64,7 @@ class TestLoadText:
             table = load_embeddings(path)
         assert np.array_equal(table.vector("a"), [1.0, 0.0])
         assert len(table) == 2
-        assert "duplicate" in caplog.text
+        assert "dropped 1 duplicate" in caplog.text
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = write(tmp_path / "e.txt", "a 1 0\nb 0 1 7\n")
@@ -116,6 +123,12 @@ class TestLoadBinary:
         with pytest.raises(InputError, match="truncated"):
             load_embeddings(path, format="binary")
 
+    def test_payload_one_byte_short_is_truncated(self, tmp_path):
+        path = tmp_path / "e.bin"
+        path.write_bytes(self._binary_bytes([("ab", [1.0, 2.0])], 2, False)[:-1])
+        with pytest.raises(InputError, match="truncated at word 1 of 1"):
+            load_embeddings(path, format="binary")
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "e.bin"
         path.write_bytes(b"hello world\n")
@@ -123,7 +136,260 @@ class TestLoadBinary:
             load_embeddings(path, format="binary")
 
 
+# ---------------------------------------------------------------------------
+# reference loaders: the row-by-row readers the block parsers must agree with
+# ---------------------------------------------------------------------------
+
+
+def _reference_finish(words, rows, normalize, path):
+    if not words:
+        raise InputError(f"{path}: no embedding rows found")
+    vectors = np.vstack(rows)
+    if normalize:
+        vectors = _normalize_rows(vectors, path)
+    return EmbeddingTable(words, vectors, normalized=normalize)
+
+
+def reference_load_text(path: Path, normalize: bool) -> EmbeddingTable:
+    words, rows, seen, dim = [], [], set(), None
+    for lineno, line in utf8_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        tokens = line.split(" ")
+        if tokens and tokens[-1] == "":
+            tokens.pop()
+        if lineno == 1 and len(tokens) == 2 and _is_int(tokens[0]) and _is_int(tokens[1]):
+            continue
+        if len(tokens) < 2:
+            raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
+        word = tokens[0]
+        try:
+            vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: unparsable vector component ({exc})") from None
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise InputError(
+                f"{path}:{lineno}: dimension mismatch (got {vec.size}, expected {dim})")
+        if not np.isfinite(vec).all():
+            raise InputError(f"{path}:{lineno}: non-finite vector component")
+        if word in seen:
+            continue
+        seen.add(word)
+        words.append(word)
+        rows.append(vec)
+    return _reference_finish(words, rows, normalize, str(path))
+
+
+def reference_load_binary(path: Path, normalize: bool) -> EmbeddingTable:
+    data = path.read_bytes()
+    if not data:
+        raise InputError(f"{path}: empty file")
+    nl = data.find(b"\n")
+    if nl < 0:
+        raise InputError(f"{path}: missing `count dim` header")
+    header = data[:nl].split()
+    if len(header) != 2 or not all(_is_int(t.decode("ascii", "replace")) for t in header):
+        raise InputError(f"{path}: malformed header {data[:nl]!r}")
+    count, dim = int(header[0]), int(header[1])
+    if count < 1 or dim < 1:
+        raise InputError(f"{path}: header declares count={count} dim={dim}")
+    vec_bytes = 4 * dim
+    pos = nl + 1
+    words, rows, seen = [], [], set()
+    for i in range(count):
+        while pos < len(data) and data[pos : pos + 1] in (b"\n", b" "):
+            pos += 1
+        end = data.find(b" ", pos)
+        if end < 0 or end + 1 + vec_bytes > len(data):  # the parent checked `end + vec_bytes`
+            raise InputError(f"{path}: truncated at word {i + 1} of {count}")
+        try:
+            word = data[pos:end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise InputError(
+                f"{path}: word {i + 1} of {count} is not valid UTF-8 ({data[pos:end]!r})"
+            ) from None
+        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=end + 1).astype(np.float64)
+        pos = end + 1 + vec_bytes
+        if not np.isfinite(vec).all():
+            raise InputError(f"{path}: non-finite value in vector for {word!r}")
+        if word in seen:
+            continue
+        seen.add(word)
+        words.append(word)
+        rows.append(vec)
+    return _reference_finish(words, rows, normalize, str(path))
+
+
+def outcome(load, path, normalize):
+    """What a loader makes of a file: its table's bytes or its InputError message.
+
+    Any other exception propagates and fails the test.
+    """
+    try:
+        table = load(path, normalize)
+    except InputError as exc:
+        return "error", str(exc)
+    return "table", table.vocab, table.vectors.shape, table.vectors.tobytes(), table.normalized
+
+
+# components that float() treats in every way it can: special values,
+# underscores, surrounding whitespace, non-ASCII digits, garbage
+ODD_COMPONENTS = ["nan", "-inf", "Infinity", "1e999", "-1e-400", "1_000", "1__0", "_1",
+                  "\t2 ", "\u0663", "\u0661\u066b5", "\u00b2", "0x10", "+.5", "-0", "",
+                  "x", "1,5", "\x0c3", "\u20077"]
+WORD = st.text(alphabet="ab\u00e9\u65e5%\t", min_size=1, max_size=3)
+
+
+@st.composite
+def text_files(draw):
+    """A text embedding file, valid or broken by a few mutations."""
+    dim = draw(st.integers(1, 4))
+    value = st.floats(width=64)
+    lines = [[draw(WORD)] + [draw(st.sampled_from([repr, "{:.9g}".format]))(draw(value))
+                             for _ in range(dim)]
+             for _ in range(draw(st.integers(0, 7)))]
+    if draw(st.booleans()):
+        lines.insert(0, [str(len(lines)), str(dim)])
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        line = draw(st.sampled_from(lines))
+        if not line:
+            continue
+        kind = draw(st.sampled_from(["replace", "drop", "add", "blank", "repeat"]))
+        at = draw(st.integers(0, len(line) - 1))
+        if kind == "replace":
+            line[at] = draw(st.sampled_from(ODD_COMPONENTS) | st.text(max_size=3))
+        elif kind == "drop":
+            del line[at]
+        elif kind == "add":
+            line.insert(at, draw(st.sampled_from(ODD_COMPONENTS)))
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), [] if kind == "blank" else list(line))
+    data = "".join(" ".join(line) + draw(st.sampled_from(["\n", " \n", "\r\n"]))
+                   for line in lines).encode("utf-8")
+    if data and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"", b"\n"]))
+    return data
+
+
+@st.composite
+def binary_files(draw):
+    """A word2vec binary file, valid or broken by a few mutations."""
+    dim = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.tuples(WORD,
+                                      st.lists(st.floats(width=32), min_size=dim,
+                                               max_size=dim)),
+                            min_size=1, max_size=6))
+    count = draw(st.sampled_from([len(entries), len(entries) + 1, max(1, len(entries) - 1)]))
+    data = bytearray(f"{count} {dim}\n".encode())
+    for word, values in entries:
+        data += word.encode("utf-8") + b" " + struct.pack(f"<{dim}f", *values)
+        if draw(st.booleans()):
+            data += b"\n"
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        data[at] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "emb"
+
+
+# a block holds max(1, PARSE_TOKENS // dim) rows: one row, a few rows, the whole file
+BLOCK_SIZES = pytest.mark.parametrize("parse_tokens", [1, 4, embeddings.PARSE_TOKENS])
+
+
+# norms of rows near 1e308 overflow; float32 signalling NaNs warn when cast
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered in cast:RuntimeWarning")
+class TestLoadersMatchReference:
+    @BLOCK_SIZES
+    @given(data=text_files() | st.binary(max_size=200), normalize=st.booleans())
+    @settings(deadline=None)
+    def test_text(self, fuzz_file, parse_tokens, data, normalize):
+        fuzz_file.write_bytes(data)
+        with mock.patch.object(embeddings, "PARSE_TOKENS", parse_tokens):
+            got = outcome(embeddings._load_text, fuzz_file, normalize)
+        assert got == outcome(reference_load_text, fuzz_file, normalize)
+
+    @given(data=binary_files() | st.binary(max_size=200), normalize=st.booleans())
+    @settings(deadline=None)
+    def test_binary(self, fuzz_file, data, normalize):
+        fuzz_file.write_bytes(data)
+        assert (outcome(embeddings._load_binary, fuzz_file, normalize)
+                == outcome(reference_load_binary, fuzz_file, normalize))
+
+    @BLOCK_SIZES
+    @pytest.mark.parametrize("lines, expected", [
+        (["a 1 2", "b nan 2", "c x 2"], ":2: non-finite"),
+        (["a 1 2", "b 1 2", "c nan 2", "d inf 1"], ":3: non-finite"),
+        (["a 1 2", "b nan 2", "c 1"], ":2: non-finite"),
+        (["a 1 2", "b nan 2", "c"], ":2: non-finite"),
+        (["a 1 2", "b 1 2", "c x"], ":3: unparsable"),
+        (["a 1 2", "b 1 2", "c 1 nan 3"], ":3: dimension mismatch"),
+        (["a 1 2", "b 1 x", "c 1 nan"], ":2: unparsable"),
+        (["a 1 2", "b 1 inf", "\udcff 1 2"], ":2: non-finite"),
+    ])
+    def test_first_failing_line_is_reported(self, tmp_path, parse_tokens, lines, expected):
+        path = tmp_path / "e.txt"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        with mock.patch.object(embeddings, "PARSE_TOKENS", parse_tokens):
+            with pytest.raises(InputError, match=expected) as got:
+                load_embeddings(path)
+        with pytest.raises(InputError) as want:
+            reference_load_text(path, False)
+        assert str(got.value) == str(want.value)
+
+
+def _fstring_writer(table, path):
+    """The per-value writer save_embeddings_text must match byte for byte."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(table)} {table.dim}\n")
+        for word, row in zip(table.vocab, table.vectors):
+            comps = " ".join(f"{v:.{TEXT_PRECISION}g}" for v in row)
+            fh.write(f"{word} {comps}\n")
+
+
+EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, -0.0, 0.0,
+            1e308, -1e308, 1.7976931348623157e308, 2.2250738585072014e-308,
+            1 / 3, 123456789.0, 1e16, -2.5]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # norms of 1e308 rows
 class TestSaveText:
+    def test_extremes_match_fstring_writer_and_roundtrip(self, tmp_path):
+        table = EmbeddingTable(["a", "%s", "\u65e5\u672c", "n\u00e9"],
+                               np.array(EXTREMES).reshape(4, 4))
+        save_embeddings_text(table, tmp_path / "new.txt")
+        _fstring_writer(table, tmp_path / "old.txt")
+        first = (tmp_path / "new.txt").read_bytes()
+        assert first == (tmp_path / "old.txt").read_bytes()
+        # what was written once reads back and rewrites bit for bit
+        again = load_embeddings(tmp_path / "new.txt")
+        save_embeddings_text(again, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == first
+        assert load_embeddings(tmp_path / "again.txt").vectors.tobytes() == again.vectors.tobytes()
+
+    @given(st.lists(st.floats(width=64, allow_nan=False, allow_infinity=False),
+                    min_size=3, max_size=30).map(lambda v: v[:len(v) // 3 * 3]))
+    @settings(deadline=None)
+    def test_matches_fstring_writer(self, fuzz_file, values):
+        table = EmbeddingTable([f"w{i}" for i in range(len(values) // 3)],
+                               np.array(values).reshape(-1, 3))
+        save_embeddings_text(table, fuzz_file)
+        new = fuzz_file.read_bytes()
+        _fstring_writer(table, fuzz_file)
+        assert new == fuzz_file.read_bytes()
+
     def test_roundtrip_is_bitwise(self, tmp_path):
         # values written with 9 significant digits parse back to the same doubles
         rng = np.random.default_rng(3)
@@ -207,6 +473,15 @@ class TestNearestNeighbors:
 def test_duplicate_vocab_rejected_in_table():
     with pytest.raises(InputError, match="duplicate"):
         EmbeddingTable(["a", "a"], np.eye(2))
+
+
+@pytest.mark.parametrize("vocab", [[], ["a"], ["na\u00efve", "\u65e5\u672c\u8a9e", "a%b", "\U0001f600"]])
+def test_vocab_hash_is_the_per_word_digest(vocab):
+    h = hashlib.sha256()
+    for word in vocab:
+        h.update(word.encode("utf-8"))
+        h.update(b"\n")
+    assert vocab_hash(EmbeddingTable(vocab, np.ones((len(vocab), 1)))) == h.hexdigest()
 
 
 def test_vocab_hash_changes_with_vocab(tiny_table):
