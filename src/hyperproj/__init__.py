@@ -24,19 +24,8 @@ from .embeddings import (
 )
 from .errors import HyperprojError, InputError, TrainingError
 from .evaluation import EvalReport, auc, evaluate, hit_at, predict_candidates
-from .projection import (
-    ProjectionModel,
-    Regularizer,
-    gradient,
-    load_model,
-    loss_baseline,
-    predict,
-    reg_asymmetric,
-    reg_neighbor,
-    save_model,
-    total_loss,
-)
-from .training import AdamState, TrainConfig, adam_step, init_matrix, train
+from .projection import ProjectionModel, Regularizer, load_model, save_model
+from .training import AdamState, TrainConfig, adam_step, train
 
 __version__ = "0.1.0"
 
@@ -61,23 +50,16 @@ __all__ = [
     "build_dataset",
     "evaluate",
     "fit_kmeans",
-    "gradient",
     "hit_at",
-    "init_matrix",
     "lexical_split",
     "load_embeddings",
     "load_model",
     "load_relations",
-    "loss_baseline",
     "nearest_neighbors",
     "offsets",
-    "predict",
     "predict_candidates",
-    "reg_asymmetric",
-    "reg_neighbor",
     "sample_negative",
     "save_embeddings_text",
     "save_model",
-    "total_loss",
     "train",
 ]

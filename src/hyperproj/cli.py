@@ -22,11 +22,12 @@ import numpy as np
 
 from . import dataset as ds
 from . import evaluation, synth, training
-from .clustering import ClusterModel, fit_kmeans, offsets
+from .clustering import DEFAULT_MAX_ITER, DEFAULT_TOL, ClusterModel, fit_kmeans, offsets
 from .embeddings import load_embeddings, vocab_hash
 from .errors import HyperprojError, InputError
 from .projection import ProjectionModel, Regularizer, load_model, save_model
-from .training import TrainConfig
+from .synth import SynthConfig
+from .training import SELECT_ON, TrainConfig
 
 log = logging.getLogger(__name__)
 
@@ -264,7 +265,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = synth.SynthConfig(dim=args.d, n_pairs=args.n, noise=args.noise,
+    cfg = SynthConfig(dim=args.d, n_pairs=args.n, noise=args.noise,
                             distractors=args.distractors, seed=args.seed,
                             planted_clusters=args.clusters,
                             hyper_angle_deg=args.hyper_angle,
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="lexically disjoint train/validation/test split")
     p.add_argument("--relations", required=True, help="relations TSV")
-    p.add_argument("--fractions", type=float, nargs=3, default=(0.8, 0.1, 0.1),
+    p.add_argument("--fractions", type=float, nargs=3, default=ds.DEFAULT_FRACTIONS,
                    metavar=("TRAIN", "VAL", "TEST"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
@@ -314,27 +315,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="fit k-means over training offsets")
     _add_embedding_flags(p)
     p.add_argument("--split-dir", required=True, help="directory written by split")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
+    # train's defaults, so `cluster` then `train --clusters` fits what `train` alone does
+    p.add_argument("--k", type=int, default=TrainConfig.k)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", required=True, help="output cluster JSON")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("train", help="train per-cluster projection matrices")
     _add_embedding_flags(p)
     p.add_argument("--split-dir", required=True, help="directory written by split")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--reg", choices=[r.value for r in Regularizer], default="none")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1,
-                   help="regularization weight (default 0.1)")
-    p.add_argument("--epochs", type=int, default=700)
-    p.add_argument("--batch-size", type=int, default=1024)
-    p.add_argument("--init-std", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=0.001, help="Adam learning rate")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--select-on", choices=("final", "best_validation_hit10"),
-                   default="final")
+    p.add_argument("--k", type=int, default=TrainConfig.k)
+    p.add_argument("--reg", choices=[r.value for r in Regularizer],
+                   default=TrainConfig.regularizer.value)
+    p.add_argument("--lambda", dest="lam", type=float, default=TrainConfig.lam,
+                   help="regularization weight (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--init-std", type=float, default=TrainConfig.init_std)
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha, help="Adam learning rate")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--select-on", choices=SELECT_ON, default=TrainConfig.select_on)
     p.add_argument("--clusters", help="precomputed cluster JSON from the cluster command")
     p.add_argument("--trace", help="loss trace CSV (default: <out>.trace.csv)")
     p.add_argument("--out", required=True, help="output model file")
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True, help="test pairs TSV")
-    p.add_argument("--l-max", type=int, default=10)
+    p.add_argument("--l-max", type=int, default=evaluation.DEFAULT_L_MAX)
     p.add_argument("--per-pair", help="per-pair TSV (default: <out>.pairs.tsv)")
     p.add_argument("--out", required=True, help="output report JSON")
     p.set_defaults(func=cmd_eval)
@@ -357,16 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("synth", help="generate a synthetic embedding+relations fixture")
-    p.add_argument("--d", type=int, default=10, help="embedding dimension")
-    p.add_argument("--n", type=int, default=1000, help="number of hypernym pairs")
-    p.add_argument("--noise", type=float, default=0.0, help="hypernym noise std")
-    p.add_argument("--distractors", type=int, default=0, help="synonyms per hyponym")
-    p.add_argument("--clusters", type=int, default=1, help="planted mixing matrices")
-    p.add_argument("--hyper-angle", type=float, default=90.0,
-                   help="planted hyponym-hypernym angle in degrees (default 90)")
-    p.add_argument("--distractor-angle", type=float, default=15.0,
-                   help="distractor cone half-angle in degrees (default 15)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--d", type=int, default=SynthConfig.dim, help="embedding dimension")
+    p.add_argument("--n", type=int, default=SynthConfig.n_pairs, help="number of hypernym pairs")
+    p.add_argument("--noise", type=float, default=SynthConfig.noise, help="hypernym noise std")
+    p.add_argument("--distractors", type=int, default=SynthConfig.distractors,
+                   help="synonyms per hyponym")
+    p.add_argument("--clusters", type=int, default=SynthConfig.planted_clusters,
+                   help="planted mixing matrices")
+    p.add_argument("--hyper-angle", type=float, default=SynthConfig.hyper_angle_deg,
+                   help="planted hyponym-hypernym angle in degrees (default %(default)s)")
+    p.add_argument("--distractor-angle", type=float, default=SynthConfig.distractor_angle_deg,
+                   help="distractor cone half-angle in degrees (default %(default)s)")
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 RELATIONS = ("hypernym", "synonym", "cohyponym")
 NEGATIVE_RELATIONS = ("synonym", "cohyponym")
 BUCKETS = ("train", "validation", "test")
+DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)  # of the positive pairs, in BUCKETS order
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def lexical_split(pairs: list[RelationPair], fractions: tuple[float, float, floa
 
 
 def build_dataset(pairs: list[RelationPair], table: EmbeddingTable,
-                  fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
+                  fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
                   seed: int = 0) -> RelationDataset:
     """Bind relations to an embedding table and split the positives.
 

@@ -33,6 +33,25 @@ log = logging.getLogger(__name__)
 TEXT_PRECISION = 9  # significant digits written by save_embeddings_text
 BLOCK_ENTRIES = 1 << 15  # scores cosine_blocks holds at once: 256 KiB of float64
 PARSE_TOKENS = 1 << 15  # components _load_text converts at once: max(1, PARSE_TOKENS // dim) rows
+# below this a row's sum of squares underflows to a subnormal or to 0
+NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """L2 norm of each row, without overflow or underflow.
+
+    A row whose plain norm overflows or falls below ``NORM_FLOOR`` is
+    divided by its largest absolute component first; every other row
+    keeps ``np.linalg.norm``'s bits.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(vectors, axis=1)
+    redo = np.flatnonzero((norms < NORM_FLOOR) | (norms == np.inf))
+    if redo.size:
+        scale = np.abs(vectors[redo]).max(axis=1)
+        scale[scale == 0.0] = 1.0  # a zero row keeps its norm of 0
+        norms[redo] = scale * np.linalg.norm(vectors[redo] / scale[:, None], axis=1)
+    return norms
 
 
 @dataclass(eq=False)
@@ -67,7 +86,7 @@ class EmbeddingTable:
         self._index = {w: i for i, w in enumerate(self.vocab)}
         if len(self._index) != len(self.vocab):
             raise InputError("vocabulary contains duplicate words")
-        self._row_norms = np.linalg.norm(self.vectors, axis=1)
+        self._row_norms = _row_norms(self.vectors)
         if self.normalized and np.abs(self._row_norms - 1.0).max() > 1e-6:
             raise InputError("normalized table has rows with L2 norm far from 1")
 
@@ -112,7 +131,7 @@ class NeighborList:
 
 
 def _normalize_rows(vectors: np.ndarray, origin: str) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1)
+    norms = _row_norms(vectors)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise InputError(f"{origin}: zero vector cannot be normalized (row {zero[0] + 1})")

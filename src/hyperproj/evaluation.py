@@ -62,6 +62,8 @@ def auc(hits: list[float]) -> float:
 
 def _usable_pairs(table: EmbeddingTable,
                   pairs: list[RelationPair]) -> tuple[list[RelationPair], int]:
+    if not pairs:
+        raise InputError("pairs must be nonempty")
     usable = [p for p in pairs if p.source in table and p.target in table]
     skips = len(pairs) - len(usable)
     if skips:
@@ -69,6 +71,11 @@ def _usable_pairs(table: EmbeddingTable,
     if not usable:
         raise InputError("no evaluable pairs: every pair has out-of-vocabulary words")
     return usable, skips
+
+
+def _check_dims(model: ProjectionModel, table: EmbeddingTable) -> None:
+    if model.dim != table.dim:
+        raise InputError(f"model has dimension {model.dim}, embeddings have {table.dim}")
 
 
 def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
@@ -79,6 +86,7 @@ def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
     because the projection is zero, the word has a zero vector, or it is
     the excluded hyponym.
     """
+    _check_dims(model, table)
     sources = np.array([table.lookup(p.source) for p in pairs])
     gold = np.array([table.lookup(p.target) for p in pairs])
     X = table.vectors[sources]
@@ -103,8 +111,6 @@ def hit_at(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPa
     """Fraction of pairs whose gold hypernym is in the top-l neighbor list."""
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
-    if not pairs:
-        raise InputError("pairs must be nonempty")
     usable, _ = _usable_pairs(table, pairs)
     _, ranks = _rank_pairs(model, table, usable)
     return int(np.count_nonzero((ranks >= 1) & (ranks <= l))) / len(usable)
@@ -115,8 +121,6 @@ def evaluate(model: ProjectionModel, table: EmbeddingTable, pairs: list[Relation
     """Full hit@1..l_max curve, AUC, and per-pair ranks in one pass."""
     if l_max < 2:
         raise InputError(f"l_max must be >= 2, got {l_max}")
-    if not pairs:
-        raise InputError("pairs must be nonempty")
     usable, skips = _usable_pairs(table, pairs)
     clusters, ranks = _rank_pairs(model, table, usable)
     per_pair = [PairResult(p.source, p.target, int(c), int(r) if 1 <= r <= l_max else None)
@@ -140,6 +144,7 @@ def predict_candidates(model: ProjectionModel, table: EmbeddingTable, word: str,
         raise InputError(f"l must be >= 1, got {l}")
     if word not in table:
         raise InputError(f"word {word!r} is not in the vocabulary")
+    _check_dims(model, table)
     idx = table.lookup(word)
     queries = table.vectors[idx] @ model.matrices
     exclude = np.full(model.k, idx)

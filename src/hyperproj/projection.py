@@ -1,9 +1,10 @@
-"""Per-cluster projection matrices: losses, gradients, prediction, model I/O.
+"""Per-cluster projection matrices: the training objective and model I/O.
 
-The fit term is the mean squared L2 distance between the projected hyponym
-row vector x @ phi and the hypernym vector y. Regularizers penalize the
-squared dot product between a (possibly re-projected) prediction and a
-reference vector:
+``loss_terms_and_gradient`` is the one definition of the objective,
+fit + lam * reg. The fit term is the mean squared L2 distance between the
+projected hyponym row vector x @ phi and the hypernym vector y. The
+regularizer is the mean squared dot product between a (possibly
+re-projected) prediction and a reference vector:
 
     asymmetric            (x phi . x)^2
     asymmetric re-proj.   (x phi phi . x)^2
@@ -12,7 +13,8 @@ reference vector:
 
 where z is a sampled negative (synonym / co-hyponym) of x. With z == x the
 neighbor forms reduce to the asymmetric ones exactly. All dot products are
-raw row-vector inner products.
+raw row-vector inner products. The tests check the gradient against
+central finite differences of the loss.
 """
 
 from __future__ import annotations
@@ -106,89 +108,21 @@ class ProjectionModel:
         return int(self.matrices.shape[0])
 
 
-def predict(model: ProjectionModel, x: np.ndarray, cluster: int) -> np.ndarray:
-    """Row-vector product x @ phi_cluster."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.dim:
-        raise InputError(f"input has dimension {x.shape[-1]}, model has {model.dim}")
-    if not 0 <= cluster < model.k:
-        raise InputError(f"cluster index {cluster} out of range [0, {model.k})")
-    return x @ model.matrices[cluster]
-
-
 def _as_batch(arr: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise InputError(f"{name} must be a nonempty (m, d) batch")
     return arr
-
-
-def loss_baseline(phi: np.ndarray, X: np.ndarray, Y: np.ndarray) -> float:
-    """Mean squared L2 distance between X @ phi and Y."""
-    X = _as_batch(X, "X")
-    Y = _as_batch(Y, "Y")
-    if X.shape != Y.shape:
-        raise InputError(f"X {X.shape} and Y {Y.shape} must align")
-    D = X @ phi - Y
-    return float((D * D).sum() / X.shape[0])
-
-
-def reg_neighbor(phi: np.ndarray, X: np.ndarray, Z: np.ndarray,
-                 reproject: bool = True) -> float:
-    """Mean squared dot product between the (re-)projected X rows and Z rows."""
-    X = _as_batch(X, "X")
-    Z = _as_batch(Z, "Z")
-    if X.shape != Z.shape:
-        raise InputError(f"X {X.shape} and Z {Z.shape} must align")
-    Q = X @ phi
-    if reproject:
-        Q = Q @ phi
-    s = (Q * Z).sum(axis=1)
-    return float((s * s).sum() / X.shape[0])
-
-
-def reg_asymmetric(phi: np.ndarray, X: np.ndarray, reproject: bool = True) -> float:
-    """Neighbor regularizer with every negative replaced by the hyponym itself."""
-    X = _as_batch(X, "X")
-    return reg_neighbor(phi, X, X, reproject=reproject)
-
-
-def _resolve_negatives(kind: Regularizer, X: np.ndarray, Z: np.ndarray | None) -> np.ndarray:
-    if kind.needs_negatives:
-        if Z is None:
-            raise InputError(f"regularizer {kind.value} requires a batch of negatives")
-        Z = _as_batch(Z, "Z")
-        if Z.shape != X.shape:
-            raise InputError(f"Z {Z.shape} must align with X {X.shape}")
-        return Z
-    return X  # asymmetric kinds regularize against the hyponyms themselves
-
-
-def total_loss(phi: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray | None,
-               kind: Regularizer, lam: float) -> float:
-    """Fit term plus lam times the selected regularizer.
-
-    ``kind`` NONE returns the fit term alone, whatever ``lam`` is.
-    """
-    base = loss_baseline(phi, X, Y)
-    if kind is Regularizer.NONE or lam == 0.0:
-        return base
-    X = _as_batch(X, "X")
-    Zr = _resolve_negatives(kind, X, Z)
-    return base + lam * reg_neighbor(phi, X, Zr, reproject=kind.reprojects)
 
 
 def loss_terms_and_gradient(
     phi: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray | None,
     kind: Regularizer, lam: float,
 ) -> tuple[float, float, np.ndarray]:
-    """(fit term, regularizer term, d total_loss / d phi) in one pass.
+    """(fit term, regularizer term, d (fit + lam * reg) / d phi) in one pass.
 
-    The closed forms below are validated against central finite
-    differences in the test suite, which is the normative definition of
-    the gradient.
+    Kind NONE and lam == 0 give a regularizer term of 0.0 and the fit
+    gradient alone. The asymmetric kinds take z = x and ignore ``Z``.
     """
     X = _as_batch(X, "X")
     Y = _as_batch(Y, "Y")
@@ -203,7 +137,14 @@ def loss_terms_and_gradient(
     if kind is Regularizer.NONE or lam == 0.0:
         return base, 0.0, grad_base
 
-    Z = _resolve_negatives(kind, X, Z)
+    if kind.needs_negatives:
+        if Z is None:
+            raise InputError(f"regularizer {kind.value} requires a batch of negatives")
+        Z = _as_batch(Z, "Z")
+        if Z.shape != X.shape:
+            raise InputError(f"Z {Z.shape} must align with X {X.shape}")
+    else:
+        Z = X  # asymmetric kinds regularize against the hyponyms themselves
     if kind.reprojects:
         Q = P @ phi
     else:
@@ -217,12 +158,6 @@ def loss_terms_and_gradient(
     else:
         grad_reg = (2.0 / m) * (X.T @ SG)
     return base, reg, grad_base + lam * grad_reg
-
-
-def gradient(phi: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray | None,
-             kind: Regularizer, lam: float) -> np.ndarray:
-    """Analytic gradient of total_loss with respect to phi."""
-    return loss_terms_and_gradient(phi, X, Y, Z, kind, lam)[2]
 
 
 # ---------------------------------------------------------------------------

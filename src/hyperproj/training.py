@@ -3,11 +3,14 @@
 Every cluster owns an independent random stream derived from (seed,
 cluster id), its own Adam state, and its own example pool, so one
 cluster's result does not depend on the others or on the order they
-train in. Within an epoch the stream is consumed in a fixed order: first
-the shuffle permutation, then (neighbor regularizers only) one negative
-draw per example whose source has a training negative, in example order.
+train in. The stream's first draw is the cluster's initial matrix,
+d x d entries from Normal(0, init_std). Within an epoch the stream is
+consumed in a fixed order: first the shuffle permutation, then
+(neighbor regularizers only) one negative draw per example whose source
+has a training negative, in example order.
 Examples that fall back to z = x draw nothing. All of an epoch's
-negatives are drawn in one call over vocabulary indices.
+negatives are drawn in one call over vocabulary indices. Each batch
+takes its loss and gradient from ``projection.loss_terms_and_gradient``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .projection import (
 
 log = logging.getLogger(__name__)
 
+SELECT_ON = ("final", "best_validation_hit10")  # model selection rules, default first
 VALIDATION_EVERY = 10  # epochs between hit@10 checks when selecting on validation
 
 # Adam meta-parameters other than the step size: the conventional values
@@ -50,7 +54,7 @@ class TrainConfig:
     regularizer: Regularizer = Regularizer.NONE
     k: int = 1
     seed: int = 0
-    select_on: str = "final"  # or "best_validation_hit10"
+    select_on: str = SELECT_ON[0]
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -65,7 +69,7 @@ class TrainConfig:
             raise InputError(f"lambda must be non-negative and finite, got {self.lam}")
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
-        if self.select_on not in ("final", "best_validation_hit10"):
+        if self.select_on not in SELECT_ON:
             raise InputError(f"unknown select_on {self.select_on!r}")
 
 
@@ -78,17 +82,6 @@ class AdamState:
     @classmethod
     def zeros_like(cls, phi: np.ndarray) -> "AdamState":
         return cls(np.zeros_like(phi), np.zeros_like(phi), 0)
-
-
-def init_matrix(d: int, seed, std: float) -> np.ndarray:
-    """d x d entries drawn i.i.d. from Normal(0, std); std is a standard deviation."""
-    if d < 1:
-        raise InputError(f"dimension must be >= 1, got {d}")
-    return _init_from_rng(d, np.random.default_rng(seed), std)
-
-
-def _init_from_rng(d: int, rng: np.random.Generator, std: float) -> np.ndarray:
-    return rng.normal(0.0, std, size=(d, d))
 
 
 def adam_step(phi: np.ndarray, grad: np.ndarray, state: AdamState,
@@ -116,7 +109,7 @@ class _ClusterWorker:
         self.sources = sources  # vocabulary rows of the hyponyms, parallel to X
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cid,)))
-        self.phi = _init_from_rng(d, self.rng, cfg.init_std)
+        self.phi = self.rng.normal(0.0, cfg.init_std, size=(d, d))
         self.state = AdamState.zeros_like(self.phi)
         self.steps = 0
         self.trace: list[tuple[int, int, float, float, float]] = []

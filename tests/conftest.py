@@ -6,7 +6,12 @@ from hypothesis import settings
 
 from hyperproj.clustering import ClusterModel
 from hyperproj.embeddings import EmbeddingTable
-from hyperproj.projection import ProjectionModel, Regularizer, TrainingMeta
+from hyperproj.projection import (
+    ProjectionModel,
+    Regularizer,
+    TrainingMeta,
+    loss_terms_and_gradient,
+)
 
 # `ci` replays the same examples on every run and tries more of them; tests
 # that fix their own max_examples keep it under either profile
@@ -32,3 +37,31 @@ def make_model(matrices, centroids=None, regularizer=Regularizer.NONE, lam=0.0):
     clusters = ClusterModel(np.asarray(centroids, dtype=np.float64), 0.0)
     meta = TrainingMeta(seed=0, epochs=0, batch_size=1)
     return ProjectionModel(matrices, clusters, regularizer, lam, d, meta)
+
+
+def reference_terms(phi, X, Y, Z, kind):
+    """(fit, regularizer) written straight from the projection module's formulas."""
+    D = X @ phi - Y
+    fit = (D * D).sum() / len(X)
+    if kind is Regularizer.NONE:
+        return fit, 0.0
+    Q = X @ phi @ phi if kind.reprojects else X @ phi
+    s = (Q * (Z if kind.needs_negatives else X)).sum(axis=1)
+    return fit, (s * s).sum() / len(X)
+
+
+def package_loss(phi, X, Y, Z, kind, lam):
+    """fit + lam * reg, the objective training minimizes."""
+    fit, reg, _ = loss_terms_and_gradient(phi, X, Y, Z, kind, lam)
+    return fit + lam * reg
+
+
+def central_difference(phi, X, Y, Z, kind, lam, h=1e-5):
+    """Numerical gradient of package_loss with respect to phi."""
+    num = np.zeros_like(phi)
+    for ij in np.ndindex(phi.shape):
+        e = np.zeros_like(phi)
+        e[ij] = h
+        num[ij] = (package_loss(phi + e, X, Y, Z, kind, lam)
+                   - package_loss(phi - e, X, Y, Z, kind, lam)) / (2 * h)
+    return num

@@ -15,17 +15,11 @@ from hyperproj.cli import main as cli_main
 from hyperproj.dataset import BUCKETS, RelationDataset, RelationPair, build_dataset, lexical_split
 from hyperproj.embeddings import EmbeddingTable
 from hyperproj.evaluation import auc, evaluate, hit_at
-from hyperproj.projection import (
-    Regularizer,
-    gradient,
-    reg_asymmetric,
-    reg_neighbor,
-    total_loss,
-)
+from hyperproj.projection import Regularizer, loss_terms_and_gradient
 from hyperproj.synth import SynthConfig, make_fixture
 from hyperproj.training import TrainConfig, train
 
-from conftest import make_model
+from conftest import central_difference, make_model
 
 ALL_KINDS = list(Regularizer)
 
@@ -46,17 +40,6 @@ def reference_config(**overrides):
     return TrainConfig(**base)
 
 
-def central_difference(phi, X, Y, Z, kind, lam, h=1e-5):
-    num = np.zeros_like(phi)
-    for i in range(phi.shape[0]):
-        for j in range(phi.shape[1]):
-            e = np.zeros_like(phi)
-            e[i, j] = h
-            num[i, j] = (total_loss(phi + e, X, Y, Z, kind, lam)
-                         - total_loss(phi - e, X, Y, Z, kind, lam)) / (2 * h)
-    return num
-
-
 def test_criterion_1_gradient_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -68,7 +51,7 @@ def test_criterion_1_gradient_oracle():
                 phi = rng.normal(size=(d, d))
                 X, Y, Z = (rng.normal(size=(4, d)) for _ in range(3))
                 lam = float(rng.uniform(0.05, 2.0))
-                analytic = gradient(phi, X, Y, Z, kind, lam)
+                analytic = loss_terms_and_gradient(phi, X, Y, Z, kind, lam)[2]
                 numeric = central_difference(phi, X, Y, Z, kind, lam)
                 scale = max(1e-8, float(np.abs(numeric).max()))
                 worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)
@@ -156,16 +139,18 @@ def test_criterion_5_reduction_identity():
     for _ in range(1000):
         d = int(rng.integers(2, 8))
         phi = rng.normal(size=(d, d))
-        X = rng.normal(size=(int(rng.integers(1, 9)), d))
-        for reproject in (True, False):
-            ok &= reg_neighbor(phi, X, X.copy(), reproject=reproject) == reg_asymmetric(
-                phi, X, reproject=reproject)
+        X, Y = rng.normal(size=(2, int(rng.integers(1, 9)), d))
+        for neighbor, asym in ((Regularizer.NEIGHBOR_REPROJ, Regularizer.ASYMMETRIC_REPROJ),
+                               (Regularizer.NEIGHBOR_PLAIN, Regularizer.ASYMMETRIC_PLAIN)):
+            _, reg_n, grad_n = loss_terms_and_gradient(phi, X, Y, X.copy(), neighbor, 0.5)
+            _, reg_a, grad_a = loss_terms_and_gradient(phi, X, Y, None, asym, 0.5)
+            ok &= reg_n == reg_a and np.array_equal(grad_n, grad_a)
     # the dataset-level fallback hands back the hyponym itself
     data = RelationDataset([hyp("a", "b")], ["train"], [])
     from hyperproj.dataset import sample_negative
 
     ok &= sample_negative(data, "a", np.random.default_rng(0)) == "a"
-    report(5, ok, "1000 random batches, both re-projection flags, bitwise")
+    report(5, ok, "1000 random batches, both re-projection flags, term and gradient bitwise")
 
 
 def test_criterion_6_kmeans_properties():
@@ -243,12 +228,18 @@ def test_criterion_9_asymmetry_effect():
     cfg = SynthConfig(dim=10, n_pairs=1000, noise=0.0, distractors=0, seed=11)
     table, relations = make_fixture(cfg)
     data = build_dataset(relations, table, seed=11)
-    X = table.rows([p.source for p in data.pairs_in("train")])
+    train_pairs = data.pairs_in("train")
+    X = table.rows([p.source for p in train_pairs])
+    Y = table.rows([p.target for p in train_pairs])
     base = train(data, table, reference_config())
     asym = train(data, table, reference_config(
         regularizer=Regularizer.ASYMMETRIC_REPROJ, lam=0.1))
-    score_base = reg_asymmetric(base.matrices[0], X, reproject=True)
-    score_asym = reg_asymmetric(asym.matrices[0], X, reproject=True)
+
+    def score(model):  # the package loss's regularizer term; any lam > 0 gives the same
+        return loss_terms_and_gradient(model.matrices[0], X, Y, None,
+                                       Regularizer.ASYMMETRIC_REPROJ, 1.0)[1]
+
+    score_base, score_asym = score(base), score(asym)
     report(9, score_asym < score_base,
            f"mean (x phi phi . x)^2: baseline {score_base:.3e} vs "
            f"regularized {score_asym:.3e}")

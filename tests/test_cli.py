@@ -365,6 +365,24 @@ class TestBadInputExit2:
                    "--split-dir", split_dir, "--out", tmp_path / "c.json")
         assert_one_error_line(code, capsys, "word 2 of 2 is not valid UTF-8")
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_model_dimension_differs_from_embeddings(self, tmp_path, capsys, command):
+        from conftest import make_model
+
+        fix = tmp_path / "fix"
+        assert run("synth", "--d", 3, "--n", 20, "--seed", 1, "--out", fix) == 0
+        model = tmp_path / "m.hprj"
+        save_model(make_model(np.eye(4)), model)
+        emb = ["--model", model, "--embeddings", fix / "embeddings.txt"]
+        word = load_embeddings(fix / "embeddings.txt").vocab[0]
+        argv = {
+            "eval": ["eval", *emb, "--test", fix / "relations.tsv", "--out", tmp_path / "r.json"],
+            "predict": ["predict", *emb, word],
+        }[command]
+        capsys.readouterr()
+        code = run(*argv)
+        assert_one_error_line(code, capsys, "model has dimension 4, embeddings have 3")
+
 
     @pytest.mark.parametrize("command, flags, expected", [
         ("train", ["--lambda", "nan"], "lambda"),

@@ -470,6 +470,19 @@ class TestNearestNeighbors:
         assert len(set(nn.words())) == len(nn.words())
 
 
+class TestExtremeRowNorms:
+    # a plain L2 norm overflows on row a and underflows on rows d and e
+    TEXT = "a 1e200 1\nb 1 0\nc 0 1\nd 1e-200 0\ne 3e-200 4e-200\n"
+    # the exact cosines of the rows with the queries (1, 0) and (0, 1)
+    EXACT = [[1.0, 1.0, 0.0, 1.0, 0.6], [1e-200, 0.0, 1.0, 0.0, 0.8]]
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
+    def test_cosines_are_exact(self, tmp_path, normalize):
+        table = load_embeddings(write(tmp_path / "e.txt", self.TEXT), normalize=normalize)
+        _, S = next(embeddings.cosine_blocks(table, np.eye(2)))
+        np.testing.assert_allclose(S, self.EXACT, rtol=1e-14, atol=0)
+
+
 def test_duplicate_vocab_rejected_in_table():
     with pytest.raises(InputError, match="duplicate"):
         EmbeddingTable(["a", "a"], np.eye(2))

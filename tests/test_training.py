@@ -12,7 +12,6 @@ from hyperproj.training import (
     AdamState,
     TrainConfig,
     adam_step,
-    init_matrix,
     train,
     write_trace_csv,
 )
@@ -20,6 +19,13 @@ from hyperproj.training import (
 
 def hyp(a, b):
     return RelationPair(a, b, "hypernym")
+
+
+def init_matrix(d, seed, std, cid=0):
+    """The matrix a fresh cluster worker starts training from."""
+    cfg = TrainConfig(seed=seed, init_std=std)
+    return training._ClusterWorker(cid, np.zeros((0, d)), np.zeros((0, d)),
+                                   np.zeros(0, np.int64), cfg, d).phi
 
 
 class TestInitMatrix:
@@ -35,6 +41,8 @@ class TestInitMatrix:
     def test_different_seed_differs(self):
         assert not np.array_equal(init_matrix(8, seed=5, std=0.1),
                                   init_matrix(8, seed=6, std=0.1))
+        assert not np.array_equal(init_matrix(8, seed=5, std=0.1),
+                                  init_matrix(8, seed=5, std=0.1, cid=1))
 
 
 class TestAdamStep:
