@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperproj.embeddings import EmbeddingTable
 from hyperproj.errors import InputError
+from hyperproj.evaluation import predict_candidates
 from hyperproj.projection import Regularizer, load_model, loss_terms_and_gradient, save_model
 
 from conftest import central_difference, make_model, package_loss, reference_terms
@@ -23,6 +25,35 @@ def reg_term(phi, X, Z, kind):
 
 def gradient(phi, X, Y, Z, kind, lam):
     return loss_terms_and_gradient(phi, X, Y, Z, kind, lam)[2]
+
+
+class TestPredict:
+    """A word's projection x @ phi as ``predict_candidates`` applies it."""
+
+    def test_identity(self, tiny_table):
+        # a=(1,0) projects onto itself, which takes no part: b scores 0, c scores -1
+        model = make_model(np.eye(2))
+        assert predict_candidates(model, tiny_table, "a", 3) == [("b", 0.0), ("c", -1.0)]
+
+    def test_zero_matrix(self, tiny_table):
+        # a zero projection scores no word
+        model = make_model(np.zeros((2, 2)))
+        assert predict_candidates(model, tiny_table, "a", 3) == []
+
+    def test_hand_swap(self):
+        # (1,2) @ [[0,1],[1,0]] = (2,1), the vector of t
+        table = EmbeddingTable(["x", "t", "u"],
+                               np.array([[1.0, 2.0], [2.0, 1.0], [-2.0, -1.0]]))
+        model = make_model(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        got = predict_candidates(model, table, "x", 2)
+        assert [w for w, _ in got] == ["t", "u"]
+        assert [s for _, s in got] == [pytest.approx(1.0, abs=1e-15),
+                                       pytest.approx(-1.0, abs=1e-15)]
+
+    def test_dimension_mismatch(self, tiny_table):
+        model = make_model(np.eye(3))
+        with pytest.raises(InputError, match="dimension"):
+            predict_candidates(model, tiny_table, "a", 1)
 
 
 class TestLossBaseline:
