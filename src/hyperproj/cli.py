@@ -90,6 +90,14 @@ def _load_table(args, manifest: Manifest):
     return table
 
 
+def _read_split(args, table, manifest: Manifest) -> ds.RelationDataset:
+    for name in (*ds.BUCKETS, "negatives"):
+        path = Path(args.split_dir) / f"{name}.tsv"
+        if path.is_file():
+            manifest.add_input(path)
+    return ds.read_split_dir(args.split_dir, table)
+
+
 def _check_vocab_hash(model: ProjectionModel, table) -> None:
     if model.vocab_hash and model.vocab_hash != vocab_hash(table):
         log.warning("embedding vocabulary differs from the one the model was trained on")
@@ -129,11 +137,8 @@ def cmd_split(args) -> int:
     manifest = Manifest(args)
     manifest.add_input(Path(args.relations))
     pairs = ds.load_relations(args.relations)
-    positives = [p for p in pairs if p.relation == "hypernym"]
-    negatives = [p for p in pairs if p.relation != "hypernym"]
     manifest.stage("load")
-    assignment = ds.lexical_split(positives, fractions, args.seed)
-    split = ds.RelationDataset(positives, assignment, negatives)
+    split = ds.split_relations(pairs, fractions, args.seed)
     manifest.stage("split")
     out_dir = Path(args.out)
     paths = ds.write_split(split, out_dir)
@@ -142,7 +147,7 @@ def cmd_split(args) -> int:
     manifest.stage("write")
     manifest.write(out_dir / "manifest.json")
     counts = {b: len(split.pairs_in(b)) for b in ds.BUCKETS}
-    print(f"split {len(positives)} positive pairs -> "
+    print(f"split {len(split.positives)} positive pairs -> "
           + ", ".join(f"{b}={n}" for b, n in counts.items()))
     return 0
 
@@ -151,8 +156,7 @@ def cmd_cluster(args) -> int:
     manifest = Manifest(args)
     table = _load_table(args, manifest)
     manifest.stage("load_embeddings")
-    bound = ds.read_split_dir(args.split_dir, table)
-    train_pairs = bound.pairs_in("train")
+    train_pairs = _read_split(args, table, manifest).pairs_in("train")
     if not train_pairs:
         raise InputError("training bucket is empty after binding")
     manifest.stage("load_relations")
@@ -187,11 +191,7 @@ def cmd_train(args) -> int:
     manifest = Manifest(args)
     table = _load_table(args, manifest)
     manifest.stage("load_embeddings")
-    bound = ds.read_split_dir(args.split_dir, table)
-    for name in ("train", "validation", "test", "negatives"):
-        path = Path(args.split_dir) / f"{name}.tsv"
-        if path.is_file():
-            manifest.add_input(path)
+    bound = _read_split(args, table, manifest)
     manifest.stage("load_relations")
     clusters = None
     if args.clusters:

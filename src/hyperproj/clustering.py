@@ -111,6 +111,8 @@ def fit_kmeans(points: np.ndarray, k: int, seed: int,
         raise InputError(f"tol must be non-negative and finite, got {tol}")
     if not np.isfinite(points).all():
         raise InputError("points contain non-finite values")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp(points, k, rng)

@@ -1,16 +1,19 @@
-"""Relation ingestion, negative maps, and the lexically disjoint split.
+"""Relation ingestion and the lexically disjoint split: split, then bind.
 
 Relations come from a UTF-8 TSV with rows ``source<TAB>target<TAB>relation``
-where relation is one of hypernym, synonym, cohyponym. Hypernym rows form
-the positive set; synonym and cohyponym rows populate the negatives map
-used for sampling during training.
+where relation is one of hypernym, synonym, cohyponym. ``split_relations``
+splits the hypernym rows (the positives) into buckets and keeps the rest as
+negatives; ``bind`` then drops the pairs with a word missing from the
+embedding table. ``build_dataset`` and ``read_split_dir`` both end in it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,6 @@ from .errors import InputError, utf8_lines
 log = logging.getLogger(__name__)
 
 RELATIONS = ("hypernym", "synonym", "cohyponym")
-NEGATIVE_RELATIONS = ("synonym", "cohyponym")
 BUCKETS = ("train", "validation", "test")
 DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)  # of the positive pairs, in BUCKETS order
 
@@ -35,14 +37,14 @@ class RelationPair:
 
 @dataclass
 class RelationDataset:
-    """Bound positives with bucket assignment plus the negative pairs.
+    """Positives with bucket assignment plus the negative pairs.
 
     ``assignment`` is parallel to ``positives`` and holds one of the
     BUCKETS labels. ``negative_pairs`` keep their relation labels so
-    synonyms and co-hyponyms can be told apart; ``negatives`` is the
-    derived source -> candidate words map, and ``train_negatives`` the
-    same map restricted to words outside the validation and test
-    vocabularies, preserving the lexical split during sampling.
+    synonyms and co-hyponyms can be told apart. ``train_negatives`` (built
+    on first use) maps each source to its distinct negatives outside the
+    validation and test vocabularies, keeping the split during sampling.
+    The drop counts are those of ``bind``.
     """
 
     positives: list[RelationPair]
@@ -50,23 +52,20 @@ class RelationDataset:
     negative_pairs: list[RelationPair]
     dropped_positives: int = 0
     dropped_negatives: int = 0
-    negatives: dict[str, list[str]] = field(init=False, repr=False)
-    train_negatives: dict[str, list[str]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.positives) != len(self.assignment):
             raise InputError("assignment must be parallel to positives")
-        self.negatives = {}
-        for pair in self.negative_pairs:
-            cands = self.negatives.setdefault(pair.source, [])
-            if pair.target not in cands:
-                cands.append(pair.target)
+
+    @cached_property
+    def train_negatives(self) -> dict[str, list[str]]:
         held_out = self.vocabulary("validation") | self.vocabulary("test")
-        self.train_negatives = {
-            src: kept
-            for src, cands in self.negatives.items()
-            if (kept := [w for w in cands if w not in held_out])
-        }
+        negatives: dict[str, list[str]] = {}
+        for pair in self.negative_pairs:
+            cands = negatives.setdefault(pair.source, [])  # keys keep first-seen order
+            if pair.target not in held_out and pair.target not in cands:
+                cands.append(pair.target)
+        return {src: cands for src, cands in negatives.items() if cands}
 
     def pairs_in(self, bucket: str) -> list[RelationPair]:
         if bucket not in BUCKETS:
@@ -74,11 +73,7 @@ class RelationDataset:
         return [p for p, b in zip(self.positives, self.assignment) if b == bucket]
 
     def vocabulary(self, bucket: str) -> set[str]:
-        words: set[str] = set()
-        for pair in self.pairs_in(bucket):
-            words.add(pair.source)
-            words.add(pair.target)
-        return words
+        return {w for pair in self.pairs_in(bucket) for w in (pair.source, pair.target)}
 
 
 def load_relations(path: str | Path) -> list[RelationPair]:
@@ -119,6 +114,12 @@ def load_relations(path: str | Path) -> list[RelationPair]:
     return pairs
 
 
+def write_relations(pairs: Iterable[RelationPair], path: str | Path) -> None:
+    """Write pairs as a relations TSV, the format ``load_relations`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{p.source}\t{p.target}\t{p.relation}\n" for p in pairs)
+
+
 def validate_fractions(fractions: tuple[float, float, float]) -> None:
     if len(fractions) != 3:
         raise InputError("fractions must be (train, validation, test)")
@@ -139,6 +140,8 @@ def lexical_split(pairs: list[RelationPair], fractions: tuple[float, float, floa
     are approximate when components are large.
     """
     validate_fractions(fractions)
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     if not pairs:
         return []
     parent: dict[str, str] = {}
@@ -183,35 +186,35 @@ def lexical_split(pairs: list[RelationPair], fractions: tuple[float, float, floa
     return assignment
 
 
-def build_dataset(pairs: list[RelationPair], table: EmbeddingTable,
-                  fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
-                  seed: int = 0) -> RelationDataset:
-    """Bind relations to an embedding table and split the positives.
+def split_relations(pairs: list[RelationPair], fractions: tuple[float, float, float],
+                    seed: int) -> RelationDataset:
+    """Split the hypernym rows lexically; the other rows are the negative pairs."""
+    positives = [p for p in pairs if p.relation == "hypernym"]
+    negative_pairs = [p for p in pairs if p.relation != "hypernym"]
+    return RelationDataset(positives, lexical_split(positives, fractions, seed), negative_pairs)
 
-    Pairs with a word missing from the table are dropped; the counts are
-    logged and recorded on the returned dataset.
-    """
-    positives: list[RelationPair] = []
-    negative_pairs: list[RelationPair] = []
-    dropped_pos = 0
-    dropped_neg = 0
-    for pair in pairs:
-        resolvable = pair.source in table and pair.target in table
-        if pair.relation == "hypernym":
-            if resolvable:
-                positives.append(pair)
-            else:
-                dropped_pos += 1
-        elif resolvable:
-            negative_pairs.append(pair)
-        else:
-            dropped_neg += 1
+
+def bind(dataset: RelationDataset, table: EmbeddingTable) -> RelationDataset:
+    """Drop, count and log the pairs with a word missing from ``table``."""
+    kept = [(p, b) for p, b in zip(dataset.positives, dataset.assignment)
+            if p.source in table and p.target in table]
+    negative_pairs = [p for p in dataset.negative_pairs
+                      if p.source in table and p.target in table]
+    dropped_pos = len(dataset.positives) - len(kept)
+    dropped_neg = len(dataset.negative_pairs) - len(negative_pairs)
     if dropped_pos or dropped_neg:
         log.info("dropped %d positive and %d negative pair(s) not in the vocabulary",
                  dropped_pos, dropped_neg)
-    assignment = lexical_split(positives, fractions, seed)
-    return RelationDataset(positives, assignment, negative_pairs,
-                           dropped_positives=dropped_pos, dropped_negatives=dropped_neg)
+    return RelationDataset([p for p, _ in kept], [b for _, b in kept], negative_pairs,
+                           dropped_positives=dataset.dropped_positives + dropped_pos,
+                           dropped_negatives=dataset.dropped_negatives + dropped_neg)
+
+
+def build_dataset(pairs: list[RelationPair], table: EmbeddingTable,
+                  fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
+                  seed: int = 0) -> RelationDataset:
+    """Split, then bind: the dataset that ``write_split`` then ``read_split_dir`` give."""
+    return bind(split_relations(pairs, fractions, seed), table)
 
 
 def sample_negative(dataset: RelationDataset, source: str,
@@ -277,57 +280,35 @@ def sample_negatives(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarra
 
 
 def write_split(dataset: RelationDataset, out_dir: str | Path) -> dict[str, Path]:
-    """Write bucket TSVs, the negatives file, and the split manifest.
+    """Write the bucket and negatives relations TSVs and the split manifest.
 
-    Returns a name -> path map of everything written. Bucket files reuse
-    the relations TSV format so they can be reloaded with load_relations.
+    Returns a name -> path map of everything written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
+    paths = {name: out_dir / f"{name}.tsv" for name in (*BUCKETS, "negatives")}
     for bucket in BUCKETS:
-        path = out_dir / f"{bucket}.tsv"
-        with open(path, "w", encoding="utf-8") as fh:
-            for pair in dataset.pairs_in(bucket):
-                fh.write(f"{pair.source}\t{pair.target}\t{pair.relation}\n")
-        paths[bucket] = path
-    neg_path = out_dir / "negatives.tsv"
-    with open(neg_path, "w", encoding="utf-8") as fh:
-        for pair in dataset.negative_pairs:
-            fh.write(f"{pair.source}\t{pair.target}\t{pair.relation}\n")
-    paths["negatives"] = neg_path
-    manifest = out_dir / "split_manifest.tsv"
-    with open(manifest, "w", encoding="utf-8") as fh:
+        write_relations(dataset.pairs_in(bucket), paths[bucket])
+    write_relations(dataset.negative_pairs, paths["negatives"])
+    paths["manifest"] = out_dir / "split_manifest.tsv"
+    with open(paths["manifest"], "w", encoding="utf-8") as fh:
         for pair, bucket in zip(dataset.positives, dataset.assignment):
             fh.write(f"{pair.source}\t{pair.target}\t{bucket}\n")
-    paths["manifest"] = manifest
     return paths
 
 
 def read_split_dir(split_dir: str | Path, table: EmbeddingTable) -> RelationDataset:
-    """Rebuild a RelationDataset from a directory written by write_split."""
+    """Bind the split in a directory written by write_split to ``table``."""
     split_dir = Path(split_dir)
     positives: list[RelationPair] = []
     assignment: list[str] = []
-    dropped_pos = 0
     for bucket in BUCKETS:
         path = split_dir / f"{bucket}.tsv"
         if not path.is_file():
             raise InputError(f"split directory is missing {path.name}")
-        for pair in load_relations(path):
-            if pair.source in table and pair.target in table:
-                positives.append(pair)
-                assignment.append(bucket)
-            else:
-                dropped_pos += 1
-    negative_pairs: list[RelationPair] = []
-    dropped_neg = 0
+        pairs = load_relations(path)
+        positives += pairs
+        assignment += [bucket] * len(pairs)
     neg_path = split_dir / "negatives.tsv"
-    if neg_path.is_file():
-        for pair in load_relations(neg_path):
-            if pair.source in table and pair.target in table:
-                negative_pairs.append(pair)
-            else:
-                dropped_neg += 1
-    return RelationDataset(positives, assignment, negative_pairs,
-                           dropped_positives=dropped_pos, dropped_negatives=dropped_neg)
+    negative_pairs = load_relations(neg_path) if neg_path.is_file() else []
+    return bind(RelationDataset(positives, assignment, negative_pairs), table)

@@ -37,21 +37,36 @@ PARSE_TOKENS = 1 << 15  # components _load_text converts at once: max(1, PARSE_T
 NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
-def _row_norms(vectors: np.ndarray) -> np.ndarray:
-    """L2 norm of each row, without overflow or underflow.
+def _extreme_rows(vectors: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose plain norm overflowed or fell below NORM_FLOOR, and their largest |component|."""
+    redo = np.flatnonzero((norms < NORM_FLOOR) | (norms == np.inf))
+    scale = np.abs(vectors[redo]).max(axis=1)
+    return redo, np.where(scale == 0.0, 1.0, scale)  # a zero row keeps its norm of 0
 
-    A row whose plain norm overflows or falls below ``NORM_FLOOR`` is
-    divided by its largest absolute component first; every other row
-    keeps ``np.linalg.norm``'s bits.
-    """
+
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """L2 norm of each row, without overflow or underflow: the rows ``_extreme_rows``
+    finds are divided by their scale first, the others keep ``np.linalg.norm``'s bits."""
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(vectors, axis=1)
-    redo = np.flatnonzero((norms < NORM_FLOOR) | (norms == np.inf))
-    if redo.size:
-        scale = np.abs(vectors[redo]).max(axis=1)
-        scale[scale == 0.0] = 1.0  # a zero row keeps its norm of 0
-        norms[redo] = scale * np.linalg.norm(vectors[redo] / scale[:, None], axis=1)
+    redo, scale = _extreme_rows(vectors, norms)
+    norms[redo] = scale * np.linalg.norm(vectors[redo] / scale[:, None], axis=1)
     return norms
+
+
+def _scaled_queries(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Queries and their norms; those ``_extreme_rows`` finds are divided by their scale
+    in a copy, so the caller's array is not modified and every other query keeps its bits."""
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.sqrt((queries[:, None, :] @ queries[:, :, None]).reshape(len(queries)))
+    plain = norms.tolist()  # for a few queries Python's min and max cost less than numpy's
+    if NORM_FLOOR <= min(plain, default=1.0) and max(plain, default=1.0) < np.inf:
+        return queries, norms
+    redo, scale = _extreme_rows(queries, norms)
+    queries = queries.copy()
+    queries[redo] /= scale[:, None]
+    norms[redo] = np.linalg.norm(queries[redo], axis=1)
+    return queries, norms
 
 
 @dataclass(eq=False)
@@ -334,10 +349,9 @@ def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
     Each query row is one matrix-vector product with the table, so its
     scores are bitwise the same whatever block it lands in.
     """
-    queries = np.asarray(queries, dtype=np.float64)
+    queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
     n, vocab = queries.shape[0], len(table)
     rows = max(1, BLOCK_ENTRIES // vocab)
-    qnorms = np.sqrt((queries[:, None, :] @ queries[:, :, None]).reshape(n))
     dead = np.flatnonzero(table._row_norms == 0.0)
     scores = np.empty((min(rows, n), 1, vocab))
     denom = np.empty((min(rows, n), vocab))
@@ -382,7 +396,8 @@ def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, l: int,
     query = np.asarray(query, dtype=np.float64).reshape(-1)
     if query.shape[0] != table.dim:
         raise InputError(f"query has dimension {query.shape[0]}, table has {table.dim}")
-    if float(np.linalg.norm(query)) == 0.0:
+    _, qnorm = _scaled_queries(query[None, :])
+    if qnorm[0] == 0.0:
         raise InputError("cosine similarity is undefined for a zero query vector")
     idx = table.lookup(exclude) if exclude is not None else None
     ex = np.array([-1 if idx is None else idx])

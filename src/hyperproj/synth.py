@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RelationPair
+from .dataset import RelationPair, write_relations
 from .embeddings import EmbeddingTable, save_embeddings_text
 from .errors import InputError
 
@@ -56,6 +56,8 @@ class SynthConfig:
             raise InputError(f"planted_clusters must be >= 1, got {self.planted_clusters}")
         if self.mixer_scale <= 0:
             raise InputError(f"mixer_scale must be positive, got {self.mixer_scale}")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
 
 def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,10 +128,7 @@ def write_fixture(table: EmbeddingTable, relations: list[RelationPair],
     """Write embeddings.txt and relations.tsv; returns the paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    emb_path = out_dir / "embeddings.txt"
-    rel_path = out_dir / "relations.tsv"
-    save_embeddings_text(table, emb_path)
-    with open(rel_path, "w", encoding="utf-8") as fh:
-        for pair in relations:
-            fh.write(f"{pair.source}\t{pair.target}\t{pair.relation}\n")
-    return {"embeddings": emb_path, "relations": rel_path}
+    paths = {"embeddings": out_dir / "embeddings.txt", "relations": out_dir / "relations.tsv"}
+    save_embeddings_text(table, paths["embeddings"])
+    write_relations(relations, paths["relations"])
+    return paths

@@ -71,6 +71,8 @@ class TrainConfig:
             raise InputError(f"k must be >= 1, got {self.k}")
         if self.select_on not in SELECT_ON:
             raise InputError(f"unknown select_on {self.select_on!r}")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

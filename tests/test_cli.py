@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -87,6 +88,16 @@ class TestClusterCommand:
         payload = json.loads(out.read_text())
         assert payload["k"] == 3
         assert len(payload["centroids"]) == 3
+
+    def test_manifest_hashes_the_split_files(self, tmp_path, fixture_dir, split_dir):
+        out = tmp_path / "clusters.json"
+        emb = fixture_dir / "embeddings.txt"
+        assert run("cluster", "--embeddings", emb, "--split-dir", split_dir, "--k", 2,
+                   "--out", out) == 0
+        inputs = json.loads((tmp_path / "clusters.json.manifest.json").read_text())["inputs"]
+        files = [emb] + [split_dir / f"{name}.tsv"
+                         for name in ("train", "validation", "test", "negatives")]
+        assert inputs == {str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
 
     def test_train_accepts_precomputed_clusters(self, tmp_path, fixture_dir, split_dir):
         clusters = tmp_path / "clusters.json"
@@ -394,8 +405,14 @@ class TestBadInputExit2:
         ("synth", ["--noise", "nan"], "noise"),
         ("synth", ["--distractors", "1", "--distractor-angle", "inf"], "distractor_angle"),
         ("cluster", ["--tol", "nan"], "tol"),
+        ("synth", ["--seed", "-1"], "seed must be non-negative"),
+        ("split", ["--seed", "-1"], "seed must be non-negative"),
+        ("cluster", ["--seed", "-1"], "seed must be non-negative"),
+        ("train", ["--seed", "-1"], "seed must be non-negative"),
     ], ids=["lambda-nan", "lambda-inf", "alpha-negative", "alpha-nan", "init-std-nan",
-            "fractions-nan", "noise-nan", "distractor-angle-inf", "tol-nan"])
+            "fractions-nan", "noise-nan", "distractor-angle-inf", "tol-nan",
+            "synth-seed-negative", "split-seed-negative", "cluster-seed-negative",
+            "train-seed-negative"])
     def test_bad_numeric_flag(self, tmp_path, capsys, fixture_dir, split_dir,
                               command, flags, expected):
         emb = ["--embeddings", fixture_dir / "embeddings.txt"]

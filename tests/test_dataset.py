@@ -16,6 +16,7 @@ from hyperproj.dataset import (
     read_split_dir,
     sample_negative,
     sample_negatives,
+    split_relations,
     write_split,
 )
 from hyperproj.embeddings import EmbeddingTable
@@ -144,7 +145,27 @@ class TestBuildDataset:
                  RelationPair("a", "c", "synonym"),
                  RelationPair("a", "d", "cohyponym")]
         data = build_dataset(pairs, table)
-        assert data.negatives == {"a": ["c", "d"]}
+        assert data.train_negatives == {"a": ["c", "d"]}
+
+    def test_equals_split_then_read(self, tmp_path):
+        # the pairs with an out-of-vocabulary word are split too, then dropped
+        words = [f"w{i}" for i in range(60)]
+        pairs = [hyp(f"w{i}", f"w{i + 30}") for i in range(30)]
+        pairs += [hyp(f"w{i}", f"oov{i}") for i in range(0, 30, 3)]
+        pairs += [RelationPair(f"w{i}", f"w{59 - i}", "synonym") for i in range(0, 30, 2)]
+        pairs += [RelationPair(f"w{i}", f"oov{i}", "cohyponym") for i in range(1, 30, 4)]
+        table = table_for(words)
+        fractions = (0.6, 0.2, 0.2)
+        data = build_dataset(pairs, table, fractions, 4)
+        write_split(split_relations(pairs, fractions, 4), tmp_path)
+        again = read_split_dir(tmp_path, table)
+        assert dict(zip(again.positives, again.assignment)) == dict(
+            zip(data.positives, data.assignment))
+        assert len(data.positives) == 30
+        assert again.negative_pairs == data.negative_pairs
+        assert (again.dropped_positives, again.dropped_negatives) == (10, 8)
+        assert (data.dropped_positives, data.dropped_negatives) == (10, 8)
+        assert again.train_negatives == data.train_negatives
 
 
 class TestSampleNegative:
@@ -259,7 +280,7 @@ class TestSplitRoundTrip:
         # bucket files group pairs by bucket; the pair -> bucket mapping survives
         assert dict(zip(again.positives, again.assignment)) == dict(
             zip(data.positives, data.assignment))
-        assert again.negatives == data.negatives
+        assert again.train_negatives == data.train_negatives
 
     def test_deterministic_bytes(self, tmp_path):
         table = table_for([f"w{i}" for i in range(20)])

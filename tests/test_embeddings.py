@@ -482,6 +482,23 @@ class TestExtremeRowNorms:
         _, S = next(embeddings.cosine_blocks(table, np.eye(2)))
         np.testing.assert_allclose(S, self.EXACT, rtol=1e-14, atol=0)
 
+    # a plain query norm overflows on the first query and underflows on the others;
+    # their exact cosines with the rows (1, 0), (0, 1) and (1, 1)
+    QUERIES = [[1e200, 0.0], [1e-200, 0.0], [3e-170, 4e-170]]
+    QUERY_EXACT = [[1.0, 0.0, 0.5 ** 0.5], [1.0, 0.0, 0.5 ** 0.5], [0.6, 0.8, 1.4 * 0.5 ** 0.5]]
+
+    def test_query_cosines_are_exact(self):
+        table = EmbeddingTable(["b", "c", "f"], np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        queries = np.array(self.QUERIES)
+        with np.errstate(all="raise"):  # the product must not overflow either
+            _, S = next(embeddings.cosine_blocks(table, queries))
+        np.testing.assert_allclose(S, self.QUERY_EXACT, rtol=1e-14, atol=0)
+        assert queries.tolist() == self.QUERIES  # the caller's array is not modified
+        for query, exact in zip(self.QUERIES, self.QUERY_EXACT):
+            got = dict(nearest_neighbors(table, np.array(query), 3).entries)
+            np.testing.assert_allclose([got[w] for w in ("b", "c", "f")], exact,
+                                       rtol=1e-14, atol=0)
+
 
 def test_duplicate_vocab_rejected_in_table():
     with pytest.raises(InputError, match="duplicate"):

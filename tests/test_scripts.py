@@ -13,17 +13,34 @@ from hyperproj.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("script, args", [
     ("regularizer_benchmark.py", ["--seeds", "1", "--epochs", "5", "--n", "200"]),
     ("cluster_sweep.py", ["--k-values", "1", "2", "--epochs", "5", "--n", "200"]),
 ], ids=["regularizer_benchmark", "cluster_sweep"])
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_golden_digests_lists_every_output():
+    proc = run_script("golden_digests.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines), lines
+    names = [line[66:] for line in lines]
+    # synth 2, split 5, cluster 1, then model, trace, report and per-pair TSV of 6 arms
+    assert len(names) == 2 + 5 + 1 + 6 * 4 + 1
+    assert {"fixture/relations.tsv", "split/test.tsv", "clusters.json",
+            "neighbor-select.report.json", "(predict stdout)"} <= set(names)
+    assert not any(name.endswith("manifest.json") for name in names)
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch):
