@@ -2,11 +2,12 @@
 """Print the SHA-256 of every output of the reference pipeline.
 
 Runs synth -> split -> cluster (k=4) -> train (the five regularizers,
-plus neighbor with validation-based model selection) -> eval and predict
-of each model, all through the command-line entry point, in a temporary
-directory. Prints ``sha256  path`` for every file written except the
-``*manifest.json`` run records (they hold timings), then one digest of
-everything ``predict`` printed. Two commits that print the same lines
+plus neighbor with validation-based model selection and neighbor-reproj
+in batches of 68) -> eval and predict of each model, all through the
+command-line entry point, in a temporary directory. Prints
+``sha256  path`` for every file written except the ``*manifest.json``
+run records (they hold timings), then one digest of everything
+``predict`` printed. Two commits that print the same lines
 produce the same bytes on this pipeline.
 
 Paths are relative to the temporary directory, because ``eval`` echoes
@@ -33,6 +34,9 @@ TRAINING = ["--k", "4", "--clusters", "clusters.json", "--epochs", "60", "--alph
 ARMS = {reg: ["--reg", reg] for reg in
         ("none", "asym", "asym-reproj", "neighbor", "neighbor-reproj")}
 ARMS["neighbor-select"] = ["--reg", "neighbor", "--select-on", "best_validation_hit10"]
+# the clusters of 193, 193, 205 and 209 training pairs take 3, 3, 4 and 4
+# batches of 68, so two clusters sit out the last step of each epoch
+ARMS["neighbor-reproj-batch68"] = ["--reg", "neighbor-reproj", "--batch-size", "68"]
 PREDICT_WORDS = 5  # the hyponyms of the first test pairs
 
 

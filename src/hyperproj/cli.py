@@ -135,8 +135,8 @@ def cmd_split(args) -> int:
     fractions = tuple(args.fractions)
     ds.validate_fractions(fractions)
     manifest = Manifest(args)
-    manifest.add_input(Path(args.relations))
     pairs = ds.load_relations(args.relations)
+    manifest.add_input(Path(args.relations))
     manifest.stage("load")
     split = ds.split_relations(pairs, fractions, args.seed)
     manifest.stage("split")

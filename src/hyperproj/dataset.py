@@ -5,16 +5,22 @@ where relation is one of hypernym, synonym, cohyponym. ``split_relations``
 splits the hypernym rows (the positives) into buckets and keeps the rest as
 negatives; ``bind`` then drops the pairs with a word missing from the
 embedding table. ``build_dataset`` and ``read_split_dir`` both end in it.
+
+``load_relations`` reads, decodes, splits and checks a whole file in one
+pass. Only a file that fails is read again line by line, so that its
+error names the first failing line, as a row-by-row reader would.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq, itemgetter
 from pathlib import Path
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -28,8 +34,7 @@ BUCKETS = ("train", "validation", "test")
 DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)  # of the positive pairs, in BUCKETS order
 
 
-@dataclass(frozen=True)
-class RelationPair:
+class RelationPair(NamedTuple):
     source: str
     target: str
     relation: str
@@ -80,14 +85,35 @@ def load_relations(path: str | Path) -> list[RelationPair]:
     """Parse a relations TSV, preserving file order.
 
     Lines starting with ``#`` are ignored. Exact duplicate rows are
-    dropped with a warning reporting the count.
+    dropped with a warning reporting the count. The file is decoded,
+    split and checked whole, in one pass; a file that fails is then
+    scanned line by line, to report its first failing line.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"relations file not found: {path}")
-    pairs: list[RelationPair] = []
-    seen: set[tuple[str, str, str]] = set()
-    dupes = 0
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        _raise_first_bad_line(path)
+    # the line ends of text-mode reading: \r\n and a lone \r end a line too
+    rows = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            if line and line[0] != "#"]
+    columns = map(itemgetter(0, 1, 2), (row.split("\t") for row in rows))
+    try:
+        pairs = list(dict.fromkeys(map(RelationPair._make, columns)))
+    except IndexError:  # a row with fewer than three columns
+        _raise_first_bad_line(path)
+    sources, targets, relations = zip(*pairs) if pairs else ((), (), ())
+    if not set(relations) <= set(RELATIONS) or any(map(eq, sources, targets)):
+        _raise_first_bad_line(path)
+    if len(rows) > len(pairs):
+        log.warning("%s: dropped %d duplicate row(s)", path, len(rows) - len(pairs))
+    return pairs
+
+
+def _raise_first_bad_line(path: Path) -> NoReturn:
+    """Raise the error of the first line of ``path`` that fails a check of load_relations."""
     for lineno, line in utf8_lines(path):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
@@ -95,7 +121,7 @@ def load_relations(path: str | Path) -> list[RelationPair]:
         cols = line.split("\t")
         if len(cols) < 3:
             raise InputError(f"{path}:{lineno}: expected 3 tab-separated columns")
-        source, target, relation = cols[0], cols[1], cols[2]
+        source, target, relation = cols[:3]
         if relation not in RELATIONS:
             raise InputError(
                 f"{path}:{lineno}: unknown relation {relation!r} "
@@ -103,15 +129,7 @@ def load_relations(path: str | Path) -> list[RelationPair]:
             )
         if source == target:
             raise InputError(f"{path}:{lineno}: source equals target ({source!r})")
-        key = (source, target, relation)
-        if key in seen:
-            dupes += 1
-            continue
-        seen.add(key)
-        pairs.append(RelationPair(source, target, relation))
-    if dupes:
-        log.warning("%s: dropped %d duplicate row(s)", path, dupes)
-    return pairs
+    raise AssertionError(f"{path}: the whole-file check failed, yet no line does")
 
 
 def write_relations(pairs: Iterable[RelationPair], path: str | Path) -> None:
@@ -270,13 +288,27 @@ def sample_negatives(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarra
     ``rng.integers(count)`` each, so the stream is the one a loop of
     ``sample_negative`` over the same words consumes.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    starts = indptr[sources]
-    counts = indptr[sources + 1] - starts
-    drawn = counts > 0
-    out = sources.copy()
-    out[drawn] = indices[starts[drawn] + rng.integers(counts[drawn])]
-    return out
+    return _negative_sampler(indptr, indices, np.asarray(sources, dtype=np.int64))(rng)
+
+
+def _negative_sampler(indptr: np.ndarray, indices: np.ndarray,
+                      sources: np.ndarray) -> Callable[[np.random.Generator], np.ndarray]:
+    """``sample_negatives`` for fixed int64 ``sources``, as a function of the generator.
+
+    The CSR lookups (each source's first candidate, its candidate count,
+    and which sources draw) are taken once, here; each call only draws.
+    """
+    starts = indptr.take(sources)
+    counts = indptr.take(sources + 1) - starts
+    drawn = np.flatnonzero(counts)
+    starts, counts = starts.take(drawn), counts.take(drawn)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        out = sources.copy()
+        out[drawn] = indices.take(starts + rng.integers(counts))
+        return out
+
+    return draw
 
 
 def write_split(dataset: RelationDataset, out_dir: str | Path) -> dict[str, Path]:

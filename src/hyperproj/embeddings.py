@@ -35,6 +35,8 @@ BLOCK_ENTRIES = 1 << 15  # scores cosine_blocks holds at once: 256 KiB of float6
 PARSE_TOKENS = 1 << 15  # components _load_text converts at once: max(1, PARSE_TOKENS // dim) rows
 # below this a row's sum of squares underflows to a subnormal or to 0
 NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+# a query norm times a row norm at most this keeps their dot product finite, rounding included
+PRODUCT_CEILING = float(np.finfo(np.float64).max) / 2
 
 
 def _extreme_rows(vectors: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,18 +56,27 @@ def _row_norms(vectors: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _scaled_queries(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Queries and their norms; those ``_extreme_rows`` finds are divided by their scale
-    in a copy, so the caller's array is not modified and every other query keeps its bits."""
+def _scaled_queries(queries: np.ndarray, max_row_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Queries and their norms, safe to multiply with rows of norm up to ``max_row_norm``.
+
+    A query ``_extreme_rows`` finds is divided by its scale, and then one whose norm
+    times ``max_row_norm`` exceeds PRODUCT_CEILING, so that a dot product could
+    overflow, by its norm. Both happen in a copy, so the caller's array is not
+    modified and every other query keeps its bits.
+    """
     with np.errstate(over="ignore", under="ignore"):
         norms = np.sqrt((queries[:, None, :] @ queries[:, :, None]).reshape(len(queries)))
     plain = norms.tolist()  # for a few queries Python's min and max cost less than numpy's
-    if NORM_FLOOR <= min(plain, default=1.0) and max(plain, default=1.0) < np.inf:
+    limit = PRODUCT_CEILING / max_row_norm if max_row_norm > 0.0 else np.inf
+    if NORM_FLOOR <= min(plain, default=1.0) and max(plain, default=1.0) < limit:
         return queries, norms
     redo, scale = _extreme_rows(queries, norms)
     queries = queries.copy()
     queries[redo] /= scale[:, None]
     norms[redo] = np.linalg.norm(queries[redo], axis=1)
+    big = np.flatnonzero(norms > limit)
+    queries[big] /= norms[big, None]
+    norms[big] = 1.0
     return queries, norms
 
 
@@ -84,6 +95,7 @@ class EmbeddingTable:
     normalized: bool = False
     _index: dict[str, int] = field(init=False, repr=False)
     _row_norms: np.ndarray = field(init=False, repr=False)
+    _max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
@@ -102,6 +114,7 @@ class EmbeddingTable:
         if len(self._index) != len(self.vocab):
             raise InputError("vocabulary contains duplicate words")
         self._row_norms = _row_norms(self.vectors)
+        self._max_norm = float(self._row_norms.max(initial=0.0))
         if self.normalized and np.abs(self._row_norms - 1.0).max() > 1e-6:
             raise InputError("normalized table has rows with L2 norm far from 1")
 
@@ -349,7 +362,7 @@ def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
     Each query row is one matrix-vector product with the table, so its
     scores are bitwise the same whatever block it lands in.
     """
-    queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
+    queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64), table._max_norm)
     n, vocab = queries.shape[0], len(table)
     rows = max(1, BLOCK_ENTRIES // vocab)
     dead = np.flatnonzero(table._row_norms == 0.0)
@@ -396,7 +409,7 @@ def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, l: int,
     query = np.asarray(query, dtype=np.float64).reshape(-1)
     if query.shape[0] != table.dim:
         raise InputError(f"query has dimension {query.shape[0]}, table has {table.dim}")
-    _, qnorm = _scaled_queries(query[None, :])
+    _, qnorm = _scaled_queries(query[None, :], table._max_norm)
     if qnorm[0] == 0.0:
         raise InputError("cosine similarity is undefined for a zero query vector")
     idx = table.lookup(exclude) if exclude is not None else None

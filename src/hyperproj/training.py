@@ -9,8 +9,17 @@ consumed in a fixed order: first the shuffle permutation, then
 (neighbor regularizers only) one negative draw per example whose source
 has a training negative, in example order.
 Examples that fall back to z = x draw nothing. All of an epoch's
-negatives are drawn in one call over vocabulary indices. Each batch
-takes its loss and gradient from ``projection.loss_terms_and_gradient``.
+negatives are drawn in one call over vocabulary indices, from lookups
+each cluster takes once.
+
+The clusters train in lockstep. An epoch first shuffles and draws for
+every cluster, in cluster order, each from its own stream. Then, for
+each batch index, every cluster that has that batch takes its loss and
+gradient from ``projection.loss_terms_and_gradient``, and one
+``adam_step`` moves the (k, d, d) stack of matrices and its Adam state,
+which keeps one step count per cluster. A cluster with fewer batches
+sits the remaining steps out. Adam is elementwise, so every matrix, loss
+and random draw is bitwise the one a cluster training alone gets.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import numpy as np
 
 from . import evaluation
 from .clustering import ClusterModel, assign_clusters, fit_kmeans, offsets
-from .dataset import RelationDataset, negative_index, sample_negatives
+from .dataset import RelationDataset, _negative_sampler, negative_index
 from .embeddings import EmbeddingTable, vocab_hash
 from .errors import InputError, TrainingError
 from .projection import (
@@ -77,77 +86,115 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """First and second moments, and the steps taken: an int for one matrix,
+    an array of one count per matrix for a stack of them."""
+
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
+    t: int | np.ndarray = 0
 
     @classmethod
     def zeros_like(cls, phi: np.ndarray) -> "AdamState":
-        return cls(np.zeros_like(phi), np.zeros_like(phi), 0)
+        t = np.zeros(phi.shape[:-2], dtype=np.int64) if phi.ndim > 2 else 0
+        return cls(np.zeros_like(phi), np.zeros_like(phi), t)
 
 
 def adam_step(phi: np.ndarray, grad: np.ndarray, state: AdamState,
               alpha: float) -> tuple[np.ndarray, AdamState]:
-    """One Adam update with step size alpha; returns the new matrix and state."""
-    if phi.shape != grad.shape or phi.shape != state.m.shape:
+    """One Adam update with step size alpha; returns the new matrices and state.
+
+    ``phi`` is one (d, d) matrix or a (k, d, d) stack of them, and
+    ``state.t`` holds one step count per matrix. The update is elementwise
+    and each bias correction is Python's float power of that matrix's
+    count, so a matrix in a stack moves bitwise as it would alone.
+    """
+    if (phi.shape != grad.shape or phi.shape != state.m.shape
+            or np.shape(state.t) != phi.shape[:-2]):
         raise InputError("phi, gradient, and Adam state shapes must agree")
-    state.t += 1
+    state.t = state.t + 1
+    steps = np.ravel(state.t).tolist()
+    shape = (*np.shape(state.t), 1, 1)
+    correct1 = np.array([1.0 - ADAM_BETA1 ** t for t in steps]).reshape(shape)
+    correct2 = np.array([1.0 - ADAM_BETA2 ** t for t in steps]).reshape(shape)
     state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
     state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    m_hat = state.m / correct1
+    v_hat = state.v / correct2
     phi = phi - alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return phi, state
 
 
-class _ClusterWorker:
-    """Training state for one cluster: examples, matrix, Adam, rng, trace."""
+class _Cluster:
+    """One cluster's examples, random stream, negative sampler and loss trace."""
 
     def __init__(self, cid: int, X: np.ndarray, Y: np.ndarray, sources: np.ndarray,
-                 cfg: TrainConfig, d: int):
+                 cfg: TrainConfig, d: int, negatives: tuple[np.ndarray, np.ndarray] | None):
         self.cid = cid
         self.X = X
         self.Y = Y
         self.sources = sources  # vocabulary rows of the hyponyms, parallel to X
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cid,)))
-        self.phi = self.rng.normal(0.0, cfg.init_std, size=(d, d))
-        self.state = AdamState.zeros_like(self.phi)
-        self.steps = 0
+        self.phi0 = self.rng.normal(0.0, cfg.init_std, size=(d, d))  # the initial matrix
+        self.draw = None if negatives is None else _negative_sampler(*negatives, sources)
         self.trace: list[tuple[int, int, float, float, float]] = []
 
     @property
     def n(self) -> int:
         return self.X.shape[0]
 
-    def run_epoch(self, epoch: int, cfg: TrainConfig,
-                  negatives: tuple[np.ndarray, np.ndarray] | None,
-                  table: EmbeddingTable) -> None:
-        """One pass over the examples; ``negatives`` is the CSR table or None."""
+    def shuffled(self, table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The epoch's examples in a fresh order: hyponyms, hypernyms, negatives or None."""
         perm = self.rng.permutation(self.n)
         Z = None
-        if negatives is not None:
-            z = sample_negatives(*negatives, self.sources, self.rng)
-            Z = table.vectors[z[perm]]
-        Xs, Ys = self.X[perm], self.Y[perm]
-        base_sum = reg_sum = 0.0
-        for start in range(0, self.n, cfg.batch_size):  # final short batch is kept
-            stop = min(start + cfg.batch_size, self.n)
-            Zb = Z[start:stop] if Z is not None else None
-            base, reg, grad = loss_terms_and_gradient(
-                self.phi, Xs[start:stop], Ys[start:stop], Zb,
-                cfg.regularizer, cfg.lam)
-            if not np.isfinite(grad).all():
-                raise TrainingError(
-                    f"non-finite gradient in cluster {self.cid} at epoch {epoch}")
-            self.phi, self.state = adam_step(self.phi, grad, self.state, cfg.alpha)
-            self.steps += 1
-            base_sum += base * (stop - start)
-            reg_sum += reg * (stop - start)
-        base_avg = base_sum / self.n
-        reg_avg = reg_sum / self.n
-        self.trace.append((epoch, self.cid, base_avg, reg_avg,
-                           base_avg + cfg.lam * reg_avg))
+        if self.draw is not None:
+            Z = table.vectors.take(self.draw(self.rng).take(perm), axis=0)
+        return self.X.take(perm, axis=0), self.Y.take(perm, axis=0), Z
+
+
+def _run_epoch(epoch: int, phi: np.ndarray, state: AdamState, clusters: list[_Cluster],
+               cfg: TrainConfig, table: EmbeddingTable) -> np.ndarray:
+    """One pass of every nonempty cluster over its examples; returns the new stack.
+
+    Batch b of each cluster that has one takes its loss and gradient; then
+    one Adam step moves those clusters' matrices and the others sit it out.
+    A non-finite gradient stops its cluster; at the epoch's end the lowest
+    such cluster is reported, the one a cluster-by-cluster loop meets first.
+    """
+    epoch_data = [c.shuffled(table) for c in clusters]  # each stream in cluster order
+    sums = [[0.0, 0.0] for _ in clusters]
+    grad = np.zeros_like(phi)
+    failed: list[int] = []
+    for start in range(0, max(c.n for c in clusters), cfg.batch_size):
+        live = []
+        for c, (X, Y, Z), s in zip(clusters, epoch_data, sums):
+            if start >= c.n or c.cid in failed:
+                continue
+            stop = min(start + cfg.batch_size, c.n)  # a final short batch is kept
+            base, reg, grad[c.cid] = loss_terms_and_gradient(
+                phi[c.cid], X[start:stop], Y[start:stop],
+                Z[start:stop] if Z is not None else None, cfg.regularizer, cfg.lam)
+            s[0] += base * (stop - start)
+            s[1] += reg * (stop - start)
+            live.append(c.cid)
+        if not np.isfinite(grad).all():
+            bad = [cid for cid in live if not np.isfinite(grad[cid]).all()]
+            failed += bad
+            grad[bad] = 0.0
+            live = [cid for cid in live if cid not in bad]
+        if len(live) == len(phi):
+            phi, state = adam_step(phi, grad, state, cfg.alpha)
+        else:  # the clusters without a batch at this index, or stopped, sit the step out
+            part = AdamState(state.m[live], state.v[live], state.t[live])
+            phi[live], part = adam_step(phi[live], grad[live], part, cfg.alpha)
+            state.m[live], state.v[live], state.t[live] = part.m, part.v, part.t
+    if failed:
+        raise TrainingError(f"non-finite gradient in cluster {min(failed)} at epoch {epoch}")
+    for c, (base_sum, reg_sum) in zip(clusters, sums):
+        base_avg = base_sum / c.n
+        reg_avg = reg_sum / c.n
+        c.trace.append((epoch, c.cid, base_avg, reg_avg, base_avg + cfg.lam * reg_avg))
+    return phi
 
 
 def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
@@ -174,7 +221,7 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     assign = assign_clusters(clusters, train_offsets)
     negatives = negative_index(dataset, table) if cfg.regularizer.needs_negatives else None
 
-    workers = []
+    per_cluster: list[_Cluster] = []
     for cid in range(cfg.k):
         idx = np.flatnonzero(assign == cid)
         pairs_c = [train_pairs[i] for i in idx]
@@ -182,7 +229,7 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
             log.warning("cluster %d has no training pairs; matrix stays at initialization", cid)
         sources = np.array([table.lookup(p.source) for p in pairs_c], dtype=np.int64)
         Y = table.rows([p.target for p in pairs_c]) if pairs_c else np.zeros((0, d))
-        workers.append(_ClusterWorker(cid, table.vectors[sources], Y, sources, cfg, d))
+        per_cluster.append(_Cluster(cid, table.vectors[sources], Y, sources, cfg, d, negatives))
 
     select_validation = cfg.select_on == "best_validation_hit10"
     val_pairs = dataset.pairs_in("validation") if select_validation else []
@@ -191,15 +238,16 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
         select_validation = False
     best_hit = -1.0
     best_matrices: np.ndarray | None = None
-    active = [w for w in workers if w.n > 0]
+    active = [c for c in per_cluster if c.n > 0]
+    phi = np.stack([c.phi0 for c in per_cluster])
+    state = AdamState.zeros_like(phi)
     vhash = vocab_hash(table)
 
     meta = TrainingMeta(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size)
     for epoch in range(1, cfg.epochs + 1):
-        for w in active:
-            w.run_epoch(epoch, cfg, negatives, table)
+        phi = _run_epoch(epoch, phi, state, active, cfg, table)
         if select_validation and (epoch % VALIDATION_EVERY == 0 or epoch == cfg.epochs):
-            snapshot = np.stack([w.phi for w in workers])
+            snapshot = phi.copy()
             interim = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, d,
                                       meta, vhash)
             hit10 = evaluation.hit_at(interim, table, val_pairs, 10)
@@ -208,18 +256,18 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
                 best_hit = hit10
                 best_matrices = snapshot
 
-    matrices = best_matrices if best_matrices is not None else np.stack([w.phi for w in workers])
-    meta.final_losses = [w.trace[-1][4] if w.trace else None for w in workers]
-    meta.steps = [w.steps for w in workers]
-    meta.trace = sorted(row for w in workers for row in w.trace)
-    meta.data = _data_accounting(dataset, workers, negatives)
+    matrices = best_matrices if best_matrices is not None else phi
+    meta.final_losses = [c.trace[-1][4] if c.trace else None for c in per_cluster]
+    meta.steps = state.t.tolist()
+    meta.trace = sorted(row for c in per_cluster for row in c.trace)
+    meta.data = _data_accounting(dataset, per_cluster, negatives)
     # lambda is inert without a regularizer; canonicalize so the model file
     # is identical whatever value was passed alongside kind NONE
     lam = 0.0 if cfg.regularizer is Regularizer.NONE else cfg.lam
     return ProjectionModel(matrices, clusters, cfg.regularizer, lam, d, meta, vhash)
 
 
-def _data_accounting(dataset: RelationDataset, workers: list[_ClusterWorker],
+def _data_accounting(dataset: RelationDataset, per_cluster: list[_Cluster],
                      negatives: tuple[np.ndarray, np.ndarray] | None) -> dict:
     """What training consumed: dropped pairs, examples and fallbacks per cluster.
 
@@ -231,11 +279,11 @@ def _data_accounting(dataset: RelationDataset, workers: list[_ClusterWorker],
     if negatives is not None:
         indptr = negatives[0]
         fallbacks = [int(np.count_nonzero(indptr[w.sources] == indptr[w.sources + 1]))
-                     for w in workers]
+                     for w in per_cluster]
     return {
         "dropped_positives": dataset.dropped_positives,
         "dropped_negatives": dataset.dropped_negatives,
-        "train_pairs": [w.n for w in workers],
+        "train_pairs": [w.n for w in per_cluster],
         "negative_fallbacks": fallbacks,
     }
 

@@ -353,6 +353,11 @@ class TestBadInputExit2:
         capsys.readouterr()
         assert_one_error_line(run(*argv), capsys, expected)
 
+    def test_missing_relations_file(self, tmp_path, capsys):
+        code = run("split", "--relations", tmp_path / "missing.tsv", "--out", tmp_path / "s")
+        assert_one_error_line(code, capsys, "relations file not found: ")
+        assert not (tmp_path / "s").exists()
+
     def test_non_utf8_relations(self, tmp_path, capsys):
         relations = tmp_path / "r.tsv"
         relations.write_bytes(b"a\tb\thypernym\n\xff\tc\thypernym\n")

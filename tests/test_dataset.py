@@ -1,12 +1,15 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperproj import dataset
 from hyperproj.dataset import (
     BUCKETS,
+    RELATIONS,
     RelationDataset,
     RelationPair,
     build_dataset,
@@ -20,7 +23,7 @@ from hyperproj.dataset import (
     write_split,
 )
 from hyperproj.embeddings import EmbeddingTable
-from hyperproj.errors import InputError
+from hyperproj.errors import InputError, utf8_lines
 
 
 def write(path, text):
@@ -64,6 +67,128 @@ class TestLoadRelations:
         path = write(tmp_path / "r.tsv", "dog animal hypernym\n")
         with pytest.raises(InputError, match=":1"):
             load_relations(path)
+
+
+# ---------------------------------------------------------------------------
+# reference reader: the row-by-row load_relations the one-pass reader must agree with
+# ---------------------------------------------------------------------------
+
+
+def reference_load_relations(path):
+    pairs, seen, dupes = [], set(), 0
+    for lineno, line in utf8_lines(path):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) < 3:
+            raise InputError(f"{path}:{lineno}: expected 3 tab-separated columns")
+        source, target, relation = cols[0], cols[1], cols[2]
+        if relation not in RELATIONS:
+            raise InputError(
+                f"{path}:{lineno}: unknown relation {relation!r} "
+                f"(expected one of {', '.join(RELATIONS)})"
+            )
+        if source == target:
+            raise InputError(f"{path}:{lineno}: source equals target ({source!r})")
+        key = (source, target, relation)
+        if key in seen:
+            dupes += 1
+            continue
+        seen.add(key)
+        pairs.append(key)
+    if dupes:
+        dataset.log.warning("%s: dropped %d duplicate row(s)", path, dupes)
+    return pairs
+
+
+def relations_outcome(load, path):
+    """What a reader makes of a file: its pairs and warnings, or its InputError message.
+
+    Any other exception propagates and fails the test.
+    """
+    with mock.patch.object(dataset.log, "warning") as warn:
+        try:
+            pairs = load(path)
+        except InputError as exc:
+            return "error", str(exc)
+    return "pairs", [tuple(p) for p in pairs], [c.args[0] % c.args[1:] for c in warn.call_args_list]
+
+
+# few letters, so that duplicates and source == target occur; \x0c, \x85 and
+# \u2028 end a line for str.splitlines() but not for a text file
+REL_WORD = st.text(alphabet="ab\u00e9# \x0c\x85\u2028", min_size=1, max_size=3)
+UNKNOWN_RELATION = st.sampled_from(["antonym", "Hypernym", "hypernym ", ""])
+
+
+@st.composite
+def relations_files(draw):
+    """A relations TSV of valid rows, or one broken by a few mutations."""
+    rows = draw(st.lists(st.tuples(REL_WORD, REL_WORD, st.sampled_from(RELATIONS)), max_size=8))
+    lines = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["comment", "blank", "repeat", "extra", "drop", "self",
+                                     "unknown"]))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "comment":
+            lines.insert(at, ["#" + draw(REL_WORD)])
+        elif kind == "blank":
+            lines.insert(at, [])
+        elif lines:
+            line = lines[min(at, len(lines) - 1)]
+            if kind == "repeat":
+                lines.insert(at, list(line))
+            elif kind == "extra":
+                line.append(draw(REL_WORD))
+            elif kind == "drop" and line:
+                line.pop()
+            elif kind == "self" and len(line) > 1:
+                line[1] = line[0]
+            elif kind == "unknown" and len(line) > 2:
+                line[2] = draw(UNKNOWN_RELATION)
+    data = "".join("\t".join(line) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                   for line in lines).encode("utf-8")
+    if data and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        splice = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\r", b"\n", b"\t"]))
+        data = data[:at] + splice + data[at:]
+    if data and draw(st.booleans()):
+        data = data[:-1]  # no line end after the last row
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "r.tsv"
+
+
+class TestLoadRelationsMatchesReference:
+    @given(data=relations_files() | st.binary(max_size=120))
+    @example(data=b"a\tb\thypernym\textra\r\na\tb\thypernym\n")  # extra column, duplicate
+    @example(data=b"a\tb\thypernym\n \x0c\n")  # a line of whitespace is a row
+    @example(data="a\u2028\tb\x85\tsynonym\rb\tc\tcohyponym".encode("utf-8"))
+    @settings(deadline=None)
+    def test_same_outcome(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        assert (relations_outcome(load_relations, fuzz_file)
+                == relations_outcome(reference_load_relations, fuzz_file))
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"a\tb\thypernym\nc\td\n\xff\te\thypernym\n", ":2: expected 3"),
+        (b"a\tb\thypernym\n\xff\te\thypernym\nc\td\n", ":2: not valid UTF-8"),
+        (b"a\tb\tantonym\nc\tc\thypernym\n", ":1: unknown relation"),
+        (b"a\tb\thypernym\nc\tc\tx\n", ":2: unknown relation"),
+        (b"# \xff\na\ta\thypernym\n", ":1: not valid UTF-8"),
+        (b"a\tb\thypernym\rc\tc\thypernym\r", ":2: source equals target"),
+        (b"a\tb\thypernym\r\n\r\nc\xc2\x85\tc\xc2\x85\tsynonym", ":3: source equals target"),
+    ], ids=["columns-before-utf8", "utf8-before-columns", "relation", "relation-before-equal",
+            "utf8-in-comment", "cr", "crlf-and-nel"])
+    def test_first_failing_line_is_reported(self, tmp_path, data, expected):
+        path = tmp_path / "r.tsv"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=expected) as got:
+            load_relations(path)
+        assert relations_outcome(reference_load_relations, path) == ("error", str(got.value))
 
 
 def hyp(a, b):

@@ -499,6 +499,27 @@ class TestExtremeRowNorms:
             np.testing.assert_allclose([got[w] for w in ("b", "c", "f")], exact,
                                        rtol=1e-14, atol=0)
 
+    # the query norms are plain, but times the norm of row g, 1e200, they overflow;
+    # the exact cosines with the rows g, (1, 0) and (0, 1)
+    BIG_ROW_QUERIES = [[1e154, 0.0], [0.0, 1e154], [1e108, 1e108], [1.0, 0.0]]
+    BIG_ROW_EXACT = [[1.0, 1.0, 0.0], [1e-200, 0.0, 1.0],
+                     [0.5 ** 0.5, 0.5 ** 0.5, 0.5 ** 0.5], [1.0, 1.0, 0.0]]
+
+    def test_product_with_a_large_row_is_exact(self):
+        table = EmbeddingTable(["g", "b", "c"], np.array([[1e200, 1.0], [1.0, 0.0], [0.0, 1.0]]))
+        queries = np.array(self.BIG_ROW_QUERIES)
+        with np.errstate(all="raise"):
+            _, S = next(embeddings.cosine_blocks(table, queries))
+            neighbors = [dict(nearest_neighbors(table, q, 3).entries) for q in queries]
+        np.testing.assert_allclose(S, self.BIG_ROW_EXACT, rtol=1e-14, atol=0)
+        for got, exact in zip(neighbors, self.BIG_ROW_EXACT):
+            np.testing.assert_allclose([got[w] for w in ("g", "b", "c")], exact,
+                                       rtol=1e-14, atol=0)
+        assert queries.tolist() == self.BIG_ROW_QUERIES  # the caller's array is not modified
+        # a query whose product cannot overflow scores bitwise as it does alone
+        _, plain = next(embeddings.cosine_blocks(table, queries[3:]))
+        assert S[3].tobytes() == plain[0].tobytes()
+
 
 def test_duplicate_vocab_rejected_in_table():
     with pytest.raises(InputError, match="duplicate"):

@@ -4,10 +4,25 @@ import numpy as np
 import pytest
 
 from hyperproj import training
-from hyperproj.dataset import RelationDataset, RelationPair, build_dataset, sample_negative
-from hyperproj.embeddings import EmbeddingTable
+from hyperproj.clustering import ClusterModel, assign_clusters, fit_kmeans, offsets
+from hyperproj.dataset import (
+    RelationDataset,
+    RelationPair,
+    build_dataset,
+    negative_index,
+    sample_negative,
+    sample_negatives,
+)
+from hyperproj.embeddings import EmbeddingTable, vocab_hash
 from hyperproj.errors import InputError, TrainingError
-from hyperproj.projection import Regularizer, save_model
+from hyperproj.evaluation import hit_at
+from hyperproj.projection import (
+    ProjectionModel,
+    Regularizer,
+    TrainingMeta,
+    loss_terms_and_gradient,
+    save_model,
+)
 from hyperproj.training import (
     AdamState,
     TrainConfig,
@@ -22,10 +37,10 @@ def hyp(a, b):
 
 
 def init_matrix(d, seed, std, cid=0):
-    """The matrix a fresh cluster worker starts training from."""
+    """The matrix a cluster starts training from."""
     cfg = TrainConfig(seed=seed, init_std=std)
-    return training._ClusterWorker(cid, np.zeros((0, d)), np.zeros((0, d)),
-                                   np.zeros(0, np.int64), cfg, d).phi
+    return training._Cluster(cid, np.zeros((0, d)), np.zeros((0, d)),
+                             np.zeros(0, np.int64), cfg, d, None).phi0
 
 
 class TestInitMatrix:
@@ -74,6 +89,19 @@ class TestAdamStep:
         phi = np.zeros((2, 2))
         with pytest.raises(InputError, match="shapes"):
             adam_step(phi, np.zeros((3, 3)), AdamState.zeros_like(phi), 0.001)
+
+    def test_stack_with_unequal_step_counts_matches_separate_steps(self):
+        rng = np.random.default_rng(2)
+        phi, grad, m = (rng.normal(size=(3, 4, 4)) for _ in range(3))
+        v = rng.random(size=(3, 4, 4))
+        counts = [0, 5, 12]
+        stacked_phi, stacked = adam_step(phi, grad, AdamState(m, v, np.array(counts)), 0.01)
+        for i, t in enumerate(counts):
+            alone_phi, alone = adam_step(phi[i], grad[i], AdamState(m[i], v[i], t), 0.01)
+            assert np.array_equal(stacked_phi[i], alone_phi)
+            assert np.array_equal(stacked.m[i], alone.m) and np.array_equal(stacked.v[i], alone.v)
+            assert stacked.t[i] == alone.t
+        assert stacked.t.tolist() == [1, 6, 13]
 
     def test_second_moment_stays_non_negative(self):
         rng = np.random.default_rng(0)
@@ -187,12 +215,14 @@ class TestTrain:
         fast = artifacts("fast")
         calls = []
 
-        def per_example(indptr, indices, sources, rng):
-            calls.append(len(sources))
-            return np.array([table.lookup(sample_negative(data, words[s], rng))
-                             for s in sources], dtype=np.int64)
+        def per_example(indptr, indices, sources):
+            def draw(rng):
+                calls.append(len(sources))
+                return np.array([table.lookup(sample_negative(data, words[s], rng))
+                                 for s in sources], dtype=np.int64)
+            return draw
 
-        monkeypatch.setattr(training, "sample_negatives", per_example)
+        monkeypatch.setattr(training, "_negative_sampler", per_example)
         assert artifacts("slow") == fast
         assert len(calls) == 2 * cfg.epochs and sum(calls) == 4 * len(data.pairs_in("train"))
 
@@ -222,3 +252,123 @@ class TestTrain:
         assert len(model.meta.trace) == 6
         for epoch, cid, base, reg, total in model.meta.trace:
             assert np.isfinite(base) and np.isfinite(reg) and np.isfinite(total)
+
+
+class ReferenceCluster:
+    """One cluster trained alone, as before clusters stepped together: its own
+    matrix and Adam state, single-matrix steps, one sample_negatives call per epoch."""
+
+    def __init__(self, cid, pairs, table, cfg):
+        self.cid = cid
+        self.rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cid,)))
+        self.phi = self.rng.normal(0.0, cfg.init_std, size=(table.dim, table.dim))
+        self.state = AdamState.zeros_like(self.phi)
+        self.sources = np.array([table.lookup(p.source) for p in pairs], dtype=np.int64)
+        self.X = table.vectors[self.sources]
+        self.Y = table.rows([p.target for p in pairs]) if pairs else np.zeros((0, table.dim))
+        self.trace = []
+
+    def epoch(self, epoch, cfg, negatives, table):
+        n = len(self.sources)
+        perm = self.rng.permutation(n)
+        Z = None
+        if negatives is not None:
+            Z = table.vectors[sample_negatives(*negatives, self.sources, self.rng)[perm]]
+        X, Y = self.X[perm], self.Y[perm]
+        base_sum = reg_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            stop = min(start + cfg.batch_size, n)
+            base, reg, grad = loss_terms_and_gradient(
+                self.phi, X[start:stop], Y[start:stop],
+                None if Z is None else Z[start:stop], cfg.regularizer, cfg.lam)
+            self.phi, self.state = adam_step(self.phi, grad, self.state, cfg.alpha)
+            base_sum += base * (stop - start)
+            reg_sum += reg * (stop - start)
+        self.trace.append((epoch, self.cid, base_sum / n, reg_sum / n,
+                           base_sum / n + cfg.lam * (reg_sum / n)))
+
+
+def reference_train(data, table, cfg, clusters):
+    """train() as a cluster-by-cluster loop: each cluster runs its whole epoch in turn."""
+    train_pairs = data.pairs_in("train")
+    assign = assign_clusters(clusters, offsets(train_pairs, table))
+    negatives = negative_index(data, table) if cfg.regularizer.needs_negatives else None
+    ref = [ReferenceCluster(cid, [p for p, a in zip(train_pairs, assign) if a == cid], table, cfg)
+           for cid in range(cfg.k)]
+    meta = TrainingMeta(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size)
+    best_hit, best = -1.0, None
+    for epoch in range(1, cfg.epochs + 1):
+        for c in ref:
+            if len(c.sources):
+                c.epoch(epoch, cfg, negatives, table)
+        if cfg.select_on == "best_validation_hit10" and (epoch % 10 == 0 or epoch == cfg.epochs):
+            snapshot = np.stack([c.phi for c in ref])
+            model = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, table.dim,
+                                    meta, vocab_hash(table))
+            hit = hit_at(model, table, data.pairs_in("validation"), 10)
+            if hit > best_hit:
+                best_hit, best = hit, snapshot
+    meta.final_losses = [c.trace[-1][4] if c.trace else None for c in ref]
+    meta.steps = [int(c.state.t) for c in ref]
+    meta.trace = sorted(row for c in ref for row in c.trace)
+    lam = 0.0 if cfg.regularizer is Regularizer.NONE else cfg.lam
+    matrices = best if best is not None else np.stack([c.phi for c in ref])
+    return ProjectionModel(matrices, clusters, cfg.regularizer, lam, table.dim, meta,
+                           vocab_hash(table))
+
+
+class TestLockstep:
+    """train() steps the clusters together; every output equals the cluster-by-cluster loop's."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        rng = np.random.default_rng(11)
+        words = [f"w{i}" for i in range(150)]
+        table = EmbeddingTable(words, rng.normal(size=(150, 4)))
+        pairs = [hyp(words[i], words[i + 50]) for i in range(50)]
+        negatives = [RelationPair(words[i], words[100 + (7 * i + j) % 50], "cohyponym")
+                     for i in range(50) for j in range(i % 3)]
+        data = build_dataset(pairs + negatives, table, fractions=(0.7, 0.15, 0.15), seed=1)
+        two = fit_kmeans(offsets(data.pairs_in("train"), table), 2, seed=5)  # 25 and 10 pairs
+        # a third centroid far from every offset: cluster 2 gets no training pair
+        clusters = ClusterModel(np.vstack([two.centroids, np.full(4, 1e3)]), two.inertia)
+        return data, table, clusters
+
+    @pytest.mark.parametrize("select_on", training.SELECT_ON)
+    @pytest.mark.parametrize("kind", list(Regularizer))
+    def test_outputs_equal_the_per_cluster_loop(self, setup, tmp_path, kind, select_on):
+        data, table, clusters = setup
+        cfg = TrainConfig(epochs=20, batch_size=8, k=3, seed=5, alpha=0.01, lam=0.5,
+                          regularizer=kind, select_on=select_on)
+        got = train(data, table, cfg, clusters=clusters)
+        want = reference_train(data, table, cfg, clusters)
+        sizes = got.meta.data["train_pairs"]
+        assert sizes[2] == 0 and len({-(-n // 8) for n in sizes[:2]}) == 2  # uneven batch counts
+        assert got.meta.steps == want.meta.steps
+        assert got.meta.final_losses == want.meta.final_losses
+        for name, model in (("got", got), ("want", want)):
+            save_model(model, tmp_path / f"{name}.hprj")
+            write_trace_csv(model, tmp_path / f"{name}.csv")
+        for ext in ("hprj", "csv"):
+            assert (tmp_path / f"got.{ext}").read_bytes() == (tmp_path / f"want.{ext}").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # fixture overflows by design
+    def test_non_finite_gradient_names_the_cluster_a_per_cluster_loop_meets_first(self):
+        # cluster 1's only pair overflows at batch 0; cluster 0's overflowing pair
+        # comes second in its shuffled order, so its gradient overflows at batch 1
+        big = 1e160
+        table = EmbeddingTable(["a", "A", "b", "B", "c", "C"],
+                               np.array([[1.0, 0.0], [1.0, 1.0], [big, 0.0], [big, 1.0],
+                                         [big, 0.0], [big, -1.0]]))
+        data = RelationDataset([hyp("a", "A"), hyp("b", "B"), hyp("c", "C")], ["train"] * 3, [])
+        clusters = ClusterModel(np.array([[0.0, 1.0], [0.0, -1.0]]), 0.0)
+
+        def big_pair_second(seed):  # cluster 0's stream: initial matrix, then the shuffle
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+            rng.normal(size=(2, 2))
+            return rng.permutation(2)[1] == 1
+
+        seed = next(s for s in range(100) if big_pair_second(s))
+        cfg = TrainConfig(epochs=2, batch_size=1, k=2, seed=seed)
+        with pytest.raises(TrainingError, match="cluster 0 at epoch 1"):
+            train(data, table, cfg, clusters=clusters)
