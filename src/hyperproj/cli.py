@@ -5,6 +5,11 @@ manifest with input/output content hashes and per-stage timings. Exit
 codes: 0 success, 2 usage or validation error, 1 runtime failure. The
 HYPERPROJ_LOG environment variable (debug/info/warning/error) controls
 log verbosity.
+
+Every command that reads ``--embeddings`` goes through ``_load_table``,
+which keeps parsed tables in a cache directory (see ``embeddings``):
+HYPERPROJ_CACHE, else ``$XDG_CACHE_HOME/hyperproj``, else
+``~/.cache/hyperproj``. Outputs are the same with a cold or a warm cache.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from . import dataset as ds
 from . import evaluation, synth, training
 from .clustering import DEFAULT_MAX_ITER, DEFAULT_TOL, ClusterModel, fit_kmeans, offsets
-from .embeddings import load_embeddings, vocab_hash
+from .embeddings import FORMATS, EmbeddingTable, load_embeddings, vocab_hash
 from .errors import HyperprojError, InputError
 from .projection import ProjectionModel, Regularizer, load_model, save_model
 from .synth import SynthConfig
@@ -66,8 +71,9 @@ class Manifest:
         self._t0 = time.monotonic()
         self._stage_start = self._t0
 
-    def add_input(self, path: Path) -> None:
-        self.payload["inputs"][str(path)] = _sha256(path)
+    def add_input(self, path: Path, digest: str | None = None) -> None:
+        """Record an input's SHA-256: ``digest`` if the caller hashed the bytes it read."""
+        self.payload["inputs"][str(path)] = digest or _sha256(path)
 
     def add_output(self, path: Path) -> None:
         self.payload["outputs"][str(path)] = _sha256(path)
@@ -83,10 +89,20 @@ class Manifest:
         _atomic_write(path, lambda p: p.write_text(blob, encoding="utf-8"))
 
 
-def _load_table(args, manifest: Manifest):
+def _cache_dir() -> Path:
+    """HYPERPROJ_CACHE, else $XDG_CACHE_HOME/hyperproj, else ~/.cache/hyperproj."""
+    if os.environ.get("HYPERPROJ_CACHE"):
+        return Path(os.environ["HYPERPROJ_CACHE"])
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "hyperproj"
+
+
+def _load_table(args, manifest: Manifest | None = None) -> EmbeddingTable:
+    """The --embeddings table, through the cache; the manifest gets the digest of its bytes."""
     path = Path(args.embeddings)
-    table = load_embeddings(path, format=args.format, normalize=args.normalize)
-    manifest.add_input(path)
+    table = load_embeddings(path, format=args.format, normalize=args.normalize,
+                            cache=_cache_dir())
+    if manifest is not None:
+        manifest.add_input(path, table.source_sha256)
     return table
 
 
@@ -121,7 +137,7 @@ def _read_clusters_json(path: Path) -> ClusterModel:
         payload = json.loads(path.read_text(encoding="utf-8"))
         centroids = np.array(payload["centroids"], dtype=np.float64)
         inertia = float(payload["inertia"])
-    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as exc:
+    except (RecursionError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed cluster file ({exc})") from None
     return ClusterModel(centroids, inertia)
 
@@ -250,7 +266,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    table = load_embeddings(args.embeddings, format=args.format, normalize=args.normalize)
+    table = _load_table(args)
     _check_vocab_hash(model, table)
     resolved = 0
     for word in args.words:
@@ -291,7 +307,7 @@ def cmd_synth(args) -> int:
 
 def _add_embedding_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--embeddings", required=True, help="embedding file")
-    parser.add_argument("--format", choices=("text", "binary"), default="text",
+    parser.add_argument("--format", choices=FORMATS, default="text",
                         help="embedding file format (default text)")
     parser.add_argument("--normalize", action="store_true",
                         help="L2-normalize embedding rows at load time")

@@ -13,30 +13,56 @@ file reports the error of its first failing line or word, exactly as a
 row-by-row reader would: within a text line an unparsable component
 comes before a dimension mismatch, which comes before a non-finite value.
 
+Given a ``cache`` directory, ``load_embeddings`` reads the file's bytes
+once and hashes them, and looks their parse up there under the SHA-256
+plus the format; after a miss it parses those same bytes and stores the
+result. An entry holds the words in file order, duplicates included, and
+the float64 rows bit for bit, so a hit gives the table a parse gives:
+duplicates, their warning and ``normalize`` are applied after either.
+An entry that is missing, short or unsound in any way is a miss, an
+unwritable directory only means parsing every time, and a file that
+fails to load never gets an entry. The entry layout follows the model
+file's: ``CACHE_MAGIC``, a JSON header (version, format, sha256, count,
+dim, and the words joined by spaces, which no word holds), a NUL, the
+row-major little-endian float64 rows, and a little-endian CRC-32 of
+everything before it. With no ``cache``, the file is parsed as it is
+read, and nothing is hashed or written.
+
 Every similarity search, from ``nearest_neighbors`` here to ranking in
 the evaluation module, scores through ``cosine_blocks``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import json
 import logging
+import os
+import tempfile
+import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, utf8_lines
+from .errors import InputError, open_utf8, utf8_lines
 
 log = logging.getLogger(__name__)
 
 TEXT_PRECISION = 9  # significant digits written by save_embeddings_text
 BLOCK_ENTRIES = 1 << 15  # scores cosine_blocks holds at once: 256 KiB of float64
-PARSE_TOKENS = 1 << 15  # components _load_text converts at once: max(1, PARSE_TOKENS // dim) rows
+PARSE_TOKENS = 1 << 15  # components _parse_lines converts at once: max(1, PARSE_TOKENS // dim) rows
 # below this a row's sum of squares underflows to a subnormal or to 0
 NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 # a query norm times a row norm at most this keeps their dot product finite, rounding included
 PRODUCT_CEILING = float(np.finfo(np.float64).max) / 2
+# a query norm times a row norm at least this keeps their dot product out of the subnormals
+PRODUCT_FLOOR = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+FORMATS = ("text", "binary")
+CACHE_MAGIC = b"HPTAB1"
+CACHE_VERSION = 1
 
 
 def _extreme_rows(vectors: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,35 +74,40 @@ def _extreme_rows(vectors: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, n
 
 def _row_norms(vectors: np.ndarray) -> np.ndarray:
     """L2 norm of each row, without overflow or underflow: the rows ``_extreme_rows``
-    finds are divided by their scale first, the others keep ``np.linalg.norm``'s bits."""
+    finds are divided by their scale first, the others keep ``np.linalg.norm``'s bits.
+    A norm above the float64 maximum is inf, which ``EmbeddingTable`` rejects."""
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(vectors, axis=1)
-    redo, scale = _extreme_rows(vectors, norms)
-    norms[redo] = scale * np.linalg.norm(vectors[redo] / scale[:, None], axis=1)
+        redo, scale = _extreme_rows(vectors, norms)
+        norms[redo] = scale * np.linalg.norm(vectors[redo] / scale[:, None], axis=1)
     return norms
 
 
-def _scaled_queries(queries: np.ndarray, max_row_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """Queries and their norms, safe to multiply with rows of norm up to ``max_row_norm``.
+def _scaled_queries(queries: np.ndarray,
+                    table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
+    """Queries and their norms, safe to multiply with the rows of ``table``.
 
-    A query ``_extreme_rows`` finds is divided by its scale, and then one whose norm
-    times ``max_row_norm`` exceeds PRODUCT_CEILING, so that a dot product could
-    overflow, by its norm. Both happen in a copy, so the caller's array is not
-    modified and every other query keeps its bits.
+    A query ``_extreme_rows`` finds is divided by its scale. Then a nonzero query
+    is divided by its norm if that norm times the table's largest row norm exceeds
+    PRODUCT_CEILING, so that a dot product could overflow, or times its smallest
+    nonzero row norm falls below PRODUCT_FLOOR, so that one could underflow. Both
+    happen in a copy, so the caller's array is not modified and every other query
+    keeps its bits.
     """
     with np.errstate(over="ignore", under="ignore"):
         norms = np.sqrt((queries[:, None, :] @ queries[:, :, None]).reshape(len(queries)))
     plain = norms.tolist()  # for a few queries Python's min and max cost less than numpy's
-    limit = PRODUCT_CEILING / max_row_norm if max_row_norm > 0.0 else np.inf
-    if NORM_FLOOR <= min(plain, default=1.0) and max(plain, default=1.0) < limit:
+    high = PRODUCT_CEILING / table._max_norm if table._max_norm > 0.0 else np.inf
+    low = PRODUCT_FLOOR / table._min_norm  # 0 when every row is zero
+    if max(NORM_FLOOR, low) <= min(plain, default=1.0) and max(plain, default=1.0) < high:
         return queries, norms
     redo, scale = _extreme_rows(queries, norms)
     queries = queries.copy()
     queries[redo] /= scale[:, None]
     norms[redo] = np.linalg.norm(queries[redo], axis=1)
-    big = np.flatnonzero(norms > limit)
-    queries[big] /= norms[big, None]
-    norms[big] = 1.0
+    risky = np.flatnonzero((norms > high) | ((norms > 0.0) & (norms < low)))
+    queries[risky] /= norms[risky, None]
+    norms[risky] = 1.0
     return queries, norms
 
 
@@ -88,14 +119,18 @@ class EmbeddingTable:
         vocab: unique words, row order of ``vectors``.
         vectors: (len(vocab), dim) float64 matrix.
         normalized: rows were scaled to unit L2 norm at load time.
+        source_sha256: SHA-256 of the file bytes ``load_embeddings`` read
+            the table from through its cache; empty otherwise.
     """
 
     vocab: list[str]
     vectors: np.ndarray
     normalized: bool = False
+    source_sha256: str = field(default="", repr=False)
     _index: dict[str, int] = field(init=False, repr=False)
     _row_norms: np.ndarray = field(init=False, repr=False)
     _max_norm: float = field(init=False, repr=False)
+    _min_norm: float = field(init=False, repr=False)  # the smallest nonzero one
 
     def __post_init__(self) -> None:
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
@@ -114,7 +149,13 @@ class EmbeddingTable:
         if len(self._index) != len(self.vocab):
             raise InputError("vocabulary contains duplicate words")
         self._row_norms = _row_norms(self.vectors)
+        huge = np.flatnonzero(self._row_norms == np.inf)
+        if huge.size:
+            raise InputError(f"row {huge[0] + 1} ({self.vocab[huge[0]]!r}) has an L2 norm "
+                             "above the float64 maximum")
         self._max_norm = float(self._row_norms.max(initial=0.0))
+        self._min_norm = float(self._row_norms.min(initial=np.inf,
+                                                   where=self._row_norms > 0.0))
         if self.normalized and np.abs(self._row_norms - 1.0).max() > 1e-6:
             raise InputError("normalized table has rows with L2 norm far from 1")
 
@@ -160,14 +201,16 @@ class NeighborList:
 
 def _normalize_rows(vectors: np.ndarray, origin: str) -> np.ndarray:
     norms = _row_norms(vectors)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise InputError(f"{origin}: zero vector cannot be normalized (row {zero[0] + 1})")
+    bad = np.flatnonzero((norms == 0.0) | (norms == np.inf))
+    if bad.size:
+        what = ("zero vector cannot be normalized" if norms[bad[0]] == 0.0
+                else "L2 norm above the float64 maximum")
+        raise InputError(f"{origin}: {what} (row {bad[0] + 1})")
     return vectors / norms[:, None]
 
 
 def _finish(words: list[str], vectors: np.ndarray, normalize: bool,
-            path: str) -> EmbeddingTable:
+            path: str, digest: str) -> EmbeddingTable:
     """Table of the first occurrence of each word, in file order."""
     n = len(words)
     first = dict(zip(reversed(words), range(n - 1, -1, -1)))  # word -> its first row
@@ -178,7 +221,7 @@ def _finish(words: list[str], vectors: np.ndarray, normalize: bool,
         words, vectors = [words[i] for i in keep], vectors[keep]
     if normalize:
         vectors = _normalize_rows(vectors, path)
-    return EmbeddingTable(words, vectors, normalized=normalize)
+    return EmbeddingTable(words, vectors, normalized=normalize, source_sha256=digest)
 
 
 def _unparsable(path: Path, lineno: int, exc: ValueError) -> InputError:
@@ -207,14 +250,23 @@ def _parse_block(tokens: list[str], linenos: list[int], dim: int, path: Path) ->
     return block
 
 
-def _load_text(path: Path, normalize: bool) -> EmbeddingTable:
+def _parse_text(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray]:
+    """Words and rows of the text file ``path``, parsed from ``data``, its bytes, if given."""
+    try:  # one strict decoding pass, unless the file is not UTF-8
+        with open_utf8(path, data) as fh:
+            return _parse_lines(path, enumerate(fh, start=1))
+    except UnicodeDecodeError:  # then line by line, so that an earlier line's error comes first
+        return _parse_lines(path, utf8_lines(path, data))
+
+
+def _parse_lines(path: Path, lines: Iterator[tuple[int, str]]) -> tuple[list[str], np.ndarray]:
     words: list[str] = []
     blocks: list[np.ndarray] = []
     tokens: list[str] = []  # components of the rows not parsed yet
     linenos: list[int] = []  # their line numbers
     dim = block_rows = 0
     try:
-        for lineno, line in utf8_lines(path):
+        for lineno, line in lines:
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -252,7 +304,7 @@ def _load_text(path: Path, normalize: bool) -> EmbeddingTable:
         blocks.append(_parse_block(tokens, linenos, dim, path))
     if not words:
         raise InputError(f"{path}: no embedding rows found")
-    return _finish(words, np.concatenate(blocks), normalize, str(path))
+    return words, np.concatenate(blocks)
 
 
 def _is_int(token: str) -> bool:
@@ -274,8 +326,11 @@ def _binary_rows(words: list[str], payloads: list[bytes], dim: int, path: Path) 
     return vectors
 
 
-def _load_binary(path: Path, normalize: bool) -> EmbeddingTable:
-    data = path.read_bytes()
+def _parse_binary(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray]:
+    """Words and rows of the word2vec binary file ``path``, parsed from ``data``, its
+    bytes, if given."""
+    if data is None:
+        data = path.read_bytes()
     if not data:
         raise InputError(f"{path}: empty file")
     nl = data.find(b"\n")
@@ -309,11 +364,66 @@ def _load_binary(path: Path, normalize: bool) -> EmbeddingTable:
     except InputError:
         _binary_rows(words, payloads, dim, path)  # the words read before fail first
         raise
-    return _finish(words, _binary_rows(words, payloads, dim, path), normalize, str(path))
+    return words, _binary_rows(words, payloads, dim, path)
 
 
-def load_embeddings(path: str | Path, format: str = "text",
-                    normalize: bool = False) -> EmbeddingTable:
+def _read_entry(entry: Path, digest: str, format: str) -> tuple[list[str], np.ndarray] | None:
+    """The words and rows a cache entry holds, or None if it is missing or unsound."""
+    try:
+        data = entry.read_bytes()
+    except OSError:
+        return None
+    end = len(data) - 4  # the CRC-32 follows the rows
+    nul = data.find(b"\x00", len(CACHE_MAGIC), end)
+    if (nul < 0 or not data.startswith(CACHE_MAGIC)
+            or zlib.crc32(memoryview(data)[:end]) != int.from_bytes(data[end:], "little")):
+        return None
+    try:
+        header = json.loads(data[len(CACHE_MAGIC):nul].decode("utf-8"))
+        words, count, dim = header["words"].split(" "), header["count"], header["dim"]
+        sound = (header["version"] == CACHE_VERSION
+                 and header["format"] == format and header["sha256"] == digest
+                 and type(count) is int and type(dim) is int and count >= 1 and dim >= 1
+                 and len(words) == count and end - nul - 1 == 8 * count * dim)
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
+        return None
+    if not sound:
+        return None
+    rows = np.frombuffer(data, "<f8", count * dim, nul + 1).reshape(count, dim).astype(np.float64)
+    return (words, rows) if np.isfinite(rows).all() else None
+
+
+def _write_entry(entry: Path, digest: str, format: str,
+                 words: list[str], vectors: np.ndarray) -> None:
+    """Store a parse as a cache entry: a temp file, then a rename; failures are only logged."""
+    # neither format's words can hold a space
+    header = {"version": CACHE_VERSION, "format": format, "sha256": digest,
+              "count": len(words), "dim": vectors.shape[1], "words": " ".join(words)}
+    parts = [CACHE_MAGIC, json.dumps(header, separators=(",", ":")).encode("ascii"), b"\x00",
+             np.ascontiguousarray(vectors, dtype="<f8").data]
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.parent, prefix=".", suffix=".tmp")
+    except OSError as exc:
+        log.info("embedding cache not written: %s", exc)
+        return
+    try:
+        crc = 0
+        with os.fdopen(fd, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(crc.to_bytes(4, "little"))
+        os.replace(tmp, entry)
+    except OSError as exc:
+        log.info("embedding cache not written: %s", exc)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)  # already gone after the rename
+
+
+def load_embeddings(path: str | Path, format: str = "text", normalize: bool = False,
+                    cache: str | Path | None = None) -> EmbeddingTable:
     """Load an embedding file.
 
     Args:
@@ -321,18 +431,32 @@ def load_embeddings(path: str | Path, format: str = "text",
         format: "text" or "binary" (word2vec layouts, see module docstring).
         normalize: scale every row to unit L2 norm; zero vectors are
             rejected when set.
+        cache: directory of parsed tables to look the file up in and to
+            store its parse in (see module docstring); None parses the
+            file every time, hashes nothing and writes nothing.
 
     Duplicate words keep their first occurrence and log a warning. Words
-    are matched verbatim (no case folding).
+    are matched verbatim (no case folding). Loaded through a cache, the
+    table's ``source_sha256`` is the SHA-256 of the bytes it came from.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"embedding file not found: {path}")
-    if format == "text":
-        return _load_text(path, normalize)
-    if format == "binary":
-        return _load_binary(path, normalize)
-    raise InputError(f"unknown embedding format {format!r} (expected text or binary)")
+    if format not in FORMATS:
+        raise InputError(f"unknown embedding format {format!r} (expected text or binary)")
+    parse = _parse_text if format == "text" else _parse_binary
+    if cache is None:
+        return _finish(*parse(path, None), normalize, str(path), "")
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    entry = Path(cache) / f"{digest}-{format}.hptab"
+    cached = _read_entry(entry, digest, format)
+    if cached is not None:
+        return _finish(*cached, normalize, str(path), digest)
+    parsed = parse(path, data)
+    table = _finish(*parsed, normalize, str(path), digest)
+    _write_entry(entry, digest, format, *parsed)  # only a file that loads gets an entry
+    return table
 
 
 def save_embeddings_text(table: EmbeddingTable, path: str | Path) -> None:
@@ -362,7 +486,7 @@ def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
     Each query row is one matrix-vector product with the table, so its
     scores are bitwise the same whatever block it lands in.
     """
-    queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64), table._max_norm)
+    queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64), table)
     n, vocab = queries.shape[0], len(table)
     rows = max(1, BLOCK_ENTRIES // vocab)
     dead = np.flatnonzero(table._row_norms == 0.0)
@@ -409,7 +533,7 @@ def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, l: int,
     query = np.asarray(query, dtype=np.float64).reshape(-1)
     if query.shape[0] != table.dim:
         raise InputError(f"query has dimension {query.shape[0]}, table has {table.dim}")
-    _, qnorm = _scaled_queries(query[None, :], table._max_norm)
+    _, qnorm = _scaled_queries(query[None, :], table)
     if qnorm[0] == 0.0:
         raise InputError("cosine similarity is undefined for a zero query vector")
     idx = table.lookup(exclude) if exclude is not None else None
@@ -422,6 +546,4 @@ def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, l: int,
 
 def vocab_hash(table: EmbeddingTable) -> str:
     """SHA-256 over the newline-joined vocabulary; recorded in model files."""
-    import hashlib
-
     return hashlib.sha256("\n".join([*table.vocab, ""]).encode("utf-8")).hexdigest()

@@ -20,6 +20,15 @@ settings.register_profile("ci", derandomize=True, max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def embedding_cache(tmp_path_factory):
+    """The command-line tool's parsed-table cache, in a directory of this test session."""
+    with pytest.MonkeyPatch.context() as mp:
+        cache = tmp_path_factory.mktemp("hyperproj-cache")
+        mp.setenv("HYPERPROJ_CACHE", str(cache))
+        yield cache
+
+
 @pytest.fixture
 def tiny_table():
     """Three axis-aligned words: a=(1,0), b=(0,1), c=(-1,0)."""

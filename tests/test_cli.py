@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hyperproj import cli
 from hyperproj.cli import main
 from hyperproj.embeddings import load_embeddings
 from hyperproj.projection import MODEL_MAGIC, load_model, save_model
@@ -297,7 +304,10 @@ class TestEndToEndDeterminism:
 
 
 def assert_one_error_line(code, capsys, expected=""):
-    err = capsys.readouterr().err
+    check_one_error_line(code, capsys.readouterr().err, expected)
+
+
+def check_one_error_line(code, err, expected=""):
     assert code == 2
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
@@ -380,6 +390,23 @@ class TestBadInputExit2:
         code = run("cluster", "--embeddings", emb, "--format", "binary",
                    "--split-dir", split_dir, "--out", tmp_path / "c.json")
         assert_one_error_line(code, capsys, "word 2 of 2 is not valid UTF-8")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would reach stderr too
+    @pytest.mark.parametrize("command", ["cluster", "predict"])
+    def test_row_norm_above_the_float64_maximum(self, tmp_path, capsys, split_dir, command):
+        from conftest import make_model
+
+        emb = tmp_path / "e.txt"
+        emb.write_text("a 1 0\nbig 1.7e308 1.7e308\n")
+        model = tmp_path / "m.hprj"
+        save_model(make_model(np.eye(2)), model)
+        argv = {
+            "cluster": ["cluster", "--embeddings", emb, "--split-dir", split_dir,
+                        "--out", tmp_path / "c.json"],
+            "predict": ["predict", "--model", model, "--embeddings", emb, "a"],
+        }[command]
+        capsys.readouterr()
+        assert_one_error_line(run(*argv), capsys, "row 2 ('big') has an L2 norm above")
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_model_dimension_differs_from_embeddings(self, tmp_path, capsys, command):
@@ -491,3 +518,98 @@ def test_unknown_subcommand_exit_2():
 
 def test_usage_error_exit_2(tmp_path):
     assert run("split", "--relations") == 2
+
+
+class TestEmbeddingCache:
+    def test_cache_dir_follows_the_environment(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("HYPERPROJ_CACHE", str(tmp_path / "mine"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert cli._cache_dir() == tmp_path / "mine"
+        monkeypatch.setenv("HYPERPROJ_CACHE", "")
+        assert cli._cache_dir() == tmp_path / "xdg" / "hyperproj"
+        monkeypatch.delenv("HYPERPROJ_CACHE")
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        assert cli._cache_dir() == tmp_path / "home" / ".cache" / "hyperproj"
+
+    def test_embeddings_are_read_and_hashed_once_per_command(self, tmp_path, monkeypatch,
+                                                             fixture_dir, split_dir):
+        monkeypatch.setenv("HYPERPROJ_CACHE", str(tmp_path / "cache"))
+        emb = fixture_dir / "embeddings.txt"
+        digest = hashlib.sha256(emb.read_bytes()).hexdigest()
+        flags = ["--embeddings", emb]
+        commands = {
+            "c.json": ["cluster", *flags, "--split-dir", split_dir, "--k", 1, "--out"],
+            "m.hprj": ["train", *flags, "--split-dir", split_dir, "--k", 1, "--epochs", 2,
+                       "--out"],
+            "r.json": ["eval", *flags, "--model", tmp_path / "m.hprj",
+                       "--test", split_dir / "test.tsv", "--out"],
+        }
+        hashed = []
+        real = cli._sha256
+        with mock.patch.object(cli, "_sha256", lambda path: hashed.append(path) or real(path)):
+            for out, argv in commands.items():
+                assert run(*argv, tmp_path / out) == 0
+                inputs = json.loads((tmp_path / f"{out}.manifest.json").read_text())["inputs"]
+                assert inputs[str(emb)] == digest
+        assert Path(emb) not in hashed and hashed  # the other inputs still are
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{digest}-text.hptab"]
+
+
+def stderr_of(argv):
+    """Exit code and standard error of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small fixture, its split, and a cluster file and model trained on it."""
+    tmp = tmp_path_factory.mktemp("trained")
+    emb = tmp / "fix" / "embeddings.txt"
+    assert run("synth", "--d", 3, "--n", 30, "--seed", 1, "--out", tmp / "fix") == 0
+    assert run("split", "--relations", tmp / "fix" / "relations.tsv", "--out", tmp / "split") == 0
+    assert run("cluster", "--embeddings", emb, "--split-dir", tmp / "split", "--k", 1,
+               "--out", tmp / "c.json") == 0
+    assert run("train", "--embeddings", emb, "--split-dir", tmp / "split", "--k", 1,
+               "--epochs", 2, "--out", tmp / "m.hprj") == 0
+    return tmp
+
+
+def fuzzed(valid: bytes, start: bytes, kind: str, junk: bytes, cut: int) -> bytes:
+    """Arbitrary bytes, bytes after ``start``, or ``valid`` cut short: never a valid file."""
+    cases = {"arbitrary": junk, "started": start + junk, "truncated": valid[:cut % len(valid)]}
+    return cases[kind]
+
+
+FUZZ = given(kind=st.sampled_from(["arbitrary", "started", "truncated"]),
+             junk=st.binary(max_size=200), cut=st.integers(min_value=0))
+HUGE = b"1" + b"0" * 400  # an integer too large for a float
+
+
+class TestLoaderFuzz:
+    """Bad model and cluster files exit 2 with one error line, whatever their bytes."""
+
+    @FUZZ
+    @settings(deadline=None)
+    def test_model_file(self, trained, kind, junk, cut):
+        model = trained / "fuzz.hprj"
+        model.write_bytes(fuzzed((trained / "m.hprj").read_bytes(), MODEL_MAGIC, kind, junk, cut))
+        check_one_error_line(*stderr_of([
+            "eval", "--model", model, "--embeddings", trained / "fix" / "embeddings.txt",
+            "--test", trained / "split" / "test.tsv", "--out", trained / "r.json"]))
+
+    @FUZZ
+    @example(kind="started", junk=b"[[1, 2, 3]], " + b'"inertia": ' + HUGE + b"}", cut=0)
+    @example(kind="started", junk=b"[[" + HUGE + b", 2, 3]], " + b'"inertia": 1}', cut=0)
+    @settings(deadline=None)
+    def test_cluster_file(self, trained, kind, junk, cut):
+        clusters = trained / "fuzz.json"
+        clusters.write_bytes(fuzzed((trained / "c.json").read_bytes().rstrip(),
+                                    b'{"centroids": ', kind, junk, cut))
+        check_one_error_line(*stderr_of([
+            "train", "--embeddings", trained / "fix" / "embeddings.txt", "--split-dir",
+            trained / "split", "--k", 1, "--epochs", 1, "--clusters", clusters,
+            "--out", trained / "fuzz.hprj"]))

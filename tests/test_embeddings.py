@@ -299,6 +299,14 @@ def binary_files(draw):
     return bytes(data)
 
 
+def load_text(path, normalize):
+    return load_embeddings(path, "text", normalize)
+
+
+def load_binary(path, normalize):
+    return load_embeddings(path, "binary", normalize)
+
+
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "emb"
@@ -318,14 +326,14 @@ class TestLoadersMatchReference:
     def test_text(self, fuzz_file, parse_tokens, data, normalize):
         fuzz_file.write_bytes(data)
         with mock.patch.object(embeddings, "PARSE_TOKENS", parse_tokens):
-            got = outcome(embeddings._load_text, fuzz_file, normalize)
+            got = outcome(load_text, fuzz_file, normalize)
         assert got == outcome(reference_load_text, fuzz_file, normalize)
 
     @given(data=binary_files() | st.binary(max_size=200), normalize=st.booleans())
     @settings(deadline=None)
     def test_binary(self, fuzz_file, data, normalize):
         fuzz_file.write_bytes(data)
-        assert (outcome(embeddings._load_binary, fuzz_file, normalize)
+        assert (outcome(load_binary, fuzz_file, normalize)
                 == outcome(reference_load_binary, fuzz_file, normalize))
 
     @BLOCK_SIZES
@@ -359,8 +367,9 @@ def _fstring_writer(table, path):
             fh.write(f"{word} {comps}\n")
 
 
-EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, -0.0, 0.0,
-            1e308, -1e308, 1.7976931348623157e308, 2.2250738585072014e-308,
+# four rows of four, none with an L2 norm above the float64 maximum
+EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, -0.0, 1.7976931348623157e308,
+            1e308, -1e308, 0.0, 2.2250738585072014e-308,
             1 / 3, 123456789.0, 1e16, -2.5]
 
 
@@ -379,7 +388,8 @@ class TestSaveText:
         assert (tmp_path / "again.txt").read_bytes() == first
         assert load_embeddings(tmp_path / "again.txt").vectors.tobytes() == again.vectors.tobytes()
 
-    @given(st.lists(st.floats(width=64, allow_nan=False, allow_infinity=False),
+    # three components of at most 1e308 keep a row's norm finite
+    @given(st.lists(st.floats(min_value=-1e308, max_value=1e308),
                     min_size=3, max_size=30).map(lambda v: v[:len(v) // 3 * 3]))
     @settings(deadline=None)
     def test_matches_fstring_writer(self, fuzz_file, values):
@@ -520,6 +530,37 @@ class TestExtremeRowNorms:
         _, plain = next(embeddings.cosine_blocks(table, queries[3:]))
         assert S[3].tobytes() == plain[0].tobytes()
 
+    # the query norms are plain, but times the norm of row h, 1e-200, they underflow;
+    # the exact cosines with the rows h, (1, 0) and (0, 1)
+    TINY_ROW_QUERIES = [[1e-150, 0.0], [0.0, 1e-150], [1e-120, 1e-120], [1.0, 0.0]]
+    TINY_ROW_EXACT = [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                      [0.5 ** 0.5, 0.5 ** 0.5, 0.5 ** 0.5], [1.0, 1.0, 0.0]]
+
+    def test_product_with_a_tiny_row_is_exact(self):
+        table = EmbeddingTable(["h", "b", "c"], np.array([[1e-200, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        queries = np.array(self.TINY_ROW_QUERIES)
+        with np.errstate(all="raise"):
+            _, S = next(embeddings.cosine_blocks(table, queries))
+            neighbors = [dict(nearest_neighbors(table, q, 3).entries) for q in queries]
+        np.testing.assert_allclose(S, self.TINY_ROW_EXACT, rtol=1e-14, atol=0)
+        for got, exact in zip(neighbors, self.TINY_ROW_EXACT):
+            np.testing.assert_allclose([got[w] for w in ("h", "b", "c")], exact,
+                                       rtol=1e-14, atol=0)
+        assert queries.tolist() == self.TINY_ROW_QUERIES  # the caller's array is not modified
+        # a query whose product cannot underflow scores bitwise as it does alone
+        _, plain = next(embeddings.cosine_blocks(table, queries[3:]))
+        assert S[3].tobytes() == plain[0].tobytes()
+
+    def test_norm_above_the_float64_maximum_is_rejected(self, tmp_path):
+        rows = np.array([[1.0, 0.0], [1.7e308, 1.7e308]])
+        with pytest.raises(InputError, match=r"row 2 \('big'\) has an L2 norm above"):
+            EmbeddingTable(["a", "big"], rows)
+        path = write(tmp_path / "e.txt", "a 1 0\nbig 1.7e308 1.7e308\n")
+        with pytest.raises(InputError, match=r"row 2 \('big'\)"):
+            load_embeddings(path)
+        with pytest.raises(InputError, match=r"e.txt: L2 norm above the float64 max\w+ \(row 2\)"):
+            load_embeddings(path, normalize=True)
+
 
 def test_duplicate_vocab_rejected_in_table():
     with pytest.raises(InputError, match="duplicate"):
@@ -539,3 +580,129 @@ def test_vocab_hash_changes_with_vocab(tiny_table):
     other = EmbeddingTable(["a", "b", "d"], tiny_table.vectors.copy())
     assert vocab_hash(tiny_table) != vocab_hash(other)
     assert vocab_hash(tiny_table) == vocab_hash(tiny_table)
+
+
+# ---------------------------------------------------------------------------
+# the parsed-table cache
+# ---------------------------------------------------------------------------
+
+PARSERS = {"text": "_parse_text", "binary": "_parse_binary"}
+CACHE_ROWS = [("a", [1.0, 2.0, 2.0]), ("b", [1e-30, 0.0, 0.0]), ("c", [0.1, -3.5, 1e30]),
+              ("a", [9.0, 9.0, 9.0])]  # a duplicate, which the first row wins
+
+
+def write_cache_file(path, format, rows=CACHE_ROWS):
+    if format == "text":
+        path.write_text("".join(f"{w} {' '.join(map(repr, v))}\n" for w, v in rows))
+    else:
+        path.write_bytes(f"{len(rows)} {len(rows[0][1])}\n".encode() + b"".join(
+            w.encode() + b" " + struct.pack(f"<{len(v)}f", *v) for w, v in rows))
+    return path
+
+
+def assert_same_table(got, want):
+    assert got.vocab == want.vocab
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert got._row_norms.tobytes() == want._row_norms.tobytes()
+    assert vocab_hash(got) == vocab_hash(want)
+    assert got.normalized == want.normalized
+
+
+def entries(cache):
+    return sorted(cache.glob("*.hptab"))
+
+
+class TestCache:
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
+    @pytest.mark.parametrize("format", ["text", "binary"])
+    def test_hit_is_bitwise_a_parse(self, tmp_path, format, normalize):
+        path = write_cache_file(tmp_path / "e", format)
+        parsed = load_embeddings(path, format, normalize)
+        cold = load_embeddings(path, format, normalize, cache=tmp_path / "cache")
+        assert len(entries(tmp_path / "cache")) == 1
+        with mock.patch.object(embeddings, PARSERS[format], side_effect=AssertionError):
+            warm = load_embeddings(path, format, normalize, cache=tmp_path / "cache")
+            # the entry holds the raw parse, so the other setting of normalize hits it too
+            other = load_embeddings(path, format, not normalize, cache=tmp_path / "cache")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert [t.source_sha256 for t in (parsed, cold, warm, other)] == ["", *[digest] * 3]
+        assert_same_table(cold, parsed)
+        assert_same_table(warm, parsed)
+        assert_same_table(other, load_embeddings(path, format, not normalize))
+
+    def test_duplicate_words_warn_on_a_hit(self, tmp_path, caplog):
+        path = write_cache_file(tmp_path / "e.txt", "text")
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hyperproj.embeddings"):
+                table = load_embeddings(path, cache=tmp_path / "cache")
+            assert table.vocab == ["a", "b", "c"]
+            assert "dropped 1 duplicate word(s)" in caplog.text
+
+    def test_file_edited_in_place_misses(self, tmp_path):
+        path = write(tmp_path / "e.txt", "a 1 2\nb 3 4\n")
+        load_embeddings(path, cache=tmp_path / "cache")
+        write(path, "a 1 2\nb 3 5\n")  # the same size and name
+        table = load_embeddings(path, cache=tmp_path / "cache")
+        assert table.vectors.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+        assert len(entries(tmp_path / "cache")) == 2
+        # the same bytes under a different format are another key
+        with pytest.raises(InputError):
+            load_embeddings(path, "binary", cache=tmp_path / "cache")
+
+    @pytest.mark.parametrize("cache", ["file", "file/below", "dir"])
+    def test_unwritable_cache_still_loads(self, tmp_path, cache):
+        path = write_cache_file(tmp_path / "e.txt", "text")
+        write(tmp_path / "file", "not a directory")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        (tmp_path / "dir" / f"{digest}-text.hptab").mkdir(parents=True)  # where the entry goes
+        for _ in range(2):
+            assert_same_table(load_embeddings(path, cache=tmp_path / cache), load_embeddings(path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "e.txt", "file"]
+        assert [p.name for p in (tmp_path / "dir").iterdir()] == [f"{digest}-text.hptab"]
+
+    @pytest.mark.parametrize("text, normalize", [
+        ("a 1 2\nb x 3\n", False), ("a 1 2\nb 1\n", False), ("a 0 0\n", True),
+        ("a 1.7e308 1.7e308\n", False),
+    ], ids=["unparsable", "dimension", "zero-row", "norm-overflow"])
+    def test_file_that_fails_to_load_gets_no_entry(self, tmp_path, text, normalize):
+        path = write(tmp_path / "e.txt", text)
+        with pytest.raises(InputError) as plain:
+            load_embeddings(path, normalize=normalize)
+        for _ in range(2):
+            with pytest.raises(InputError) as cached:
+                load_embeddings(path, normalize=normalize, cache=tmp_path / "cache")
+            assert str(cached.value) == str(plain.value)
+        assert entries(tmp_path / "cache") == []
+
+    @pytest.fixture(scope="class")
+    def valid_entry(self, tmp_path_factory):
+        """A table file, its parse, and its cache entry's path and bytes."""
+        tmp = tmp_path_factory.mktemp("entry")
+        path = write_cache_file(tmp / "e.txt", "text")
+        load_embeddings(path, cache=tmp / "cache")
+        [entry] = entries(tmp / "cache")
+        return path, load_embeddings(path), entry, entry.read_bytes()
+
+    @staticmethod
+    @st.composite
+    def damaged(draw, valid):
+        kind = draw(st.sampled_from(["arbitrary", "truncated", "flipped", "appended"]))
+        if kind == "arbitrary":
+            return draw(st.binary(max_size=300) | st.just(embeddings.CACHE_MAGIC))
+        if kind == "truncated":
+            return valid[:draw(st.integers(0, len(valid) - 1))]
+        if kind == "appended":
+            return valid + draw(st.binary(min_size=1, max_size=8))
+        data = bytearray(valid)
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data)
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_damaged_entry_falls_back_to_the_parse(self, valid_entry, data):
+        path, parsed, entry, valid = valid_entry
+        entry.write_bytes(data.draw(self.damaged(valid)))
+        assert_same_table(load_embeddings(path, cache=entry.parent), parsed)
+        assert entry.read_bytes() == valid  # a miss rewrites the entry

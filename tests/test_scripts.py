@@ -13,8 +13,8 @@ from hyperproj.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(script, *args):
-    env = dict(os.environ)
+def run_script(script, *args, **env_vars):
+    env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
@@ -42,6 +42,16 @@ def test_golden_digests_lists_every_output():
             "neighbor-select.report.json", "neighbor-reproj-batch68.hprj",
             "(predict stdout)"} <= set(names)
     assert not any(name.endswith("manifest.json") for name in names)
+
+
+def test_golden_digests_same_cold_and_warm(tmp_path):
+    cache = tmp_path / "cache"
+    cold = run_script("golden_digests.py", HYPERPROJ_CACHE=str(cache))
+    assert cold.returncode == 0, cold.stderr
+    assert len(list(cache.iterdir())) == 1  # one fixture, parsed once
+    warm = run_script("golden_digests.py", HYPERPROJ_CACHE=str(cache))
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold.stdout
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch):
