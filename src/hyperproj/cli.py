@@ -89,11 +89,17 @@ class Manifest:
         _atomic_write(path, lambda p: p.write_text(blob, encoding="utf-8"))
 
 
-def _cache_dir() -> Path:
-    """HYPERPROJ_CACHE, else $XDG_CACHE_HOME/hyperproj, else ~/.cache/hyperproj."""
+def _cache_dir() -> Path | None:
+    """HYPERPROJ_CACHE, else $XDG_CACHE_HOME/hyperproj, else ~/.cache/hyperproj;
+    None, so that tables are parsed every time, if there is no home directory."""
     if os.environ.get("HYPERPROJ_CACHE"):
         return Path(os.environ["HYPERPROJ_CACHE"])
-    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "hyperproj"
+    if os.environ.get("XDG_CACHE_HOME"):
+        return Path(os.environ["XDG_CACHE_HOME"]) / "hyperproj"
+    try:
+        return Path.home() / ".cache" / "hyperproj"
+    except RuntimeError:  # neither HOME nor a password entry names one
+        return None
 
 
 def _load_table(args, manifest: Manifest | None = None) -> EmbeddingTable:

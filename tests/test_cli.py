@@ -531,6 +531,8 @@ class TestEmbeddingCache:
         monkeypatch.delenv("HYPERPROJ_CACHE")
         monkeypatch.delenv("XDG_CACHE_HOME")
         assert cli._cache_dir() == tmp_path / "home" / ".cache" / "hyperproj"
+        monkeypatch.setattr(Path, "home", mock.Mock(side_effect=RuntimeError("no home")))
+        assert cli._cache_dir() is None
 
     def test_embeddings_are_read_and_hashed_once_per_command(self, tmp_path, monkeypatch,
                                                              fixture_dir, split_dir):
