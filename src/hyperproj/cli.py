@@ -7,7 +7,7 @@ HYPERPROJ_LOG environment variable (debug/info/warning/error) controls
 log verbosity.
 
 Every command that reads ``--embeddings`` goes through ``_load_table``,
-which keeps parsed tables in a cache directory (see ``embeddings``):
+which keeps parsed text tables in a cache directory (see ``embeddings``):
 HYPERPROJ_CACHE, else ``$XDG_CACHE_HOME/hyperproj``, else
 ``~/.cache/hyperproj``. Outputs are the same with a cold or a warm cache.
 """

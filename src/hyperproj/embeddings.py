@@ -14,19 +14,23 @@ row-by-row reader would: within a text line an unparsable component
 comes before a dimension mismatch, which comes before a non-finite value.
 
 Given a ``cache`` directory, ``load_embeddings`` reads the file's bytes
-once and hashes them, and looks their parse up there under the SHA-256
-plus the format; after a miss it parses those same bytes and stores the
+once and hashes them, and looks the parse of a text file up there under
+the SHA-256; after a miss it parses those same bytes and stores the
 result. An entry holds the words in file order, duplicates included, and
 the float64 rows bit for bit, so a hit gives the table a parse gives:
 duplicates, their warning and ``normalize`` are applied after either.
 An entry that is missing, short or unsound in any way is a miss, an
 unwritable directory only means parsing every time, and a file that
 fails to load never gets an entry. The entry layout follows the model
-file's: ``CACHE_MAGIC``, a JSON header (version, format, sha256, count,
-dim, and the words joined by spaces, which no word holds), a NUL, the
-row-major little-endian float64 rows, and a little-endian CRC-32 of
-everything before it. With no ``cache``, the file is parsed as it is
-read, and nothing is hashed or written.
+file's: ``CACHE_MAGIC``, a JSON header (version, sha256, count, dim, and
+the words joined by spaces, which no word holds) padded with spaces so
+that the rows start 8-byte aligned, a NUL, the row-major little-endian
+float64 rows, and a little-endian CRC-32 of everything before it. A
+binary file is hashed but never cached: its float64 entry would be twice
+the file's size, and on a large table (70k rows of 100) a hit saved only
+about a seventh of a parse while a miss cost about a third more. With no
+``cache``, the file is parsed as it is read, and nothing is hashed or
+written.
 
 Every similarity search, from ``nearest_neighbors`` here to ranking in
 the evaluation module, scores through ``cosine_blocks``.
@@ -47,13 +51,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, open_utf8, utf8_lines
+from .errors import InputError, utf8_lines
 
 log = logging.getLogger(__name__)
 
 TEXT_PRECISION = 9  # significant digits written by save_embeddings_text
 BLOCK_ENTRIES = 1 << 15  # scores cosine_blocks holds at once: 256 KiB of float64
-PARSE_TOKENS = 1 << 15  # components _parse_lines converts at once: max(1, PARSE_TOKENS // dim) rows
+PARSE_TOKENS = 1 << 15  # components _parse_text converts at once: max(1, PARSE_TOKENS // dim) rows
 # below this a row's sum of squares underflows to a subnormal or to 0
 NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 # a query norm times a row norm at most this keeps their dot product finite, rounding included
@@ -62,7 +66,7 @@ PRODUCT_CEILING = float(np.finfo(np.float64).max) / 2
 PRODUCT_FLOOR = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 FORMATS = ("text", "binary")
 CACHE_MAGIC = b"HPTAB1"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def _extreme_rows(vectors: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,13 +96,17 @@ def _scaled_queries(queries: np.ndarray,
     PRODUCT_CEILING, so that a dot product could overflow, or times its smallest
     nonzero row norm falls below PRODUCT_FLOOR, so that one could underflow. Both
     happen in a copy, so the caller's array is not modified and every other query
-    keeps its bits.
+    keeps its bits. The underflow guard needs that smallest norm to be at least
+    PRODUCT_FLOOR (about 1e-292), or a unit query would not help: a table with a
+    smaller nonzero row scales no query for underflow, and a tiny query's scores
+    against that row can lose precision or be NaN.
     """
     with np.errstate(over="ignore", under="ignore"):
         norms = np.sqrt((queries[:, None, :] @ queries[:, :, None]).reshape(len(queries)))
     plain = norms.tolist()  # for a few queries Python's min and max cost less than numpy's
     high = PRODUCT_CEILING / table._max_norm if table._max_norm > 0.0 else np.inf
-    low = PRODUCT_FLOOR / table._min_norm  # 0 when every row is zero
+    # no underflow guard below PRODUCT_FLOOR, where it cannot help, or when every row is zero
+    low = PRODUCT_FLOOR / table._min_norm if table._min_norm >= PRODUCT_FLOOR else 0.0
     if max(NORM_FLOOR, low) <= min(plain, default=1.0) and max(plain, default=1.0) < high:
         return queries, norms
     redo, scale = _extreme_rows(queries, norms)
@@ -252,21 +260,13 @@ def _parse_block(tokens: list[str], linenos: list[int], dim: int, path: Path) ->
 
 def _parse_text(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray]:
     """Words and rows of the text file ``path``, parsed from ``data``, its bytes, if given."""
-    try:  # one strict decoding pass, unless the file is not UTF-8
-        with open_utf8(path, data) as fh:
-            return _parse_lines(path, enumerate(fh, start=1))
-    except UnicodeDecodeError:  # then line by line, so that an earlier line's error comes first
-        return _parse_lines(path, utf8_lines(path, data))
-
-
-def _parse_lines(path: Path, lines: Iterator[tuple[int, str]]) -> tuple[list[str], np.ndarray]:
     words: list[str] = []
     blocks: list[np.ndarray] = []
     tokens: list[str] = []  # components of the rows not parsed yet
     linenos: list[int] = []  # their line numbers
     dim = block_rows = 0
     try:
-        for lineno, line in lines:
+        for lineno, line in utf8_lines(path, data):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -367,10 +367,14 @@ def _parse_binary(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray
     return words, _binary_rows(words, payloads, dim, path)
 
 
-def _read_entry(entry: Path, digest: str, format: str) -> tuple[list[str], np.ndarray] | None:
+def _read_entry(entry: Path, digest: str) -> tuple[list[str], np.ndarray] | None:
     """The words and rows a cache entry holds, or None if it is missing or unsound."""
     try:
-        data = entry.read_bytes()
+        with open(entry, "rb") as fh:
+            # a writable buffer, so that the rows are a view of it rather than a copy
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            if fh.readinto(data) != len(data):
+                return None
     except OSError:
         return None
     end = len(data) - 4  # the CRC-32 follows the rows
@@ -381,26 +385,24 @@ def _read_entry(entry: Path, digest: str, format: str) -> tuple[list[str], np.nd
     try:
         header = json.loads(data[len(CACHE_MAGIC):nul].decode("utf-8"))
         words, count, dim = header["words"].split(" "), header["count"], header["dim"]
-        sound = (header["version"] == CACHE_VERSION
-                 and header["format"] == format and header["sha256"] == digest
+        sound = (header["version"] == CACHE_VERSION and header["sha256"] == digest
                  and type(count) is int and type(dim) is int and count >= 1 and dim >= 1
                  and len(words) == count and end - nul - 1 == 8 * count * dim)
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
         return None
     if not sound:
         return None
-    rows = np.frombuffer(data, "<f8", count * dim, nul + 1).reshape(count, dim).astype(np.float64)
+    rows = np.frombuffer(data, "<f8", count * dim, nul + 1).reshape(count, dim)
     return (words, rows) if np.isfinite(rows).all() else None
 
 
-def _write_entry(entry: Path, digest: str, format: str,
-                 words: list[str], vectors: np.ndarray) -> None:
+def _write_entry(entry: Path, digest: str, words: list[str], vectors: np.ndarray) -> None:
     """Store a parse as a cache entry: a temp file, then a rename; failures are only logged."""
-    # neither format's words can hold a space
-    header = {"version": CACHE_VERSION, "format": format, "sha256": digest,
-              "count": len(words), "dim": vectors.shape[1], "words": " ".join(words)}
-    parts = [CACHE_MAGIC, json.dumps(header, separators=(",", ":")).encode("ascii"), b"\x00",
-             np.ascontiguousarray(vectors, dtype="<f8").data]
+    header = {"version": CACHE_VERSION, "sha256": digest, "count": len(words),
+              "dim": vectors.shape[1], "words": " ".join(words)}  # no word holds a space
+    blob = json.dumps(header, separators=(",", ":")).encode("ascii")
+    blob += b" " * (-(len(CACHE_MAGIC) + len(blob) + 1) % 8)  # the rows start 8-byte aligned
+    parts = [CACHE_MAGIC, blob, b"\x00", np.ascontiguousarray(vectors, dtype="<f8").data]
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=entry.parent, prefix=".", suffix=".tmp")
@@ -444,18 +446,25 @@ def load_embeddings(path: str | Path, format: str = "text", normalize: bool = Fa
         raise InputError(f"embedding file not found: {path}")
     if format not in FORMATS:
         raise InputError(f"unknown embedding format {format!r} (expected text or binary)")
-    parse = _parse_text if format == "text" else _parse_binary
     if cache is None:
+        parse = _parse_text if format == "text" else _parse_binary
         return _finish(*parse(path, None), normalize, str(path), "")
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
-    entry = Path(cache) / f"{digest}-{format}.hptab"
-    cached = _read_entry(entry, digest, format)
-    if cached is not None:
-        return _finish(*cached, normalize, str(path), digest)
-    parsed = parse(path, data)
+    if format == "binary":  # never cached, see the module docstring
+        return _finish(*_parse_binary(path, data), normalize, str(path), digest)
+    entry = Path(cache) / f"{digest}.hptab"
+    if entry.is_file():
+        del data  # not held alongside the entry
+        cached = _read_entry(entry, digest)
+        if cached is not None:
+            return _finish(*cached, normalize, str(path), digest)
+        data = path.read_bytes()  # an unsound entry: parse the file as it is now
+        digest = hashlib.sha256(data).hexdigest()
+        entry = Path(cache) / f"{digest}.hptab"
+    parsed = _parse_text(path, data)
     table = _finish(*parsed, normalize, str(path), digest)
-    _write_entry(entry, digest, format, *parsed)  # only a file that loads gets an entry
+    _write_entry(entry, digest, *parsed)  # only a file that loads gets an entry
     return table
 
 

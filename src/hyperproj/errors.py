@@ -2,8 +2,8 @@
 
 The CLI maps InputError to exit code 2 (bad input or configuration) and
 every other HyperprojError to exit code 1 (runtime failure). Every text
-loader reads a file that is not UTF-8 through ``utf8_lines``, so a byte
-sequence that is not UTF-8 is an InputError naming the file and line.
+loader reads through ``utf8_lines``, so a byte sequence that is not UTF-8
+is an InputError naming the file and line.
 """
 
 from __future__ import annotations
@@ -25,26 +25,15 @@ class TrainingError(HyperprojError):
     """Optimization failure, e.g. a non-finite gradient."""
 
 
-def open_utf8(path: str | Path, data: bytes | None = None,
-              errors: str = "strict") -> io.TextIOWrapper:
-    """The file ``path`` opened for reading as UTF-8 text.
-
-    ``data``, when given, is read in place of the file's bytes, with the
-    same decoding and line ends.
-    """
-    if data is None:
-        return open(path, encoding="utf-8", errors=errors)
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
-
-
 def utf8_lines(path: str | Path, data: bytes | None = None) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` for each line of a UTF-8 text file.
 
-    ``data``, when given, is read in place of the file's bytes (see
-    ``open_utf8``); ``path`` still names the file in errors.
+    ``data``, when given, is read in place of the file's bytes, with the
+    same decoding and line ends; ``path`` still names the file in errors.
     """
     # undecodable bytes come through as lone surrogates, which cannot re-encode
-    with open_utf8(path, data, errors="surrogateescape") as fh:
+    with (open(path, encoding="utf-8", errors="surrogateescape") if data is None else
+          io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:

@@ -555,7 +555,7 @@ class TestEmbeddingCache:
                 inputs = json.loads((tmp_path / f"{out}.manifest.json").read_text())["inputs"]
                 assert inputs[str(emb)] == digest
         assert Path(emb) not in hashed and hashed  # the other inputs still are
-        assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{digest}-text.hptab"]
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{digest}.hptab"]
 
 
 def stderr_of(argv):

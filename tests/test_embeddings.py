@@ -531,10 +531,13 @@ class TestExtremeRowNorms:
         assert S[3].tobytes() == plain[0].tobytes()
 
     # the query norms are plain, but times the norm of row h, 1e-200, they underflow;
-    # the exact cosines with the rows h, (1, 0) and (0, 1)
-    TINY_ROW_QUERIES = [[1e-150, 0.0], [0.0, 1e-150], [1e-120, 1e-120], [1.0, 0.0]]
+    # the exact cosines with the rows h, (1, 0) and (0, 1). The last query is safe,
+    # and its norm is not 1, so that dividing it by its norm would change its bits.
+    TINY_ROW_QUERIES = [[1e-150, 0.0], [0.0, 1e-150], [1e-120, 1e-120], [0.37, 1.9]]
     TINY_ROW_EXACT = [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                      [0.5 ** 0.5, 0.5 ** 0.5, 0.5 ** 0.5], [1.0, 1.0, 0.0]]
+                      [0.5 ** 0.5, 0.5 ** 0.5, 0.5 ** 0.5],
+                      [0.37 / np.hypot(0.37, 1.9), 0.37 / np.hypot(0.37, 1.9),
+                       1.9 / np.hypot(0.37, 1.9)]]
 
     def test_product_with_a_tiny_row_is_exact(self):
         table = EmbeddingTable(["h", "b", "c"], np.array([[1e-200, 0.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -550,6 +553,19 @@ class TestExtremeRowNorms:
         # a query whose product cannot underflow scores bitwise as it does alone
         _, plain = next(embeddings.cosine_blocks(table, queries[3:]))
         assert S[3].tobytes() == plain[0].tobytes()
+        _, unit = next(embeddings.cosine_blocks(table, queries[3:] / np.hypot(0.37, 1.9)))
+        assert S[3].tobytes() != unit[0].tobytes()  # which a unit query would not
+
+    def test_rows_below_the_product_floor_scale_no_query(self):
+        # no query scale keeps every product with row t, 1e-300, out of the
+        # subnormals, so no query is scaled for underflow and each keeps its bits
+        table = EmbeddingTable(["t", "b"], np.array([[1e-300, 0.0], [1.0, 0.0]]))
+        queries = np.array([[3.0, 4.0], [0.37, 1.9]])
+        assert embeddings._scaled_queries(queries, table)[0] is queries
+        with np.errstate(all="raise"):
+            _, S = next(embeddings.cosine_blocks(table, queries))
+        np.testing.assert_allclose(S, [[0.6, 0.6], [0.37 / np.hypot(0.37, 1.9)] * 2],
+                                   rtol=1e-14, atol=0)
 
     def test_norm_above_the_float64_maximum_is_rejected(self, tmp_path):
         rows = np.array([[1.0, 0.0], [1.7e308, 1.7e308]])
@@ -586,7 +602,6 @@ def test_vocab_hash_changes_with_vocab(tiny_table):
 # the parsed-table cache
 # ---------------------------------------------------------------------------
 
-PARSERS = {"text": "_parse_text", "binary": "_parse_binary"}
 CACHE_ROWS = [("a", [1.0, 2.0, 2.0]), ("b", [1e-30, 0.0, 0.0]), ("c", [0.1, -3.5, 1e30]),
               ("a", [9.0, 9.0, 9.0])]  # a duplicate, which the first row wins
 
@@ -614,21 +629,37 @@ def entries(cache):
 
 class TestCache:
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
-    @pytest.mark.parametrize("format", ["text", "binary"])
-    def test_hit_is_bitwise_a_parse(self, tmp_path, format, normalize):
-        path = write_cache_file(tmp_path / "e", format)
-        parsed = load_embeddings(path, format, normalize)
-        cold = load_embeddings(path, format, normalize, cache=tmp_path / "cache")
+    def test_hit_is_bitwise_a_parse(self, tmp_path, normalize):
+        path = write_cache_file(tmp_path / "e", "text")
+        parsed = load_embeddings(path, "text", normalize)
+        cold = load_embeddings(path, "text", normalize, cache=tmp_path / "cache")
         assert len(entries(tmp_path / "cache")) == 1
-        with mock.patch.object(embeddings, PARSERS[format], side_effect=AssertionError):
-            warm = load_embeddings(path, format, normalize, cache=tmp_path / "cache")
+        with mock.patch.object(embeddings, "_parse_text", side_effect=AssertionError):
+            warm = load_embeddings(path, "text", normalize, cache=tmp_path / "cache")
             # the entry holds the raw parse, so the other setting of normalize hits it too
-            other = load_embeddings(path, format, not normalize, cache=tmp_path / "cache")
+            other = load_embeddings(path, "text", not normalize, cache=tmp_path / "cache")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert [t.source_sha256 for t in (parsed, cold, warm, other)] == ["", *[digest] * 3]
         assert_same_table(cold, parsed)
         assert_same_table(warm, parsed)
-        assert_same_table(other, load_embeddings(path, format, not normalize))
+        assert_same_table(other, load_embeddings(path, "text", not normalize))
+
+    def test_rows_of_a_hit_are_aligned_and_writable(self, tmp_path):
+        for n in range(1, 9):  # entry headers of every length modulo 8
+            path = write(tmp_path / f"e{n}.txt", f"{'w' * n} 1 2\n")
+            load_embeddings(path, cache=tmp_path / "cache")
+            with mock.patch.object(embeddings, "_parse_text", side_effect=AssertionError):
+                flags = load_embeddings(path, cache=tmp_path / "cache").vectors.flags
+            assert flags.aligned and flags.writeable
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
+    def test_binary_is_hashed_not_cached(self, tmp_path, normalize):
+        path = write_cache_file(tmp_path / "e", "binary")
+        for _ in range(2):
+            table = load_embeddings(path, "binary", normalize, cache=tmp_path / "cache")
+            assert_same_table(table, load_embeddings(path, "binary", normalize))
+            assert table.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert not (tmp_path / "cache").exists()
 
     def test_duplicate_words_warn_on_a_hit(self, tmp_path, caplog):
         path = write_cache_file(tmp_path / "e.txt", "text")
@@ -646,7 +677,7 @@ class TestCache:
         table = load_embeddings(path, cache=tmp_path / "cache")
         assert table.vectors.tolist() == [[1.0, 2.0], [3.0, 5.0]]
         assert len(entries(tmp_path / "cache")) == 2
-        # the same bytes under a different format are another key
+        # the same bytes read as binary are parsed as such, not looked up
         with pytest.raises(InputError):
             load_embeddings(path, "binary", cache=tmp_path / "cache")
 
@@ -655,11 +686,11 @@ class TestCache:
         path = write_cache_file(tmp_path / "e.txt", "text")
         write(tmp_path / "file", "not a directory")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        (tmp_path / "dir" / f"{digest}-text.hptab").mkdir(parents=True)  # where the entry goes
+        (tmp_path / "dir" / f"{digest}.hptab").mkdir(parents=True)  # where the entry goes
         for _ in range(2):
             assert_same_table(load_embeddings(path, cache=tmp_path / cache), load_embeddings(path))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "e.txt", "file"]
-        assert [p.name for p in (tmp_path / "dir").iterdir()] == [f"{digest}-text.hptab"]
+        assert [p.name for p in (tmp_path / "dir").iterdir()] == [f"{digest}.hptab"]
 
     @pytest.mark.parametrize("text, normalize", [
         ("a 1 2\nb x 3\n", False), ("a 1 2\nb 1\n", False), ("a 0 0\n", True),
