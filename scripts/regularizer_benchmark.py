@@ -24,17 +24,21 @@ from hyperproj.synth import SynthConfig, make_fixture
 from hyperproj.training import TrainConfig, train
 
 
-def run_arm(seed, kind, lam, args):
+def run_seed(seed, lam, args):
+    """hit@1, hit@5, hit@10 and AUC of every loss variant, trained on one seed's fixture."""
     cfg = SynthConfig(dim=args.d, n_pairs=args.n, noise=args.noise,
                       distractors=args.distractors, seed=seed,
                       hyper_angle_deg=args.hyper_angle)
     table, relations = make_fixture(cfg)
     data = build_dataset(relations, table, seed=seed)
-    tc = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, k=args.k,
-                     seed=seed, regularizer=kind, lam=lam if kind is not Regularizer.NONE else 0.0)
-    model = train(data, table, tc)
-    rep = evaluate(model, table, data.pairs_in("test"), l_max=10)
-    return rep.hits[0], rep.hits[4], rep.hits[9], rep.auc
+    scores = {}
+    for kind in Regularizer:
+        tc = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, k=args.k, seed=seed,
+                         regularizer=kind, lam=lam if kind is not Regularizer.NONE else 0.0)
+        model = train(data, table, tc)
+        rep = evaluate(model, table, data.pairs_in("test"), l_max=10)
+        scores[kind] = (rep.hits[0], rep.hits[4], rep.hits[9], rep.auc)
+    return scores
 
 
 def main():
@@ -59,8 +63,9 @@ def main():
     header = f"{'model':<18} {'hit@1':>7} {'hit@5':>7} {'hit@10':>7} {'AUC':>7}"
     print(header)
     print("-" * len(header))
+    per_seed = [run_seed(seed, args.lam, args) for seed in args.seeds]
     for kind in Regularizer:
-        rows = np.array([run_arm(seed, kind, args.lam, args) for seed in args.seeds])
+        rows = np.array([scores[kind] for scores in per_seed])
         mean = rows.mean(axis=0)
         print(f"{kind.value:<18} {mean[0]:>7.3f} {mean[1]:>7.3f} {mean[2]:>7.3f} "
               f"{mean[3]:>7.3f}")

@@ -294,7 +294,10 @@ def cmd_synth(args) -> int:
                             distractor_angle_deg=args.distractor_angle)
     cfg.validate()
     manifest = Manifest(args)
-    table, relations = synth.make_fixture(cfg)
+    try:
+        table, relations = synth.make_fixture(cfg)
+    except MemoryError as exc:  # the sizes come from flags
+        raise InputError(f"the fixture does not fit in memory: {exc}") from None
     manifest.stage("generate")
     paths = synth.write_fixture(table, relations, args.out)
     for path in paths.values():

@@ -135,7 +135,8 @@ class EmbeddingTable:
     vectors: np.ndarray
     normalized: bool = False
     source_sha256: str = field(default="", repr=False)
-    _index: dict[str, int] = field(init=False, repr=False)
+    # word -> row; a caller that already holds it for ``vocab`` may pass it
+    _index: dict[str, int] | None = field(default=None, repr=False)
     _row_norms: np.ndarray = field(init=False, repr=False)
     _max_norm: float = field(init=False, repr=False)
     _min_norm: float = field(init=False, repr=False)  # the smallest nonzero one
@@ -153,9 +154,10 @@ class EmbeddingTable:
             raise InputError("embedding dimension must be at least 1")
         if not np.isfinite(self.vectors).all():
             raise InputError("embedding matrix contains non-finite values")
-        self._index = {w: i for i, w in enumerate(self.vocab)}
-        if len(self._index) != len(self.vocab):
-            raise InputError("vocabulary contains duplicate words")
+        if self._index is None:
+            self._index = {w: i for i, w in enumerate(self.vocab)}
+            if len(self._index) != len(self.vocab):
+                raise InputError("vocabulary contains duplicate words")
         self._row_norms = _row_norms(self.vectors)
         huge = np.flatnonzero(self._row_norms == np.inf)
         if huge.size:
@@ -227,9 +229,11 @@ def _finish(words: list[str], vectors: np.ndarray, normalize: bool,
                     path, n - len(first))
         keep = np.sort(np.fromiter(first.values(), np.intp, count=len(first)))
         words, vectors = [words[i] for i in keep], vectors[keep]
+        first = None  # the kept rows moved up; the table indexes them itself
     if normalize:
         vectors = _normalize_rows(vectors, path)
-    return EmbeddingTable(words, vectors, normalized=normalize, source_sha256=digest)
+    return EmbeddingTable(words, vectors, normalized=normalize, source_sha256=digest,
+                          _index=first)
 
 
 def _unparsable(path: Path, lineno: int, exc: ValueError) -> InputError:

@@ -13,6 +13,11 @@ learning rate 1e-3) can actually reach; cosine ranking is unaffected by
 it. Synonym distractors are planted inside a cone of
 ``distractor_angle_deg`` around each hyponym; they populate the negatives
 map used by the neighbor regularizer.
+
+The random stream is part of the fixture contract: the same config gives
+the same bytes. The distractors are drawn last, hyponym-major, each as one
+angle ``rng.uniform(0, theta)`` followed by ``rng.normal(size=d)`` for its
+direction.
 """
 
 from __future__ import annotations
@@ -58,6 +63,10 @@ class SynthConfig:
             raise InputError(f"mixer_scale must be positive, got {self.mixer_scale}")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
+        # the largest array: the table's rows or the d x d rotation
+        values = max(self.n_pairs * (2 + self.distractors), self.dim) * self.dim
+        if values > np.iinfo(np.intp).max // 8:
+            raise InputError(f"a fixture of {values} float64 values cannot be addressed")
 
 
 def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -67,6 +76,37 @@ def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def _distractor_rows(X: np.ndarray, k: int, theta: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """``k`` unit rows per row of ``X``, each at a uniform angle in [0, theta) from it.
+
+    Row ``i * k + j`` is distractor ``j`` of hyponym ``i``. Each distractor
+    draws its angle, ``rng.uniform(0, theta)``, and then ``rng.normal(size=d)``
+    for its direction, hyponym-major. The draws come first, one distractor at
+    a time; the geometry is then done for all rows at once, with the bits of
+    doing it row by row.
+    """
+    n, d = X.shape
+    m = n * k
+    # allocated before the draw loop, so a size that cannot be held fails at once
+    angles = np.empty(m)
+    rows = np.empty((m, d))
+    random, standard_normal = rng.random, rng.standard_normal
+    for r in range(m):
+        angles[r] = random()
+        standard_normal(out=rows[r])
+    angles *= theta
+    # X[i] broadcast over its k distractors; a (1, d) @ (d, 1) product is the
+    # vector dot of `rnd @ X[i]` and of `np.linalg.norm(perp)`, bit for bit
+    per = rows.reshape(n, k, d)
+    x = X[:, None, :]
+    per -= (per[..., None, :] @ x[..., None])[..., 0] * x  # perp = rnd - (rnd @ x) x
+    per /= np.sqrt(per[..., None, :] @ per[..., None])[..., 0]
+    per *= np.sin(angles).reshape(n, k, 1)
+    per += np.cos(angles).reshape(n, k, 1) * x
+    return rows
 
 
 def make_fixture(cfg: SynthConfig) -> tuple[EmbeddingTable, list[RelationPair]]:
@@ -97,29 +137,18 @@ def make_fixture(cfg: SynthConfig) -> tuple[EmbeddingTable, list[RelationPair]]:
     if cfg.noise > 0:
         Y = Y + cfg.noise * rng.normal(size=(n, d))
 
+    k = cfg.distractors
+    syn_rows = _distractor_rows(X, k, np.deg2rad(cfg.distractor_angle_deg), rng)
+
     width = len(str(n - 1))
     hypo_words = [f"hypo{i:0{width}d}" for i in range(n)]
     hyper_words = [f"hyper{i:0{width}d}" for i in range(n)]
-    vocab = hypo_words + hyper_words
-    vectors = [X, Y]
-    relations = [RelationPair(hypo_words[i], hyper_words[i], "hypernym") for i in range(n)]
-
-    if cfg.distractors > 0:
-        theta = np.deg2rad(cfg.distractor_angle_deg)
-        syn_rows = np.empty((n * cfg.distractors, d))
-        for i in range(n):
-            for j in range(cfg.distractors):
-                ang = rng.uniform(0.0, theta)
-                rnd = rng.normal(size=d)
-                perp = rnd - (rnd @ X[i]) * X[i]
-                perp /= np.linalg.norm(perp)
-                syn_rows[i * cfg.distractors + j] = np.cos(ang) * X[i] + np.sin(ang) * perp
-                word = f"syn{i:0{width}d}_{j}"
-                vocab.append(word)
-                relations.append(RelationPair(hypo_words[i], word, "synonym"))
-        vectors.append(syn_rows)
-
-    table = EmbeddingTable(vocab, np.vstack(vectors))
+    syn_words = [f"syn{i:0{width}d}_{j}" for i in range(n) for j in range(k)]
+    relations = [RelationPair(hypo, hyper, "hypernym")
+                 for hypo, hyper in zip(hypo_words, hyper_words)]
+    relations += [RelationPair(hypo_words[r // k], word, "synonym")
+                  for r, word in enumerate(syn_words)]
+    table = EmbeddingTable(hypo_words + hyper_words + syn_words, np.vstack([X, Y, syn_rows]))
     return table, relations
 
 

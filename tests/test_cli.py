@@ -461,6 +461,21 @@ class TestBadInputExit2:
         assert not out.exists()
 
 
+    # every size lies above the 128 TiB user address space, so the first
+    # allocation fails on any Linux host and no memory is touched
+    @pytest.mark.parametrize("flags, expected", [
+        (["--n", 1000, "--distractors", 10**11], "does not fit in memory"),
+        (["--n", 100000, "--d", 10**9], "does not fit in memory"),
+        (["--n", 10, "--d", 10**11], "cannot be addressed"),
+        (["--n", 1000, "--distractors", 10**18], "cannot be addressed"),
+    ], ids=["distractors", "dim", "dim-unaddressable", "distractors-unaddressable"])
+    def test_fixture_too_large(self, tmp_path, capsys, flags, expected):
+        out = tmp_path / "out"
+        code = run("synth", *flags, "--out", out)
+        assert_one_error_line(code, capsys, expected)
+        assert not out.exists()
+
+
 def test_manifest_config_is_the_parsed_flags(tmp_path, fixture_dir, split_dir):
     emb = fixture_dir / "embeddings.txt"
     model, trace = tmp_path / "m.hprj", tmp_path / "loss.csv"

@@ -63,6 +63,7 @@ class TestLoadText:
         with caplog.at_level(logging.WARNING):
             table = load_embeddings(path)
         assert np.array_equal(table.vector("a"), [1.0, 0.0])
+        assert np.array_equal(table.vector("b"), [0.0, 1.0])  # the rows after a duplicate move up
         assert len(table) == 2
         assert "dropped 1 duplicate" in caplog.text
 

@@ -1,8 +1,86 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperproj.dataset import RelationPair
 from hyperproj.errors import InputError
-from hyperproj.synth import SynthConfig, make_fixture, write_fixture
+from hyperproj.synth import SynthConfig, _random_rotation, _unit_rows, make_fixture, write_fixture
+
+
+def reference_fixture(cfg):
+    """make_fixture with its distractors built row by row, one at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    d, n = cfg.dim, cfg.n_pairs
+    raw = rng.normal(size=(n, d))
+    a = np.deg2rad(cfg.hyper_angle_deg)
+    mixers = [cfg.mixer_scale * (np.cos(a) * np.eye(d) + np.sin(a) * _random_rotation(d, rng))
+              for _ in range(cfg.planted_clusters)]
+    groups = rng.integers(cfg.planted_clusters, size=n)
+    if cfg.planted_clusters == 1:
+        X = _unit_rows(raw)
+    else:
+        centers = _unit_rows(rng.normal(size=(cfg.planted_clusters, d)))
+        X = _unit_rows(centers[groups] + 0.8 * _unit_rows(raw))
+    Y = np.empty_like(X)
+    for g, A in enumerate(mixers):
+        members = groups == g
+        Y[members] = X[members] @ A
+    if cfg.noise > 0:
+        Y = Y + cfg.noise * rng.normal(size=(n, d))
+
+    width = len(str(n - 1))
+    hypo_words = [f"hypo{i:0{width}d}" for i in range(n)]
+    hyper_words = [f"hyper{i:0{width}d}" for i in range(n)]
+    vocab = hypo_words + hyper_words
+    vectors = [X, Y]
+    relations = [RelationPair(hypo_words[i], hyper_words[i], "hypernym") for i in range(n)]
+    if cfg.distractors > 0:
+        theta = np.deg2rad(cfg.distractor_angle_deg)
+        syn_rows = np.empty((n * cfg.distractors, d))
+        for i in range(n):
+            for j in range(cfg.distractors):
+                ang = rng.uniform(0.0, theta)
+                rnd = rng.normal(size=d)
+                perp = rnd - (rnd @ X[i]) * X[i]
+                perp /= np.linalg.norm(perp)
+                syn_rows[i * cfg.distractors + j] = np.cos(ang) * X[i] + np.sin(ang) * perp
+                word = f"syn{i:0{width}d}_{j}"
+                vocab.append(word)
+                relations.append(RelationPair(hypo_words[i], word, "synonym"))
+        vectors.append(syn_rows)
+    return vocab, np.vstack(vectors), relations
+
+
+def assert_matches_reference(cfg):
+    table, relations = make_fixture(cfg)
+    vocab, vectors, ref_relations = reference_fixture(cfg)
+    assert np.array_equal(table.vectors, vectors)
+    assert table.vocab == vocab
+    assert relations == ref_relations
+
+
+class TestMatchesRowByRowReference:
+    """The distractors are the bits of the row-by-row loop, draw for draw."""
+
+    @pytest.mark.parametrize("clusters, distractors, dim, noise",
+                             itertools.product([1, 3], [0, 1, 5], [2, 10], [0.0, 0.05]))
+    def test_grid(self, clusters, distractors, dim, noise):
+        for seed in (0, 1, 7):
+            assert_matches_reference(SynthConfig(
+                dim=dim, n_pairs=40, noise=noise, distractors=distractors, seed=seed,
+                planted_clusters=clusters, hyper_angle_deg=25.0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(dim=st.integers(2, 12), n=st.integers(1, 30), distractors=st.integers(0, 6),
+           clusters=st.integers(1, 3), noise=st.sampled_from([0.0, 0.05]),
+           angle=st.floats(0.0, 180.0), seed=st.integers(0, 2**32))
+    def test_sweep(self, dim, n, distractors, clusters, noise, angle, seed):
+        assert_matches_reference(SynthConfig(
+            dim=dim, n_pairs=n, noise=noise, distractors=distractors, seed=seed,
+            planted_clusters=clusters, distractor_angle_deg=angle))
 
 
 class TestMakeFixture:
@@ -71,3 +149,7 @@ class TestMakeFixture:
             SynthConfig(noise=-1.0).validate()
         with pytest.raises(InputError):
             SynthConfig(distractors=-1).validate()
+        with pytest.raises(InputError, match="cannot be addressed"):
+            SynthConfig(n_pairs=1000, distractors=10**18).validate()
+        with pytest.raises(InputError, match="cannot be addressed"):
+            SynthConfig(dim=10**11).validate()
