@@ -330,7 +330,12 @@ def write_split(dataset: RelationDataset, out_dir: str | Path) -> dict[str, Path
 
 
 def read_split_dir(split_dir: str | Path, table: EmbeddingTable) -> RelationDataset:
-    """Bind the split in a directory written by write_split to ``table``."""
+    """Bind the split in a directory written by write_split to ``table``.
+
+    Every row of a bucket file must be a hypernym and no row of
+    ``negatives.tsv`` may be one; otherwise the first row that breaks this
+    is an ``InputError``.
+    """
     split_dir = Path(split_dir)
     positives: list[RelationPair] = []
     assignment: list[str] = []
@@ -338,9 +343,21 @@ def read_split_dir(split_dir: str | Path, table: EmbeddingTable) -> RelationData
         path = split_dir / f"{bucket}.tsv"
         if not path.is_file():
             raise InputError(f"split directory is missing {path.name}")
-        pairs = load_relations(path)
+        pairs = _check_positive(path, load_relations(path), True)
         positives += pairs
         assignment += [bucket] * len(pairs)
     neg_path = split_dir / "negatives.tsv"
-    negative_pairs = load_relations(neg_path) if neg_path.is_file() else []
+    negative_pairs = (_check_positive(neg_path, load_relations(neg_path), False)
+                      if neg_path.is_file() else [])
     return bind(RelationDataset(positives, assignment, negative_pairs), table)
+
+
+def _check_positive(path: Path, pairs: list[RelationPair],
+                    positive: bool) -> list[RelationPair]:
+    """``pairs``, if all are hypernyms (``positive``) or none are; else an error on the first."""
+    for pair in pairs:
+        if (pair.relation == "hypernym") is not positive:
+            holds = "only hypernym rows" if positive else "no hypernym rows"
+            raise InputError(f"{path}: row {tuple(pair)} is a {pair.relation} pair, "
+                             f"but {path.name} holds {holds}")
+    return pairs

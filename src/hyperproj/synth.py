@@ -2,7 +2,7 @@
 
 Hyponym vectors are random unit vectors. Each planted cluster owns a
 mixing matrix A = s (cos(a) I + sin(a) Q) with Q a random rotation,
-a = ``hyper_angle_deg``, and s = ``mixer_scale``, so hypernyms
+a = ``hyper_angle_deg``, and s = ``MIXER_SCALE``, so hypernyms
 y = x A + noise sit roughly at angle a from their hyponyms while remaining
 an exactly linear image of them when the noise is zero. The default angle
 of 90 degrees makes A a scaled pure rotation; smaller angles leave
@@ -32,6 +32,8 @@ from .dataset import RelationPair, write_relations
 from .embeddings import EmbeddingTable, save_embeddings_text
 from .errors import InputError
 
+MIXER_SCALE = 0.35  # s, the scale of every mixing matrix
+
 
 @dataclass
 class SynthConfig:
@@ -43,7 +45,6 @@ class SynthConfig:
     planted_clusters: int = 1
     hyper_angle_deg: float = 90.0
     distractor_angle_deg: float = 15.0
-    mixer_scale: float = 0.35
 
     def validate(self) -> None:
         for name in ("noise", "hyper_angle_deg", "distractor_angle_deg"):
@@ -59,8 +60,6 @@ class SynthConfig:
             raise InputError(f"distractors must be non-negative, got {self.distractors}")
         if self.planted_clusters < 1:
             raise InputError(f"planted_clusters must be >= 1, got {self.planted_clusters}")
-        if self.mixer_scale <= 0:
-            raise InputError(f"mixer_scale must be positive, got {self.mixer_scale}")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         # the largest array: the table's rows or the d x d rotation
@@ -122,7 +121,7 @@ def make_fixture(cfg: SynthConfig) -> tuple[EmbeddingTable, list[RelationPair]]:
     d, n = cfg.dim, cfg.n_pairs
     raw = rng.normal(size=(n, d))
     a = np.deg2rad(cfg.hyper_angle_deg)
-    mixers = [cfg.mixer_scale * (np.cos(a) * np.eye(d) + np.sin(a) * _random_rotation(d, rng))
+    mixers = [MIXER_SCALE * (np.cos(a) * np.eye(d) + np.sin(a) * _random_rotation(d, rng))
               for _ in range(cfg.planted_clusters)]
     groups = rng.integers(cfg.planted_clusters, size=n)
     if cfg.planted_clusters == 1:

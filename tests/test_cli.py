@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shutil
 from pathlib import Path
 from unittest import mock
 
@@ -408,6 +409,25 @@ class TestBadInputExit2:
         capsys.readouterr()
         assert_one_error_line(run(*argv), capsys, "row 2 ('big') has an L2 norm above")
 
+    @pytest.mark.parametrize("command", ["train", "cluster"])
+    @pytest.mark.parametrize("member, row, expected", [
+        ("train", "hypo01\thyper01\tsynonym\n",
+         "train.tsv: row ('hypo01', 'hyper01', 'synonym') is a synonym pair"),
+        ("negatives", "hypo01\thyper01\thypernym\n",
+         "negatives.tsv: row ('hypo01', 'hyper01', 'hypernym') is a hypernym pair"),
+    ], ids=["bucket-non-hypernym", "negatives-hypernym"])
+    def test_split_row_of_the_wrong_relation(self, tmp_path, capsys, fixture_dir, split_dir,
+                                             member, row, expected, command):
+        path = split_dir / f"{member}.tsv"
+        path.write_text(path.read_text() + row)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        flags = {"train": ["--epochs", 2], "cluster": []}[command]
+        code = run(command, "--embeddings", fixture_dir / "embeddings.txt",
+                   "--split-dir", split_dir, *flags, "--out", out)
+        assert_one_error_line(code, capsys, expected)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_model_dimension_differs_from_embeddings(self, tmp_path, capsys, command):
         from conftest import make_model
@@ -630,3 +650,44 @@ class TestLoaderFuzz:
             "train", "--embeddings", trained / "fix" / "embeddings.txt", "--split-dir",
             trained / "split", "--k", 1, "--epochs", 1, "--clusters", clusters,
             "--out", trained / "fuzz.hprj"]))
+
+
+@pytest.fixture(scope="module")
+def split_fuzz(tmp_path_factory):
+    """A small fixture with distractors, so that no member of its split is empty."""
+    tmp = tmp_path_factory.mktemp("split-fuzz")
+    assert run("synth", "--d", 3, "--n", 30, "--distractors", 1, "--seed", 1,
+               "--out", tmp / "fix") == 0
+    assert run("split", "--relations", tmp / "fix" / "relations.tsv", "--out", tmp / "valid") == 0
+    return tmp
+
+
+class TestSplitDirFuzz:
+    """A damaged split directory exits 0 or 2, never a crash, with one error line on 2."""
+
+    @pytest.mark.parametrize("command", ["train", "cluster"])
+    @given(member=st.sampled_from(["train", "validation", "test", "negatives"]),
+           kind=st.sampled_from(["arbitrary", "truncated", "inserted", "missing"]),
+           junk=st.binary(max_size=200), at=st.integers(min_value=0))
+    @settings(deadline=None)
+    def test_damaged_member(self, split_fuzz, command, member, kind, junk, at):
+        split = split_fuzz / "split"
+        shutil.rmtree(split, ignore_errors=True)
+        shutil.copytree(split_fuzz / "valid", split)
+        path = split / f"{member}.tsv"
+        valid = path.read_bytes()
+        at %= len(valid) + 1
+        if kind == "missing":
+            path.unlink()
+        else:
+            cases = {"arbitrary": junk, "truncated": valid[:at],
+                     "inserted": valid[:at] + junk + valid[at:]}
+            path.write_bytes(cases[kind])
+        flags = {"train": ["--epochs", 1], "cluster": []}[command]
+        code, err = stderr_of([command, "--embeddings", split_fuzz / "fix" / "embeddings.txt",
+                               "--split-dir", split, "--k", 1, *flags,
+                               "--out", split_fuzz / "out"])
+        if code == 2:
+            check_one_error_line(code, err)
+        else:
+            assert code == 0 and "Traceback" not in err, err

@@ -420,3 +420,21 @@ class TestSplitRoundTrip:
     def test_missing_bucket_file(self, tmp_path):
         with pytest.raises(InputError, match="missing"):
             read_split_dir(tmp_path, table_for(["a"]))
+
+    @pytest.mark.parametrize("name, rows, expected", [
+        ("validation", "c\td\tsynonym\ne\tf\tcohyponym\n",
+         "row ('c', 'd', 'synonym') is a synonym pair, "
+         "but validation.tsv holds only hypernym rows"),
+        ("negatives", "c\td\thypernym\ne\tf\thypernym\n",
+         "row ('c', 'd', 'hypernym') is a hypernym pair, "
+         "but negatives.tsv holds no hypernym rows"),
+    ], ids=["bucket-non-hypernym", "negatives-hypernym"])
+    def test_wrong_relation_names_first_row(self, tmp_path, name, rows, expected):
+        for bucket in BUCKETS:
+            write(tmp_path / f"{bucket}.tsv", "a\tb\thypernym\n" if bucket == "train" else "")
+        write(tmp_path / "negatives.tsv", "a\tg\tsynonym\n")
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(path.read_text() + rows, encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            read_split_dir(tmp_path, table_for("abcdefg"))
+        assert str(err.value) == f"{path}: {expected}"

@@ -1,5 +1,6 @@
 """Smoke tests: the experiment scripts and README's library example run end to end."""
 
+import json
 import os
 import re
 import subprocess
@@ -9,6 +10,11 @@ from pathlib import Path
 import pytest
 
 from hyperproj.cli import main
+from hyperproj.dataset import build_dataset
+from hyperproj.evaluation import evaluate
+from hyperproj.projection import Regularizer
+from hyperproj.synth import SynthConfig, make_fixture
+from hyperproj.training import TrainConfig, train
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,13 +27,43 @@ def run_script(script, *args, **env_vars):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("script, args", [
-    ("regularizer_benchmark.py", ["--seeds", "1", "--epochs", "5", "--n", "200"]),
-    ("cluster_sweep.py", ["--k-values", "1", "2", "--epochs", "5", "--n", "200"]),
-], ids=["regularizer_benchmark", "cluster_sweep"])
-def test_script_runs(script, args):
-    proc = run_script(script, *args)
+GRID = ["--seeds", "1", "2", "--k", "1", "2", "--reg", "none", "neighbor-reproj",
+        "--epochs", "5", "--n", "200"]
+
+
+@pytest.fixture(scope="module")
+def grid(tmp_path_factory):
+    """The experiment driver's output for a tiny grid: its stdout and its JSON lines."""
+    out = tmp_path_factory.mktemp("experiment") / "runs.jsonl"
+    proc = run_script("experiment.py", *GRID, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout, [json.loads(line) for line in out.read_text().splitlines()]
+
+
+def test_experiment_runs_the_grid(grid):
+    stdout, rows = grid
+    assert [(r["seed"], r["k"], r["reg"]) for r in rows] == [
+        (seed, k, reg) for seed in (1, 2) for k in (1, 2) for reg in ("none", "neighbor-reproj")]
+    for row in rows:
+        for bucket in ("validation", "test"):
+            assert len(row[bucket]["hits"]) == 10
+            assert len(row[bucket]["ranks"]) == row["fixture"]["n_pairs"] // 10
+    table = [line.split() for line in stdout.splitlines()[3:]]
+    assert [line[:3] for line in table] == [
+        [bucket, k, reg] for bucket in ("validation", "test") for k in ("1", "2")
+        for reg in ("none", "neighbor-reproj")]
+
+
+def test_experiment_agrees_with_the_library(grid):
+    row = grid[1][-1]  # seed 2, k 2, neighbor-reproj
+    cfg = SynthConfig(dim=10, n_pairs=200, noise=0.05, distractors=20, seed=2,
+                      hyper_angle_deg=25.0)
+    tc = TrainConfig(epochs=5, lam=0.5, regularizer=Regularizer.NEIGHBOR_REPROJ, k=2, seed=2)
+    table, relations = make_fixture(cfg)
+    data = build_dataset(relations, table, seed=2)
+    report = evaluate(train(data, table, tc), table, data.pairs_in("test"), l_max=10)
+    assert row["test"] == {"hits": report.hits, "auc": report.auc,
+                           "ranks": [p.rank for p in report.per_pair]}
 
 
 def test_golden_digests_lists_every_output():

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from hyperproj.dataset import RelationPair
 from hyperproj.errors import InputError
-from hyperproj.synth import SynthConfig, _random_rotation, _unit_rows, make_fixture, write_fixture
+from hyperproj.synth import (
+    MIXER_SCALE,
+    SynthConfig,
+    _random_rotation,
+    _unit_rows,
+    make_fixture,
+    write_fixture,
+)
 
 
 def reference_fixture(cfg):
@@ -16,7 +23,7 @@ def reference_fixture(cfg):
     d, n = cfg.dim, cfg.n_pairs
     raw = rng.normal(size=(n, d))
     a = np.deg2rad(cfg.hyper_angle_deg)
-    mixers = [cfg.mixer_scale * (np.cos(a) * np.eye(d) + np.sin(a) * _random_rotation(d, rng))
+    mixers = [MIXER_SCALE * (np.cos(a) * np.eye(d) + np.sin(a) * _random_rotation(d, rng))
               for _ in range(cfg.planted_clusters)]
     groups = rng.integers(cfg.planted_clusters, size=n)
     if cfg.planted_clusters == 1:
