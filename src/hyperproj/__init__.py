@@ -4,24 +4,15 @@ Learns per-cluster square matrices mapping hyponym vectors toward their
 hypernym vectors, with optional asymmetric and neighbor (negative
 sampling) regularizers, and evaluates ranked predictions with hit@l and
 trapezoid AUC.
+
+The one-query reference forms (``embeddings.nearest_neighbors``,
+``clustering.assign_cluster``, ``dataset.sample_negative``) are imported
+from their modules.
 """
 
-from .clustering import ClusterModel, assign_cluster, assign_clusters, fit_kmeans, offsets
-from .dataset import (
-    RelationDataset,
-    RelationPair,
-    build_dataset,
-    lexical_split,
-    load_relations,
-    sample_negative,
-)
-from .embeddings import (
-    EmbeddingTable,
-    NeighborList,
-    load_embeddings,
-    nearest_neighbors,
-    save_embeddings_text,
-)
+from .clustering import ClusterModel, assign_clusters, fit_kmeans, offsets
+from .dataset import RelationDataset, RelationPair, build_dataset, lexical_split, load_relations
+from .embeddings import EmbeddingTable, load_embeddings, save_embeddings_text
 from .errors import HyperprojError, InputError, TrainingError
 from .evaluation import EvalReport, auc, evaluate, hit_at, predict_candidates
 from .projection import ProjectionModel, Regularizer, load_model, save_model
@@ -36,7 +27,6 @@ __all__ = [
     "EvalReport",
     "HyperprojError",
     "InputError",
-    "NeighborList",
     "ProjectionModel",
     "Regularizer",
     "RelationDataset",
@@ -44,7 +34,6 @@ __all__ = [
     "TrainConfig",
     "TrainingError",
     "adam_step",
-    "assign_cluster",
     "assign_clusters",
     "auc",
     "build_dataset",
@@ -55,10 +44,8 @@ __all__ = [
     "load_embeddings",
     "load_model",
     "load_relations",
-    "nearest_neighbors",
     "offsets",
     "predict_candidates",
-    "sample_negative",
     "save_embeddings_text",
     "save_model",
     "train",

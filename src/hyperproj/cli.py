@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import evaluation, synth, training
-from .clustering import DEFAULT_MAX_ITER, DEFAULT_TOL, ClusterModel, fit_kmeans, offsets
+from .clustering import ClusterModel, fit_kmeans, offsets
 from .embeddings import FORMATS, EmbeddingTable, load_embeddings, vocab_hash
 from .errors import HyperprojError, InputError
 from .projection import ProjectionModel, Regularizer, load_model, save_model
@@ -182,8 +182,7 @@ def cmd_cluster(args) -> int:
     if not train_pairs:
         raise InputError("training bucket is empty after binding")
     manifest.stage("load_relations")
-    model = fit_kmeans(offsets(train_pairs, table), args.k, args.seed,
-                       max_iter=args.max_iter, tol=args.tol)
+    model = fit_kmeans(offsets(train_pairs, table), args.k, args.seed)
     manifest.stage("fit")
     out = Path(args.out)
     _write_clusters_json(model, out)
@@ -197,7 +196,6 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
-        init_std=args.init_std,
         alpha=args.alpha,
         lam=args.lam,
         regularizer=Regularizer(args.reg),
@@ -343,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     # train's defaults, so `cluster` then `train --clusters` fits what `train` alone does
     p.add_argument("--k", type=int, default=TrainConfig.k)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", required=True, help="output cluster JSON")
     p.set_defaults(func=cmd_cluster)
 
@@ -358,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regularization weight (default %(default)s)")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--init-std", type=float, default=TrainConfig.init_std)
     p.add_argument("--alpha", type=float, default=TrainConfig.alpha, help="Adam learning rate")
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--select-on", choices=SELECT_ON, default=TrainConfig.select_on)

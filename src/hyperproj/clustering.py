@@ -8,7 +8,6 @@ later trained per cluster of offsets.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,9 @@ from .errors import InputError
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_ITER = 100
-DEFAULT_TOL = 1e-6
+# Lloyd's stopping rule, shared by `cluster` and by train's own k-means
+MAX_ITER = 100
+TOL = 1e-6  # largest centroid movement that still counts as moving
 
 
 @dataclass(eq=False)
@@ -89,12 +89,11 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return points[chosen].copy()
 
 
-def fit_kmeans(points: np.ndarray, k: int, seed: int,
-               max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL) -> ClusterModel:
+def fit_kmeans(points: np.ndarray, k: int, seed: int) -> ClusterModel:
     """Lloyd's algorithm from k-means++ initialization.
 
-    Stops when the largest centroid movement falls below ``tol`` or after
-    ``max_iter`` iterations. An empty cluster is repaired by reseeding its
+    Stops when the largest centroid movement falls below ``TOL`` or after
+    ``MAX_ITER`` iterations. An empty cluster is repaired by reseeding its
     centroid to the point farthest from its assigned centroid.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -105,10 +104,6 @@ def fit_kmeans(points: np.ndarray, k: int, seed: int,
         raise InputError(f"k must be >= 1, got {k}")
     if k > n:
         raise InputError(f"k={k} exceeds the number of points ({n})")
-    if max_iter < 1:
-        raise InputError(f"max_iter must be >= 1, got {max_iter}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InputError(f"tol must be non-negative and finite, got {tol}")
     if not np.isfinite(points).all():
         raise InputError("points contain non-finite values")
     if seed < 0:
@@ -124,7 +119,7 @@ def fit_kmeans(points: np.ndarray, k: int, seed: int,
         diffs = points - centroids[assign]
         return float((diffs * diffs).sum())
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         sq = _squared_distances(points, centroids)
         assign = sq.argmin(axis=1)  # argmin takes the lowest index on ties
         trace.append(exact_inertia(assign))
@@ -142,7 +137,7 @@ def fit_kmeans(points: np.ndarray, k: int, seed: int,
                 dist_own[far] = -1.0  # two empty clusters must not grab the same point
         movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if movement < tol:
+        if movement < TOL:
             break
     assign = _squared_distances(points, centroids).argmin(axis=1)
     inertia = exact_inertia(assign)

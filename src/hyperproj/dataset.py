@@ -239,7 +239,7 @@ def sample_negative(dataset: RelationDataset, source: str,
                     rng: np.random.Generator) -> str:
     """Draw a uniform negative for ``source``; falls back to ``source``.
 
-    The one-word reference form of ``sample_negatives``: for the same
+    The one-word reference form of ``_negative_sampler``: for the same
     sources it returns the same words and consumes the same random
     stream. Candidates are the bound negatives restricted to words
     outside the validation and test vocabularies. An empty or missing
@@ -278,25 +278,17 @@ def negative_index(dataset: RelationDataset,
     return indptr, indices
 
 
-def sample_negatives(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Draw one uniform negative per source row, all in one call.
-
-    ``sources`` and the result are vocabulary row indices; ``(indptr,
-    indices)`` comes from ``negative_index``. A source without candidates
-    returns itself and draws nothing. The others draw in source order, one
-    ``rng.integers(count)`` each, so the stream is the one a loop of
-    ``sample_negative`` over the same words consumes.
-    """
-    return _negative_sampler(indptr, indices, np.asarray(sources, dtype=np.int64))(rng)
-
-
 def _negative_sampler(indptr: np.ndarray, indices: np.ndarray,
                       sources: np.ndarray) -> Callable[[np.random.Generator], np.ndarray]:
-    """``sample_negatives`` for fixed int64 ``sources``, as a function of the generator.
+    """A function of the generator that draws one uniform negative per source row.
 
-    The CSR lookups (each source's first candidate, its candidate count,
-    and which sources draw) are taken once, here; each call only draws.
+    ``sources`` (int64) and each draw are vocabulary row indices;
+    ``(indptr, indices)`` comes from ``negative_index``. A source without
+    candidates returns itself and draws nothing. The others draw in source
+    order, one ``rng.integers(count)`` each, so the stream is the one a
+    loop of ``sample_negative`` over the same words consumes. The CSR
+    lookups (each source's first candidate, its candidate count, and which
+    sources draw) are taken once, here; each call only draws.
     """
     starts = indptr.take(sources)
     counts = indptr.take(sources + 1) - starts
@@ -312,7 +304,7 @@ def _negative_sampler(indptr: np.ndarray, indices: np.ndarray,
 
 
 def write_split(dataset: RelationDataset, out_dir: str | Path) -> dict[str, Path]:
-    """Write the bucket and negatives relations TSVs and the split manifest.
+    """Write the bucket and negatives relations TSVs.
 
     Returns a name -> path map of everything written.
     """
@@ -322,10 +314,6 @@ def write_split(dataset: RelationDataset, out_dir: str | Path) -> dict[str, Path
     for bucket in BUCKETS:
         write_relations(dataset.pairs_in(bucket), paths[bucket])
     write_relations(dataset.negative_pairs, paths["negatives"])
-    paths["manifest"] = out_dir / "split_manifest.tsv"
-    with open(paths["manifest"], "w", encoding="utf-8") as fh:
-        for pair, bucket in zip(dataset.positives, dataset.assignment):
-            fh.write(f"{pair.source}\t{pair.target}\t{bucket}\n")
     return paths
 
 

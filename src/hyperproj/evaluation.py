@@ -47,10 +47,16 @@ class PairResult:
 class EvalReport:
     hits: list[float]  # hit@1 .. hit@l_max
     auc: float
-    l_max: int
     per_pair: list[PairResult]
-    n_pairs: int
     skips: int
+
+    @property
+    def l_max(self) -> int:
+        return len(self.hits)
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.per_pair)
 
 
 def auc(hits: list[float]) -> float:
@@ -128,7 +134,7 @@ def evaluate(model: ProjectionModel, table: EmbeddingTable, pairs: list[Relation
     n = len(per_pair)
     hits = [int(np.count_nonzero((ranks >= 1) & (ranks <= i))) / n
             for i in range(1, l_max + 1)]
-    return EvalReport(hits, auc(hits), l_max, per_pair, n, skips)
+    return EvalReport(hits, auc(hits), per_pair, skips)
 
 
 def predict_candidates(model: ProjectionModel, table: EmbeddingTable, word: str,

@@ -83,7 +83,6 @@ class ProjectionModel:
     clusters: ClusterModel
     regularizer: Regularizer
     lam: float
-    dim: int
     meta: TrainingMeta
     vocab_hash: str = ""
 
@@ -92,11 +91,11 @@ class ProjectionModel:
         if self.matrices.ndim != 3:
             raise InputError("matrices must have shape (k, d, d)")
         k, d1, d2 = self.matrices.shape
-        if d1 != d2 or d1 != self.dim:
-            raise InputError(f"matrices must be square of size {self.dim}, got {d1}x{d2}")
+        if d1 != d2:
+            raise InputError(f"matrices must be square, got {d1}x{d2}")
         if k != self.clusters.k:
             raise InputError(f"{k} matrices for {self.clusters.k} clusters")
-        if self.clusters.dim != self.dim:
+        if self.clusters.dim != d1:
             raise InputError("cluster and matrix dimensions disagree")
         if not np.isfinite(self.matrices).all():
             raise InputError("matrices contain non-finite values")
@@ -106,6 +105,10 @@ class ProjectionModel:
     @property
     def k(self) -> int:
         return int(self.matrices.shape[0])
+
+    @property
+    def dim(self) -> int:
+        return int(self.matrices.shape[1])
 
 
 def _as_batch(arr: np.ndarray, name: str) -> np.ndarray:
@@ -232,4 +235,4 @@ def load_model(path: str | Path) -> ProjectionModel:
     centroids = np.frombuffer(body, dtype="<f8", count=k * dim).reshape(k, dim)
     matrices = np.frombuffer(body, dtype="<f8", offset=8 * k * dim).reshape(k, dim, dim)
     clusters = ClusterModel(centroids.copy(), inertia)
-    return ProjectionModel(matrices.copy(), clusters, kind, lam, dim, meta, vhash)
+    return ProjectionModel(matrices.copy(), clusters, kind, lam, meta, vhash)

@@ -4,7 +4,7 @@ Every cluster owns an independent random stream derived from (seed,
 cluster id), its own Adam state, and its own example pool, so one
 cluster's result does not depend on the others or on the order they
 train in. The stream's first draw is the cluster's initial matrix,
-d x d entries from Normal(0, init_std). Within an epoch the stream is
+d x d entries from Normal(0, INIT_STD). Within an epoch the stream is
 consumed in a fixed order: first the shuffle permutation, then
 (neighbor regularizers only) one negative draw per example whose source
 has a training negative, in example order.
@@ -47,17 +47,20 @@ log = logging.getLogger(__name__)
 SELECT_ON = ("final", "best_validation_hit10")  # model selection rules, default first
 VALIDATION_EVERY = 10  # epochs between hit@10 checks when selecting on validation
 
+INIT_STD = 0.1  # standard deviation of the initial matrices' entries
+
 # Adam meta-parameters other than the step size: the conventional values
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# the largest gradient entry whose square Adam's second moment can hold
+MAX_GRADIENT = math.sqrt(np.finfo(np.float64).max) / 2
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 700
     batch_size: int = 1024
-    init_std: float = 0.1
     alpha: float = 0.001  # Adam step size
     lam: float = 0.1
     regularizer: Regularizer = Regularizer.NONE
@@ -70,8 +73,6 @@ class TrainConfig:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.init_std) and self.init_std > 0):
-            raise InputError(f"init_std must be positive and finite, got {self.init_std}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise InputError(f"alpha must be positive and finite, got {self.alpha}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -135,7 +136,7 @@ class _Cluster:
         self.sources = sources  # vocabulary rows of the hyponyms, parallel to X
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cid,)))
-        self.phi0 = self.rng.normal(0.0, cfg.init_std, size=(d, d))  # the initial matrix
+        self.phi0 = self.rng.normal(0.0, INIT_STD, size=(d, d))  # the initial matrix
         self.draw = None if negatives is None else _negative_sampler(*negatives, sources)
         self.trace: list[tuple[int, int, float, float, float]] = []
 
@@ -158,8 +159,10 @@ def _run_epoch(epoch: int, phi: np.ndarray, state: AdamState, clusters: list[_Cl
 
     Batch b of each cluster that has one takes its loss and gradient; then
     one Adam step moves those clusters' matrices and the others sit it out.
-    A non-finite gradient stops its cluster; at the epoch's end the lowest
-    such cluster is reported, the one a cluster-by-cluster loop meets first.
+    A gradient with an entry that is not finite, or above MAX_GRADIENT (its
+    square would overflow Adam's second moment and freeze the matrix),
+    stops its cluster; at the epoch's end the lowest such cluster is
+    reported, the one a cluster-by-cluster loop meets first.
     """
     epoch_data = [c.shuffled(table) for c in clusters]  # each stream in cluster order
     sums = [[0.0, 0.0] for _ in clusters]
@@ -177,8 +180,8 @@ def _run_epoch(epoch: int, phi: np.ndarray, state: AdamState, clusters: list[_Cl
             s[0] += base * (stop - start)
             s[1] += reg * (stop - start)
             live.append(c.cid)
-        if not np.isfinite(grad).all():
-            bad = [cid for cid in live if not np.isfinite(grad[cid]).all()]
+        if not np.abs(grad).max() <= MAX_GRADIENT:  # NaN fails this too
+            bad = [cid for cid in live if not np.abs(grad[cid]).max() <= MAX_GRADIENT]
             failed += bad
             grad[bad] = 0.0
             live = [cid for cid in live if cid not in bad]
@@ -189,7 +192,8 @@ def _run_epoch(epoch: int, phi: np.ndarray, state: AdamState, clusters: list[_Cl
             phi[live], part = adam_step(phi[live], grad[live], part, cfg.alpha)
             state.m[live], state.v[live], state.t[live] = part.m, part.v, part.t
     if failed:
-        raise TrainingError(f"non-finite gradient in cluster {min(failed)} at epoch {epoch}")
+        raise TrainingError(f"non-finite or overflowing gradient in cluster {min(failed)} "
+                            f"at epoch {epoch}")
     for c, (base_sum, reg_sum) in zip(clusters, sums):
         base_avg = base_sum / c.n
         reg_avg = reg_sum / c.n
@@ -248,8 +252,7 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
         phi = _run_epoch(epoch, phi, state, active, cfg, table)
         if select_validation and (epoch % VALIDATION_EVERY == 0 or epoch == cfg.epochs):
             snapshot = phi.copy()
-            interim = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, d,
-                                      meta, vhash)
+            interim = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, meta, vhash)
             hit10 = evaluation.hit_at(interim, table, val_pairs, 10)
             log.info("epoch %d validation hit@10 = %.4f", epoch, hit10)
             if hit10 > best_hit:
@@ -264,7 +267,7 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     # lambda is inert without a regularizer; canonicalize so the model file
     # is identical whatever value was passed alongside kind NONE
     lam = 0.0 if cfg.regularizer is Regularizer.NONE else cfg.lam
-    return ProjectionModel(matrices, clusters, cfg.regularizer, lam, d, meta, vhash)
+    return ProjectionModel(matrices, clusters, cfg.regularizer, lam, meta, vhash)
 
 
 def _data_accounting(dataset: RelationDataset, per_cluster: list[_Cluster],

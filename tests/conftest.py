@@ -20,6 +20,16 @@ settings.register_profile("ci", derandomize=True, max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+def pytest_configure(config):
+    """A numpy overflow or invalid value fails the test that meets it.
+
+    Added as the lowest-precedence filter, so a test's own filterwarnings
+    mark still wins; the benchmark's tests, which do not load this file,
+    keep the default.
+    """
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def embedding_cache(tmp_path_factory):
     """The command-line tool's parsed-table cache, in a directory of this test session."""
@@ -45,7 +55,7 @@ def make_model(matrices, centroids=None, regularizer=Regularizer.NONE, lam=0.0):
         centroids = np.zeros((k, d))
     clusters = ClusterModel(np.asarray(centroids, dtype=np.float64), 0.0)
     meta = TrainingMeta(seed=0, epochs=0, batch_size=1)
-    return ProjectionModel(matrices, clusters, regularizer, lam, d, meta)
+    return ProjectionModel(matrices, clusters, regularizer, lam, meta)
 
 
 def reference_terms(phi, X, Y, Z, kind):

@@ -35,7 +35,7 @@ def hyp(a, b):
 
 
 def reference_config(**overrides):
-    base = dict(epochs=700, batch_size=1024, init_std=0.1, k=1, seed=11)
+    base = dict(epochs=700, batch_size=1024, k=1, seed=11)
     base.update(overrides)
     return TrainConfig(**base)
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import shutil
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -71,8 +72,10 @@ class TestSplitCommand:
             assert run("split", "--relations", fixture_dir / "relations.tsv",
                        "--seed", 9, "--out", out) == 0
             outs.append(out)
-        for name in ("train.tsv", "validation.tsv", "test.tsv", "negatives.tsv",
-                     "split_manifest.tsv"):
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == ["manifest.json", "negatives.tsv", "test.tsv", "train.tsv",
+                         "validation.tsv"]
+        for name in names[1:]:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_bad_fractions_exit_2(self, tmp_path, fixture_dir):
@@ -120,6 +123,19 @@ class TestClusterCommand:
         assert np.array_equal(model.clusters.centroids,
                               np.array(json.loads(clusters.read_text())["centroids"]))
 
+    @pytest.mark.parametrize("seed", [None, 4], ids=["default-seed", "seed-4"])
+    def test_cluster_then_train_fits_what_train_alone_fits(self, tmp_path, fixture_dir,
+                                                          split_dir, seed):
+        emb = ["--embeddings", fixture_dir / "embeddings.txt", "--split-dir", split_dir,
+               "--k", 2, *(["--seed", seed] if seed is not None else [])]
+        assert run("cluster", *emb, "--out", tmp_path / "c.json") == 0
+        train = ["train", *emb, "--epochs", 10, "--reg", "neighbor"]
+        assert run(*train, "--clusters", tmp_path / "c.json", "--out", tmp_path / "two.hprj") == 0
+        assert run(*train, "--out", tmp_path / "one.hprj") == 0
+        for name in ("{}.hprj", "{}.hprj.trace.csv"):
+            one = (tmp_path / name.format("one")).read_bytes()
+            assert one == (tmp_path / name.format("two")).read_bytes()
+
 
 class TestTrainCommand:
     def test_lambda_inert_under_baseline(self, tmp_path, fixture_dir, split_dir):
@@ -148,6 +164,22 @@ class TestTrainCommand:
             out = tmp_path / f"{reg}.hprj"
             assert train_quick(fixture_dir, split_dir, out, reg=reg) == 0
             assert load_model(out).regularizer.value == reg
+
+    def test_gradient_too_large_for_adam_exit_1(self, tmp_path, fixture_dir, split_dir,
+                                                capsys):
+        # a finite gradient entry above about 1.3e154 would overflow Adam's
+        # second moment, and every later step of its matrix would be 0
+        out = tmp_path / "m.hprj"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = train_quick(fixture_dir, split_dir, out, reg="neighbor", **{"lambda": "1e200"})
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: non-finite or overflowing gradient in cluster 0 at epoch 1"]
+        assert not out.exists()
+        assert train_quick(fixture_dir, split_dir, out, reg="neighbor", **{"lambda": "1e100"}) == 0
 
 
 class TestEvalCommand:
@@ -452,17 +484,15 @@ class TestBadInputExit2:
         ("train", ["--reg", "neighbor", "--lambda", "inf"], "lambda"),
         ("train", ["--alpha", "-1"], "alpha"),
         ("train", ["--alpha", "nan"], "alpha"),
-        ("train", ["--init-std", "nan"], "init_std"),
         ("split", ["--fractions", "nan", "0.5", "0.5"], "fractions"),
         ("synth", ["--noise", "nan"], "noise"),
         ("synth", ["--distractors", "1", "--distractor-angle", "inf"], "distractor_angle"),
-        ("cluster", ["--tol", "nan"], "tol"),
         ("synth", ["--seed", "-1"], "seed must be non-negative"),
         ("split", ["--seed", "-1"], "seed must be non-negative"),
         ("cluster", ["--seed", "-1"], "seed must be non-negative"),
         ("train", ["--seed", "-1"], "seed must be non-negative"),
-    ], ids=["lambda-nan", "lambda-inf", "alpha-negative", "alpha-nan", "init-std-nan",
-            "fractions-nan", "noise-nan", "distractor-angle-inf", "tol-nan",
+    ], ids=["lambda-nan", "lambda-inf", "alpha-negative", "alpha-nan",
+            "fractions-nan", "noise-nan", "distractor-angle-inf",
             "synth-seed-negative", "split-seed-negative", "cluster-seed-negative",
             "train-seed-negative"])
     def test_bad_numeric_flag(self, tmp_path, capsys, fixture_dir, split_dir,
@@ -509,7 +539,7 @@ def test_manifest_config_is_the_parsed_flags(tmp_path, fixture_dir, split_dir):
     assert train_manifest["config"] == {
         "embeddings": str(emb), "format": "text", "normalize": False,
         "split_dir": str(split_dir), "k": 1, "reg": "asym", "lam": 0.25, "epochs": 3,
-        "batch_size": 1024, "init_std": 0.1, "alpha": 0.001, "seed": 0,
+        "batch_size": 1024, "alpha": 0.001, "seed": 0,
         "select_on": "final", "clusters": None, "trace": str(trace), "out": str(model),
     }
     eval_manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
@@ -553,6 +583,13 @@ def test_unknown_subcommand_exit_2():
 
 def test_usage_error_exit_2(tmp_path):
     assert run("split", "--relations") == 2
+
+
+@pytest.mark.parametrize("argv", [["cluster", "--max-iter", 5], ["train", "--init-std", 0.2],
+                                  ["cluster", "--tol", 0.1]], ids=["max-iter", "init-std", "tol"])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    assert run(*argv, "--embeddings", "e.txt", "--split-dir", "sp", "--out", "o") == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 class TestEmbeddingCache:
@@ -626,6 +663,26 @@ FUZZ = given(kind=st.sampled_from(["arbitrary", "started", "truncated"]),
 HUGE = b"1" + b"0" * 400  # an integer too large for a float
 
 
+def damaged(valid: bytes, kind: str, junk: bytes, at: int) -> bytes:
+    """``junk`` in place of ``valid``, ``valid`` cut short at ``at``, or ``junk`` inserted there."""
+    at %= len(valid) + 1
+    cases = {"arbitrary": junk, "truncated": valid[:at],
+             "inserted": valid[:at] + junk + valid[at:]}
+    return cases[kind]
+
+
+DAMAGE = {"kind": st.sampled_from(["arbitrary", "truncated", "inserted"]),
+          "junk": st.binary(max_size=200), "at": st.integers(min_value=0)}
+
+
+def check_exit_0_or_2(code, err):
+    """Success, or one error line on exit 2; never a crash."""
+    if code == 2:
+        check_one_error_line(code, err)
+    else:
+        assert code == 0 and "Traceback" not in err, err
+
+
 class TestLoaderFuzz:
     """Bad model and cluster files exit 2 with one error line, whatever their bytes."""
 
@@ -668,26 +725,58 @@ class TestSplitDirFuzz:
     @pytest.mark.parametrize("command", ["train", "cluster"])
     @given(member=st.sampled_from(["train", "validation", "test", "negatives"]),
            kind=st.sampled_from(["arbitrary", "truncated", "inserted", "missing"]),
-           junk=st.binary(max_size=200), at=st.integers(min_value=0))
+           junk=DAMAGE["junk"], at=DAMAGE["at"])
     @settings(deadline=None)
     def test_damaged_member(self, split_fuzz, command, member, kind, junk, at):
         split = split_fuzz / "split"
         shutil.rmtree(split, ignore_errors=True)
         shutil.copytree(split_fuzz / "valid", split)
         path = split / f"{member}.tsv"
-        valid = path.read_bytes()
-        at %= len(valid) + 1
         if kind == "missing":
             path.unlink()
         else:
-            cases = {"arbitrary": junk, "truncated": valid[:at],
-                     "inserted": valid[:at] + junk + valid[at:]}
-            path.write_bytes(cases[kind])
+            path.write_bytes(damaged(path.read_bytes(), kind, junk, at))
         flags = {"train": ["--epochs", 1], "cluster": []}[command]
-        code, err = stderr_of([command, "--embeddings", split_fuzz / "fix" / "embeddings.txt",
-                               "--split-dir", split, "--k", 1, *flags,
-                               "--out", split_fuzz / "out"])
-        if code == 2:
-            check_one_error_line(code, err)
+        check_exit_0_or_2(*stderr_of([
+            command, "--embeddings", split_fuzz / "fix" / "embeddings.txt",
+            "--split-dir", split, "--k", 1, *flags, "--out", split_fuzz / "out"]))
+
+
+class TestInputFuzz:
+    """Damaged relations and embedding files exit 0 or 2, never a crash, through
+    every other command that reads them; predict may also exit 1 when no word resolves."""
+
+    @pytest.mark.parametrize("command", ["split", "eval"])
+    @given(**DAMAGE)
+    @settings(deadline=None)
+    def test_relations(self, trained, command, kind, junk, at):
+        valid = trained / {"split": "fix/relations.tsv", "eval": "split/test.tsv"}[command]
+        relations = trained / "fuzz.tsv"
+        relations.write_bytes(damaged(valid.read_bytes(), kind, junk, at))
+        argv = {
+            "split": ["split", "--relations", relations, "--out", trained / "fuzz-split"],
+            "eval": ["eval", "--model", trained / "m.hprj",
+                     "--embeddings", trained / "fix" / "embeddings.txt",
+                     "--test", relations, "--out", trained / "fuzz.json"],
+        }[command]
+        check_exit_0_or_2(*stderr_of(argv))
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @given(**DAMAGE)
+    @settings(deadline=None)
+    def test_text_embeddings(self, trained, command, kind, junk, at):
+        emb = trained / "fuzz.txt"
+        emb.write_bytes(damaged((trained / "fix" / "embeddings.txt").read_bytes(), kind, junk, at))
+        test = trained / "split" / "test.tsv"
+        word = test.read_text().split("\t", 1)[0]
+        flags = ["--model", trained / "m.hprj", "--embeddings", emb]
+        if command == "eval":
+            check_exit_0_or_2(*stderr_of(["eval", *flags, "--test", test,
+                                          "--out", trained / "fuzz.json"]))
+            return
+        code, err = stderr_of(["predict", *flags, word])
+        if code == 1:
+            assert f"warning: {word!r} is not in the vocabulary" in err and "Traceback" not in err
+            assert not any(line.startswith("error:") for line in err.splitlines()), err
         else:
-            assert code == 0 and "Traceback" not in err, err
+            check_exit_0_or_2(code, err)

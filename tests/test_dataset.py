@@ -18,7 +18,6 @@ from hyperproj.dataset import (
     negative_index,
     read_split_dir,
     sample_negative,
-    sample_negatives,
     split_relations,
     write_split,
 )
@@ -378,7 +377,7 @@ class TestSampleNegatives:
         data, table, rows = fixture
         order = np.random.default_rng(100 + seed).choice(rows, size=300)
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_negatives(*negative_index(data, table), order, fast)
+        got = dataset._negative_sampler(*negative_index(data, table), order)(fast)
         want = [table.lookup(sample_negative(data, table.vocab[s], slow)) for s in order]
         assert got.tolist() == want
         assert table.lookup("held") not in want
@@ -389,8 +388,8 @@ class TestSampleNegatives:
         data, table, _ = fixture
         order = np.array([table.lookup(w) for w in words], dtype=np.int64)
         rng = np.random.default_rng(5)
-        assert sample_negatives(*negative_index(data, table), order, rng).tolist() == \
-            order.tolist()
+        assert dataset._negative_sampler(*negative_index(data, table), order)(rng).tolist() \
+            == order.tolist()
         assert np.array_equal(rng.permutation(50), np.random.default_rng(5).permutation(50))
 
 
@@ -413,8 +412,9 @@ class TestSplitRoundTrip:
         d1, d2 = tmp_path / "one", tmp_path / "two"
         write_split(build_dataset(pairs, table, seed=3), d1)
         write_split(build_dataset(pairs, table, seed=3), d2)
-        for name in ("train.tsv", "validation.tsv", "test.tsv", "negatives.tsv",
-                     "split_manifest.tsv"):
+        names = sorted(p.name for p in d1.iterdir())
+        assert names == ["negatives.tsv", "test.tsv", "train.tsv", "validation.tsv"]
+        for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_missing_bucket_file(self, tmp_path):

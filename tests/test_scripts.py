@@ -72,8 +72,8 @@ def test_golden_digests_lists_every_output():
     lines = proc.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines), lines
     names = [line[66:] for line in lines]
-    # synth 2, split 5, cluster 1, then model, trace, report and per-pair TSV of 7 arms
-    assert len(names) == 2 + 5 + 1 + 7 * 4 + 1
+    # synth 2, split 4, cluster 1, then model, trace, report and per-pair TSV of 7 arms
+    assert len(names) == 2 + 4 + 1 + 7 * 4 + 1
     assert {"fixture/relations.tsv", "split/test.tsv", "clusters.json",
             "neighbor-select.report.json", "neighbor-reproj-batch68.hprj",
             "(predict stdout)"} <= set(names)

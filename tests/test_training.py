@@ -8,10 +8,10 @@ from hyperproj.clustering import ClusterModel, assign_clusters, fit_kmeans, offs
 from hyperproj.dataset import (
     RelationDataset,
     RelationPair,
+    _negative_sampler,
     build_dataset,
     negative_index,
     sample_negative,
-    sample_negatives,
 )
 from hyperproj.embeddings import EmbeddingTable, vocab_hash
 from hyperproj.errors import InputError, TrainingError
@@ -36,9 +36,9 @@ def hyp(a, b):
     return RelationPair(a, b, "hypernym")
 
 
-def init_matrix(d, seed, std, cid=0):
+def init_matrix(d, seed, cid=0):
     """The matrix a cluster starts training from."""
-    cfg = TrainConfig(seed=seed, init_std=std)
+    cfg = TrainConfig(seed=seed)
     return training._Cluster(cid, np.zeros((0, d)), np.zeros((0, d)),
                              np.zeros(0, np.int64), cfg, d, None).phi0
 
@@ -46,18 +46,17 @@ def init_matrix(d, seed, std, cid=0):
 class TestInitMatrix:
     def test_moments(self):
         # 2500 draws: sample mean ~ N(0, std/50), sample std concentrates at 0.1
-        m = init_matrix(50, seed=0, std=0.1)
+        assert training.INIT_STD == 0.1
+        m = init_matrix(50, seed=0)
         assert abs(m.mean()) < 0.01
         assert abs(m.std() - 0.1) < 0.01
 
     def test_same_seed_same_matrix(self):
-        assert np.array_equal(init_matrix(8, seed=5, std=0.1), init_matrix(8, seed=5, std=0.1))
+        assert np.array_equal(init_matrix(8, seed=5), init_matrix(8, seed=5))
 
     def test_different_seed_differs(self):
-        assert not np.array_equal(init_matrix(8, seed=5, std=0.1),
-                                  init_matrix(8, seed=6, std=0.1))
-        assert not np.array_equal(init_matrix(8, seed=5, std=0.1),
-                                  init_matrix(8, seed=5, std=0.1, cid=1))
+        assert not np.array_equal(init_matrix(8, seed=5), init_matrix(8, seed=6))
+        assert not np.array_equal(init_matrix(8, seed=5), init_matrix(8, seed=5, cid=1))
 
 
 class TestAdamStep:
@@ -256,12 +255,12 @@ class TestTrain:
 
 class ReferenceCluster:
     """One cluster trained alone, as before clusters stepped together: its own
-    matrix and Adam state, single-matrix steps, one sample_negatives call per epoch."""
+    matrix and Adam state, single-matrix steps, one negative draw call per epoch."""
 
     def __init__(self, cid, pairs, table, cfg):
         self.cid = cid
         self.rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cid,)))
-        self.phi = self.rng.normal(0.0, cfg.init_std, size=(table.dim, table.dim))
+        self.phi = self.rng.normal(0.0, training.INIT_STD, size=(table.dim, table.dim))
         self.state = AdamState.zeros_like(self.phi)
         self.sources = np.array([table.lookup(p.source) for p in pairs], dtype=np.int64)
         self.X = table.vectors[self.sources]
@@ -273,7 +272,7 @@ class ReferenceCluster:
         perm = self.rng.permutation(n)
         Z = None
         if negatives is not None:
-            Z = table.vectors[sample_negatives(*negatives, self.sources, self.rng)[perm]]
+            Z = table.vectors[_negative_sampler(*negatives, self.sources)(self.rng)[perm]]
         X, Y = self.X[perm], self.Y[perm]
         base_sum = reg_sum = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -303,8 +302,8 @@ def reference_train(data, table, cfg, clusters):
                 c.epoch(epoch, cfg, negatives, table)
         if cfg.select_on == "best_validation_hit10" and (epoch % 10 == 0 or epoch == cfg.epochs):
             snapshot = np.stack([c.phi for c in ref])
-            model = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, table.dim,
-                                    meta, vocab_hash(table))
+            model = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, meta,
+                                    vocab_hash(table))
             hit = hit_at(model, table, data.pairs_in("validation"), 10)
             if hit > best_hit:
                 best_hit, best = hit, snapshot
@@ -313,8 +312,7 @@ def reference_train(data, table, cfg, clusters):
     meta.trace = sorted(row for c in ref for row in c.trace)
     lam = 0.0 if cfg.regularizer is Regularizer.NONE else cfg.lam
     matrices = best if best is not None else np.stack([c.phi for c in ref])
-    return ProjectionModel(matrices, clusters, cfg.regularizer, lam, table.dim, meta,
-                           vocab_hash(table))
+    return ProjectionModel(matrices, clusters, cfg.regularizer, lam, meta, vocab_hash(table))
 
 
 class TestLockstep:
