@@ -248,6 +248,7 @@ def cmd_eval(args) -> int:
     manifest.add_input(Path(args.test))
     report = evaluation.evaluate(model, table, pairs, l_max=args.l_max)
     manifest.stage("evaluate")
+    manifest.payload["ranking"] = {"queries": report.n_pairs, "rechecked": report.rechecked}
     config_echo = {
         "model": args.model, "test": args.test, "l_max": args.l_max,
         "k": model.k, "regularizer": model.regularizer.value, "lambda": model.lam,

@@ -30,10 +30,16 @@ binary file is hashed but never cached: its float64 entry would be twice
 the file's size, and on a large table (70k rows of 100) a hit saved only
 about a seventh of a parse while a miss cost about a third more. With no
 ``cache``, the file is parsed as it is read, and nothing is hashed or
-written.
+written. After writing an entry, the least recently used entries are
+deleted while the directory's entries exceed CACHE_MAX_BYTES; a hit
+updates its entry's modification time.
 
-Every similarity search, from ``nearest_neighbors`` here to ranking in
-the evaluation module, scores through ``cosine_blocks``.
+Similarity search has one scorer, ``cosine_blocks``: one product per
+query, so a score does not depend on the other queries. ``nearest_neighbors``
+and the evaluation module's predict print its scores. ``gold_ranks`` ranks
+a gold row per query from one matrix product per block of queries, and
+ranks a query again through ``cosine_blocks`` whenever the two products
+could order its gold row differently (see ``tie_window``).
 """
 
 from __future__ import annotations
@@ -56,7 +62,9 @@ from .errors import InputError, utf8_lines
 log = logging.getLogger(__name__)
 
 TEXT_PRECISION = 9  # significant digits written by save_embeddings_text
-BLOCK_ENTRIES = 1 << 15  # scores cosine_blocks holds at once: 256 KiB of float64
+BLOCK_ENTRIES = 1 << 15  # scores cosine_blocks and gold_ranks hold at once: 256 KiB of float64
+MIN_WHOLE_ROWS = 4  # gold_ranks tiles the vocabulary when fewer whole score rows fit
+GEMM_ROWS = 64  # queries per matrix product when gold_ranks tiles the vocabulary
 PARSE_TOKENS = 1 << 15  # components _parse_text converts at once: max(1, PARSE_TOKENS // dim) rows
 # below this a row's sum of squares underflows to a subnormal or to 0
 NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
@@ -67,6 +75,7 @@ PRODUCT_FLOOR = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 FORMATS = ("text", "binary")
 CACHE_MAGIC = b"HPTAB1"
 CACHE_VERSION = 2
+CACHE_MAX_BYTES = 1 << 30  # entries a cache directory keeps, see _evict
 
 
 def _extreme_rows(vectors: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -423,9 +432,38 @@ def _write_entry(entry: Path, digest: str, words: list[str], vectors: np.ndarray
         os.replace(tmp, entry)
     except OSError as exc:
         log.info("embedding cache not written: %s", exc)
+        return
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)  # already gone after the rename
+    _evict(entry)
+
+
+def _evict(kept: Path) -> None:
+    """Delete the least recently used entries beside ``kept`` while the entries
+    hold more than CACHE_MAX_BYTES; ``kept``, just written, stays.
+
+    1 GiB holds about 17 tables of 70k words at d=100 (57 MB each) or 1,700
+    of 7k words at d=10, so every fixture of a sweep over seeds stays warm,
+    while a directory that has filled up costs no more disk than that. An
+    entry's modification time is when it was last written or hit. An entry
+    that cannot be listed, read or deleted is passed over: another process
+    may be using the same directory.
+    """
+    aged = []
+    with contextlib.suppress(OSError):
+        for path in kept.parent.glob("*.hptab"):
+            with contextlib.suppress(OSError):
+                st = path.stat()
+                aged.append((st.st_mtime_ns, path.name, st.st_size, path))
+    total = sum(size for *_, size, _ in aged)
+    for _, _, size, path in sorted(aged):  # the oldest first
+        if total <= CACHE_MAX_BYTES:
+            break
+        if path != kept:
+            with contextlib.suppress(OSError):
+                path.unlink()
+                total -= size
 
 
 def load_embeddings(path: str | Path, format: str = "text", normalize: bool = False,
@@ -462,6 +500,8 @@ def load_embeddings(path: str | Path, format: str = "text", normalize: bool = Fa
         del data  # not held alongside the entry
         cached = _read_entry(entry, digest)
         if cached is not None:
+            with contextlib.suppress(OSError):
+                os.utime(entry)  # most recently used, see _evict
             return _finish(*cached, normalize, str(path), digest)
         data = path.read_bytes()  # an unsound entry: parse the file as it is now
         digest = hashlib.sha256(data).hexdigest()
@@ -484,6 +524,18 @@ def save_embeddings_text(table: EmbeddingTable, path: str | Path) -> None:
         # one row of Python floats at a time: a whole-table tolist() holds 4x the table
         fh.writelines(row % (word, *values.tolist())
                       for word, values in zip(table.vocab, table.vectors))
+
+
+def _mask(S: np.ndarray, dead: np.ndarray, qnorms: np.ndarray,
+          exclude: np.ndarray | None) -> None:
+    """Set to -inf, in scores ``S`` of queries against a run of vocabulary rows, the
+    columns ``dead`` (zero rows), every column of a zero query, and per query the
+    column ``exclude[i]`` when it is one."""
+    S[:, dead] = -np.inf
+    S[qnorms == 0.0] = -np.inf
+    if exclude is not None:
+        hit = np.flatnonzero((exclude >= 0) & (exclude < S.shape[1]))
+        S[hit, exclude[hit]] = -np.inf
 
 
 def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
@@ -513,13 +565,133 @@ def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
         np.multiply(table._row_norms, qnorms[start:stop, None], out=D)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(S, D, out=S)
-        S[:, dead] = -np.inf
-        S[qnorms[start:stop] == 0.0] = -np.inf
-        if exclude is not None:
-            ex = exclude[start:stop]
-            hit = np.flatnonzero(ex >= 0)
-            S[hit, ex[hit]] = -np.inf
+        _mask(S, dead, qnorms[start:stop], None if exclude is None else exclude[start:stop])
         yield start, S
+
+
+def tie_window(dim: int) -> float:
+    """How far apart two cosines must be for ``gold_ranks``' matrix product and
+    the per-query product of ``cosine_blocks`` to order them alike, at
+    embedding dimension ``dim``.
+
+    Take u = 2^-53 and γ_n = n·u / (1 - n·u). Let q be a nonzero query as
+    ``_scaled_queries`` leaves it and v a nonzero row, with computed norms qn
+    and rn, and ρ = ‖q‖·‖v‖ / (qn·rn). Each computed norm is the true one times
+    1 + θ with |θ| ≤ γ_{d+3}, ``_extreme_rows`` rescaling and unit scaling
+    included, so ρ ≤ 1 + γ_{2d+6}. A dot product of d terms, summed in any
+    order, with or without fused multiply-adds and however threads split it,
+    is within γ_d·Σ|a_k b_k| of the exact one, plus 2^-1074 for each product
+    that underflows (Higham, Accuracy and Stability of Numerical Algorithms,
+    §2.1 and §3.1); Σ|a_k b_k| ≤ ‖a‖·‖b‖.
+
+    - The matrix product scores fl(q/qn)·fl(v/rn). The two divisions add
+      γ_2, so it is within γ_{d+2}·ρ of q·v / (qn·rn), plus subnormal terms
+      below d·2^-1072: both factors have norm about 1.
+    - The per-query product scores fl(fl(q·v) / fl(qn·rn)), within
+      γ_{d+2}·ρ of q·v / (qn·rn) as well, plus d·2^-1074 / (qn·rn) from
+      underflow. ``_scaled_queries`` keeps qn·rn ≥ PRODUCT_FLOOR = 2^-970 when
+      the table's smallest nonzero row norm is at least PRODUCT_FLOOR, so that
+      term is below d·2^-103. Below that floor there is no bound, and
+      ``gold_ranks`` ranks every query by the per-query product.
+
+    So any two of these scores of one pair, the gold score ``gold_ranks``
+    estimates included, differ by at most β = 2γ_{d+2}(1 + γ_{2d+6}) +
+    d·2^-103 + d·2^-1071, and a difference of two scores moves by at most
+    2β from one product to the other. The window adds 2u for rounding its
+    ends, c ± window with |c ± window| < 2, and u for the subnormal terms and
+    for evaluating this formula.
+    """
+    u = float(np.finfo(np.float64).eps) / 2
+
+    def gamma(k: int) -> float:
+        return k * u / (1 - k * u)
+
+    return 4 * gamma(dim + 2) * (1 + gamma(2 * dim + 6)) + dim * 2.0 ** -102 + 3 * u
+
+
+def gold_ranks(table: EmbeddingTable, queries: np.ndarray, gold: np.ndarray,
+               exclude: np.ndarray) -> tuple[np.ndarray, int]:
+    """1-based rank of row ``gold[i]`` among query i's cosines, and how many
+    queries were ranked again by the per-query product.
+
+    The ranks are those the scores of ``cosine_blocks`` give, ties to the
+    lower vocabulary index and row ``exclude[i]`` left out; 0 where the
+    gold row scores -inf. Blocks of unit queries are scored with one matrix
+    product against tiles of unit rows: ``BLOCK_ENTRIES // len(table)``
+    queries against the whole vocabulary when at least MIN_WHOLE_ROWS fit,
+    else GEMM_ROWS queries against ``BLOCK_ENTRIES // GEMM_ROWS`` rows at a
+    time. Those cosines can be off from the per-query ones, so a rank is
+    counted from them only when no other row scores within ``tie_window``
+    of the gold row; any other query is ranked again from ``cosine_blocks``.
+    Every rank equals the per-query one.
+    """
+    original = np.asarray(queries, dtype=np.float64)
+    n = len(original)
+    ranks = np.zeros(n, dtype=np.intp)
+    if table._min_norm < PRODUCT_FLOOR:  # no bound between the products, see tie_window
+        redo = np.arange(n)
+    else:
+        redo = _window_ranks(table, *_scaled_queries(original, table), gold, exclude, ranks)
+    for start, S in cosine_blocks(table, original[redo], exclude[redo]):
+        for i, row in zip(redo[start:start + len(S)], S):
+            g = gold[i]
+            s_gold = row[g]
+            if s_gold > -np.inf:  # ties rank the lower vocabulary index first
+                ranks[i] = (1 + np.count_nonzero(row[:g] >= s_gold)
+                            + np.count_nonzero(row[g + 1:] > s_gold))
+    return ranks, len(redo)
+
+
+def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray,
+                  gold: np.ndarray, exclude: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Fill ``ranks`` where the matrix-product cosines prove them; the indices of
+    the other queries whose gold row can be ranked."""
+    n, vocab = len(queries), len(table)
+    norms = table._row_norms
+    whole = BLOCK_ENTRIES // vocab >= MIN_WHOLE_ROWS
+    rows = max(1, min(n, BLOCK_ENTRIES // vocab if whole else GEMM_ROWS))
+    width = vocab if whole else max(1, BLOCK_ENTRIES // GEMM_ROWS)
+    dead = np.flatnonzero(norms == 0.0)
+    live = (qnorms > 0.0) & (norms[gold] > 0.0) & (gold != exclude)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero queries and rows: NaN
+        units = queries / qnorms[:, None]
+        s_gold = np.einsum("ij,ij->i", units, table.vectors[gold] / norms[gold, None])
+    window = tie_window(table.dim)
+    above = np.where(live, s_gold + window, np.inf)[:, None]
+    below = np.where(live, s_gold - window, np.inf)[:, None]
+    ahead = np.zeros(n, dtype=np.intp)  # rows above the window
+    near = np.zeros(n, dtype=np.intp)  # rows at or above its low end, the gold row included
+    # unit rows, transposed: OpenBLAS multiplies a few queries by a contiguous
+    # (d, width) tile about twice as fast as by a transposed view of the table
+    tile_buf = np.empty(table.dim * min(width, vocab))
+    score_buf = np.empty(rows * min(width, vocab))
+    mask_buf = np.empty(score_buf.shape, dtype=bool)
+    for first in range(0, vocab, width):
+        last = min(first + width, vocab)
+        tile = tile_buf[:table.dim * (last - first)].reshape(table.dim, last - first)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(table.vectors[first:last].T, norms[first:last], out=tile)
+        cut = np.searchsorted(dead, (first, last))
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            shape = (stop - start, last - first)
+            S = score_buf[:shape[0] * shape[1]].reshape(shape)
+            M = mask_buf[:S.size].reshape(shape)
+            np.matmul(units[start:stop], tile, out=S)
+            _mask(S, dead[cut[0]:cut[1]] - first, qnorms[start:stop],
+                  exclude[start:stop] - first)
+            for bound, op, count in ((above, np.greater, ahead),
+                                     (below, np.greater_equal, near)):
+                op(S, bound[start:stop], out=M)
+                # one 1-D count per whole row is fastest; narrow tiles count along axis 1
+                count[start:stop] += ([np.count_nonzero(r) for r in M] if whole
+                                      else M.sum(axis=1))
+    # a row above `above` is ahead of the gold row in the per-query product too,
+    # and one below `below` behind it (see tie_window); a rank is proven when
+    # only the gold row lies in between
+    proven = live & (near == ahead + 1)
+    ranks[proven] = 1 + ahead[proven]
+    return np.flatnonzero(live & ~proven)
 
 
 def top_indices(scores: np.ndarray, l: int) -> np.ndarray:

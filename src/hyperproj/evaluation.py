@@ -9,10 +9,16 @@ Evaluation protocol. eval (and validation during training) routes each
 pair to the cluster nearest its gold offset y - x, so the cluster choice
 uses the answer. predict has no gold word: it projects through every
 cluster and keeps each word's best cosine. Ties go to the lower
-vocabulary index. All three rank with one scorer,
-``embeddings.cosine_blocks``, which holds at most 256 KiB of scores at
-once (one query's row if the vocabulary has more than 2^15 words). A
-gold word's rank is counted from the scores, without sorting them.
+vocabulary index. Each holds at most 256 KiB of scores at once.
+
+eval and validation rank through ``_rank_pairs`` and
+``embeddings.gold_ranks``: one matrix product per block of queries, and
+a gold word's rank counted from the scores, without sorting them. A query
+with another word within ``embeddings.tie_window`` of its gold score is
+ranked again by ``embeddings.cosine_blocks``, one product per query, so
+every rank is the one that product gives. predict prints scores, so it
+scores through ``cosine_blocks`` alone, and a word's score does not
+depend on the other queries.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .clustering import assign_clusters
 from .dataset import RelationPair
-from .embeddings import EmbeddingTable, cosine_blocks, top_indices
+from .embeddings import EmbeddingTable, cosine_blocks, gold_ranks, top_indices
 from .embeddings import nearest_neighbors  # noqa: F401  (the one-query form, re-exported)
 from .errors import InputError
 from .projection import ProjectionModel
@@ -49,6 +55,7 @@ class EvalReport:
     auc: float
     per_pair: list[PairResult]
     skips: int
+    rechecked: int  # pairs ranked again by the per-query product
 
     @property
     def l_max(self) -> int:
@@ -85,8 +92,9 @@ def _check_dims(model: ProjectionModel, table: EmbeddingTable) -> None:
 
 
 def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
-                pairs: list[RelationPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster of each pair (from its gold offset) and 1-based rank of its gold word.
+                pairs: list[RelationPair]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cluster of each pair (from its gold offset), 1-based rank of its gold word,
+    and how many pairs ``gold_ranks`` re-ranked by the per-query product.
 
     A rank of 0 means the gold word cannot be ranked: its score is -inf
     because the projection is zero, the word has a zero vector, or it is
@@ -101,15 +109,10 @@ def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
     for c in range(model.k):
         members = clusters == c
         queries[members] = (X[members, None, :] @ model.matrices[c]).reshape(-1, table.dim)
-    ranks = np.zeros(len(pairs), dtype=np.intp)
-    for start, S in cosine_blocks(table, queries, sources):
-        for i, row in enumerate(S, start=start):
-            g = gold[i]
-            s_gold = row[g]
-            if s_gold > -np.inf:  # ties rank the lower vocabulary index first
-                ranks[i] = (1 + np.count_nonzero(row[:g] >= s_gold)
-                            + np.count_nonzero(row[g + 1:] > s_gold))
-    return clusters, ranks
+    ranks, rechecked = gold_ranks(table, queries, gold, sources)
+    log.debug("ranked %d pair(s), %d re-ranked by the per-query product",
+              len(pairs), rechecked)
+    return clusters, ranks, rechecked
 
 
 def hit_at(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPair],
@@ -118,7 +121,7 @@ def hit_at(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPa
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
     usable, _ = _usable_pairs(table, pairs)
-    _, ranks = _rank_pairs(model, table, usable)
+    _, ranks, _ = _rank_pairs(model, table, usable)
     return int(np.count_nonzero((ranks >= 1) & (ranks <= l))) / len(usable)
 
 
@@ -128,13 +131,13 @@ def evaluate(model: ProjectionModel, table: EmbeddingTable, pairs: list[Relation
     if l_max < 2:
         raise InputError(f"l_max must be >= 2, got {l_max}")
     usable, skips = _usable_pairs(table, pairs)
-    clusters, ranks = _rank_pairs(model, table, usable)
+    clusters, ranks, rechecked = _rank_pairs(model, table, usable)
     per_pair = [PairResult(p.source, p.target, int(c), int(r) if 1 <= r <= l_max else None)
                 for p, c, r in zip(usable, clusters, ranks)]
     n = len(per_pair)
     hits = [int(np.count_nonzero((ranks >= 1) & (ranks <= i))) / n
             for i in range(1, l_max + 1)]
-    return EvalReport(hits, auc(hits), per_pair, skips)
+    return EvalReport(hits, auc(hits), per_pair, skips, rechecked)
 
 
 def predict_candidates(model: ProjectionModel, table: EmbeddingTable, word: str,

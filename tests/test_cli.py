@@ -549,6 +549,8 @@ def test_manifest_config_is_the_parsed_flags(tmp_path, fixture_dir, split_dir):
         "test": str(split_dir / "test.tsv"), "l_max": 10, "per_pair": str(pairs),
         "out": str(report),
     }
+    n_pairs = json.loads(report.read_text())["n_pairs"]
+    assert eval_manifest["ranking"] == {"queries": n_pairs, "rechecked": 0}
 
 
 def test_train_manifest_records_data_accounting(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import os
 import struct
 from pathlib import Path
 from unittest import mock
@@ -706,6 +707,44 @@ class TestCache:
                 load_embeddings(path, normalize=normalize, cache=tmp_path / "cache")
             assert str(cached.value) == str(plain.value)
         assert entries(tmp_path / "cache") == []
+
+    def test_least_recently_used_entries_are_evicted(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        paths = [write(tmp_path / f"e{i}.txt", f"w{i} {i} 1\n") for i in range(3)]
+        for path in paths[:2]:
+            load_embeddings(path, cache=cache)
+        first, second = (cache / f"{hashlib.sha256(p.read_bytes()).hexdigest()}.hptab"
+                         for p in paths[:2])
+        os.utime(first, ns=(0, 10**9))
+        os.utime(second, ns=(0, 2 * 10**9))  # the first is the least recently written
+        size = first.stat().st_size
+        monkeypatch.setattr(embeddings, "CACHE_MAX_BYTES", 2 * size)  # room for two
+        with mock.patch.object(embeddings, "_parse_text", side_effect=AssertionError):
+            load_embeddings(paths[0], cache=cache)  # a hit: now the most recently used
+        load_embeddings(paths[2], cache=cache)  # a third entry evicts the second
+        assert first.exists() and not second.exists() and len(entries(cache)) == 2
+        # a load after eviction parses again and is bitwise a cold load
+        assert_same_table(load_embeddings(paths[1], cache=cache), load_embeddings(paths[1]))
+        assert second.exists() and len(entries(cache)) == 2
+
+    def test_the_entry_just_written_is_never_evicted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "CACHE_MAX_BYTES", 0)
+        for i in range(3):
+            path = write(tmp_path / f"e{i}.txt", f"w {i} 1\n")
+            load_embeddings(path, cache=tmp_path / "cache")
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert [e.name for e in entries(tmp_path / "cache")] == [f"{digest}.hptab"]
+
+    def test_failed_touch_and_delete_are_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "CACHE_MAX_BYTES", 0)
+        paths = [write(tmp_path / f"e{i}.txt", f"w {i} 1\n") for i in range(2)]
+        load_embeddings(paths[0], cache=tmp_path / "cache")
+        with mock.patch.object(embeddings.os, "utime", side_effect=OSError("read-only")), \
+                mock.patch.object(Path, "unlink", side_effect=OSError("busy")):
+            for path in paths:  # a hit and a miss
+                assert_same_table(load_embeddings(path, cache=tmp_path / "cache"),
+                                  load_embeddings(path))
+        assert len(entries(tmp_path / "cache")) == 2
 
     @pytest.fixture(scope="class")
     def valid_entry(self, tmp_path_factory):

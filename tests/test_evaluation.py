@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperproj import embeddings
-from hyperproj.clustering import assign_cluster
+from hyperproj.clustering import assign_cluster, assign_clusters
 from hyperproj.dataset import RelationPair
 from hyperproj.embeddings import EmbeddingTable, nearest_neighbors
 from hyperproj.errors import InputError
 from hyperproj.evaluation import (
+    _rank_pairs,
     auc,
     evaluate,
     hit_at,
@@ -360,3 +363,234 @@ class TestWriters:
         write_per_pair_tsv(report, path)
         lines = path.read_text().splitlines()
         assert lines == ["x1\ty1\t0\t-", "x2\ty2\t0\t-"]
+
+
+# ---------------------------------------------------------------------------
+# GEMM ranking with a near-tie recheck against the per-query loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_rank_pairs(model, table, pairs):
+    """(clusters, ranks) from one ``cosine_blocks`` row per pair, counted in Python."""
+    sources = np.array([table.lookup(p.source) for p in pairs])
+    gold = np.array([table.lookup(p.target) for p in pairs])
+    X = table.vectors[sources]
+    clusters = assign_clusters(model.clusters, table.vectors[gold] - X)
+    queries = np.empty_like(X)
+    for c in range(model.k):
+        members = clusters == c
+        queries[members] = (X[members, None, :] @ model.matrices[c]).reshape(-1, table.dim)
+    ranks = np.zeros(len(pairs), dtype=np.intp)
+    for start, S in embeddings.cosine_blocks(table, queries, sources):
+        for i, row in enumerate(S, start=start):
+            g = gold[i]
+            s_gold = row[g]
+            if s_gold > -np.inf:
+                ranks[i] = (1 + np.count_nonzero(row[:g] >= s_gold)
+                            + np.count_nonzero(row[g + 1:] > s_gold))
+    return clusters, ranks
+
+
+def assert_ranks_match_oracle(model, table, pairs):
+    """``_rank_pairs`` gives the oracle's clusters and ranks; returns its recheck count."""
+    clusters, ranks, rechecked = _rank_pairs(model, table, pairs)
+    want_clusters, want_ranks = oracle_rank_pairs(model, table, pairs)
+    assert clusters.tolist() == want_clusters.tolist()
+    assert ranks.tolist() == want_ranks.tolist()
+    return rechecked
+
+
+# (BLOCK_ENTRIES, GEMM_ROWS, MIN_WHOLE_ROWS): whole score rows at the defaults,
+# then 6 queries against tiles of 7 rows, which divide neither fixed vocabulary
+# below (37 and 600 rows), then 4 queries against one tile wider than the vocabulary
+TILINGS = {"whole-rows": (1 << 15, 64, 4), "tiles-of-7": (42, 6, 1 << 30),
+           "one-wide-tile": (400, 4, 1 << 30)}
+
+
+def set_tiling(mp, name):
+    for attr, value in zip(("BLOCK_ENTRIES", "GEMM_ROWS", "MIN_WHOLE_ROWS"), TILINGS[name]):
+        mp.setattr(embeddings, attr, value)
+
+
+@pytest.fixture(params=list(TILINGS), ids=list(TILINGS))
+def tiling(request, monkeypatch):
+    set_tiling(monkeypatch, request.param)
+    return request.param
+
+
+def pair_words(table, pairs):
+    return [hyp(table.vocab[a], table.vocab[b]) for a, b in pairs]
+
+
+class TestGemmRanking:
+    def test_random_fixtures(self, tiling):
+        for seed in range(4):
+            table, pairs, model = random_fixture(seed, n_words=37)
+            assert assert_ranks_match_oracle(model, table, pairs) == 0
+
+    def test_exact_ties_from_duplicate_rows(self, tiling):
+        # copies of row 10 sit before and after it; the gold row's copies all tie
+        # with it, and of a tie the lower vocabulary index ranks first
+        table, _, model = random_fixture(81, n_words=37, k=1)
+        vectors = table.vectors.copy()
+        vectors[[3, 17, 30]] = vectors[10]
+        table = EmbeddingTable(table.vocab, vectors)
+        pairs = pair_words(table, [(0, 3), (0, 10), (0, 17), (0, 30), (5, 10), (6, 20)])
+        assert assert_ranks_match_oracle(model, table, pairs) == 5  # each gold with a copy
+        ranks = _rank_pairs(model, table, pairs)[1]
+        assert np.diff(ranks[:4]).tolist() == [1, 1, 1]
+
+    def test_rows_one_ulp_apart(self, tiling):
+        table, _, model = random_fixture(82, n_words=37)
+        vectors = table.vectors.copy()
+        for j, sign in ((4, np.inf), (12, -np.inf), (25, np.inf)):
+            vectors[j] = vectors[9]
+            vectors[j, j % 5] = np.nextafter(vectors[9, j % 5], sign)
+        table = EmbeddingTable(table.vocab, vectors)
+        pairs = pair_words(table, [(0, 9), (1, 4), (2, 12), (3, 25), (5, 9)])
+        assert assert_ranks_match_oracle(model, table, pairs) > 0
+
+    def test_zero_gold_row_and_zero_projection_rank_0(self, tiling):
+        table, _, model = random_fixture(83, n_words=37, k=2)
+        vectors = table.vectors.copy()
+        vectors[[7, 21]] = 0.0
+        table = EmbeddingTable(table.vocab, vectors)
+        matrices = model.matrices.copy()
+        matrices[1] = 0.0
+        model = make_model(matrices, centroids=model.clusters.centroids)
+        pairs = pair_words(table, [(i, (i * 7 + 3) % 37) for i in range(37)] + [(1, 7), (2, 21)])
+        assert_ranks_match_oracle(model, table, pairs)
+        clusters, ranks, rechecked = _rank_pairs(model, table, pairs)
+        assert rechecked == 0
+        assert ranks[-2] == ranks[-1] == 0
+        assert set(clusters) == {0, 1} and not ranks[clusters == 1].any()
+
+    def test_a_window_of_everything_rechecks_every_rankable_pair(self, tiling, monkeypatch):
+        table, pairs, model = random_fixture(84, n_words=37)
+        vectors = table.vectors.copy()
+        vectors[5] = 0.0
+        table = EmbeddingTable(table.vocab, vectors)
+        pairs += pair_words(table, [(0, 5), (6, 6)])  # a zero gold row, and gold = hyponym
+        monkeypatch.setattr(embeddings, "tie_window", lambda dim: 4.0)
+        assert assert_ranks_match_oracle(model, table, pairs) == len(pairs) - 2
+
+    def test_rows_below_the_product_floor_rank_by_the_per_query_product(self, monkeypatch):
+        table, pairs, model = random_fixture(85, n_words=37)
+        vectors = table.vectors.copy()
+        vectors[11] *= 1e-300
+        table = EmbeddingTable(table.vocab, vectors)
+        assert table._min_norm < embeddings.PRODUCT_FLOOR
+        monkeypatch.setattr(embeddings, "_window_ranks", None)  # never called
+        assert assert_ranks_match_oracle(model, table, pairs) == len(pairs)
+
+    @staticmethod
+    def row_with_cosine(target, b0):
+        """Row (1, b) near (1, b0) whose computed cosine with the query (1, 0) is ``target``."""
+        b = b0
+        for _ in range(10_000):
+            cosine = 1.0 / embeddings._row_norms(np.array([[1.0, b]]))[0]
+            if cosine == target:
+                return [1.0, b]
+            b = np.nextafter(b, np.inf if cosine > target else -np.inf)
+        raise AssertionError(f"no row has the cosine {target!r}")
+
+    @pytest.mark.parametrize("side, beyond, rank", [
+        ("above", False, 2), ("above", True, 2), ("below", False, 1), ("below", True, 1)],
+        ids=["at-the-high-end", "past-the-high-end", "at-the-low-end", "past-the-low-end"])
+    def test_pair_planted_at_the_window_edge(self, side, beyond, rank):
+        # the query (1, 0) and rows (1, b) have exact dot products, so each cosine is
+        # 1 / (the row's norm) in every product; a row at the window's end is a near
+        # tie that is rechecked, one a float further is ranked from the GEMM
+        gold = [1.0, 4.0 / 3.0]  # cosine about 0.6
+        c_gold = 1.0 / embeddings._row_norms(np.array([gold]))[0]
+        window = embeddings.tie_window(2)
+        edge = c_gold + window if side == "above" else c_gold - window
+        if beyond:
+            edge = np.nextafter(edge, np.inf if side == "above" else -np.inf)
+        other = self.row_with_cosine(edge, gold[1])
+        table = EmbeddingTable(["x", "g", "j", "z"],
+                               np.array([[1.0, 0.0], gold, other, [0.0, -1.0]]))
+        pairs = [hyp("x", "g")]
+        rechecked = assert_ranks_match_oracle(make_model(np.eye(2)), table, pairs)
+        assert rechecked == (0 if beyond else 1)
+        assert _rank_pairs(make_model(np.eye(2)), table, pairs)[1].tolist() == [rank]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_larger_table_with_near_ties(self, tiling, seed):
+        # at d=48 most GEMM cosines differ from the per-query ones in their last
+        # bits; a row a few ulps from each gold row lets those bits decide ranks
+        # (with no window, OpenBLAS 0.3 ranks some of these pairs wrongly)
+        rng = np.random.default_rng(seed)
+        n_words, d = 600, 48
+        vectors = rng.normal(size=(n_words, d))
+        gold = rng.choice(n_words, size=40, replace=False)
+        for j, g in enumerate(gold):
+            near = (g + 1 + j) % n_words
+            vectors[near] = vectors[g]
+            vectors[near, j % d] *= 1 + (j % 7 - 3) * 2.0 ** -48
+        table = EmbeddingTable([f"w{i}" for i in range(n_words)], vectors)
+        model = make_model(np.eye(d) + 0.1 * rng.normal(size=(d, d)))
+        sources = rng.choice(n_words, size=len(gold))
+        pairs = pair_words(table, list(zip(sources, gold)))
+        assert assert_ranks_match_oracle(model, table, pairs) > 0
+
+    def test_window_is_the_derived_bound(self):
+        u = 2.0 ** -53
+        for d in (1, 10, 100, 1000):
+            gamma = lambda k: k * u / (1 - k * u)  # noqa: E731
+            want = 4 * gamma(d + 2) * (1 + gamma(2 * d + 6)) + d * 2.0 ** -102 + 3 * u
+            assert embeddings.tie_window(d) == want
+        assert embeddings.tie_window(10) < 1e-14  # near ties only: about (4d + 11) u
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_words=st.integers(2, 24), dim=st.integers(1, 4),
+           k=st.integers(1, 3), tiling=st.sampled_from(list(TILINGS)),
+           row_scale=st.sampled_from([1.0, 1e-150, 1e150, 1e-300]),
+           matrix_scale=st.sampled_from([1.0, 1e-100, 1e100]))
+    def test_property_ranks_and_clusters_equal_the_oracle(self, data, n_words, dim, k, tiling,
+                                                          row_scale, matrix_scale):
+        small = st.integers(-3, 3).map(float)
+        vectors = np.array(data.draw(st.lists(st.lists(small, min_size=dim, max_size=dim),
+                                              min_size=n_words, max_size=n_words)))
+        # some rows at an extreme norm, which _scaled_queries guards against
+        extreme = data.draw(st.lists(st.integers(0, n_words - 1), max_size=3))
+        vectors[extreme] *= row_scale
+        matrices = np.array(data.draw(st.lists(st.lists(small, min_size=dim * dim,
+                                                        max_size=dim * dim),
+                                               min_size=k, max_size=k))).reshape(k, dim, dim)
+        matrices *= matrix_scale
+        centroids = np.array(data.draw(st.lists(st.lists(small, min_size=dim, max_size=dim),
+                                                min_size=k, max_size=k)))
+        index = st.integers(0, n_words - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=12))
+        table = EmbeddingTable([f"w{i}" for i in range(n_words)], vectors)
+        model = make_model(matrices, centroids=centroids)
+        with pytest.MonkeyPatch.context() as mp:
+            set_tiling(mp, tiling)
+            assert_ranks_match_oracle(model, table, pair_words(table, pairs))
+
+
+class TestPredictKeepsThePerQueryProduct:
+    def test_scores_are_the_best_cosine_blocks_row(self):
+        table, _, model = random_fixture(91, n_words=40, k=3)
+        for word in table.vocab[:8]:
+            idx = table.lookup(word)
+            rows = [next(embeddings.cosine_blocks(table, (table.vectors[idx] @ phi)[None, :],
+                                                  np.array([idx])))[1][0].copy()
+                    for phi in model.matrices]
+            best = np.maximum.reduce(rows)
+            got = predict_candidates(model, table, word, 10)
+            want = embeddings.top_indices(best, 10)
+            assert [w for w, _ in got] == [table.vocab[i] for i in want]
+            assert np.array([s for _, s in got]).tobytes() == best[want].tobytes()
+
+
+class TestRecheckCount:
+    def test_evaluate_reports_the_rechecked_pairs(self):
+        table, _, model = random_fixture(92, n_words=20)
+        vectors = table.vectors.copy()
+        vectors[15] = vectors[4]
+        table = EmbeddingTable(table.vocab, vectors)
+        pairs = pair_words(table, [(0, 4), (1, 15), (2, 9)])
+        assert evaluate(model, table, pairs).rechecked == 2
+        assert evaluate(model, table, pairs[2:]).rechecked == 0
