@@ -270,6 +270,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.l < 1:  # before any file is read, so that the exit code does not depend on them
+        raise InputError(f"l must be >= 1, got {args.l}")
     model = load_model(args.model)
     table = _load_table(args)
     _check_vocab_hash(model, table)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import RelationPair
+from .dataset import RelationPair, pair_rows
 from .embeddings import EmbeddingTable
 from .errors import InputError
 
@@ -51,16 +51,18 @@ class ClusterModel:
         return int(self.centroids.shape[1])
 
 
+def _pair_vectors(pairs: list[RelationPair], table: EmbeddingTable) -> tuple[np.ndarray, ...]:
+    """The rows of ``pairs`` and their source and target vectors; a missing word is an error."""
+    rows, found = pair_rows(pairs, table)
+    if not found.all():  # the first such pair, as ('source', 'target')
+        raise InputError(f"unresolvable pair {pairs[int(np.argmin(found))][:2]!r}")
+    return rows, *table.vectors[rows.T]
+
+
 def offsets(pairs: list[RelationPair], table: EmbeddingTable) -> np.ndarray:
     """Offset matrix with row i = vector(target_i) - vector(source_i)."""
-    missing = next((p for p in pairs if p.source not in table or p.target not in table), None)
-    if missing is not None:
-        raise InputError(f"unresolvable pair ({missing.source!r}, {missing.target!r})")
-    if not pairs:
-        return np.zeros((0, table.dim))
-    sources = table.rows([p.source for p in pairs])
-    targets = table.rows([p.target for p in pairs])
-    return targets - sources
+    _, X, Y = _pair_vectors(pairs, table)
+    return Y - X
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

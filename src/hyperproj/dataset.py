@@ -5,6 +5,9 @@ where relation is one of hypernym, synonym, cohyponym. ``split_relations``
 splits the hypernym rows (the positives) into buckets and keeps the rest as
 negatives; ``bind`` then drops the pairs with a word missing from the
 embedding table. ``build_dataset`` and ``read_split_dir`` both end in it.
+``pair_rows`` is the one step from a pair's words to table rows: binding,
+negative sampling, offsets, training and ranking all call it, each with its
+own policy for a pair with a missing word.
 
 ``load_relations`` reads, decodes, splits and checks a whole file in one
 pass. Only a file that fails is read again line by line, so that its
@@ -15,9 +18,10 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple, NoReturn
@@ -93,7 +97,7 @@ def load_relations(path: str | Path) -> list[RelationPair]:
     if not path.is_file():
         raise InputError(f"relations file not found: {path}")
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError:
         _raise_first_bad_line(path)
     # the line ends of text-mode reading: \r\n and a lone \r end a line too
@@ -212,18 +216,26 @@ def split_relations(pairs: list[RelationPair], fractions: tuple[float, float, fl
     return RelationDataset(positives, lexical_split(positives, fractions, seed), negative_pairs)
 
 
+def pair_rows(pairs: Sequence, table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, found)``: the (n, 2) table rows of each pair's source and target, -1 for
+    a missing word (it would read the last row), and which pairs have both words."""
+    get = table._index.get  # one dict lookup per word, without a method call
+    rows = np.array([np.fromiter(map(get, map(itemgetter(col), pairs), repeat(-1)),
+                                 np.intp, len(pairs)) for col in (0, 1)])
+    return rows.T, (rows >= 0).all(axis=0)  # (n, 2), each column contiguous
+
+
 def bind(dataset: RelationDataset, table: EmbeddingTable) -> RelationDataset:
     """Drop, count and log the pairs with a word missing from ``table``."""
-    kept = [(p, b) for p, b in zip(dataset.positives, dataset.assignment)
-            if p.source in table and p.target in table]
-    negative_pairs = [p for p in dataset.negative_pairs
-                      if p.source in table and p.target in table]
-    dropped_pos = len(dataset.positives) - len(kept)
-    dropped_neg = len(dataset.negative_pairs) - len(negative_pairs)
+    kept = pair_rows(dataset.positives, table)[1].tolist()
+    kept_neg = pair_rows(dataset.negative_pairs, table)[1].tolist()
+    dropped_pos, dropped_neg = kept.count(False), kept_neg.count(False)
     if dropped_pos or dropped_neg:
         log.info("dropped %d positive and %d negative pair(s) not in the vocabulary",
                  dropped_pos, dropped_neg)
-    return RelationDataset([p for p, _ in kept], [b for _, b in kept], negative_pairs,
+    return RelationDataset(list(compress(dataset.positives, kept)),
+                           list(compress(dataset.assignment, kept)),
+                           list(compress(dataset.negative_pairs, kept_neg)),
                            dropped_positives=dataset.dropped_positives + dropped_pos,
                            dropped_negatives=dataset.dropped_negatives + dropped_neg)
 
@@ -260,22 +272,15 @@ def negative_index(dataset: RelationDataset,
     are ``indices[indptr[s]:indptr[s + 1]]``, in the order of its
     candidate list. Rows without candidates are empty.
     """
-    cand_rows: dict[int, list[int]] = {}
-    for source, cands in dataset.train_negatives.items():
-        s = table.lookup(source)
-        if s is None:
-            continue  # never a training source: training needs its vector
-        rows = [table.lookup(w) for w in cands]
-        if None in rows:
-            missing = cands[rows.index(None)]
-            raise InputError(f"negative {missing!r} of {source!r} is not in the embedding table")
-        cand_rows[s] = rows
-    indptr = np.zeros(len(table) + 1, dtype=np.int64)
-    for s, rows in cand_rows.items():
-        indptr[s + 1] = len(rows)
-    np.cumsum(indptr, out=indptr)
-    indices = np.array([r for s in sorted(cand_rows) for r in cand_rows[s]], dtype=np.int64)
-    return indptr, indices
+    pairs = [(source, w) for source, cands in dataset.train_negatives.items() for w in cands]
+    rows, found = pair_rows(pairs, table)
+    trained = rows[:, 0] >= 0  # a source missing from the table trains nothing
+    if not found[trained].all():
+        source, word = pairs[np.flatnonzero(trained & ~found)[0]]
+        raise InputError(f"negative {word!r} of {source!r} is not in the embedding table")
+    sources, cands = rows[trained].T
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=len(table)))))
+    return indptr, cands[np.argsort(sources, kind="stable")]
 
 
 def _negative_sampler(indptr: np.ndarray, indices: np.ndarray,

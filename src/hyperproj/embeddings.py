@@ -1,7 +1,8 @@
 """Dense word embedding tables and brute-force nearest-neighbor search.
 
 Two on-disk formats are supported: plain text (``word v1 v2 ... vd`` per
-line, optional ``count dim`` header) and the conventional word2vec binary
+line, optional ``count dim`` header, which must then give the number of rows,
+duplicates included, and their dimension) and the conventional word2vec binary
 layout (ASCII ``count dim\\n`` header, then per word a space-terminated
 token followed by d little-endian float32 values). Vectors are held as
 float64 internally regardless of the file precision.
@@ -74,7 +75,7 @@ PRODUCT_CEILING = float(np.finfo(np.float64).max) / 2
 PRODUCT_FLOOR = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 FORMATS = ("text", "binary")
 CACHE_MAGIC = b"HPTAB1"
-CACHE_VERSION = 2
+CACHE_VERSION = 3  # entries parsed under other rules are misses
 CACHE_MAX_BYTES = 1 << 30  # entries a cache directory keeps, see _evict
 
 
@@ -277,7 +278,7 @@ def _parse_text(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray]:
     blocks: list[np.ndarray] = []
     tokens: list[str] = []  # components of the rows not parsed yet
     linenos: list[int] = []  # their line numbers
-    dim = block_rows = 0
+    count = dim = None  # of the `count dim` header, else dim is the first row's
     try:
         for lineno, line in utf8_lines(path, data):
             line = line.rstrip("\n")
@@ -287,12 +288,12 @@ def _parse_text(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray]:
             if parts and parts[-1] == "":  # tolerate one trailing space
                 parts.pop()
             if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
-                continue  # `count dim` header
+                count, dim = int(parts[0]), int(parts[1])
+                continue
             if len(parts) < 2:
                 raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
-            if not dim:
+            if dim is None:
                 dim = len(parts) - 1
-                block_rows = max(1, PARSE_TOKENS // dim)
             elif len(parts) - 1 != dim:
                 try:  # an unparsable component is reported before the mismatch
                     [float(t) for t in parts[1:]]
@@ -304,7 +305,7 @@ def _parse_text(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray]:
             words.append(parts[0])
             tokens += parts[1:]
             linenos.append(lineno)
-            if len(linenos) == block_rows:
+            if len(tokens) > PARSE_TOKENS - dim:  # max(1, PARSE_TOKENS // dim) rows
                 blocks.append(_parse_block(tokens, linenos, dim, path))
                 tokens, linenos = [], []
     except InputError:
@@ -317,6 +318,8 @@ def _parse_text(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray]:
         blocks.append(_parse_block(tokens, linenos, dim, path))
     if not words:
         raise InputError(f"{path}: no embedding rows found")
+    if count is not None and count != len(words):
+        raise InputError(f"{path}: header declares {count} rows, the file holds {len(words)}")
     return words, np.concatenate(blocks)
 
 

@@ -3,7 +3,8 @@
 The CLI maps InputError to exit code 2 (bad input or configuration) and
 every other HyperprojError to exit code 1 (runtime failure). Every text
 loader reads through ``utf8_lines``, so a byte sequence that is not UTF-8
-is an InputError naming the file and line.
+is an InputError naming the file and line, and one leading byte-order mark
+(U+FEFF) is dropped.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ def utf8_lines(path: str | Path, data: bytes | None = None) -> Iterator[tuple[in
           io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
+                if lineno == 1:  # by hand: utf-8-sig would also drop a cut mark, b"\xef"
+                    line = line.removeprefix("\ufeff")
                 try:
                     line.encode("utf-8")
                 except UnicodeEncodeError:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import assign_clusters
-from .dataset import RelationPair
+from .dataset import RelationPair, pair_rows
 from .embeddings import EmbeddingTable, cosine_blocks, gold_ranks, top_indices
 from .embeddings import nearest_neighbors  # noqa: F401  (the one-query form, re-exported)
 from .errors import InputError
@@ -73,17 +73,16 @@ def auc(hits: list[float]) -> float:
     return 0.5 * sum(hits[i] + hits[i + 1] for i in range(len(hits) - 1))
 
 
-def _usable_pairs(table: EmbeddingTable,
-                  pairs: list[RelationPair]) -> tuple[list[RelationPair], int]:
+def _usable_rows(table: EmbeddingTable, pairs: list[RelationPair]) -> tuple[np.ndarray, int]:
     if not pairs:
         raise InputError("pairs must be nonempty")
-    usable = [p for p in pairs if p.source in table and p.target in table]
-    skips = len(pairs) - len(usable)
+    rows, found = pair_rows(pairs, table)
+    skips = len(pairs) - int(np.count_nonzero(found))
     if skips:
         log.warning("skipped %d pair(s) with words missing from the vocabulary", skips)
-    if not usable:
+    if skips == len(pairs):
         raise InputError("no evaluable pairs: every pair has out-of-vocabulary words")
-    return usable, skips
+    return rows[found], skips
 
 
 def _check_dims(model: ProjectionModel, table: EmbeddingTable) -> None:
@@ -92,17 +91,16 @@ def _check_dims(model: ProjectionModel, table: EmbeddingTable) -> None:
 
 
 def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
-                pairs: list[RelationPair]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cluster of each pair (from its gold offset), 1-based rank of its gold word,
-    and how many pairs ``gold_ranks`` re-ranked by the per-query product.
+                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """For the (n, 2) hyponym and gold ``rows``: cluster of each pair (from its gold
+    offset), 1-based rank of its gold word, and how many pairs ``gold_ranks`` re-ranked.
 
     A rank of 0 means the gold word cannot be ranked: its score is -inf
     because the projection is zero, the word has a zero vector, or it is
     the excluded hyponym.
     """
     _check_dims(model, table)
-    sources = np.array([table.lookup(p.source) for p in pairs])
-    gold = np.array([table.lookup(p.target) for p in pairs])
+    sources, gold = rows[:, 0], rows[:, 1]
     X = table.vectors[sources]
     clusters = assign_clusters(model.clusters, table.vectors[gold] - X)
     queries = np.empty_like(X)
@@ -110,8 +108,7 @@ def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
         members = clusters == c
         queries[members] = (X[members, None, :] @ model.matrices[c]).reshape(-1, table.dim)
     ranks, rechecked = gold_ranks(table, queries, gold, sources)
-    log.debug("ranked %d pair(s), %d re-ranked by the per-query product",
-              len(pairs), rechecked)
+    log.debug("ranked %d pair(s), %d re-ranked by the per-query product", len(rows), rechecked)
     return clusters, ranks, rechecked
 
 
@@ -120,9 +117,9 @@ def hit_at(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPa
     """Fraction of pairs whose gold hypernym is in the top-l neighbor list."""
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
-    usable, _ = _usable_pairs(table, pairs)
-    _, ranks, _ = _rank_pairs(model, table, usable)
-    return int(np.count_nonzero((ranks >= 1) & (ranks <= l))) / len(usable)
+    rows, _ = _usable_rows(table, pairs)
+    _, ranks, _ = _rank_pairs(model, table, rows)
+    return int(np.count_nonzero((ranks >= 1) & (ranks <= l))) / len(rows)
 
 
 def evaluate(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPair],
@@ -130,10 +127,11 @@ def evaluate(model: ProjectionModel, table: EmbeddingTable, pairs: list[Relation
     """Full hit@1..l_max curve, AUC, and per-pair ranks in one pass."""
     if l_max < 2:
         raise InputError(f"l_max must be >= 2, got {l_max}")
-    usable, skips = _usable_pairs(table, pairs)
-    clusters, ranks, rechecked = _rank_pairs(model, table, usable)
-    per_pair = [PairResult(p.source, p.target, int(c), int(r) if 1 <= r <= l_max else None)
-                for p, c, r in zip(usable, clusters, ranks)]
+    rows, skips = _usable_rows(table, pairs)
+    clusters, ranks, rechecked = _rank_pairs(model, table, rows)
+    vocab = table.vocab
+    per_pair = [PairResult(vocab[s], vocab[g], int(c), int(r) if 1 <= r <= l_max else None)
+                for (s, g), c, r in zip(rows.tolist(), clusters, ranks)]
     n = len(per_pair)
     hits = [int(np.count_nonzero((ranks >= 1) & (ranks <= i))) / n
             for i in range(1, l_max + 1)]

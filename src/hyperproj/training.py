@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluation
-from .clustering import ClusterModel, assign_clusters, fit_kmeans, offsets
+from .clustering import ClusterModel, _pair_vectors, assign_clusters, fit_kmeans
 from .dataset import RelationDataset, _negative_sampler, negative_index
 from .embeddings import EmbeddingTable, vocab_hash
 from .errors import InputError, TrainingError
@@ -215,7 +215,8 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     train_pairs = dataset.pairs_in("train")
     if not train_pairs:
         raise InputError("training bucket is empty")
-    train_offsets = offsets(train_pairs, table)
+    rows, X, Y = _pair_vectors(train_pairs, table)  # the one lookup of the training words
+    train_offsets = Y - X
     if clusters is None:
         clusters = fit_kmeans(train_offsets, cfg.k, cfg.seed)
     elif clusters.k != cfg.k:
@@ -228,12 +229,9 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     per_cluster: list[_Cluster] = []
     for cid in range(cfg.k):
         idx = np.flatnonzero(assign == cid)
-        pairs_c = [train_pairs[i] for i in idx]
-        if not pairs_c:
+        if not idx.size:
             log.warning("cluster %d has no training pairs; matrix stays at initialization", cid)
-        sources = np.array([table.lookup(p.source) for p in pairs_c], dtype=np.int64)
-        Y = table.rows([p.target for p in pairs_c]) if pairs_c else np.zeros((0, d))
-        per_cluster.append(_Cluster(cid, table.vectors[sources], Y, sources, cfg, d, negatives))
+        per_cluster.append(_Cluster(cid, X[idx], Y[idx], rows[idx, 0], cfg, d, negatives))
 
     select_validation = cfg.select_on == "best_validation_hit10"
     val_pairs = dataset.pairs_in("validation") if select_validation else []

@@ -21,13 +21,17 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_configure(config):
-    """A numpy overflow or invalid value fails the test that meets it.
+    """A numpy overflow or invalid value, and a file or other resource left open
+    (reported when it is collected, or as an unraisable exception), fail the test
+    that meets it.
 
-    Added as the lowest-precedence filter, so a test's own filterwarnings
+    Added as the lowest-precedence filters, so a test's own filterwarnings
     mark still wins; the benchmark's tests, which do not load this file,
     keep the default.
     """
     config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
+    config.addinivalue_line("filterwarnings", "error::pytest.PytestUnraisableExceptionWarning")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -295,6 +295,23 @@ class TestPredictCommand:
         assert run("predict", "--model", model_path, "--embeddings", emb,
                    "--l", 1, "qqq") == 1
 
+    @pytest.mark.parametrize("words", [["a"], ["qqq"], ["a", "qqq"]],
+                             ids=["known", "unknown", "both"])
+    def test_l_below_1_exits_2_whatever_the_words(self, tmp_path, capsys, words):
+        from conftest import make_model
+
+        emb = tmp_path / "e.txt"
+        emb.write_text("a 1 0\nb 0 1\n")
+        model_path = tmp_path / "m.hprj"
+        save_model(make_model(np.eye(2)), model_path)
+        capsys.readouterr()
+        code = run("predict", "--model", model_path, "--embeddings", emb, "--l", 0, *words)
+        assert_one_error_line(code, capsys, "l must be >= 1, got 0")
+        # checked before any file is read
+        code = run("predict", "--model", tmp_path / "absent.hprj",
+                   "--embeddings", tmp_path / "absent.txt", "--l", 0, *words)
+        assert_one_error_line(code, capsys, "l must be >= 1, got 0")
+
 
 class TestSynthCommand:
     def test_same_seed_identical_fixtures(self, tmp_path):
@@ -459,6 +476,35 @@ class TestBadInputExit2:
                    "--split-dir", split_dir, *flags, "--out", out)
         assert_one_error_line(code, capsys, expected)
         assert not out.exists()
+
+    @pytest.mark.parametrize("header, expected", [
+        ("5 2", "e.txt: header declares 5 rows, the file holds 2"),
+        ("2 3", "e.txt:2: dimension mismatch (got 2, expected 3)"),
+    ], ids=["count", "dim"])
+    def test_text_header_that_the_rows_break(self, tmp_path, capsys, header, expected):
+        from conftest import make_model
+
+        emb = tmp_path / "e.txt"
+        emb.write_text(f"{header}\na 1 0\nb 0 1\n")
+        model = tmp_path / "m.hprj"
+        save_model(make_model(np.eye(2)), model)
+        capsys.readouterr()
+        code = run("predict", "--model", model, "--embeddings", emb, "a")
+        assert_one_error_line(code, capsys, f"{emb}{expected[len('e.txt'):]}")
+
+    def test_byte_order_marks_before_header_and_relations(self, tmp_path, capsys):
+        from conftest import make_model
+
+        emb, rel = tmp_path / "e.txt", tmp_path / "test.tsv"
+        emb.write_bytes("\ufeff3 2\nhypo 1 0\nhyper 0.9 0.1\nother 0 1\n".encode())
+        rel.write_bytes("\ufeffhypo\thyper\thypernym\n".encode())
+        model = tmp_path / "m.hprj"
+        save_model(make_model(np.eye(2)), model)
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--embeddings", emb, "--test", rel,
+                   "--out", tmp_path / "r.json") == 0
+        out = capsys.readouterr().out
+        assert "hit@1=1.0000" in out and "n=1 skips=0" in out
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_model_dimension_differs_from_embeddings(self, tmp_path, capsys, command):

@@ -1,4 +1,5 @@
 import logging
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperproj import dataset
+from hyperproj.clustering import offsets
 from hyperproj.dataset import (
     BUCKETS,
     RELATIONS,
@@ -21,8 +23,12 @@ from hyperproj.dataset import (
     split_relations,
     write_split,
 )
-from hyperproj.embeddings import EmbeddingTable
+from hyperproj.embeddings import EmbeddingTable, nearest_neighbors
 from hyperproj.errors import InputError, utf8_lines
+from hyperproj.evaluation import evaluate, hit_at
+from hyperproj.training import TrainConfig, train
+
+from conftest import make_model
 
 
 def write(path, text):
@@ -65,6 +71,21 @@ class TestLoadRelations:
     def test_too_few_columns_names_line(self, tmp_path):
         path = write(tmp_path / "r.tsv", "dog animal hypernym\n")
         with pytest.raises(InputError, match=":1"):
+            load_relations(path)
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_bytes("\ufeffhypo\thyper\thypernym\n\ufeffx\ty\tsynonym\n".encode())
+        # only the file's first character is a mark; one inside the file is part of a word
+        assert load_relations(path) == [RelationPair("hypo", "hyper", "hypernym"),
+                                         RelationPair("\ufeffx", "y", "synonym")]
+        assert load_relations(path) == reference_load_relations(path)
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb", b"\xef\xbba\tb\thypernym\n"])
+    def test_cut_byte_order_mark_is_not_utf8(self, tmp_path, data):
+        path = tmp_path / "r.tsv"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=":1: not valid UTF-8"):
             load_relations(path)
 
 
@@ -391,6 +412,141 @@ class TestSampleNegatives:
         assert dataset._negative_sampler(*negative_index(data, table), order)(rng).tolist() \
             == order.tolist()
         assert np.array_equal(rng.permutation(50), np.random.default_rng(5).permutation(50))
+
+
+# ---------------------------------------------------------------------------
+# pair_rows against the row-by-row lookups it replaced
+# ---------------------------------------------------------------------------
+
+IN_VOCAB = [f"w{i}" for i in range(6)]
+OOV = ["oov-a", "oov-b"]
+SINK = "sink"  # the table's last row, in no pair: a -1 row that leaked would read it
+
+
+def sink_table(seed):
+    rng = np.random.default_rng(seed)
+    return EmbeddingTable(IN_VOCAB + [SINK], rng.normal(size=(len(IN_VOCAB) + 1, 3)))
+
+
+def oracle_found(pairs, table):
+    """The row-by-row filter ``bind`` and evaluation's skips applied before ``pair_rows``."""
+    return [p.source in table and p.target in table for p in pairs]
+
+
+def kept_by_oracle(pairs, table):
+    return [p for p, found in zip(pairs, oracle_found(pairs, table)) if found]
+
+
+def oracle_negative_index(data, table):
+    """The loop ``negative_index`` ran before ``pair_rows``, as lists, or its error message."""
+    cand_rows = {}
+    for source, cands in data.train_negatives.items():
+        s = table.lookup(source)
+        if s is None:
+            continue
+        rows = [table.lookup(w) for w in cands]
+        if None in rows:
+            return f"negative {cands[rows.index(None)]!r} of {source!r} is not in the embedding table"
+        cand_rows[s] = rows
+    counts = [len(cand_rows.get(s, [])) for s in range(len(table))]
+    return [[0, *np.cumsum(counts).tolist()], [r for s in sorted(cand_rows) for r in cand_rows[s]]]
+
+
+SIDES = ("neither", "source", "target", "both")
+
+
+@st.composite
+def pairs_with_oov(draw, relation="hypernym"):
+    """Pairs of in-vocabulary words, with out-of-vocabulary words planted on either side
+    or both of the first pair, the last pair and a few others."""
+    word = st.sampled_from(IN_VOCAB)
+    pairs = draw(st.lists(st.tuples(word, word), min_size=2, max_size=10))
+    at = [0, len(pairs) - 1] + draw(st.lists(st.integers(0, len(pairs) - 1), max_size=3))
+    for i in at:
+        side = draw(st.sampled_from(SIDES))
+        source, target = pairs[i]
+        pairs[i] = (draw(st.sampled_from(OOV)) if side in ("source", "both") else source,
+                    draw(st.sampled_from(OOV)) if side in ("target", "both") else target)
+    return [RelationPair(source, target, relation) for source, target in pairs]
+
+
+class TestPairRows:
+    """Every caller of ``pair_rows`` keeps or refuses the pairs the row-by-row filter did."""
+
+    def test_no_pairs(self):
+        rows, found = dataset.pair_rows([], sink_table(0))
+        assert rows.shape == (0, 2) and found.shape == (0,)
+
+    @given(pairs=pairs_with_oov(), seed=st.integers(0, 3))
+    def test_rows_are_the_lookups(self, pairs, seed):
+        table = sink_table(seed)
+        rows, found = dataset.pair_rows(pairs, table)
+        assert found.tolist() == oracle_found(pairs, table)
+        assert rows.tolist() == [[table.lookup(w) if w in table else -1 for w in p[:2]]
+                                 for p in pairs]
+
+    @given(positives=pairs_with_oov(), negatives=pairs_with_oov("synonym"),
+           seed=st.integers(0, 3))
+    def test_bind(self, positives, negatives, seed):
+        table = sink_table(seed)
+        assignment = [BUCKETS[i % 3] for i in range(len(positives))]
+        got = dataset.bind(RelationDataset(positives, assignment, negatives, 1, 2), table)
+        keep = oracle_found(positives, table)
+        assert got.positives == kept_by_oracle(positives, table)
+        assert got.assignment == [b for b, k in zip(assignment, keep) if k]
+        assert got.negative_pairs == kept_by_oracle(negatives, table)
+        assert got.dropped_positives == 1 + keep.count(False)
+        assert got.dropped_negatives == 2 + len(negatives) - len(got.negative_pairs)
+
+    @given(pairs=pairs_with_oov(), seed=st.integers(0, 3))
+    def test_offsets_and_training_refuse_what_the_filter_drops(self, pairs, seed):
+        table = sink_table(seed)
+        kept = kept_by_oracle(pairs, table)
+        want = [table.vector(p.target) - table.vector(p.source) for p in kept]
+        assert offsets(kept, table).tolist() == np.array(want).reshape(-1, 3).tolist()
+        if len(kept) == len(pairs):
+            return
+        first = next(p for p in pairs if p not in kept)
+        message = re.escape(f"unresolvable pair ({first.source!r}, {first.target!r})")
+        with pytest.raises(InputError, match=message):
+            offsets(pairs, table)
+        data = RelationDataset(pairs, ["train"] * len(pairs), [])
+        with pytest.raises(InputError, match=message):
+            train(data, table, TrainConfig(epochs=1))
+
+    @given(pairs=pairs_with_oov(), seed=st.integers(0, 3))
+    @settings(deadline=None)
+    def test_evaluation_skips_what_the_filter_drops(self, pairs, seed):
+        table = sink_table(seed)
+        model = make_model(np.random.default_rng(seed + 10).normal(size=(3, 3)))
+        kept = kept_by_oracle(pairs, table)
+        if not kept:
+            with pytest.raises(InputError, match="no evaluable"):
+                evaluate(model, table, pairs)
+            return
+        report = evaluate(model, table, pairs, l_max=len(table))
+        assert report.skips == len(pairs) - len(kept)
+        # each kept pair ranked on its own, from its words, by the per-query product
+        X = np.array([table.vector(p.source) for p in kept])
+        queries = (X[:, None, :] @ model.matrices[0]).reshape(-1, 3)
+        want = []
+        for p, query in zip(kept, queries):
+            ranked = nearest_neighbors(table, query, len(table), exclude=p.source).words()
+            want.append((p.source, p.target, ranked.index(p.target) + 1
+                         if p.target in ranked else None))
+        assert [(r.hyponym, r.gold, r.rank) for r in report.per_pair] == want
+        hits = sum(rank == 1 for *_, rank in want) / len(kept)
+        assert hit_at(model, table, pairs, 1) == report.hits[0] == hits
+
+    @given(negatives=pairs_with_oov("synonym"), seed=st.integers(0, 3))
+    def test_negative_index(self, negatives, seed):
+        table = sink_table(seed)
+        data = RelationDataset([], [], negatives)
+        try:
+            got = [a.tolist() for a in negative_index(data, table)]
+        except InputError as exc:
+            got = str(exc)
+        assert got == oracle_negative_index(data, table)
 
 
 class TestSplitRoundTrip:

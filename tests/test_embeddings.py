@@ -95,6 +95,74 @@ class TestLoadText:
             load_embeddings(tmp_path / "absent.txt")
 
 
+BOM = "\ufeff".encode()  # the UTF-8 byte-order mark, EF BB BF
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["parse", "cache"])
+class TestTextHeaderAndByteOrderMark:
+    """A leading byte-order mark is dropped, and a `count dim` header must match the rows."""
+
+    @staticmethod
+    def load(path, cached, tmp_path):
+        return load_embeddings(path, cache=tmp_path / "cache" if cached else None)
+
+    def test_mark_before_a_header(self, tmp_path, cached):
+        path = tmp_path / "e.txt"
+        path.write_bytes(BOM + b"3 2\nhypo 1 0\nhyper 0 1\nother 1 1\n")
+        table = self.load(path, cached, tmp_path)
+        assert table.vocab == ["hypo", "hyper", "other"] and table.dim == 2
+
+    def test_mark_without_a_header(self, tmp_path, cached):
+        path = tmp_path / "e.txt"
+        path.write_bytes(BOM + b"hypo 1 0\nhyper 0 1\n")
+        assert self.load(path, cached, tmp_path).vocab == ["hypo", "hyper"]
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb", b"\xef\xbbhypo 1 0\n"])
+    def test_cut_mark_is_not_utf8(self, tmp_path, cached, data):
+        path = tmp_path / "e.txt"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=":1: not valid UTF-8"):
+            self.load(path, cached, tmp_path)
+
+    def test_only_one_mark_is_dropped(self, tmp_path, cached):
+        path = tmp_path / "e.txt"
+        path.write_bytes(BOM + BOM + b"hypo 1 0\n")
+        assert self.load(path, cached, tmp_path).vocab == ["\ufeffhypo"]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("5 2\na 1 0\nb 0 1\n", "e.txt: header declares 5 rows, the file holds 2"),
+        ("1 2\na 1 0\nb 0 1\n", "e.txt: header declares 1 rows, the file holds 2"),
+        ("2 3\na 1 0\nb 0 1\n", "e.txt:2: dimension mismatch (got 2, expected 3)"),
+        ("2 0\na 1 0\nb 0 1\n", "e.txt:2: dimension mismatch (got 2, expected 0)"),
+        ("2 3\na x 0\nb 0 1\n", "e.txt:2: unparsable vector component"),  # before the mismatch
+        ("2 2\na 1 0\nb 0 1 2\n", "e.txt:3: dimension mismatch (got 3, expected 2)"),
+        ("2 2\n", "e.txt: no embedding rows found"),
+    ], ids=["count-above", "count-below", "dim", "dim-0", "unparsable-first", "later-row",
+            "no-rows"])
+    def test_header_must_match_the_rows(self, tmp_path, cached, text, expected):
+        path = write(tmp_path / "e.txt", text)
+        with pytest.raises(InputError) as exc:
+            self.load(path, cached, tmp_path)
+        assert str(exc.value).startswith(f"{tmp_path}/{expected}")
+        assert not (tmp_path / "cache").exists() or not entries(tmp_path / "cache")
+
+    def test_header_counts_duplicate_rows(self, tmp_path, cached):
+        path = write(tmp_path / "e.txt", "3 2\na 1 0\na 5 5\nb 0 1\n")
+        assert self.load(path, cached, tmp_path).vocab == ["a", "b"]
+
+
+def test_an_entry_of_the_old_rules_is_not_served(tmp_path):
+    # before headers were checked, and a byte-order mark dropped, this file loaded
+    # and its entry was stored as version 2; that entry must be a miss now
+    path = write(tmp_path / "e.txt", "5 2\na 1 0\nb 0 1\n")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    with mock.patch.object(embeddings, "CACHE_VERSION", 2):
+        embeddings._write_entry(tmp_path / "cache" / f"{digest}.hptab", digest, ["a", "b"],
+                                np.eye(2))
+    with pytest.raises(InputError, match="header declares 5 rows"):
+        load_embeddings(path, cache=tmp_path / "cache")
+
+
 class TestLoadBinary:
     @staticmethod
     def _binary_bytes(entries, dim, newline_after_vector=True):
@@ -153,7 +221,7 @@ def _reference_finish(words, rows, normalize, path):
 
 
 def reference_load_text(path: Path, normalize: bool) -> EmbeddingTable:
-    words, rows, seen, dim = [], [], set(), None
+    words, rows, seen, dim, count, n_rows = [], [], set(), None, None, 0
     for lineno, line in utf8_lines(path):
         line = line.rstrip("\n")
         if not line:
@@ -162,6 +230,7 @@ def reference_load_text(path: Path, normalize: bool) -> EmbeddingTable:
         if tokens and tokens[-1] == "":
             tokens.pop()
         if lineno == 1 and len(tokens) == 2 and _is_int(tokens[0]) and _is_int(tokens[1]):
+            count, dim = int(tokens[0]), int(tokens[1])  # the rows must match both
             continue
         if len(tokens) < 2:
             raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
@@ -177,11 +246,14 @@ def reference_load_text(path: Path, normalize: bool) -> EmbeddingTable:
                 f"{path}:{lineno}: dimension mismatch (got {vec.size}, expected {dim})")
         if not np.isfinite(vec).all():
             raise InputError(f"{path}:{lineno}: non-finite vector component")
+        n_rows += 1
         if word in seen:
             continue
         seen.add(word)
         words.append(word)
         rows.append(vec)
+    if words and count is not None and count != n_rows:
+        raise InputError(f"{path}: header declares {count} rows, the file holds {n_rows}")
     return _reference_finish(words, rows, normalize, str(path))
 
 

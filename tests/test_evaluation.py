@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hyperproj import embeddings
 from hyperproj.clustering import assign_cluster, assign_clusters
-from hyperproj.dataset import RelationPair
+from hyperproj.dataset import RelationPair, pair_rows
 from hyperproj.embeddings import EmbeddingTable, nearest_neighbors
 from hyperproj.errors import InputError
 from hyperproj.evaluation import (
@@ -393,7 +393,7 @@ def oracle_rank_pairs(model, table, pairs):
 
 def assert_ranks_match_oracle(model, table, pairs):
     """``_rank_pairs`` gives the oracle's clusters and ranks; returns its recheck count."""
-    clusters, ranks, rechecked = _rank_pairs(model, table, pairs)
+    clusters, ranks, rechecked = _rank_pairs(model, table, pair_rows(pairs, table)[0])
     want_clusters, want_ranks = oracle_rank_pairs(model, table, pairs)
     assert clusters.tolist() == want_clusters.tolist()
     assert ranks.tolist() == want_ranks.tolist()
@@ -437,7 +437,7 @@ class TestGemmRanking:
         table = EmbeddingTable(table.vocab, vectors)
         pairs = pair_words(table, [(0, 3), (0, 10), (0, 17), (0, 30), (5, 10), (6, 20)])
         assert assert_ranks_match_oracle(model, table, pairs) == 5  # each gold with a copy
-        ranks = _rank_pairs(model, table, pairs)[1]
+        ranks = _rank_pairs(model, table, pair_rows(pairs, table)[0])[1]
         assert np.diff(ranks[:4]).tolist() == [1, 1, 1]
 
     def test_rows_one_ulp_apart(self, tiling):
@@ -460,7 +460,7 @@ class TestGemmRanking:
         model = make_model(matrices, centroids=model.clusters.centroids)
         pairs = pair_words(table, [(i, (i * 7 + 3) % 37) for i in range(37)] + [(1, 7), (2, 21)])
         assert_ranks_match_oracle(model, table, pairs)
-        clusters, ranks, rechecked = _rank_pairs(model, table, pairs)
+        clusters, ranks, rechecked = _rank_pairs(model, table, pair_rows(pairs, table)[0])
         assert rechecked == 0
         assert ranks[-2] == ranks[-1] == 0
         assert set(clusters) == {0, 1} and not ranks[clusters == 1].any()
@@ -513,7 +513,8 @@ class TestGemmRanking:
         pairs = [hyp("x", "g")]
         rechecked = assert_ranks_match_oracle(make_model(np.eye(2)), table, pairs)
         assert rechecked == (0 if beyond else 1)
-        assert _rank_pairs(make_model(np.eye(2)), table, pairs)[1].tolist() == [rank]
+        rows = pair_rows(pairs, table)[0]
+        assert _rank_pairs(make_model(np.eye(2)), table, rows)[1].tolist() == [rank]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_larger_table_with_near_ties(self, tiling, seed):
