@@ -15,7 +15,6 @@ HYPERPROJ_CACHE, else ``$XDG_CACHE_HOME/hyperproj``, else
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -29,7 +28,7 @@ from . import dataset as ds
 from . import evaluation, synth, training
 from .clustering import ClusterModel, fit_kmeans, offsets
 from .embeddings import FORMATS, EmbeddingTable, load_embeddings, vocab_hash
-from .errors import HyperprojError, InputError
+from .errors import HyperprojError, InputError, file_sha256
 from .projection import ProjectionModel, Regularizer, load_model, save_model
 from .synth import SynthConfig
 from .training import SELECT_ON, TrainConfig
@@ -40,14 +39,6 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _atomic_write(path: Path, write_fn) -> None:
@@ -73,10 +64,10 @@ class Manifest:
 
     def add_input(self, path: Path, digest: str | None = None) -> None:
         """Record an input's SHA-256: ``digest`` if the caller hashed the bytes it read."""
-        self.payload["inputs"][str(path)] = digest or _sha256(path)
+        self.payload["inputs"][str(path)] = digest or file_sha256(path)
 
     def add_output(self, path: Path) -> None:
-        self.payload["outputs"][str(path)] = _sha256(path)
+        self.payload["outputs"][str(path)] = file_sha256(path)
 
     def stage(self, name: str) -> None:
         now = time.monotonic()
@@ -280,9 +271,12 @@ def cmd_predict(args) -> int:
         if word not in table:
             print(f"warning: {word!r} is not in the vocabulary", file=sys.stderr)
             continue
+        candidates = evaluation.predict_candidates(model, table, word, args.l)
+        if not candidates:  # a zero row, or a model that projects it to zero
+            print(f"warning: {word!r} has no candidates", file=sys.stderr)
+            continue
         resolved += 1
-        for rank, (cand, score) in enumerate(
-                evaluation.predict_candidates(model, table, word, args.l), start=1):
+        for rank, (cand, score) in enumerate(candidates, start=1):
             print(f"{word}\t{rank}\t{cand}\t{score:.9g}")
     return 0 if resolved else 1
 

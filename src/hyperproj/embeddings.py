@@ -14,26 +14,28 @@ file reports the error of its first failing line or word, exactly as a
 row-by-row reader would: within a text line an unparsable component
 comes before a dimension mismatch, which comes before a non-finite value.
 
-Given a ``cache`` directory, ``load_embeddings`` reads the file's bytes
-once and hashes them, and looks the parse of a text file up there under
-the SHA-256; after a miss it parses those same bytes and stores the
-result. An entry holds the words in file order, duplicates included, and
-the float64 rows bit for bit, so a hit gives the table a parse gives:
-duplicates, their warning and ``normalize`` are applied after either.
-An entry that is missing, short or unsound in any way is a miss, an
-unwritable directory only means parsing every time, and a file that
-fails to load never gets an entry. The entry layout follows the model
-file's: ``CACHE_MAGIC``, a JSON header (version, sha256, count, dim, and
-the words joined by spaces, which no word holds) padded with spaces so
-that the rows start 8-byte aligned, a NUL, the row-major little-endian
-float64 rows, and a little-endian CRC-32 of everything before it. A
-binary file is hashed but never cached: its float64 entry would be twice
-the file's size, and on a large table (70k rows of 100) a hit saved only
-about a seventh of a parse while a miss cost about a third more. With no
-``cache``, the file is parsed as it is read, and nothing is hashed or
-written. After writing an entry, the least recently used entries are
-deleted while the directory's entries exceed CACHE_MAX_BYTES; a hit
-updates its entry's modification time.
+``load_embeddings`` has one flow for every format and cache setting: hash
+the file (``file_sha256``); given a ``cache`` directory, look a text file's
+parse up there as ``<sha256>-<CACHE_VERSION>.hptab``, so that versions of
+the package sharing a directory keep their own entries; else parse the file
+as it is read, hash it again, which must give the same digest, and store
+the parse. A hit reads the file once, a miss three times, and every table's
+``source_sha256`` names the bytes it came from. An entry holds the words in
+file order, duplicates included, and the float64 rows bit for bit, so a hit
+gives the table a parse gives: duplicates, their warning and ``normalize``
+are applied after either. An entry that is missing, short or unsound in any
+way is a miss, an unwritable directory only means parsing every time, and a
+file that fails to load, or changes while it is read, never gets an entry.
+The entry layout follows the model file's: ``CACHE_MAGIC``, a JSON header
+(version, sha256, count, dim, and the words joined by spaces, which no word
+holds) padded with spaces so that the rows start 8-byte aligned, a NUL, the
+row-major little-endian float64 rows, and a little-endian CRC-32 of
+everything before it. A binary file is hashed but never cached: its float64
+entry would be twice the file's size, and on a large table (70k rows of
+100) a hit saved only about a seventh of a parse while a miss cost about a
+third more. After writing an entry, the least recently used entries are
+deleted while the directory's entries exceed CACHE_MAX_BYTES; a hit updates
+its entry's modification time.
 
 Similarity search has one scorer, ``cosine_blocks``: one product per
 query, so a score does not depend on the other queries. ``nearest_neighbors``
@@ -58,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, utf8_lines
+from .errors import InputError, file_sha256, utf8_lines
 
 log = logging.getLogger(__name__)
 
@@ -75,7 +77,7 @@ PRODUCT_CEILING = float(np.finfo(np.float64).max) / 2
 PRODUCT_FLOOR = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 FORMATS = ("text", "binary")
 CACHE_MAGIC = b"HPTAB1"
-CACHE_VERSION = 3  # entries parsed under other rules are misses
+CACHE_VERSION = 3  # in each entry's name and header: entries of other rules are not read
 CACHE_MAX_BYTES = 1 << 30  # entries a cache directory keeps, see _evict
 
 
@@ -138,7 +140,7 @@ class EmbeddingTable:
         vectors: (len(vocab), dim) float64 matrix.
         normalized: rows were scaled to unit L2 norm at load time.
         source_sha256: SHA-256 of the file bytes ``load_embeddings`` read
-            the table from through its cache; empty otherwise.
+            the table from; empty for a table built in memory.
     """
 
     vocab: list[str]
@@ -272,15 +274,15 @@ def _parse_block(tokens: list[str], linenos: list[int], dim: int, path: Path) ->
     return block
 
 
-def _parse_text(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray]:
-    """Words and rows of the text file ``path``, parsed from ``data``, its bytes, if given."""
+def _parse_text(path: Path) -> tuple[list[str], np.ndarray]:
+    """Words and rows of the text file ``path``, parsed as it is read."""
     words: list[str] = []
     blocks: list[np.ndarray] = []
     tokens: list[str] = []  # components of the rows not parsed yet
     linenos: list[int] = []  # their line numbers
     count = dim = None  # of the `count dim` header, else dim is the first row's
     try:
-        for lineno, line in utf8_lines(path, data):
+        for lineno, line in utf8_lines(path):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -289,6 +291,8 @@ def _parse_text(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray]:
                 parts.pop()
             if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
                 count, dim = int(parts[0]), int(parts[1])
+                if count < 1 or dim < 1:
+                    raise InputError(f"{path}: header declares count={count} dim={dim}")
                 continue
             if len(parts) < 2:
                 raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
@@ -342,11 +346,9 @@ def _binary_rows(words: list[str], payloads: list[bytes], dim: int, path: Path) 
     return vectors
 
 
-def _parse_binary(path: Path, data: bytes | None) -> tuple[list[str], np.ndarray]:
-    """Words and rows of the word2vec binary file ``path``, parsed from ``data``, its
-    bytes, if given."""
-    if data is None:
-        data = path.read_bytes()
+def _parse_binary(path: Path) -> tuple[list[str], np.ndarray]:
+    """Words and rows of the word2vec binary file ``path``."""
+    data = path.read_bytes()
     if not data:
         raise InputError(f"{path}: empty file")
     nl = data.find(b"\n")
@@ -480,38 +482,32 @@ def load_embeddings(path: str | Path, format: str = "text", normalize: bool = Fa
             rejected when set.
         cache: directory of parsed tables to look the file up in and to
             store its parse in (see module docstring); None parses the
-            file every time, hashes nothing and writes nothing.
+            file every time and writes nothing.
 
     Duplicate words keep their first occurrence and log a warning. Words
-    are matched verbatim (no case folding). Loaded through a cache, the
-    table's ``source_sha256`` is the SHA-256 of the bytes it came from.
+    are matched verbatim (no case folding). The table's ``source_sha256``
+    is the SHA-256 of the bytes it came from.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"embedding file not found: {path}")
     if format not in FORMATS:
         raise InputError(f"unknown embedding format {format!r} (expected text or binary)")
-    if cache is None:
-        parse = _parse_text if format == "text" else _parse_binary
-        return _finish(*parse(path, None), normalize, str(path), "")
-    data = path.read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    if format == "binary":  # never cached, see the module docstring
-        return _finish(*_parse_binary(path, data), normalize, str(path), digest)
-    entry = Path(cache) / f"{digest}.hptab"
-    if entry.is_file():
-        del data  # not held alongside the entry
+    digest = file_sha256(path)
+    entry = None  # binary files are never cached, see the module docstring
+    if cache is not None and format == "text":
+        entry = Path(cache) / f"{digest}-{CACHE_VERSION}.hptab"
         cached = _read_entry(entry, digest)
         if cached is not None:
             with contextlib.suppress(OSError):
                 os.utime(entry)  # most recently used, see _evict
             return _finish(*cached, normalize, str(path), digest)
-        data = path.read_bytes()  # an unsound entry: parse the file as it is now
-        digest = hashlib.sha256(data).hexdigest()
-        entry = Path(cache) / f"{digest}.hptab"
-    parsed = _parse_text(path, data)
+    parsed = (_parse_text if format == "text" else _parse_binary)(path)
+    if file_sha256(path) != digest:
+        raise InputError(f"{path}: changed while it was read")
     table = _finish(*parsed, normalize, str(path), digest)
-    _write_entry(entry, digest, *parsed)  # only a file that loads gets an entry
+    if entry is not None:
+        _write_entry(entry, digest, *parsed)  # only a file that loads gets an entry
     return table
 
 

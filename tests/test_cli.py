@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperproj import cli
+from hyperproj import cli, embeddings
 from hyperproj.cli import main
 from hyperproj.embeddings import load_embeddings
 from hyperproj.projection import MODEL_MAGIC, load_model, save_model
@@ -295,6 +295,25 @@ class TestPredictCommand:
         assert run("predict", "--model", model_path, "--embeddings", emb,
                    "--l", 1, "qqq") == 1
 
+    @pytest.mark.parametrize("rows, matrix, words, code", [
+        ("a 0 0\nb 0 1\nc 1 1\n", np.eye(2), ["a"], 1),
+        ("a 0 0\nb 0 1\nc 1 1\n", np.eye(2), ["a", "b"], 0),
+        ("a 1 0\nb 0 1\n", np.zeros((2, 2)), ["a"], 1),
+    ], ids=["zero-row", "zero-row-and-a-word-that-resolves", "zero-model"])
+    def test_word_with_no_candidates_warns_and_is_unresolved(self, tmp_path, capsys, rows,
+                                                             matrix, words, code):
+        from conftest import make_model
+
+        emb = tmp_path / "e.txt"
+        emb.write_text(rows)
+        model_path = tmp_path / "m.hprj"
+        save_model(make_model(matrix), model_path)
+        capsys.readouterr()
+        assert run("predict", "--model", model_path, "--embeddings", emb, *words) == code
+        out, err = capsys.readouterr()
+        assert err == "warning: 'a' has no candidates\n"
+        assert [line.split("\t")[0] for line in out.splitlines()] == ["b"] * (code == 0)
+
     @pytest.mark.parametrize("words", [["a"], ["qqq"], ["a", "qqq"]],
                              ids=["known", "unknown", "both"])
     def test_l_below_1_exits_2_whatever_the_words(self, tmp_path, capsys, words):
@@ -480,7 +499,8 @@ class TestBadInputExit2:
     @pytest.mark.parametrize("header, expected", [
         ("5 2", "e.txt: header declares 5 rows, the file holds 2"),
         ("2 3", "e.txt:2: dimension mismatch (got 2, expected 3)"),
-    ], ids=["count", "dim"])
+        ("2 -3", "e.txt: header declares count=2 dim=-3"),
+    ], ids=["count", "dim", "dim-below-1"])
     def test_text_header_that_the_rows_break(self, tmp_path, capsys, header, expected):
         from conftest import make_model
 
@@ -654,8 +674,8 @@ class TestEmbeddingCache:
         monkeypatch.setattr(Path, "home", mock.Mock(side_effect=RuntimeError("no home")))
         assert cli._cache_dir() is None
 
-    def test_embeddings_are_read_and_hashed_once_per_command(self, tmp_path, monkeypatch,
-                                                             fixture_dir, split_dir):
+    def test_embeddings_are_parsed_once_and_hashed_once_per_warm_command(
+            self, tmp_path, monkeypatch, fixture_dir, split_dir):
         monkeypatch.setenv("HYPERPROJ_CACHE", str(tmp_path / "cache"))
         emb = fixture_dir / "embeddings.txt"
         digest = hashlib.sha256(emb.read_bytes()).hexdigest()
@@ -667,15 +687,53 @@ class TestEmbeddingCache:
             "r.json": ["eval", *flags, "--model", tmp_path / "m.hprj",
                        "--test", split_dir / "test.tsv", "--out"],
         }
-        hashed = []
-        real = cli._sha256
-        with mock.patch.object(cli, "_sha256", lambda path: hashed.append(path) or real(path)):
+        hashed, parsed, counts = [], [], []
+        real_hash, real_parse = embeddings.file_sha256, embeddings._parse_text
+
+        def record_hash(path):
+            hashed.append(Path(path))
+            return real_hash(path)
+
+        with mock.patch.object(cli, "file_sha256", record_hash), \
+                mock.patch.object(embeddings, "file_sha256", record_hash), \
+                mock.patch.object(embeddings, "_parse_text",
+                                  lambda path: parsed.append(path) or real_parse(path)):
             for out, argv in commands.items():
+                hashed.clear()
+                parsed.clear()
                 assert run(*argv, tmp_path / out) == 0
                 inputs = json.loads((tmp_path / f"{out}.manifest.json").read_text())["inputs"]
                 assert inputs[str(emb)] == digest
-        assert Path(emb) not in hashed and hashed  # the other inputs still are
-        assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{digest}.hptab"]
+                assert len(hashed) > hashed.count(emb)  # the other inputs are hashed too
+                counts.append((hashed.count(emb), len(parsed)))
+        # cold: hashed before and after its one parse; warm: hashed once, not parsed
+        assert counts == [(2, 1), (1, 0), (1, 0)]
+        assert ([p.name for p in (tmp_path / "cache").iterdir()]
+                == [f"{digest}-{embeddings.CACHE_VERSION}.hptab"])
+
+    def test_embeddings_changed_while_read_exit_2_with_no_entry(self, tmp_path, monkeypatch,
+                                                               capsys):
+        from conftest import make_model
+
+        monkeypatch.setenv("HYPERPROJ_CACHE", str(tmp_path / "cache"))
+        emb, test, model = tmp_path / "e.txt", tmp_path / "test.tsv", tmp_path / "m.hprj"
+        emb.write_text("hypo 1 0\nhyper 0.9 0.1\n")
+        test.write_text("hypo\thyper\thypernym\n")
+        save_model(make_model(np.eye(2)), model)
+        real_parse = embeddings._parse_text
+
+        def parse_then_append(path):
+            parsed = real_parse(path)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("other 0 1\n")
+            return parsed
+
+        capsys.readouterr()
+        with mock.patch.object(embeddings, "_parse_text", parse_then_append):
+            code = run("eval", "--model", model, "--embeddings", emb, "--test", test,
+                       "--out", tmp_path / "r.json")
+        assert_one_error_line(code, capsys, f"error: {emb}: changed while it was read")
+        assert not (tmp_path / "cache").exists() and not (tmp_path / "r.json").exists()
 
 
 def stderr_of(argv):

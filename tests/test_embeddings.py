@@ -133,12 +133,14 @@ class TestTextHeaderAndByteOrderMark:
         ("5 2\na 1 0\nb 0 1\n", "e.txt: header declares 5 rows, the file holds 2"),
         ("1 2\na 1 0\nb 0 1\n", "e.txt: header declares 1 rows, the file holds 2"),
         ("2 3\na 1 0\nb 0 1\n", "e.txt:2: dimension mismatch (got 2, expected 3)"),
-        ("2 0\na 1 0\nb 0 1\n", "e.txt:2: dimension mismatch (got 2, expected 0)"),
+        ("3 0\na 1 0\nb 0 1\n", "e.txt: header declares count=3 dim=0"),
+        ("2 -3\na 1 0\nb 0 1\n", "e.txt: header declares count=2 dim=-3"),
+        ("0 2\n", "e.txt: header declares count=0 dim=2"),
         ("2 3\na x 0\nb 0 1\n", "e.txt:2: unparsable vector component"),  # before the mismatch
         ("2 2\na 1 0\nb 0 1 2\n", "e.txt:3: dimension mismatch (got 3, expected 2)"),
         ("2 2\n", "e.txt: no embedding rows found"),
-    ], ids=["count-above", "count-below", "dim", "dim-0", "unparsable-first", "later-row",
-            "no-rows"])
+    ], ids=["count-above", "count-below", "dim", "dim-0", "dim-negative", "count-0",
+            "unparsable-first", "later-row", "no-rows"])
     def test_header_must_match_the_rows(self, tmp_path, cached, text, expected):
         path = write(tmp_path / "e.txt", text)
         with pytest.raises(InputError) as exc:
@@ -156,9 +158,9 @@ def test_an_entry_of_the_old_rules_is_not_served(tmp_path):
     # and its entry was stored as version 2; that entry must be a miss now
     path = write(tmp_path / "e.txt", "5 2\na 1 0\nb 0 1\n")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    name = entry_name(path)  # at this version's name, so the header's version is checked
     with mock.patch.object(embeddings, "CACHE_VERSION", 2):
-        embeddings._write_entry(tmp_path / "cache" / f"{digest}.hptab", digest, ["a", "b"],
-                                np.eye(2))
+        embeddings._write_entry(tmp_path / "cache" / name, digest, ["a", "b"], np.eye(2))
     with pytest.raises(InputError, match="header declares 5 rows"):
         load_embeddings(path, cache=tmp_path / "cache")
 
@@ -231,6 +233,8 @@ def reference_load_text(path: Path, normalize: bool) -> EmbeddingTable:
             tokens.pop()
         if lineno == 1 and len(tokens) == 2 and _is_int(tokens[0]) and _is_int(tokens[1]):
             count, dim = int(tokens[0]), int(tokens[1])  # the rows must match both
+            if count < 1 or dim < 1:
+                raise InputError(f"{path}: header declares count={count} dim={dim}")
             continue
         if len(tokens) < 2:
             raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
@@ -701,6 +705,11 @@ def entries(cache):
     return sorted(cache.glob("*.hptab"))
 
 
+def entry_name(path):
+    """The name of the cache entry of the text file ``path`` at this CACHE_VERSION."""
+    return f"{hashlib.sha256(path.read_bytes()).hexdigest()}-{embeddings.CACHE_VERSION}.hptab"
+
+
 class TestCache:
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
     def test_hit_is_bitwise_a_parse(self, tmp_path, normalize):
@@ -713,10 +722,58 @@ class TestCache:
             # the entry holds the raw parse, so the other setting of normalize hits it too
             other = load_embeddings(path, "text", not normalize, cache=tmp_path / "cache")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert [t.source_sha256 for t in (parsed, cold, warm, other)] == ["", *[digest] * 3]
+        assert [t.source_sha256 for t in (parsed, cold, warm, other)] == [digest] * 4
         assert_same_table(cold, parsed)
         assert_same_table(warm, parsed)
         assert_same_table(other, load_embeddings(path, "text", not normalize))
+
+    def test_text_loads_stream_the_file(self, tmp_path):
+        path = write_cache_file(tmp_path / "e.txt", "text")
+        parsed = load_embeddings(path)
+        with mock.patch.object(Path, "read_bytes", side_effect=AssertionError):
+            for cache in (None, tmp_path / "cache", tmp_path / "cache"):  # uncached, cold, warm
+                assert_same_table(load_embeddings(path, cache=cache), parsed)
+        assert len(entries(tmp_path / "cache")) == 1
+
+    @pytest.mark.parametrize("format", embeddings.FORMATS)
+    def test_every_table_carries_the_file_digest(self, tmp_path, format):
+        path = write_cache_file(tmp_path / "e", format)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        for cache in (None, tmp_path / "cache", tmp_path / "cache"):  # uncached, cold, warm
+            assert load_embeddings(path, format, cache=cache).source_sha256 == digest
+
+    @pytest.mark.parametrize("format", embeddings.FORMATS)
+    @pytest.mark.parametrize("cached", [False, True], ids=["parse", "cache"])
+    def test_file_changed_while_read_fails_with_no_entry(self, tmp_path, format, cached):
+        path = write_cache_file(tmp_path / "e", format)
+        name = f"_parse_{format}"
+        real_parse = getattr(embeddings, name)
+
+        def parse_then_append(p):
+            parsed = real_parse(p)
+            with open(p, "ab") as fh:
+                fh.write(b"\n")
+            return parsed
+
+        with mock.patch.object(embeddings, name, parse_then_append), \
+                pytest.raises(InputError) as exc:
+            load_embeddings(path, format, cache=tmp_path / "cache" if cached else None)
+        assert str(exc.value) == f"{path}: changed while it was read"
+        assert not (tmp_path / "cache").exists()
+
+    def test_versions_sharing_a_directory_keep_their_own_entries(self, tmp_path):
+        path = write_cache_file(tmp_path / "e.txt", "text")
+        parsed, parses = load_embeddings(path), []
+        real_parse = embeddings._parse_text
+        with mock.patch.object(embeddings, "_parse_text",
+                               lambda p: parses.append(embeddings.CACHE_VERSION) or real_parse(p)):
+            for version in (3, 4, 3, 4, 3, 4):
+                with mock.patch.object(embeddings, "CACHE_VERSION", version):
+                    assert_same_table(load_embeddings(path, cache=tmp_path / "cache"), parsed)
+        assert parses == [3, 4]  # one parse per version, then hits only
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert [e.name for e in entries(tmp_path / "cache")] == [f"{digest}-3.hptab",
+                                                                 f"{digest}-4.hptab"]
 
     def test_rows_of_a_hit_are_aligned_and_writable(self, tmp_path):
         for n in range(1, 9):  # entry headers of every length modulo 8
@@ -759,12 +816,11 @@ class TestCache:
     def test_unwritable_cache_still_loads(self, tmp_path, cache):
         path = write_cache_file(tmp_path / "e.txt", "text")
         write(tmp_path / "file", "not a directory")
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        (tmp_path / "dir" / f"{digest}.hptab").mkdir(parents=True)  # where the entry goes
+        (tmp_path / "dir" / entry_name(path)).mkdir(parents=True)  # where the entry goes
         for _ in range(2):
             assert_same_table(load_embeddings(path, cache=tmp_path / cache), load_embeddings(path))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "e.txt", "file"]
-        assert [p.name for p in (tmp_path / "dir").iterdir()] == [f"{digest}.hptab"]
+        assert [p.name for p in (tmp_path / "dir").iterdir()] == [entry_name(path)]
 
     @pytest.mark.parametrize("text, normalize", [
         ("a 1 2\nb x 3\n", False), ("a 1 2\nb 1\n", False), ("a 0 0\n", True),
@@ -785,8 +841,7 @@ class TestCache:
         paths = [write(tmp_path / f"e{i}.txt", f"w{i} {i} 1\n") for i in range(3)]
         for path in paths[:2]:
             load_embeddings(path, cache=cache)
-        first, second = (cache / f"{hashlib.sha256(p.read_bytes()).hexdigest()}.hptab"
-                         for p in paths[:2])
+        first, second = (cache / entry_name(p) for p in paths[:2])
         os.utime(first, ns=(0, 10**9))
         os.utime(second, ns=(0, 2 * 10**9))  # the first is the least recently written
         size = first.stat().st_size
@@ -804,8 +859,7 @@ class TestCache:
         for i in range(3):
             path = write(tmp_path / f"e{i}.txt", f"w {i} 1\n")
             load_embeddings(path, cache=tmp_path / "cache")
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            assert [e.name for e in entries(tmp_path / "cache")] == [f"{digest}.hptab"]
+            assert [e.name for e in entries(tmp_path / "cache")] == [entry_name(path)]
 
     def test_failed_touch_and_delete_are_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setattr(embeddings, "CACHE_MAX_BYTES", 0)
