@@ -28,7 +28,7 @@ from . import dataset as ds
 from . import evaluation, synth, training
 from .clustering import ClusterModel, fit_kmeans, offsets
 from .embeddings import FORMATS, EmbeddingTable, load_embeddings, vocab_hash
-from .errors import HyperprojError, InputError, file_sha256
+from .errors import HyperprojError, InputError, atomic_open, file_sha256
 from .projection import ProjectionModel, Regularizer, load_model, save_model
 from .synth import SynthConfig
 from .training import SELECT_ON, TrainConfig
@@ -39,17 +39,6 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write(path: Path, write_fn) -> None:
-    """Run write_fn against a temp name, then rename over the target."""
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 class Manifest:
@@ -76,8 +65,8 @@ class Manifest:
 
     def write(self, path: Path) -> None:
         self.payload["timings"]["total"] = time.monotonic() - self._t0
-        blob = json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
-        _atomic_write(path, lambda p: p.write_text(blob, encoding="utf-8"))
+        with atomic_open(path) as fh:
+            fh.write(json.dumps(self.payload, sort_keys=True, indent=2) + "\n")
 
 
 def _cache_dir() -> Path | None:
@@ -123,8 +112,8 @@ def _write_clusters_json(clusters: ClusterModel, path: Path) -> None:
         "inertia": clusters.inertia,
         "centroids": clusters.centroids.tolist(),
     }
-    blob = json.dumps(payload, sort_keys=True) + "\n"
-    _atomic_write(path, lambda p: p.write_text(blob, encoding="utf-8"))
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _read_clusters_json(path: Path) -> ClusterModel:
@@ -211,10 +200,10 @@ def cmd_train(args) -> int:
     model = training.train(bound, table, cfg, clusters=clusters)
     manifest.stage("train")
     out = Path(args.out)
-    _atomic_write(out, lambda p: save_model(model, p))
+    save_model(model, out)
     manifest.add_output(out)
     trace_path = Path(args.trace) if args.trace else out.with_name(out.name + ".trace.csv")
-    _atomic_write(trace_path, lambda p: training.write_trace_csv(model, p))
+    training.write_trace_csv(model, trace_path)
     manifest.add_output(trace_path)
     manifest.stage("write")
     manifest.payload["data"] = model.meta.data
@@ -247,10 +236,10 @@ def cmd_eval(args) -> int:
         "batch_size": model.meta.batch_size,
     }
     out = Path(args.out)
-    _atomic_write(out, lambda p: evaluation.write_report_json(report, p, config_echo))
+    evaluation.write_report_json(report, out, config_echo)
     manifest.add_output(out)
     pp_path = Path(args.per_pair) if args.per_pair else out.with_name(out.name + ".pairs.tsv")
-    _atomic_write(pp_path, lambda p: evaluation.write_per_pair_tsv(report, p))
+    evaluation.write_per_pair_tsv(report, pp_path)
     manifest.add_output(pp_path)
     manifest.stage("write")
     manifest.write(out.with_name(out.name + ".manifest.json"))

@@ -29,7 +29,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import InputError, utf8_lines
+from .errors import InputError, atomic_open, utf8_lines
 
 log = logging.getLogger(__name__)
 
@@ -138,7 +138,7 @@ def _raise_first_bad_line(path: Path) -> NoReturn:
 
 def write_relations(pairs: Iterable[RelationPair], path: str | Path) -> None:
     """Write pairs as a relations TSV, the format ``load_relations`` reads."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.writelines(f"{p.source}\t{p.target}\t{p.relation}\n" for p in pairs)
 
 

@@ -26,16 +26,16 @@ gives the table a parse gives: duplicates, their warning and ``normalize``
 are applied after either. An entry that is missing, short or unsound in any
 way is a miss, an unwritable directory only means parsing every time, and a
 file that fails to load, or changes while it is read, never gets an entry.
-The entry layout follows the model file's: ``CACHE_MAGIC``, a JSON header
-(version, sha256, count, dim, and the words joined by spaces, which no word
-holds) padded with spaces so that the rows start 8-byte aligned, a NUL, the
-row-major little-endian float64 rows, and a little-endian CRC-32 of
-everything before it. A binary file is hashed but never cached: its float64
-entry would be twice the file's size, and on a large table (70k rows of
-100) a hit saved only about a seventh of a parse while a miss cost about a
-third more. After writing an entry, the least recently used entries are
-deleted while the directory's entries exceed CACHE_MAX_BYTES; a hit updates
-its entry's modification time.
+An entry is a container, as a model file is (see ``errors``): ``CACHE_MAGIC``,
+a header of version, sha256, count, dim and the words joined by spaces
+(which no word holds), and the row-major float64 rows as its payload. A
+binary file is hashed but never cached: its float64 entry would be twice
+the file's size, and on a large table (70k rows of 100) a hit saved only
+about a seventh of a parse while a miss cost about a third more. After
+writing an entry, entries named by a digest alone, which no version reads,
+are deleted, and then the least recently used entries while the
+directory's entries exceed CACHE_MAX_BYTES; a hit updates its entry's
+modification time.
 
 Similarity search has one scorer, ``cosine_blocks``: one product per
 query, so a score does not depend on the other queries. ``nearest_neighbors``
@@ -49,18 +49,16 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import logging
 import os
-import tempfile
-import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, file_sha256, utf8_lines
+from .errors import (InputError, atomic_open, file_sha256, read_container, utf8_lines,
+                     write_container)
 
 log = logging.getLogger(__name__)
 
@@ -388,65 +386,33 @@ def _parse_binary(path: Path) -> tuple[list[str], np.ndarray]:
 def _read_entry(entry: Path, digest: str) -> tuple[list[str], np.ndarray] | None:
     """The words and rows a cache entry holds, or None if it is missing or unsound."""
     try:
-        with open(entry, "rb") as fh:
-            # a writable buffer, so that the rows are a view of it rather than a copy
-            data = bytearray(os.fstat(fh.fileno()).st_size)
-            if fh.readinto(data) != len(data):
-                return None
-    except OSError:
-        return None
-    end = len(data) - 4  # the CRC-32 follows the rows
-    nul = data.find(b"\x00", len(CACHE_MAGIC), end)
-    if (nul < 0 or not data.startswith(CACHE_MAGIC)
-            or zlib.crc32(memoryview(data)[:end]) != int.from_bytes(data[end:], "little")):
-        return None
-    try:
-        header = json.loads(data[len(CACHE_MAGIC):nul].decode("utf-8"))
+        header, rows = read_container(entry, CACHE_MAGIC)
         words, count, dim = header["words"].split(" "), header["count"], header["dim"]
         sound = (header["version"] == CACHE_VERSION and header["sha256"] == digest
                  and type(count) is int and type(dim) is int and count >= 1 and dim >= 1
-                 and len(words) == count and end - nul - 1 == 8 * count * dim)
-    except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
+                 and len(words) == count and rows.size == count * dim)
+    except (OSError, InputError, TypeError, KeyError, AttributeError):
         return None
-    if not sound:
-        return None
-    rows = np.frombuffer(data, "<f8", count * dim, nul + 1).reshape(count, dim)
-    return (words, rows) if np.isfinite(rows).all() else None
+    return (words, rows.reshape(count, dim)) if sound else None
 
 
 def _write_entry(entry: Path, digest: str, words: list[str], vectors: np.ndarray) -> None:
-    """Store a parse as a cache entry: a temp file, then a rename; failures are only logged."""
+    """Store a parse as a cache entry; failures are only logged."""
     header = {"version": CACHE_VERSION, "sha256": digest, "count": len(words),
               "dim": vectors.shape[1], "words": " ".join(words)}  # no word holds a space
-    blob = json.dumps(header, separators=(",", ":")).encode("ascii")
-    blob += b" " * (-(len(CACHE_MAGIC) + len(blob) + 1) % 8)  # the rows start 8-byte aligned
-    parts = [CACHE_MAGIC, blob, b"\x00", np.ascontiguousarray(vectors, dtype="<f8").data]
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=entry.parent, prefix=".", suffix=".tmp")
+        write_container(entry, CACHE_MAGIC, header, vectors)
     except OSError as exc:
         log.info("embedding cache not written: %s", exc)
         return
-    try:
-        crc = 0
-        with os.fdopen(fd, "wb") as fh:
-            for part in parts:
-                fh.write(part)
-                crc = zlib.crc32(part, crc)
-            fh.write(crc.to_bytes(4, "little"))
-        os.replace(tmp, entry)
-    except OSError as exc:
-        log.info("embedding cache not written: %s", exc)
-        return
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)  # already gone after the rename
     _evict(entry)
 
 
 def _evict(kept: Path) -> None:
-    """Delete the least recently used entries beside ``kept`` while the entries
-    hold more than CACHE_MAX_BYTES; ``kept``, just written, stays.
+    """Delete the entries beside ``kept`` named by a digest alone, which no version
+    reads, then the least recently used ones while the entries hold more than
+    CACHE_MAX_BYTES; ``kept``, just written, stays.
 
     1 GiB holds about 17 tables of 70k words at d=100 (57 MB each) or 1,700
     of 7k words at d=10, so every fixture of a sweep over seeds stays warm,
@@ -459,6 +425,9 @@ def _evict(kept: Path) -> None:
     with contextlib.suppress(OSError):
         for path in kept.parent.glob("*.hptab"):
             with contextlib.suppress(OSError):
+                if "-" not in path.stem:
+                    path.unlink()
+                    continue
                 st = path.stat()
                 aged.append((st.st_mtime_ns, path.name, st.st_size, path))
     total = sum(size for *_, size, _ in aged)
@@ -518,7 +487,7 @@ def save_embeddings_text(table: EmbeddingTable, path: str | Path) -> None:
     that precision round-trip bitwise through load_embeddings.
     """
     row = "%s" + f" %.{TEXT_PRECISION}g" * table.dim + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         # one row of Python floats at a time: a whole-table tolist() holds 4x the table
         fh.writelines(row % (word, *values.tolist())

@@ -18,7 +18,8 @@ with another word within ``embeddings.tie_window`` of its gold score is
 ranked again by ``embeddings.cosine_blocks``, one product per query, so
 every rank is the one that product gives. predict prints scores, so it
 scores through ``cosine_blocks`` alone, and a word's score does not
-depend on the other queries.
+depend on the other queries. Both project through ``_project``, which
+computes a projection that overflows again from power-of-two scaled factors.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .clustering import assign_clusters
 from .dataset import RelationPair, pair_rows
 from .embeddings import EmbeddingTable, cosine_blocks, gold_ranks, top_indices
 from .embeddings import nearest_neighbors  # noqa: F401  (the one-query form, re-exported)
-from .errors import InputError
+from .errors import InputError, atomic_open
 from .projection import ProjectionModel
 
 log = logging.getLogger(__name__)
@@ -90,6 +91,30 @@ def _check_dims(model: ProjectionModel, table: EmbeddingTable) -> None:
         raise InputError(f"model has dimension {model.dim}, embeddings have {table.dim}")
 
 
+def _project(X: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Rows ``X @ matrices``, broadcast as ``X[:, None, :] @ matrices``: an (n, d) array.
+
+    A row that overflows is computed again from its row of ``X`` and its
+    matrix, each divided by a power of two that brings its largest entry
+    below 1: exact, and no cosine depends on the scale. Every finite row
+    keeps its bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = X[:, None, :] @ matrices
+    bad = np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))
+    if bad.size:
+        X1, M1 = (np.broadcast_to(a, (len(P), *a.shape[-2:]))[bad]
+                  for a in (X[:, None, :], matrices))
+        P[bad] = _below_one(X1) @ _below_one(M1)
+    return P[:, 0]
+
+
+def _below_one(A: np.ndarray) -> np.ndarray:
+    """Each ``A[i]`` times the power of two that brings its largest |entry| into [0.5, 1)."""
+    _, exponent = np.frexp(np.abs(A).max(axis=(1, 2), keepdims=True))
+    return np.ldexp(A, -exponent)
+
+
 def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """For the (n, 2) hyponym and gold ``rows``: cluster of each pair (from its gold
@@ -106,7 +131,7 @@ def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
     queries = np.empty_like(X)
     for c in range(model.k):
         members = clusters == c
-        queries[members] = (X[members, None, :] @ model.matrices[c]).reshape(-1, table.dim)
+        queries[members] = _project(X[members], model.matrices[c])
     ranks, rechecked = gold_ranks(table, queries, gold, sources)
     log.debug("ranked %d pair(s), %d re-ranked by the per-query product", len(rows), rechecked)
     return clusters, ranks, rechecked
@@ -153,7 +178,7 @@ def predict_candidates(model: ProjectionModel, table: EmbeddingTable, word: str,
         raise InputError(f"word {word!r} is not in the vocabulary")
     _check_dims(model, table)
     idx = table.lookup(word)
-    queries = table.vectors[idx] @ model.matrices
+    queries = _project(table.vectors[idx, None], model.matrices)
     exclude = np.full(model.k, idx)
     best = np.full(len(table), -np.inf)
     for _, S in cosine_blocks(table, queries, exclude):
@@ -171,14 +196,14 @@ def write_report_json(report: EvalReport, path, config: dict | None = None) -> N
         "skips": report.skips,
         "config": config or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def write_per_pair_tsv(report: EvalReport, path) -> None:
     """Rows ``hyponym<TAB>gold<TAB>cluster<TAB>rank`` with ``-`` for misses."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for row in report.per_pair:
             rank = row.rank if row.rank is not None else "-"
             fh.write(f"{row.hyponym}\t{row.gold}\t{row.cluster}\t{rank}\n")

@@ -15,11 +15,14 @@ where z is a sampled negative (synonym / co-hyponym) of x. With z == x the
 neighbor forms reduce to the asymmetric ones exactly. All dot products are
 raw row-vector inner products. The tests check the gradient against
 central finite differences of the loss.
+
+A model file is a checksummed container (see ``errors``) with magic
+``MODEL_MAGIC``, ``HPRJ2``; an ``HPRJ1`` file, of the layout before, is
+rejected as "bad magic" and must be retrained.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -29,11 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusterModel
-from .errors import InputError
+from .errors import InputError, read_container, write_container
 
 log = logging.getLogger(__name__)
 
-MODEL_MAGIC = b"HPRJ1"
+MODEL_MAGIC = b"HPRJ2"
 
 
 class Regularizer(str, Enum):
@@ -164,8 +167,7 @@ def loss_terms_and_gradient(
 
 
 # ---------------------------------------------------------------------------
-# model file format: MODEL_MAGIC, JSON header, NUL, centroids, matrices
-# (all floats row-major little-endian float64)
+# model file: a container (see ``errors``) of MODEL_MAGIC: k centroids, then k matrices
 # ---------------------------------------------------------------------------
 
 
@@ -184,29 +186,14 @@ def save_model(model: ProjectionModel, path: str | Path) -> None:
         "steps": model.meta.steps,
         "inertia": inertia if np.isfinite(inertia) else None,
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(blob)
-        fh.write(b"\x00")
-        fh.write(np.ascontiguousarray(model.clusters.centroids, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.matrices, dtype="<f8").tobytes())
+    write_container(path, MODEL_MAGIC, header, model.clusters.centroids, model.matrices)
 
 
 def load_model(path: str | Path) -> ProjectionModel:
     path = Path(path)
     if not path.is_file():
         raise InputError(f"model file not found: {path}")
-    data = path.read_bytes()
-    if not data.startswith(MODEL_MAGIC):
-        raise InputError(f"{path}: bad magic, not a projection model file")
-    nul = data.find(b"\x00", len(MODEL_MAGIC))
-    if nul < 0:
-        raise InputError(f"{path}: unterminated header")
-    try:
-        header = json.loads(data[len(MODEL_MAGIC):nul].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"{path}: malformed header ({exc})") from None
+    header, payload = read_container(path, MODEL_MAGIC)
     try:
         dim = int(header["dim"])
         k = int(header["k"])
@@ -226,13 +213,10 @@ def load_model(path: str | Path) -> ProjectionModel:
         raise InputError(f"{path}: incomplete header ({exc})") from None
     if dim < 1 or k < 1:
         raise InputError(f"{path}: header declares dim={dim} k={k}")
-    body = data[nul + 1:]
-    expected = 8 * (k * dim + k * dim * dim)
-    if len(body) != expected:
-        raise InputError(
-            f"{path}: payload is {len(body)} bytes, header implies {expected}"
-        )
-    centroids = np.frombuffer(body, dtype="<f8", count=k * dim).reshape(k, dim)
-    matrices = np.frombuffer(body, dtype="<f8", offset=8 * k * dim).reshape(k, dim, dim)
-    clusters = ClusterModel(centroids.copy(), inertia)
-    return ProjectionModel(matrices.copy(), clusters, kind, lam, meta, vhash)
+    expected = k * dim + k * dim * dim
+    if payload.size != expected:
+        raise InputError(f"{path}: payload is {8 * payload.size} bytes, "
+                         f"header implies {8 * expected}")
+    clusters = ClusterModel(payload[:k * dim].reshape(k, dim), inertia)
+    return ProjectionModel(payload[k * dim:].reshape(k, dim, dim), clusters, kind, lam, meta,
+                           vhash)

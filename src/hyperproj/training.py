@@ -34,7 +34,7 @@ from . import evaluation
 from .clustering import ClusterModel, _pair_vectors, assign_clusters, fit_kmeans
 from .dataset import RelationDataset, _negative_sampler, negative_index
 from .embeddings import EmbeddingTable, vocab_hash
-from .errors import InputError, TrainingError
+from .errors import InputError, TrainingError, atomic_open
 from .projection import (
     ProjectionModel,
     Regularizer,
@@ -246,16 +246,20 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     vhash = vocab_hash(table)
 
     meta = TrainingMeta(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size)
-    for epoch in range(1, cfg.epochs + 1):
-        phi = _run_epoch(epoch, phi, state, active, cfg, table)
-        if select_validation and (epoch % VALIDATION_EVERY == 0 or epoch == cfg.epochs):
-            snapshot = phi.copy()
-            interim = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, meta, vhash)
-            hit10 = evaluation.hit_at(interim, table, val_pairs, 10)
-            log.info("epoch %d validation hit@10 = %.4f", epoch, hit10)
-            if hit10 > best_hit:
-                best_hit = hit10
-                best_matrices = snapshot
+    # an overflowing loss stops the run through _run_epoch's MAX_GRADIENT check, without
+    # numpy's warnings; one context for the run, as one per batch step costs about 2 us each
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            phi = _run_epoch(epoch, phi, state, active, cfg, table)
+            if select_validation and (epoch % VALIDATION_EVERY == 0 or epoch == cfg.epochs):
+                snapshot = phi.copy()
+                interim = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, meta,
+                                          vhash)
+                hit10 = evaluation.hit_at(interim, table, val_pairs, 10)
+                log.info("epoch %d validation hit@10 = %.4f", epoch, hit10)
+                if hit10 > best_hit:
+                    best_hit = hit10
+                    best_matrices = snapshot
 
     matrices = best_matrices if best_matrices is not None else phi
     meta.final_losses = [c.trace[-1][4] if c.trace else None for c in per_cluster]
@@ -292,7 +296,7 @@ def _data_accounting(dataset: RelationDataset, per_cluster: list[_Cluster],
 def write_trace_csv(model: ProjectionModel, path) -> None:
     """Dump the per-epoch loss trace collected during train()."""
     rows = model.meta.trace
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("epoch,cluster,baseline_term,reg_term,total\n")
         for epoch, cid, base, reg, total in rows:
             fh.write(f"{epoch},{cid},{base!r},{reg!r},{total!r}\n")

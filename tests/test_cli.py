@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hyperproj import cli, embeddings
 from hyperproj.cli import main
 from hyperproj.embeddings import load_embeddings
+from hyperproj.errors import read_container, write_container
 from hyperproj.projection import MODEL_MAGIC, load_model, save_model
 
 
@@ -383,7 +384,38 @@ def check_one_error_line(code, err, expected=""):
     assert len(errors) == 1 and expected in errors[0]
 
 
+class TestOverflowingTraining:
+    @pytest.mark.parametrize("alpha", [1e308, 1e160])
+    def test_one_error_line_and_no_numpy_warning(self, tmp_path, capsys, fixture_dir, split_dir,
+                                                 alpha):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = train_quick(fixture_dir, split_dir, tmp_path / "m.hprj", alpha=alpha,
+                               epochs=2)
+        err = capsys.readouterr().err
+        assert code == 1 and "RuntimeWarning" not in err and "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: non-finite or overflowing gradient in cluster 0 at epoch 2"]
+        assert not (tmp_path / "m.hprj").exists()
+
+
 class TestBadInputExit2:
+    @staticmethod
+    def eval_of_a_saved_model(tmp_path):
+        """The path of an identity model, saved for the test to alter, and an eval of it."""
+        from conftest import make_model
+
+        emb = tmp_path / "e.txt"
+        emb.write_text("x1 1 0\ny1 0.9 0.3\n")
+        test = tmp_path / "t.tsv"
+        test.write_text("x1\ty1\thypernym\n")
+        model_path = tmp_path / "m.hprj"
+        save_model(make_model(np.eye(2)), model_path)
+        return model_path, ["eval", "--model", model_path, "--embeddings", emb, "--test", test,
+                            "--out", tmp_path / "r.json"]
+
     @pytest.mark.parametrize("changes, expected", [
         ({"dim": None}, "incomplete header"),
         ({"lambda": None}, "incomplete header"),
@@ -396,22 +428,27 @@ class TestBadInputExit2:
     ], ids=["dim-null", "lambda-null", "seed-null", "inertia-text", "k-negative", "dim-zero",
             "lambda-nan", "lambda-inf"])
     def test_bad_model_header(self, tmp_path, capsys, changes, expected):
-        from conftest import make_model
-
-        emb = tmp_path / "e.txt"
-        emb.write_text("x1 1 0\ny1 0.9 0.3\n")
-        test = tmp_path / "t.tsv"
-        test.write_text("x1\ty1\thypernym\n")
-        model_path = tmp_path / "m.hprj"
-        save_model(make_model(np.eye(2)), model_path)
-        data = model_path.read_bytes()
-        nul = data.index(b"\x00", len(MODEL_MAGIC))
-        header = json.loads(data[len(MODEL_MAGIC):nul])
+        model_path, argv = self.eval_of_a_saved_model(tmp_path)
+        header, payload = read_container(model_path, MODEL_MAGIC)
         header.update(changes)
-        model_path.write_bytes(MODEL_MAGIC + json.dumps(header).encode() + data[nul:])
-        code = run("eval", "--model", model_path, "--embeddings", emb, "--test", test,
-                   "--out", tmp_path / "r.json")
-        assert_one_error_line(code, capsys, expected)
+        write_container(model_path, MODEL_MAGIC, header, payload)  # with a valid checksum
+        assert_one_error_line(run(*argv), capsys, expected)
+
+    @pytest.mark.parametrize("damage, expected", [
+        ("flipped", "checksum mismatch"), ("hprj1", "bad magic, not a HPRJ2 file"),
+    ])
+    def test_damaged_or_old_model(self, tmp_path, capsys, damage, expected):
+        model_path, argv = self.eval_of_a_saved_model(tmp_path)
+        data = bytearray(model_path.read_bytes())
+        if damage == "flipped":
+            data[data.index(b"\x00") + 9] ^= 0x01  # one byte of the payload's second value
+        else:  # the layout before the container: no padding and no checksum
+            header, payload = read_container(model_path, MODEL_MAGIC)
+            blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+            data = b"HPRJ1" + blob + b"\x00" + payload.tobytes()
+        model_path.write_bytes(data)
+        assert_one_error_line(run(*argv), capsys, expected)
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("file", ["clusters", "model"])
     def test_deep_nesting(self, tmp_path, capsys, fixture_dir, split_dir, file):
@@ -425,7 +462,9 @@ class TestBadInputExit2:
             expected = "c.json: malformed cluster file"
         else:
             model = tmp_path / "m.hprj"
-            model.write_bytes(MODEL_MAGIC + deep + b"\x00")
+            # json.dumps cannot nest this deep, so the container gets the bytes themselves
+            with mock.patch("json.dumps", return_value=deep.decode()):
+                write_container(model, MODEL_MAGIC, {})
             argv = ["eval", "--model", model, "--embeddings", emb,
                     "--test", split_dir / "test.tsv", "--out", tmp_path / "r.json"]
             expected = "m.hprj: malformed header"

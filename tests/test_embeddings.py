@@ -861,6 +861,17 @@ class TestCache:
             load_embeddings(path, cache=tmp_path / "cache")
             assert [e.name for e in entries(tmp_path / "cache")] == [entry_name(path)]
 
+    def test_entries_named_by_the_digest_alone_are_deleted(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        digest = "ab" * 32
+        old, other = cache / f"{digest}.hptab", cache / f"{digest}-2.hptab"
+        old.write_bytes(b"no version reads this name")
+        other.write_bytes(b"another version's entry")
+        path = write_cache_file(tmp_path / "e.txt", "text")
+        load_embeddings(path, cache=cache)
+        assert [e.name for e in entries(cache)] == sorted([entry_name(path), other.name])
+
     def test_failed_touch_and_delete_are_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setattr(embeddings, "CACHE_MAX_BYTES", 0)
         paths = [write(tmp_path / f"e{i}.txt", f"w {i} 1\n") for i in range(2)]

@@ -595,3 +595,27 @@ class TestRecheckCount:
         pairs = pair_words(table, [(0, 4), (1, 15), (2, 9)])
         assert evaluate(model, table, pairs).rechecked == 2
         assert evaluate(model, table, pairs[2:]).rechecked == 0
+
+
+class TestProjectionThatOverflows:
+    def test_a_model_and_its_copy_times_two_to_the_minus_60_agree(self):
+        """Some queries of the model M overflow and none of M * 2**-60 do. Scores
+        may differ in a last bit: ``_scaled_queries`` divides a query whose squared
+        norm overflows by its largest entry, which is not a power of two."""
+        table, pairs, model = random_fixture(93)
+        rng = np.random.default_rng(93)
+        huge = rng.uniform(-1.0, 1.0, size=model.matrices.shape) * 2.0 ** 1023
+        big = make_model(huge, centroids=model.clusters.centroids)
+        small = make_model(huge * 2.0 ** -60, centroids=model.clusters.centroids)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(table.vectors @ huge).all(axis=-1)
+        assert 0 < np.count_nonzero(finite) < finite.size
+        want, got = evaluate(small, table, pairs), evaluate(big, table, pairs)
+        assert got.per_pair == want.per_pair and got.hits == want.hits
+        assert want.hits[-1] > 0
+        for word in table.vocab[:20]:
+            candidates = predict_candidates(big, table, word, 10)
+            expected = predict_candidates(small, table, word, 10)
+            assert [w for w, _ in candidates] == [w for w, _ in expected]
+            np.testing.assert_allclose([s for _, s in candidates], [s for _, s in expected],
+                                       rtol=1e-15)

@@ -4,9 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperproj.embeddings import EmbeddingTable
-from hyperproj.errors import InputError
+from hyperproj.errors import InputError, read_container, write_container
 from hyperproj.evaluation import predict_candidates
-from hyperproj.projection import Regularizer, load_model, loss_terms_and_gradient, save_model
+from hyperproj.projection import (
+    MODEL_MAGIC,
+    Regularizer,
+    load_model,
+    loss_terms_and_gradient,
+    save_model,
+)
 
 from conftest import central_difference, make_model, package_loss, reference_terms
 
@@ -239,9 +245,9 @@ class TestModelFile:
         model = self._model()
         path = tmp_path / "m.hprj"
         save_model(model, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(InputError, match="payload"):
+        header, payload = read_container(path, MODEL_MAGIC)
+        write_container(path, MODEL_MAGIC, header, payload[:-1])  # one value short, checksummed
+        with pytest.raises(InputError, match="payload is 472 bytes, header implies 480"):
             load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):
