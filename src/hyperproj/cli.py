@@ -399,11 +399,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except InputError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (HyperprojError, OSError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

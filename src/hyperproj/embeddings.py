@@ -42,7 +42,11 @@ query, so a score does not depend on the other queries. ``nearest_neighbors``
 and the evaluation module's predict print its scores. ``gold_ranks`` ranks
 a gold row per query from one matrix product per block of queries, and
 ranks a query again through ``cosine_blocks`` whenever the two products
-could order its gold row differently (see ``tie_window``).
+could order its gold row differently (see ``tie_window``). Both scale each
+query first by the power of two that brings its norm into [1/4, 1/2)
+(``_scaled_queries``): exact, so no score depends on a query's scale, and no
+product with a row overflows. ``_below_one`` is the package's one rescaling
+rule; row norms and overflowing projections use it too.
 """
 
 from __future__ import annotations
@@ -69,8 +73,6 @@ GEMM_ROWS = 64  # queries per matrix product when gold_ranks tiles the vocabular
 PARSE_TOKENS = 1 << 15  # components _parse_text converts at once: max(1, PARSE_TOKENS // dim) rows
 # below this a row's sum of squares underflows to a subnormal or to 0
 NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
-# a query norm times a row norm at most this keeps their dot product finite, rounding included
-PRODUCT_CEILING = float(np.finfo(np.float64).max) / 2
 # a query norm times a row norm at least this keeps their dot product out of the subnormals
 PRODUCT_FLOOR = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 FORMATS = ("text", "binary")
@@ -79,54 +81,50 @@ CACHE_VERSION = 3  # in each entry's name and header: entries of other rules are
 CACHE_MAX_BYTES = 1 << 30  # entries a cache directory keeps, see _evict
 
 
-def _extreme_rows(vectors: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows whose plain norm overflowed or fell below NORM_FLOOR, and their largest |component|."""
-    redo = np.flatnonzero((norms < NORM_FLOOR) | (norms == np.inf))
-    scale = np.abs(vectors[redo]).max(axis=1)
-    return redo, np.where(scale == 0.0, 1.0, scale)  # a zero row keeps its norm of 0
+def _below_one(A: np.ndarray, axis: int | tuple[int, ...] = -1) -> tuple[np.ndarray, np.ndarray]:
+    """``A`` times 2^-e, where e brings the largest |entry| of each vector along
+    ``axis`` into [0.5, 1), and e (with ``axis`` kept). A zero vector keeps e = 0.
+
+    The package's one rescaling rule for vectors near the float64 limits: a
+    power of two changes no cosine, as the product is exact unless an entry far
+    below the largest falls into the subnormals (the caller decides, through
+    ``np.errstate``, whether that underflow is reported).
+    """
+    _, exponent = np.frexp(np.abs(A).max(axis=axis, keepdims=True))
+    return np.ldexp(A, -exponent), exponent
 
 
 def _row_norms(vectors: np.ndarray) -> np.ndarray:
-    """L2 norm of each row, without overflow or underflow: the rows ``_extreme_rows``
-    finds are divided by their scale first, the others keep ``np.linalg.norm``'s bits.
-    A norm above the float64 maximum is inf, which ``EmbeddingTable`` rejects."""
+    """L2 norm of each row, without overflow or underflow: a row whose plain norm
+    overflowed or fell below NORM_FLOOR is measured again through ``_below_one``,
+    the others keep ``np.linalg.norm``'s bits. A norm above the float64 maximum
+    is inf, which ``EmbeddingTable`` rejects."""
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(vectors, axis=1)
-        redo, scale = _extreme_rows(vectors, norms)
-        norms[redo] = scale * np.linalg.norm(vectors[redo] / scale[:, None], axis=1)
+        redo = np.flatnonzero((norms < NORM_FLOOR) | (norms == np.inf))
+        scaled, exponent = _below_one(vectors[redo])
+        norms[redo] = np.ldexp(np.linalg.norm(scaled, axis=1), exponent[:, 0])
     return norms
 
 
-def _scaled_queries(queries: np.ndarray,
-                    table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
-    """Queries and their norms, safe to multiply with the rows of ``table``.
+def _scaled_queries(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each query times a power of two that brings its norm into [1/4, 1/2), and
+    those norms; a zero query stays zero, with norm 0.
 
-    A query ``_extreme_rows`` finds is divided by its scale. Then a nonzero query
-    is divided by its norm if that norm times the table's largest row norm exceeds
-    PRODUCT_CEILING, so that a dot product could overflow, or times its smallest
-    nonzero row norm falls below PRODUCT_FLOOR, so that one could underflow. Both
-    happen in a copy, so the caller's array is not modified and every other query
-    keeps its bits. The underflow guard needs that smallest norm to be at least
-    PRODUCT_FLOOR (about 1e-292), or a unit query would not help: a table with a
-    smaller nonzero row scales no query for underflow, and a tiny query's scores
-    against that row can lose precision or be NaN.
+    ``_below_one`` first brings a query's largest |entry| into [0.5, 1), so that
+    its sum of squares neither overflows nor falls into the subnormals. Being
+    exact, the scaling changes no cosine that ``cosine_blocks`` or ``gold_ranks``
+    computes from an ordinary query, while a query of any scale scores as its
+    copies at other scales do. A norm below 1/2 keeps every product with a row
+    of the table finite, and one of at least 1/4 keeps it out of the subnormals
+    for a row of norm at least 4·PRODUCT_FLOOR. The caller's array is not
+    modified.
     """
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(under="ignore"):
+        queries, _ = _below_one(queries)
         norms = np.sqrt((queries[:, None, :] @ queries[:, :, None]).reshape(len(queries)))
-    plain = norms.tolist()  # for a few queries Python's min and max cost less than numpy's
-    high = PRODUCT_CEILING / table._max_norm if table._max_norm > 0.0 else np.inf
-    # no underflow guard below PRODUCT_FLOOR, where it cannot help, or when every row is zero
-    low = PRODUCT_FLOOR / table._min_norm if table._min_norm >= PRODUCT_FLOOR else 0.0
-    if max(NORM_FLOOR, low) <= min(plain, default=1.0) and max(plain, default=1.0) < high:
-        return queries, norms
-    redo, scale = _extreme_rows(queries, norms)
-    queries = queries.copy()
-    queries[redo] /= scale[:, None]
-    norms[redo] = np.linalg.norm(queries[redo], axis=1)
-    risky = np.flatnonzero((norms > high) | ((norms > 0.0) & (norms < low)))
-    queries[risky] /= norms[risky, None]
-    norms[risky] = 1.0
-    return queries, norms
+        fraction, exponent = np.frexp(norms)
+        return np.ldexp(queries, -1 - exponent[:, None]), fraction / 2
 
 
 @dataclass(eq=False)
@@ -148,7 +146,6 @@ class EmbeddingTable:
     # word -> row; a caller that already holds it for ``vocab`` may pass it
     _index: dict[str, int] | None = field(default=None, repr=False)
     _row_norms: np.ndarray = field(init=False, repr=False)
-    _max_norm: float = field(init=False, repr=False)
     _min_norm: float = field(init=False, repr=False)  # the smallest nonzero one
 
     def __post_init__(self) -> None:
@@ -173,7 +170,6 @@ class EmbeddingTable:
         if huge.size:
             raise InputError(f"row {huge[0] + 1} ({self.vocab[huge[0]]!r}) has an L2 norm "
                              "above the float64 maximum")
-        self._max_norm = float(self._row_norms.max(initial=0.0))
         self._min_norm = float(self._row_norms.min(initial=np.inf,
                                                    where=self._row_norms > 0.0))
         if self.normalized and np.abs(self._row_norms - 1.0).max() > 1e-6:
@@ -519,7 +515,7 @@ def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
     Each query row is one matrix-vector product with the table, so its
     scores are bitwise the same whatever block it lands in.
     """
-    queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64), table)
+    queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
     n, vocab = queries.shape[0], len(table)
     rows = max(1, BLOCK_ENTRIES // vocab)
     dead = np.flatnonzero(table._row_norms == 0.0)
@@ -545,22 +541,23 @@ def tie_window(dim: int) -> float:
     Take u = 2^-53 and γ_n = n·u / (1 - n·u). Let q be a nonzero query as
     ``_scaled_queries`` leaves it and v a nonzero row, with computed norms qn
     and rn, and ρ = ‖q‖·‖v‖ / (qn·rn). Each computed norm is the true one times
-    1 + θ with |θ| ≤ γ_{d+3}, ``_extreme_rows`` rescaling and unit scaling
-    included, so ρ ≤ 1 + γ_{2d+6}. A dot product of d terms, summed in any
-    order, with or without fused multiply-adds and however threads split it,
-    is within γ_d·Σ|a_k b_k| of the exact one, plus 2^-1074 for each product
-    that underflows (Higham, Accuracy and Stability of Numerical Algorithms,
-    §2.1 and §3.1); Σ|a_k b_k| ≤ ‖a‖·‖b‖.
+    1 + θ with |θ| ≤ γ_{d+3}, power-of-two rescaling included, so ρ ≤ 1 +
+    γ_{2d+6}. A dot product of d terms, summed in any order, with or without
+    fused multiply-adds and however threads split it, is within γ_d·Σ|a_k b_k|
+    of the exact one, plus 2^-1074 for each product that underflows (Higham,
+    Accuracy and Stability of Numerical Algorithms, §2.1 and §3.1);
+    Σ|a_k b_k| ≤ ‖a‖·‖b‖.
 
     - The matrix product scores fl(q/qn)·fl(v/rn). The two divisions add
       γ_2, so it is within γ_{d+2}·ρ of q·v / (qn·rn), plus subnormal terms
       below d·2^-1072: both factors have norm about 1.
     - The per-query product scores fl(fl(q·v) / fl(qn·rn)), within
       γ_{d+2}·ρ of q·v / (qn·rn) as well, plus d·2^-1074 / (qn·rn) from
-      underflow. ``_scaled_queries`` keeps qn·rn ≥ PRODUCT_FLOOR = 2^-970 when
-      the table's smallest nonzero row norm is at least PRODUCT_FLOOR, so that
-      term is below d·2^-103. Below that floor there is no bound, and
-      ``gold_ranks`` ranks every query by the per-query product.
+      underflow. ``_scaled_queries`` gives every nonzero query a norm of at
+      least 1/4, so qn·rn ≥ PRODUCT_FLOOR = 2^-970 when the table's smallest
+      nonzero row norm is at least 4·PRODUCT_FLOOR = 2^-968, and that term is
+      below d·2^-103. Below that floor there is no bound, and ``gold_ranks``
+      ranks every query by the per-query product.
 
     So any two of these scores of one pair, the gold score ``gold_ranks``
     estimates included, differ by at most β = 2γ_{d+2}(1 + γ_{2d+6}) +
@@ -596,10 +593,10 @@ def gold_ranks(table: EmbeddingTable, queries: np.ndarray, gold: np.ndarray,
     original = np.asarray(queries, dtype=np.float64)
     n = len(original)
     ranks = np.zeros(n, dtype=np.intp)
-    if table._min_norm < PRODUCT_FLOOR:  # no bound between the products, see tie_window
+    if table._min_norm < 4 * PRODUCT_FLOOR:  # no bound between the products, see tie_window
         redo = np.arange(n)
     else:
-        redo = _window_ranks(table, *_scaled_queries(original, table), gold, exclude, ranks)
+        redo = _window_ranks(table, *_scaled_queries(original), gold, exclude, ranks)
     for start, S in cosine_blocks(table, original[redo], exclude[redo]):
         for i, row in zip(redo[start:start + len(S)], S):
             g = gold[i]
@@ -686,8 +683,7 @@ def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, l: int,
     query = np.asarray(query, dtype=np.float64).reshape(-1)
     if query.shape[0] != table.dim:
         raise InputError(f"query has dimension {query.shape[0]}, table has {table.dim}")
-    _, qnorm = _scaled_queries(query[None, :], table)
-    if qnorm[0] == 0.0:
+    if not query.any():
         raise InputError("cosine similarity is undefined for a zero query vector")
     idx = table.lookup(exclude) if exclude is not None else None
     ex = np.array([-1 if idx is None else idx])

@@ -19,7 +19,9 @@ ranked again by ``embeddings.cosine_blocks``, one product per query, so
 every rank is the one that product gives. predict prints scores, so it
 scores through ``cosine_blocks`` alone, and a word's score does not
 depend on the other queries. Both project through ``_project``, which
-computes a projection that overflows again from power-of-two scaled factors.
+computes a projection that overflows again from factors scaled by powers of
+two, and both score every query scaled by a power of two
+(``embeddings._scaled_queries``), so no score depends on a query's scale.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 
 from .clustering import assign_clusters
 from .dataset import RelationPair, pair_rows
-from .embeddings import EmbeddingTable, cosine_blocks, gold_ranks, top_indices
-from .embeddings import nearest_neighbors  # noqa: F401  (the one-query form, re-exported)
+from .embeddings import EmbeddingTable, _below_one, cosine_blocks, gold_ranks, top_indices
+from .embeddings import nearest_neighbors  # noqa: F401  (perfbench's tracer test patches it here)
 from .errors import InputError, atomic_open
 from .projection import ProjectionModel
 
@@ -95,8 +97,8 @@ def _project(X: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """Rows ``X @ matrices``, broadcast as ``X[:, None, :] @ matrices``: an (n, d) array.
 
     A row that overflows is computed again from its row of ``X`` and its
-    matrix, each divided by a power of two that brings its largest entry
-    below 1: exact, and no cosine depends on the scale. Every finite row
+    matrix, each scaled by ``embeddings._below_one`` so that its largest entry
+    is below 1: exact, and no cosine depends on the scale. Every finite row
     keeps its bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -105,14 +107,8 @@ def _project(X: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     if bad.size:
         X1, M1 = (np.broadcast_to(a, (len(P), *a.shape[-2:]))[bad]
                   for a in (X[:, None, :], matrices))
-        P[bad] = _below_one(X1) @ _below_one(M1)
+        P[bad] = _below_one(X1, axis=(1, 2))[0] @ _below_one(M1, axis=(1, 2))[0]
     return P[:, 0]
-
-
-def _below_one(A: np.ndarray) -> np.ndarray:
-    """Each ``A[i]`` times the power of two that brings its largest |entry| into [0.5, 1)."""
-    _, exponent = np.frexp(np.abs(A).max(axis=(1, 2), keepdims=True))
-    return np.ldexp(A, -exponent)
 
 
 def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,

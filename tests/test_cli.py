@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -475,6 +478,14 @@ class TestBadInputExit2:
         code = run("split", "--relations", tmp_path / "missing.tsv", "--out", tmp_path / "s")
         assert_one_error_line(code, capsys, "relations file not found: ")
         assert not (tmp_path / "s").exists()
+        # in a process of its own, at the default log level, the error line is all of stderr
+        env = {k: v for k, v in os.environ.items() if k != "HYPERPROJ_LOG"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-m", "hyperproj", "split", "--relations",
+                               str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "s")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: relations file not found: {tmp_path / 'missing.tsv'}\n"
 
     def test_non_utf8_relations(self, tmp_path, capsys):
         relations = tmp_path / "r.tsv"

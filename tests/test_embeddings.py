@@ -634,16 +634,21 @@ class TestExtremeRowNorms:
         _, unit = next(embeddings.cosine_blocks(table, queries[3:] / np.hypot(0.37, 1.9)))
         assert S[3].tobytes() != unit[0].tobytes()  # which a unit query would not
 
-    def test_rows_below_the_product_floor_scale_no_query(self):
+    def test_rows_below_the_product_floor_score_queries_at_any_scale(self):
         # no query scale keeps every product with row t, 1e-300, out of the
-        # subnormals, so no query is scaled for underflow and each keeps its bits
+        # subnormals; still each query scores bitwise as its copies times 2^±60
+        # do, and the tiny query gets its exact cosine with t
         table = EmbeddingTable(["t", "b"], np.array([[1e-300, 0.0], [1.0, 0.0]]))
-        queries = np.array([[3.0, 4.0], [0.37, 1.9]])
-        assert embeddings._scaled_queries(queries, table)[0] is queries
+        queries = np.array([[3.0, 4.0], [0.37, 1.9], [1e-150, 0.0]])
         with np.errstate(all="raise"):
             _, S = next(embeddings.cosine_blocks(table, queries))
-        np.testing.assert_allclose(S, [[0.6, 0.6], [0.37 / np.hypot(0.37, 1.9)] * 2],
+            for query, scores in zip(queries, S):
+                for scale in (2.0 ** 60, 2.0 ** -60):
+                    _, scaled = next(embeddings.cosine_blocks(table, query[None, :] * scale))
+                    assert scaled[0].tobytes() == scores.tobytes()
+        np.testing.assert_allclose(S[:2], [[0.6, 0.6], [0.37 / np.hypot(0.37, 1.9)] * 2],
                                    rtol=1e-14, atol=0)
+        assert S[2].tolist() == [1.0, 1.0]
 
     def test_norm_above_the_float64_maximum_is_rejected(self, tmp_path):
         rows = np.array([[1.0, 0.0], [1.7e308, 1.7e308]])

@@ -474,12 +474,16 @@ class TestGemmRanking:
         monkeypatch.setattr(embeddings, "tie_window", lambda dim: 4.0)
         assert assert_ranks_match_oracle(model, table, pairs) == len(pairs) - 2
 
-    def test_rows_below_the_product_floor_rank_by_the_per_query_product(self, monkeypatch):
+    @pytest.mark.parametrize("norm", [1e-300, 2.0 ** -969], ids=["1e-300", "2^-969"])
+    def test_rows_below_the_product_floor_rank_by_the_per_query_product(self, monkeypatch,
+                                                                        norm):
+        # a query's norm can be 1/4, so a row of norm 2^-969 takes their product
+        # below PRODUCT_FLOOR, 2^-970
         table, pairs, model = random_fixture(85, n_words=37)
         vectors = table.vectors.copy()
-        vectors[11] *= 1e-300
+        vectors[11] *= norm / np.linalg.norm(vectors[11])
         table = EmbeddingTable(table.vocab, vectors)
-        assert table._min_norm < embeddings.PRODUCT_FLOOR
+        assert table._min_norm < 4 * embeddings.PRODUCT_FLOOR
         monkeypatch.setattr(embeddings, "_window_ranks", None)  # never called
         assert assert_ranks_match_oracle(model, table, pairs) == len(pairs)
 
@@ -553,7 +557,7 @@ class TestGemmRanking:
         small = st.integers(-3, 3).map(float)
         vectors = np.array(data.draw(st.lists(st.lists(small, min_size=dim, max_size=dim),
                                               min_size=n_words, max_size=n_words)))
-        # some rows at an extreme norm, which _scaled_queries guards against
+        # some rows at an extreme norm, which _row_norms and gold_ranks handle
         extreme = data.draw(st.lists(st.integers(0, n_words - 1), max_size=3))
         vectors[extreme] *= row_scale
         matrices = np.array(data.draw(st.lists(st.lists(small, min_size=dim * dim,
@@ -598,24 +602,25 @@ class TestRecheckCount:
 
 
 class TestProjectionThatOverflows:
-    def test_a_model_and_its_copy_times_two_to_the_minus_60_agree(self):
-        """Some queries of the model M overflow and none of M * 2**-60 do. Scores
-        may differ in a last bit: ``_scaled_queries`` divides a query whose squared
-        norm overflows by its largest entry, which is not a power of two."""
+    @pytest.mark.parametrize("power", [-60, -1000])
+    def test_a_model_and_its_copy_times_a_power_of_two_agree(self, power):
+        """Some queries of the model M overflow and none of M * 2**power do. Every
+        query is scaled by a power of two, so scores agree to the bit."""
         table, pairs, model = random_fixture(93)
         rng = np.random.default_rng(93)
         huge = rng.uniform(-1.0, 1.0, size=model.matrices.shape) * 2.0 ** 1023
         big = make_model(huge, centroids=model.clusters.centroids)
-        small = make_model(huge * 2.0 ** -60, centroids=model.clusters.centroids)
+        small = make_model(huge * 2.0 ** power, centroids=model.clusters.centroids)
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(table.vectors @ huge).all(axis=-1)
         assert 0 < np.count_nonzero(finite) < finite.size
         want, got = evaluate(small, table, pairs), evaluate(big, table, pairs)
         assert got.per_pair == want.per_pair and got.hits == want.hits
+        assert got.rechecked == want.rechecked
         assert want.hits[-1] > 0
-        for word in table.vocab[:20]:
+        for word in table.vocab:
             candidates = predict_candidates(big, table, word, 10)
             expected = predict_candidates(small, table, word, 10)
             assert [w for w, _ in candidates] == [w for w, _ in expected]
-            np.testing.assert_allclose([s for _, s in candidates], [s for _, s in expected],
-                                       rtol=1e-15)
+            assert (np.array([s for _, s in candidates]).tobytes()
+                    == np.array([s for _, s in expected]).tobytes())
