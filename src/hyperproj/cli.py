@@ -15,6 +15,7 @@ HYPERPROJ_CACHE, else ``$XDG_CACHE_HOME/hyperproj``, else
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -306,6 +307,7 @@ def _add_embedding_flags(parser: argparse.ArgumentParser) -> None:
                         help="L2-normalize embedding rows at load time")
 
 
+@functools.cache  # built once per process: every default is immutable
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperproj",

@@ -37,21 +37,26 @@ are deleted, and then the least recently used entries while the
 directory's entries exceed CACHE_MAX_BYTES; a hit updates its entry's
 modification time.
 
-Similarity search has one scorer, ``cosine_blocks``: one product per
-query, so a score does not depend on the other queries. ``nearest_neighbors``
-and the evaluation module's predict print its scores. ``gold_ranks`` ranks
-a gold row per query from one matrix product per block of queries, and
-ranks a query again through ``cosine_blocks`` whenever the two products
-could order its gold row differently (see ``tie_window``). Both scale each
-query first by the power of two that brings its norm into [1/4, 1/2)
-(``_scaled_queries``): exact, so no score depends on a query's scale, and no
-product with a row overflows. ``_below_one`` is the package's one rescaling
-rule; row norms and overflowing projections use it too.
+Similarity search has one exact scorer, ``cosine_blocks``: each dot product
+is numpy's own per-row product of one query and one row, so a score depends
+on neither the other queries, the other rows, the BLAS library nor its
+threads: ``_per_row_cosines`` gives the same bits for chosen rows alone.
+``nearest_neighbors`` prints its scores. Ranking runs one matrix product of
+unit queries against the table's kept unit columns, then makes it exact:
+``gold_ranks`` ranks a gold row per query from it, and ranks a query again
+through ``cosine_blocks`` whenever the two products could order its gold
+row differently; ``top_cosines`` keeps every row within the same window of
+its l-th best score and scores only those exactly (see ``tie_window``). Both
+scale each query first by the power of two that brings its norm into [1/4,
+1/2) (``_scaled_queries``): exact, so no score depends on a query's scale,
+and no product with a row overflows. ``_below_one`` is the package's one
+rescaling rule; row norms and overflowing projections use it too.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import logging
 import os
@@ -146,6 +151,7 @@ class EmbeddingTable:
     # word -> row; a caller that already holds it for ``vocab`` may pass it
     _index: dict[str, int] | None = field(default=None, repr=False)
     _row_norms: np.ndarray = field(init=False, repr=False)
+    _dead: np.ndarray = field(init=False, repr=False)  # the zero rows
     _min_norm: float = field(init=False, repr=False)  # the smallest nonzero one
 
     def __post_init__(self) -> None:
@@ -170,6 +176,7 @@ class EmbeddingTable:
         if huge.size:
             raise InputError(f"row {huge[0] + 1} ({self.vocab[huge[0]]!r}) has an L2 norm "
                              "above the float64 maximum")
+        self._dead = np.flatnonzero(self._row_norms == 0.0)
         self._min_norm = float(self._row_norms.min(initial=np.inf,
                                                    where=self._row_norms > 0.0))
         if self.normalized and np.abs(self._row_norms - 1.0).max() > 1e-6:
@@ -178,6 +185,16 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return int(self.vectors.shape[1])
+
+    @functools.cached_property
+    def _unit_columns(self) -> np.ndarray:
+        """(dim, len) array whose column j is row j over its norm, zero for a zero
+        row: the factor of every ranking matrix product, built by the first that
+        needs it and kept. OpenBLAS multiplies a few queries by a contiguous (d, V)
+        array about twice as fast as by a transposed view of the table."""
+        columns = np.zeros((self.dim, len(self)))
+        np.divide(self.vectors.T, self._row_norms, out=columns, where=self._row_norms > 0.0)
+        return columns
 
     def __len__(self) -> int:
         return len(self.vocab)
@@ -502,6 +519,24 @@ def _mask(S: np.ndarray, dead: np.ndarray, qnorms: np.ndarray,
         S[hit, exclude[hit]] = -np.inf
 
 
+def _per_row_cosines(vectors: np.ndarray, norms: np.ndarray, queries: np.ndarray,
+                     qnorms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill and return ``out[i, j]``, fl(fl(q_i·v_j) / fl(rn_j·qn_i)) for the scaled
+    ``queries`` and their norms against rows ``vectors`` of norms ``norms``; NaN
+    for a zero row or query, which the caller masks.
+
+    ``np.einsum`` forms each dot product in numpy's own loop over one row and
+    one query, whose order of operations depends only on the dimension, so a
+    score has the same bits whatever other rows or queries are in the call and
+    whatever the BLAS library or its thread count.
+    """
+    for q, row in zip(queries, out):
+        np.einsum("ij,j->i", vectors, q, out=row)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(out, np.multiply(norms, qnorms[:, None]), out=out)
+    return out
+
+
 def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
                   exclude: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """Cosine similarity of every query row with every vocabulary row.
@@ -512,31 +547,27 @@ def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
     rows, zero-norm queries and, per query, the row ``exclude[i]`` (when
     it is >= 0) score -inf. ``S`` is overwritten by the next block.
 
-    Each query row is one matrix-vector product with the table, so its
-    scores are bitwise the same whatever block it lands in.
+    Each score is a per-row product (``_per_row_cosines``), so its bits do
+    not depend on the block a query lands in, on the other rows, or on the
+    BLAS library: scoring any subset of rows alone gives them too.
     """
     queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
     n, vocab = queries.shape[0], len(table)
     rows = max(1, BLOCK_ENTRIES // vocab)
-    dead = np.flatnonzero(table._row_norms == 0.0)
-    scores = np.empty((min(rows, n), 1, vocab))
-    denom = np.empty((min(rows, n), vocab))
+    scores = np.empty((min(rows, n), vocab))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        S, D = scores[:stop - start], denom[:stop - start]
-        np.matmul(queries[start:stop, None, :], table.vectors.T, out=S)
-        S = S.reshape(D.shape)
-        np.multiply(table._row_norms, qnorms[start:stop, None], out=D)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(S, D, out=S)
-        _mask(S, dead, qnorms[start:stop], None if exclude is None else exclude[start:stop])
+        S = _per_row_cosines(table.vectors, table._row_norms, queries[start:stop],
+                             qnorms[start:stop], scores[:stop - start])
+        _mask(S, table._dead, qnorms[start:stop],
+              None if exclude is None else exclude[start:stop])
         yield start, S
 
 
 def tie_window(dim: int) -> float:
-    """How far apart two cosines must be for ``gold_ranks``' matrix product and
-    the per-query product of ``cosine_blocks`` to order them alike, at
-    embedding dimension ``dim``.
+    """How far apart two cosines must be for the ranking matrix product (of
+    ``gold_ranks`` and ``top_cosines``) and the per-row product of
+    ``cosine_blocks`` to order them alike, at embedding dimension ``dim``.
 
     Take u = 2^-53 and γ_n = n·u / (1 - n·u). Let q be a nonzero query as
     ``_scaled_queries`` leaves it and v a nonzero row, with computed norms qn
@@ -551,20 +582,24 @@ def tie_window(dim: int) -> float:
     - The matrix product scores fl(q/qn)·fl(v/rn). The two divisions add
       γ_2, so it is within γ_{d+2}·ρ of q·v / (qn·rn), plus subnormal terms
       below d·2^-1072: both factors have norm about 1.
-    - The per-query product scores fl(fl(q·v) / fl(qn·rn)), within
+    - The per-row product scores fl(fl(q·v) / fl(qn·rn)), within
       γ_{d+2}·ρ of q·v / (qn·rn) as well, plus d·2^-1074 / (qn·rn) from
       underflow. ``_scaled_queries`` gives every nonzero query a norm of at
       least 1/4, so qn·rn ≥ PRODUCT_FLOOR = 2^-970 when the table's smallest
       nonzero row norm is at least 4·PRODUCT_FLOOR = 2^-968, and that term is
       below d·2^-103. Below that floor there is no bound, and ``gold_ranks``
-      ranks every query by the per-query product.
+      and ``top_cosines`` score every query by the per-row product.
 
     So any two of these scores of one pair, the gold score ``gold_ranks``
     estimates included, differ by at most β = 2γ_{d+2}(1 + γ_{2d+6}) +
     d·2^-103 + d·2^-1071, and a difference of two scores moves by at most
     2β from one product to the other. The window adds 2u for rounding its
     ends, c ± window with |c ± window| < 2, and u for the subnormal terms and
-    for evaluating this formula.
+    for evaluating this formula. A best score over several queries moves by
+    at most β too, so a row of the exact top l scores at least the exact l-th
+    best, which is at least the product's l-th best less β, and the row's own
+    product score is at most β below its exact one: ``top_cosines`` keeps
+    every row within the window of the product's l-th best.
     """
     u = float(np.finfo(np.float64).eps) / 2
 
@@ -582,10 +617,10 @@ def gold_ranks(table: EmbeddingTable, queries: np.ndarray, gold: np.ndarray,
     The ranks are those the scores of ``cosine_blocks`` give, ties to the
     lower vocabulary index and row ``exclude[i]`` left out; 0 where the
     gold row scores -inf. Blocks of unit queries are scored with one matrix
-    product against tiles of unit rows: ``BLOCK_ENTRIES // len(table)``
-    queries against the whole vocabulary when at least MIN_WHOLE_ROWS fit,
-    else GEMM_ROWS queries against ``BLOCK_ENTRIES // GEMM_ROWS`` rows at a
-    time. Those cosines can be off from the per-query ones, so a rank is
+    product against tiles of the table's unit columns: ``BLOCK_ENTRIES //
+    len(table)`` queries against the whole vocabulary when at least
+    MIN_WHOLE_ROWS fit, else GEMM_ROWS queries against ``BLOCK_ENTRIES //
+    GEMM_ROWS`` columns at a time. Those cosines can be off from the per-query ones, so a rank is
     counted from them only when no other row scores within ``tie_window``
     of the gold row; any other query is ranked again from ``cosine_blocks``.
     Every rank equals the per-query one.
@@ -612,11 +647,10 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
     """Fill ``ranks`` where the matrix-product cosines prove them; the indices of
     the other queries whose gold row can be ranked."""
     n, vocab = len(queries), len(table)
-    norms = table._row_norms
+    norms, dead = table._row_norms, table._dead
     whole = BLOCK_ENTRIES // vocab >= MIN_WHOLE_ROWS
     rows = max(1, min(n, BLOCK_ENTRIES // vocab if whole else GEMM_ROWS))
     width = vocab if whole else max(1, BLOCK_ENTRIES // GEMM_ROWS)
-    dead = np.flatnonzero(norms == 0.0)
     live = (qnorms > 0.0) & (norms[gold] > 0.0) & (gold != exclude)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero queries and rows: NaN
         units = queries / qnorms[:, None]
@@ -626,16 +660,13 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
     below = np.where(live, s_gold - window, np.inf)[:, None]
     ahead = np.zeros(n, dtype=np.intp)  # rows above the window
     near = np.zeros(n, dtype=np.intp)  # rows at or above its low end, the gold row included
-    # unit rows, transposed: OpenBLAS multiplies a few queries by a contiguous
-    # (d, width) tile about twice as fast as by a transposed view of the table
-    tile_buf = np.empty(table.dim * min(width, vocab))
     score_buf = np.empty(rows * min(width, vocab))
     mask_buf = np.empty(score_buf.shape, dtype=bool)
     for first in range(0, vocab, width):
         last = min(first + width, vocab)
-        tile = tile_buf[:table.dim * (last - first)].reshape(table.dim, last - first)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(table.vectors[first:last].T, norms[first:last], out=tile)
+        # narrow tiles are copied: each block of queries packs the tile again, and
+        # OpenBLAS packs columns of a contiguous tile faster than ones V apart
+        tile = np.ascontiguousarray(table._unit_columns[:, first:last])
         cut = np.searchsorted(dead, (first, last))
         for start in range(0, n, rows):
             stop = min(start + rows, n)
@@ -657,6 +688,52 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
     proven = live & (near == ahead + 1)
     ranks[proven] = 1 + ahead[proven]
     return np.flatnonzero(live & ~proven)
+
+
+def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
+                exclude: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``l`` rows with the best cosine over the queries, each row keeping its
+    best score over them, and those scores, by descending score then index; row
+    ``exclude``, zero rows and zero queries take no part.
+
+    Bitwise what ``top_indices`` gives on the row-wise max of ``cosine_blocks``'
+    scores, without scoring every row exactly: unit queries are multiplied by
+    the table's unit columns, ``BLOCK_ENTRIES`` scores at a time, and only the
+    rows whose best score is within ``tie_window`` of the l-th best are scored
+    again by ``_per_row_cosines``. Each matrix-product cosine is within β of the
+    exact one and the window is at least 2β, so every row of the exact top l,
+    the whole tie class at the cut included, is among them. Below
+    4·PRODUCT_FLOOR there is no such bound, and every row is scored exactly.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if table._min_norm < 4 * PRODUCT_FLOOR:  # no bound between the products, see tie_window
+        best = np.full(len(table), -np.inf)
+        for _, S in cosine_blocks(table, queries, np.full(len(queries), exclude)):
+            np.maximum(best, S.max(axis=0), out=best)
+        top = top_indices(best, l)
+        return top, best[top]
+    queries, qnorms = _scaled_queries(queries)
+    live = qnorms > 0.0
+    if not live.any():
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    queries, qnorms = queries[live], qnorms[live]
+    units = queries / qnorms[:, None]
+    columns, vocab = table._unit_columns, len(table)
+    width = max(1, BLOCK_ENTRIES // len(units))
+    best = np.empty(vocab)
+    for first in range(0, vocab, width):
+        np.max(units @ columns[:, first:first + width], axis=0, out=best[first:first + width])
+    best[table._dead] = -np.inf
+    best[exclude] = -np.inf
+    m = min(l, int(np.count_nonzero(best > -np.inf)))
+    if m == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    cut = np.partition(best, vocab - m)[vocab - m]  # the m-th best
+    short = np.flatnonzero(best >= cut - tie_window(table.dim))
+    exact = _per_row_cosines(table.vectors[short], table._row_norms[short], queries, qnorms,
+                             np.empty((len(queries), len(short)))).max(axis=0)
+    top = top_indices(exact, l)
+    return short[top], exact[top]
 
 
 def top_indices(scores: np.ndarray, l: int) -> np.ndarray:

@@ -11,16 +11,18 @@ uses the answer. predict has no gold word: it projects through every
 cluster and keeps each word's best cosine. Ties go to the lower
 vocabulary index. Each holds at most 256 KiB of scores at once.
 
-eval and validation rank through ``_rank_pairs`` and
-``embeddings.gold_ranks``: one matrix product per block of queries, and
-a gold word's rank counted from the scores, without sorting them. A query
-with another word within ``embeddings.tie_window`` of its gold score is
-ranked again by ``embeddings.cosine_blocks``, one product per query, so
-every rank is the one that product gives. predict prints scores, so it
-scores through ``cosine_blocks`` alone, and a word's score does not
-depend on the other queries. Both project through ``_project``, which
-computes a projection that overflows again from factors scaled by powers of
-two, and both score every query scaled by a power of two
+Both rank through one matrix product of unit queries against the table's
+kept unit columns, then make it exact. eval and validation rank through
+``_rank_pairs`` and ``embeddings.gold_ranks``: a gold word's rank is
+counted from the product's scores, without sorting them, and a query with
+another word within ``embeddings.tie_window`` of its gold score is ranked
+again by ``embeddings.cosine_blocks``' per-row product. predict ranks
+through ``embeddings.top_cosines``: only the words within the same window
+of the l-th best score are scored again, by the per-row product, so every
+rank and printed score is the exact scan's, whatever the BLAS library or
+its threads. Both project through ``_project``, which computes a
+projection that overflows again from factors scaled by powers of two, and
+both score every query scaled by a power of two
 (``embeddings._scaled_queries``), so no score depends on a query's scale.
 """
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .clustering import assign_clusters
 from .dataset import RelationPair, pair_rows
-from .embeddings import EmbeddingTable, _below_one, cosine_blocks, gold_ranks, top_indices
+from .embeddings import EmbeddingTable, _below_one, gold_ranks, top_cosines
 from .embeddings import nearest_neighbors  # noqa: F401  (perfbench's tracer test patches it here)
 from .errors import InputError, atomic_open
 from .projection import ProjectionModel
@@ -174,12 +176,8 @@ def predict_candidates(model: ProjectionModel, table: EmbeddingTable, word: str,
         raise InputError(f"word {word!r} is not in the vocabulary")
     _check_dims(model, table)
     idx = table.lookup(word)
-    queries = _project(table.vectors[idx, None], model.matrices)
-    exclude = np.full(model.k, idx)
-    best = np.full(len(table), -np.inf)
-    for _, S in cosine_blocks(table, queries, exclude):
-        np.maximum(best, S.max(axis=0), out=best)
-    return [(table.vocab[i], float(best[i])) for i in top_indices(best, l)]
+    rows, scores = top_cosines(table, _project(table.vectors[idx, None], model.matrices), l, idx)
+    return [(table.vocab[i], s) for i, s in zip(rows.tolist(), scores.tolist())]
 
 
 def write_report_json(report: EvalReport, path, config: dict | None = None) -> None:

@@ -87,6 +87,18 @@ class TestSplitCommand:
                    "--fractions", 0.5, 0.2, 0.2, "--seed", 1, "--out", tmp_path / "sp")
         assert code == 2
 
+    def test_consecutive_calls_get_their_own_values(self, tmp_path, fixture_dir):
+        # the parser is built once per process, so no call may leave a value behind
+        rel = fixture_dir / "relations.tsv"
+        assert run("split", "--relations", rel, "--fractions", 0.5, 0.25, 0.25,
+                   "--seed", 1, "--out", tmp_path / "a") == 0
+        assert run("split", "--relations", rel, "--out", tmp_path / "b") == 0
+        assert cli.build_parser() is cli.build_parser()
+        configs = [json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+                   for name in ("a", "b")]
+        assert [(c["fractions"], c["seed"]) for c in configs] == [([0.5, 0.25, 0.25], 1),
+                                                                 ([0.8, 0.1, 0.1], 0)]
+
     def test_manifest_records_hashes(self, tmp_path, fixture_dir, split_dir):
         manifest = json.loads((split_dir / "manifest.json").read_text())
         assert manifest["command"] == "split"

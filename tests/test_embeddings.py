@@ -661,6 +661,27 @@ class TestExtremeRowNorms:
             load_embeddings(path, normalize=True)
 
 
+class TestPerRowProduct:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 17, 100])
+    def test_any_rows_score_bitwise_as_in_the_whole_table(self, dim):
+        # a BLAS product of one query with a subset of rows can round differently
+        # from the same product with the whole table; the per-row product cannot
+        rng = np.random.default_rng(dim)
+        n_words = 101
+        vectors = rng.normal(size=(n_words, dim)) * rng.uniform(0.1, 10.0, size=(n_words, 1))
+        table = EmbeddingTable([f"w{i}" for i in range(n_words)], vectors)
+        queries = rng.normal(size=(5, dim))
+        _, whole = next(embeddings.cosine_blocks(table, queries))
+        scaled, qnorms = embeddings._scaled_queries(queries)
+        subsets = [[0], [n_words - 1], [int(rng.integers(n_words))], list(range(n_words))]
+        subsets += [rng.choice(n_words, size=rng.integers(1, n_words), replace=False)
+                    for _ in range(40)]
+        for rows in map(np.array, subsets):
+            got = embeddings._per_row_cosines(table.vectors[rows], table._row_norms[rows],
+                                              scaled, qnorms, np.empty((len(queries), len(rows))))
+            assert got.tobytes() == whole[:, rows].tobytes()
+
+
 def test_duplicate_vocab_rejected_in_table():
     with pytest.raises(InputError, match="duplicate"):
         EmbeddingTable(["a", "a"], np.eye(2))

@@ -11,6 +11,7 @@ from hyperproj.dataset import RelationPair, pair_rows
 from hyperproj.embeddings import EmbeddingTable, nearest_neighbors
 from hyperproj.errors import InputError
 from hyperproj.evaluation import (
+    _project,
     _rank_pairs,
     auc,
     evaluate,
@@ -290,8 +291,10 @@ class TestBlockedScorerMatchesOracle:
         assert ranks[:5] == [1, 1, 2, 1, 1]
         for l in (1, 2, 3):  # cut-offs inside a tie class
             for word in table.vocab:
-                assert predict_candidates(model, table, word, l) == pytest.approx(
-                    oracle_predict(model, table, word, l), abs=1e-12)
+                got = predict_candidates(model, table, word, l)
+                want = oracle_predict(model, table, word, l)
+                assert [w for w, _ in got] == [w for w, _ in want]
+                assert [s for _, s in got] == pytest.approx([s for _, s in want], abs=1e-12)
 
     def test_zero_norm_vocabulary_rows(self):
         table, pairs, model = random_fixture(21, n_words=30)
@@ -588,6 +591,91 @@ class TestPredictKeepsThePerQueryProduct:
             want = embeddings.top_indices(best, 10)
             assert [w for w, _ in got] == [table.vocab[i] for i in want]
             assert np.array([s for _, s in got]).tobytes() == best[want].tobytes()
+
+
+def brute_force_predict(model, table, word, l):
+    """(words, score bytes): the best ``cosine_blocks`` score of each row over the
+    projections of ``word``, the word itself left out, then ``top_indices``."""
+    idx = table.lookup(word)
+    best = np.full(len(table), -np.inf)
+    for query in _project(table.vectors[idx, None], model.matrices):
+        _, S = next(embeddings.cosine_blocks(table, query[None, :], np.array([idx])))
+        np.maximum(best, S[0], out=best)
+    top = embeddings.top_indices(best, l)
+    return [table.vocab[i] for i in top], best[top].tobytes()
+
+
+def assert_predict_is_the_brute_force(model, table, words, l):
+    for word in words:
+        got = predict_candidates(model, table, word, l)
+        assert ([w for w, _ in got], np.array([s for _, s in got]).tobytes()) == \
+            brute_force_predict(model, table, word, l)
+
+
+class TestPredictShortlist:
+    """predict ranks through one matrix product and scores only a shortlist
+    exactly; the result is the exact scan's, to the bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_words=st.integers(2, 40),
+           dim=st.sampled_from([1, 2, 3, 10, 17]), k=st.integers(1, 3),
+           l=st.integers(1, 45), copies=st.integers(0, 8), ulps=st.integers(0, 4),
+           zeros=st.integers(0, 3), zero_cluster=st.booleans(), tiny=st.booleans(),
+           block=st.sampled_from([1, 7, 64, 1 << 15]))
+    def test_property_equals_the_exact_scan(self, seed, n_words, dim, k, l, copies, ulps,
+                                            zeros, zero_cluster, tiny, block):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(n_words, dim))
+        # copies of a row, some a few ulps off, tie at the cut or nearly so
+        for _ in range(copies):
+            src, dst = rng.integers(n_words, size=2)
+            vectors[dst] = vectors[src]
+            nudge = float(rng.integers(-ulps, ulps + 1)) * 2.0 ** -52
+            vectors[dst, rng.integers(dim)] *= 1 + nudge
+        vectors[rng.integers(n_words, size=zeros)] = 0.0
+        if tiny:  # below 4 * PRODUCT_FLOOR: every row is scored exactly
+            vectors[0] = rng.normal(size=dim)
+            vectors[0] *= 2.0 ** -969 / np.linalg.norm(vectors[0])
+        table = EmbeddingTable([f"w{i}" for i in range(n_words)], vectors)
+        matrices = rng.normal(size=(k, dim, dim)) + np.eye(dim)
+        if zero_cluster:  # a cluster that projects every word to zero
+            matrices[rng.integers(k)] = 0.0
+        model = make_model(matrices, centroids=rng.normal(size=(k, dim)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embeddings, "BLOCK_ENTRIES", block)  # more than one score tile
+            assert_predict_is_the_brute_force(model, table, table.vocab[:4], l)
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+    @pytest.mark.parametrize("beyond", [False, True], ids=["at-the-end", "past-the-end"])
+    def test_competitor_planted_at_the_window_edge(self, side, beyond):
+        # as in TestGemmRanking: (1, 0) and rows (1, b) have exact dot products, so
+        # row j's cosine is exactly its planted distance from row g's in both products
+        gold = [1.0, 4.0 / 3.0]
+        c_gold = 1.0 / embeddings._row_norms(np.array([gold]))[0]
+        edge = c_gold + side * embeddings.tie_window(2)
+        if beyond:
+            edge = np.nextafter(edge, side * np.inf)
+        other = TestGemmRanking.row_with_cosine(edge, gold[1])
+        table = EmbeddingTable(["x", "g", "j", "z"],
+                               np.array([[1.0, 0.0], gold, other, [0.0, -1.0]]))
+        for l in (1, 2, 3):
+            assert_predict_is_the_brute_force(make_model(np.eye(2)), table, ["x"], l)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_near_ties_at_the_cut(self, seed):
+        # at d=48 the matrix product and the per-row product round most cosines
+        # differently, and rows a few ulps apart sit at every cut-off
+        rng = np.random.default_rng(seed)
+        n_words, d = 300, 48
+        vectors = rng.normal(size=(n_words, d))
+        for j in range(0, n_words, 2):
+            vectors[j + 1] = vectors[j]
+            vectors[j + 1, j % d] *= 1 + (j % 7 - 3) * 2.0 ** -50
+        table = EmbeddingTable([f"w{i}" for i in range(n_words)], vectors)
+        model = make_model(np.eye(d) + 0.1 * rng.normal(size=(2, d, d)),
+                           centroids=rng.normal(size=(2, d)))
+        for l in (1, 2, 5, 10, 25):
+            assert_predict_is_the_brute_force(model, table, table.vocab[:20], l)
 
 
 class TestRecheckCount:
