@@ -35,7 +35,8 @@ ARMS = {reg: ["--reg", reg] for reg in
         ("none", "asym", "asym-reproj", "neighbor", "neighbor-reproj")}
 ARMS["neighbor-select"] = ["--reg", "neighbor", "--select-on", "best_validation_hit10"]
 # the clusters of 193, 193, 205 and 209 training pairs take 3, 3, 4 and 4
-# batches of 68, so two clusters sit out the last step of each epoch
+# batches of 68, so two clusters sit out the last step of each epoch; that
+# step holds a one-row batch beside a five-row one
 ARMS["neighbor-reproj-batch68"] = ["--reg", "neighbor-reproj", "--batch-size", "68"]
 PREDICT_WORDS = 5  # the hyponyms of the first test pairs
 

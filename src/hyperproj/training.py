@@ -13,12 +13,18 @@ negatives are drawn in one call over vocabulary indices, from lookups
 each cluster takes once.
 
 The clusters train in lockstep. An epoch first shuffles and draws for
-every cluster, in cluster order, each from its own stream. Then, for
-each batch index, every cluster that has that batch takes its loss and
-gradient from ``projection.loss_terms_and_gradient``, and one
-``adam_step`` moves the (k, d, d) stack of matrices and its Adam state,
-which keeps one step count per cluster. A cluster with fewer batches
-sits the remaining steps out. Adam is elementwise, so every matrix, loss
+every cluster, in cluster order, each from its own stream, and gathers
+the examples with one ``take`` per array into (k, m, d) stacks, one per
+batch index: each cluster's batch in its first rows and zero rows below,
+up to the largest batch at that index. Then, for each batch index, one
+``projection.loss_terms_and_gradient`` call takes the losses and
+gradients of every cluster that has a batch, and one ``adam_step`` moves
+the (k, d, d) stack of matrices and its Adam state, which keeps one step
+count per cluster. A cluster with fewer batches sits the remaining steps
+out. A batch whose products zero rows would round apart (a one-row batch,
+for one; see ``projection.padding_is_exact``) gets a stack of its own
+width instead, another call at that index. Each cluster's terms are
+summed over its own rows and Adam is elementwise, so every matrix, loss
 and random draw is bitwise the one a cluster training alone gets.
 """
 
@@ -40,6 +46,7 @@ from .projection import (
     Regularizer,
     TrainingMeta,
     loss_terms_and_gradient,
+    padding_is_exact,
 )
 
 log = logging.getLogger(__name__)
@@ -107,16 +114,21 @@ def adam_step(phi: np.ndarray, grad: np.ndarray, state: AdamState,
     ``phi`` is one (d, d) matrix or a (k, d, d) stack of them, and
     ``state.t`` holds one step count per matrix. The update is elementwise
     and each bias correction is Python's float power of that matrix's
-    count, so a matrix in a stack moves bitwise as it would alone.
+    count, so a matrix in a stack moves bitwise as it would alone. When
+    every count is equal the corrections are scalars. The state's fields
+    are replaced, never written into.
     """
     if (phi.shape != grad.shape or phi.shape != state.m.shape
             or np.shape(state.t) != phi.shape[:-2]):
         raise InputError("phi, gradient, and Adam state shapes must agree")
     state.t = state.t + 1
     steps = np.ravel(state.t).tolist()
-    shape = (*np.shape(state.t), 1, 1)
-    correct1 = np.array([1.0 - ADAM_BETA1 ** t for t in steps]).reshape(shape)
-    correct2 = np.array([1.0 - ADAM_BETA2 ** t for t in steps]).reshape(shape)
+    if len(set(steps)) == 1:
+        correct1, correct2 = 1.0 - ADAM_BETA1 ** steps[0], 1.0 - ADAM_BETA2 ** steps[0]
+    else:
+        shape = (*np.shape(state.t), 1, 1)
+        correct1 = np.array([1.0 - ADAM_BETA1 ** t for t in steps]).reshape(shape)
+        correct2 = np.array([1.0 - ADAM_BETA2 ** t for t in steps]).reshape(shape)
     state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
     state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
     m_hat = state.m / correct1
@@ -126,14 +138,12 @@ def adam_step(phi: np.ndarray, grad: np.ndarray, state: AdamState,
 
 
 class _Cluster:
-    """One cluster's examples, random stream, negative sampler and loss trace."""
+    """One cluster's random stream, negative sampler and loss trace."""
 
-    def __init__(self, cid: int, X: np.ndarray, Y: np.ndarray, sources: np.ndarray,
-                 cfg: TrainConfig, d: int, negatives: tuple[np.ndarray, np.ndarray] | None):
+    def __init__(self, cid: int, sources: np.ndarray, cfg: TrainConfig, d: int,
+                 negatives: tuple[np.ndarray, np.ndarray] | None):
         self.cid = cid
-        self.X = X
-        self.Y = Y
-        self.sources = sources  # vocabulary rows of the hyponyms, parallel to X
+        self.sources = sources  # vocabulary rows of the cluster's hyponyms, in example order
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cid,)))
         self.phi0 = self.rng.normal(0.0, INIT_STD, size=(d, d))  # the initial matrix
@@ -142,62 +152,150 @@ class _Cluster:
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.sources.shape[0]
 
-    def shuffled(self, table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The epoch's examples in a fresh order: hyponyms, hypernyms, negatives or None."""
-        perm = self.rng.permutation(self.n)
+
+@dataclass
+class _Stack:
+    """One loss call: the batches of some clusters at one batch index.
+
+    ``cids`` picks the clusters' matrices (a slice when their ids run
+    consecutively) and ``members`` are their places in the active list.
+    The stack is ``rows`` of the epoch's gathered arrays, one block of
+    ``shape[1]`` rows per cluster: ``counts`` rows of examples, then zero
+    rows.
+    """
+
+    cids: np.ndarray | slice
+    members: list[int]
+    counts: np.ndarray
+    rows: slice
+    shape: tuple[int, int, int]
+
+    def batches(self, A: np.ndarray) -> np.ndarray:
+        return A[self.rows].reshape(self.shape)
+
+
+class _Plan:
+    """Where every example of an epoch goes; fixed by the cluster sizes and the batch size.
+
+    The active clusters' training pairs form one pool, cluster after
+    cluster (``pool`` orders the rows of X and Y so), with a zero row
+    last. Each epoch, one ``take`` per array gathers the shuffled examples
+    into the stacks of every batch index, in order. At a batch index,
+    every cluster that has a batch joins the stack as wide as the largest
+    one, unless zero rows would change its rounding
+    (``padding_is_exact``); such a batch joins a stack of its own width.
+    """
+
+    def __init__(self, clusters: list[_Cluster], X: np.ndarray, Y: np.ndarray,
+                 pool: np.ndarray, batch_size: int):
+        sizes = [c.n for c in clusters]
+        self.offsets = np.cumsum([0, *sizes[:-1]])
+        pad = sum(sizes)  # the zero row's place in the pool
+        self.X, self.Y = np.zeros((pad + 1, X.shape[1])), np.zeros((pad + 1, X.shape[1]))
+        X.take(pool, axis=0, out=self.X[:pad])
+        Y.take(pool, axis=0, out=self.Y[:pad])
+        cids = np.array([c.cid for c in clusters])
+        self.steps: list[tuple[list[_Stack], np.ndarray]] = []  # stacks, clusters with a batch
+        slots: list[np.ndarray] = []
+        start = 0
+        for lo in range(0, max(sizes), batch_size):
+            counts = {i: min(n - lo, batch_size) for i, n in enumerate(sizes) if n > lo}
+            width = max(counts.values())
+            groups: dict[int, list[int]] = {}  # stack width -> its clusters
+            for i, n in counts.items():
+                exact = padding_is_exact(X.shape[1], width, n)
+                groups.setdefault(width if exact else n, []).append(i)
+            stacks = []
+            for w, group in groups.items():
+                rows = np.full((len(group), w), pad)
+                for row, i in zip(rows, group):
+                    row[:counts[i]] = self.offsets[i] + lo + np.arange(counts[i])
+                slots.append(rows.ravel())
+                ids = cids[group]
+                if ids[-1] - ids[0] == len(ids) - 1:  # consecutive: index phi by a view
+                    ids = slice(ids[0], ids[-1] + 1)
+                stacks.append(_Stack(ids, group, np.array([counts[i] for i in group]),
+                                     slice(start, start + rows.size), (len(group), w, X.shape[1])))
+                start += rows.size
+            self.steps.append((stacks, cids[list(counts)]))
+        self.slots = np.concatenate(slots)
+        self.pads = np.flatnonzero(self.slots == pad)
+        # an example's pool row is its place in its cluster's permutation plus the cluster's
+        # offset; the one entry after them all stands for the zero row
+        self.tail = np.zeros(1, dtype=np.int64)
+        self.base = np.append(np.repeat(self.offsets, sizes), pad)
+
+    def gather(self, clusters: list[_Cluster], table: EmbeddingTable):
+        """The epoch's hyponyms, hypernyms and negatives (or None), shuffled, in stack order.
+
+        Each cluster draws its permutation and then its negatives from its
+        own stream, in cluster order.
+        """
+        perms, drawn = [], []
+        for c in clusters:
+            perms.append(c.rng.permutation(c.n))
+            if c.draw is not None:
+                drawn.append(c.draw(c.rng))
+        rows = np.concatenate([*perms, self.tail])
+        rows += self.base
+        rows = rows.take(self.slots)  # pool rows, in stack order
         Z = None
-        if self.draw is not None:
-            Z = table.vectors.take(self.draw(self.rng).take(perm), axis=0)
-        return self.X.take(perm, axis=0), self.Y.take(perm, axis=0), Z
+        if drawn:
+            Z = table.vectors.take(np.concatenate([*drawn, self.tail]).take(rows), axis=0)
+            Z[self.pads] = 0.0
+        return self.X.take(rows, axis=0), self.Y.take(rows, axis=0), Z
 
 
 def _run_epoch(epoch: int, phi: np.ndarray, state: AdamState, clusters: list[_Cluster],
-               cfg: TrainConfig, table: EmbeddingTable) -> np.ndarray:
+               cfg: TrainConfig, table: EmbeddingTable, plan: _Plan) -> np.ndarray:
     """One pass of every nonempty cluster over its examples; returns the new stack.
 
-    Batch b of each cluster that has one takes its loss and gradient; then
-    one Adam step moves those clusters' matrices and the others sit it out.
-    A gradient with an entry that is not finite, or above MAX_GRADIENT (its
-    square would overflow Adam's second moment and freeze the matrix),
-    stops its cluster; at the epoch's end the lowest such cluster is
-    reported, the one a cluster-by-cluster loop meets first.
+    At each batch index the clusters that have a batch take their losses
+    and gradients in one call (more when a batch must not be padded, see
+    ``_Plan``), and one Adam step moves their matrices; the others sit it
+    out. A gradient with an entry that is not finite, or above
+    MAX_GRADIENT (its square would overflow Adam's second moment and
+    freeze the matrix), stops its cluster; at the epoch's end the lowest
+    such cluster is reported, the one a cluster-by-cluster loop meets first.
     """
-    epoch_data = [c.shuffled(table) for c in clusters]  # each stream in cluster order
-    sums = [[0.0, 0.0] for _ in clusters]
+    X, Y, Z = plan.gather(clusters, table)
+    fit_sums, reg_sums = [0.0] * len(clusters), [0.0] * len(clusters)
     grad = np.zeros_like(phi)
-    failed: list[int] = []
-    for start in range(0, max(c.n for c in clusters), cfg.batch_size):
-        live = []
-        for c, (X, Y, Z), s in zip(clusters, epoch_data, sums):
-            if start >= c.n or c.cid in failed:
-                continue
-            stop = min(start + cfg.batch_size, c.n)  # a final short batch is kept
-            base, reg, grad[c.cid] = loss_terms_and_gradient(
-                phi[c.cid], X[start:stop], Y[start:stop],
-                Z[start:stop] if Z is not None else None, cfg.regularizer, cfg.lam)
-            s[0] += base * (stop - start)
-            s[1] += reg * (stop - start)
-            live.append(c.cid)
+    failed, stopped = np.zeros(len(phi), dtype=bool), False
+    for stacks, live in plan.steps:
+        for s in stacks:
+            fit, reg, g = loss_terms_and_gradient(
+                phi[s.cids], s.batches(X), s.batches(Y), None if Z is None else s.batches(Z),
+                cfg.regularizer, cfg.lam, s.counts)
+            if len(g) == len(phi):  # the stack holds every cluster
+                grad = g
+            else:
+                grad[s.cids] = g
+            for i, fit_i, reg_i, n in zip(s.members, fit.tolist(), reg.tolist(),
+                                          s.counts.tolist()):
+                fit_sums[i] += fit_i * n
+                reg_sums[i] += reg_i * n
         if not np.abs(grad).max() <= MAX_GRADIENT:  # NaN fails this too
-            bad = [cid for cid in live if not np.abs(grad[cid]).max() <= MAX_GRADIENT]
-            failed += bad
+            bad = ~(np.abs(grad).max(axis=(1, 2)) <= MAX_GRADIENT)
+            failed |= bad
             grad[bad] = 0.0
-            live = [cid for cid in live if cid not in bad]
+            stopped = True
+        if stopped:
+            live = live[~failed[live]]
         if len(live) == len(phi):
             phi, state = adam_step(phi, grad, state, cfg.alpha)
         else:  # the clusters without a batch at this index, or stopped, sit the step out
             part = AdamState(state.m[live], state.v[live], state.t[live])
             phi[live], part = adam_step(phi[live], grad[live], part, cfg.alpha)
             state.m[live], state.v[live], state.t[live] = part.m, part.v, part.t
-    if failed:
-        raise TrainingError(f"non-finite or overflowing gradient in cluster {min(failed)} "
-                            f"at epoch {epoch}")
-    for c, (base_sum, reg_sum) in zip(clusters, sums):
-        base_avg = base_sum / c.n
-        reg_avg = reg_sum / c.n
-        c.trace.append((epoch, c.cid, base_avg, reg_avg, base_avg + cfg.lam * reg_avg))
+    if stopped:
+        raise TrainingError(f"non-finite or overflowing gradient in cluster "
+                            f"{np.flatnonzero(failed)[0]} at epoch {epoch}")
+    for c, fit_sum, reg_sum in zip(clusters, fit_sums, reg_sums):
+        fit_avg, reg_avg = fit_sum / c.n, reg_sum / c.n
+        c.trace.append((epoch, c.cid, fit_avg, reg_avg, fit_avg + cfg.lam * reg_avg))
     return phi
 
 
@@ -228,10 +326,10 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
 
     per_cluster: list[_Cluster] = []
     for cid in range(cfg.k):
-        idx = np.flatnonzero(assign == cid)
-        if not idx.size:
+        sources = rows[assign == cid, 0]
+        if not sources.size:
             log.warning("cluster %d has no training pairs; matrix stays at initialization", cid)
-        per_cluster.append(_Cluster(cid, X[idx], Y[idx], rows[idx, 0], cfg, d, negatives))
+        per_cluster.append(_Cluster(cid, sources, cfg, d, negatives))
 
     select_validation = cfg.select_on == "best_validation_hit10"
     val_pairs = dataset.pairs_in("validation") if select_validation else []
@@ -241,6 +339,8 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     best_hit = -1.0
     best_matrices: np.ndarray | None = None
     active = [c for c in per_cluster if c.n > 0]
+    pool = np.argsort(assign, kind="stable")  # the training pairs, cluster after cluster
+    plan = _Plan(active, X, Y, pool, cfg.batch_size)
     phi = np.stack([c.phi0 for c in per_cluster])
     state = AdamState.zeros_like(phi)
     vhash = vocab_hash(table)
@@ -250,7 +350,7 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     # numpy's warnings; one context for the run, as one per batch step costs about 2 us each
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
-            phi = _run_epoch(epoch, phi, state, active, cfg, table)
+            phi = _run_epoch(epoch, phi, state, active, cfg, table, plan)
             if select_validation and (epoch % VALIDATION_EVERY == 0 or epoch == cfg.epochs):
                 snapshot = phi.copy()
                 interim = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, meta,

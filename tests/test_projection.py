@@ -216,6 +216,51 @@ class TestGradient:
             assert (base, reg) == reference_terms(phi, X, Y, Z, kind)
 
 
+def stacked_batches(rng, d, counts):
+    """A random (k, d, d) stack and (k, m, d) batches X, Y, Z with zero rows below each count."""
+    k, m = len(counts), max(counts)
+    phi = rng.normal(size=(k, d, d))
+    X, Y, Z = np.zeros((3, k, m, d))
+    for c, n in enumerate(counts):
+        X[c, :n], Y[c, :n], Z[c, :n] = rng.normal(size=(3, n, d))
+    return phi, X, Y, Z
+
+
+def assert_items_are_separate_calls(phi, X, Y, Z, counts, kind, lam):
+    fit, reg, grad = loss_terms_and_gradient(phi, X, Y, Z, kind, lam, np.array(counts))
+    for c, n in enumerate(counts):
+        alone = loss_terms_and_gradient(phi[c], X[c, :n], Y[c, :n], Z[c, :n], kind, lam)
+        assert (fit[c], reg[c]) == alone[:2]
+        assert np.array_equal(grad[c], alone[2])
+
+
+class TestStack:
+    """A (k, d, d) stack of padded batches: every item bitwise its own unstacked call."""
+
+    @given(d=st.sampled_from([1, 2, 10, 17]),
+           counts=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5),
+           kind=st.sampled_from(ALL_KINDS), seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_items_equal_separate_calls_bitwise(self, d, counts, kind, seed):
+        batches = stacked_batches(np.random.default_rng(seed), d, counts)
+        assert_items_are_separate_calls(*batches, counts, kind, 0.7)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+    @pytest.mark.parametrize("d", [1, 2, 10, 17])
+    def test_one_row_batch_beside_a_longer_one(self, d, kind):
+        rng = np.random.default_rng(d)
+        for counts in ([1, 5], [5, 1, 3]):
+            assert_items_are_separate_calls(*stacked_batches(rng, d, counts), counts, kind, 0.7)
+
+    def test_misaligned_stack_rejected(self):
+        phi, X, Y, Z = stacked_batches(np.random.default_rng(0), 3, [2, 3])
+        for bad in ([2, 4], [0, 3], [2, 3, 3]):
+            with pytest.raises(InputError, match="stack"):
+                loss_terms_and_gradient(phi, X, Y, Z, NONE, 0.0, np.array(bad))
+        with pytest.raises(InputError, match="stack"):
+            loss_terms_and_gradient(phi[:1], X, Y, Z, NONE, 0.0, np.array([2, 3]))
+
+
 class TestModelFile:
     def _model(self):
         rng = np.random.default_rng(10)

@@ -39,8 +39,7 @@ def hyp(a, b):
 def init_matrix(d, seed, cid=0):
     """The matrix a cluster starts training from."""
     cfg = TrainConfig(seed=seed)
-    return training._Cluster(cid, np.zeros((0, d)), np.zeros((0, d)),
-                             np.zeros(0, np.int64), cfg, d, None).phi0
+    return training._Cluster(cid, np.zeros(0, np.int64), cfg, d, None).phi0
 
 
 class TestInitMatrix:
@@ -332,16 +331,11 @@ class TestLockstep:
         clusters = ClusterModel(np.vstack([two.centroids, np.full(4, 1e3)]), two.inertia)
         return data, table, clusters
 
-    @pytest.mark.parametrize("select_on", training.SELECT_ON)
-    @pytest.mark.parametrize("kind", list(Regularizer))
-    def test_outputs_equal_the_per_cluster_loop(self, setup, tmp_path, kind, select_on):
-        data, table, clusters = setup
-        cfg = TrainConfig(epochs=20, batch_size=8, k=3, seed=5, alpha=0.01, lam=0.5,
-                          regularizer=kind, select_on=select_on)
+    @staticmethod
+    def assert_same_bytes(data, table, cfg, clusters, tmp_path):
+        """train() and the per-cluster loop write the same model and trace bytes."""
         got = train(data, table, cfg, clusters=clusters)
         want = reference_train(data, table, cfg, clusters)
-        sizes = got.meta.data["train_pairs"]
-        assert sizes[2] == 0 and len({-(-n // 8) for n in sizes[:2]}) == 2  # uneven batch counts
         assert got.meta.steps == want.meta.steps
         assert got.meta.final_losses == want.meta.final_losses
         for name, model in (("got", got), ("want", want)):
@@ -349,6 +343,82 @@ class TestLockstep:
             write_trace_csv(model, tmp_path / f"{name}.csv")
         for ext in ("hprj", "csv"):
             assert (tmp_path / f"got.{ext}").read_bytes() == (tmp_path / f"want.{ext}").read_bytes()
+        return got
+
+    @pytest.mark.parametrize("select_on", training.SELECT_ON)
+    @pytest.mark.parametrize("kind", list(Regularizer))
+    def test_outputs_equal_the_per_cluster_loop(self, setup, tmp_path, kind, select_on):
+        data, table, clusters = setup
+        cfg = TrainConfig(epochs=20, batch_size=8, k=3, seed=5, alpha=0.01, lam=0.5,
+                          regularizer=kind, select_on=select_on)
+        got = self.assert_same_bytes(data, table, cfg, clusters, tmp_path)
+        sizes = got.meta.data["train_pairs"]
+        assert sizes[2] == 0 and len({-(-n // 8) for n in sizes[:2]}) == 2  # uneven batch counts
+
+    @staticmethod
+    def fixture_d10(sizes, big=()):
+        """d = 10 data whose training pairs fall in clusters of exactly ``sizes``.
+
+        Cluster c's offsets lie near 4 e_(c+1). The first hyponym of each
+        cluster in ``big`` has 1e160 as its first entry, as has its
+        hypernym, so its offset stays small and its gradient overflows.
+        Every third hyponym has no training negative; the others have two
+        co-hyponyms. Six validation pairs let validation-based selection run.
+        """
+        d = 10
+        rng = np.random.default_rng(17)
+        words, vectors, pairs, buckets, negatives = [], [], [], [], []
+        for c, n in enumerate(sizes):
+            for i in range(n):
+                x = rng.normal(size=d)
+                if c in big and i == 0:
+                    x[0] = 1e160
+                offset = 4.0 * np.eye(d)[c + 1] + 0.1 * rng.normal(size=d) * (np.arange(d) > 0)
+                words += [f"x{c}.{i}", f"y{c}.{i}"]
+                vectors += [x, x + offset]
+                pairs.append(hyp(f"x{c}.{i}", f"y{c}.{i}"))
+                buckets.append("train")
+                if i % 3:
+                    negatives += [RelationPair(f"x{c}.{i}", f"x{c}.{j % n}", "cohyponym")
+                                  for j in (i + 1, i + 2)]
+        for i in range(6):  # validation pairs of cluster 0's direction
+            x = rng.normal(size=d)
+            words += [f"v{i}", f"w{i}"]
+            vectors += [x, x + 4.0 * np.eye(d)[1]]
+            pairs.append(hyp(f"v{i}", f"w{i}"))
+            buckets.append("validation")
+        table = EmbeddingTable(words, np.array(vectors))
+        clusters = ClusterModel(4.0 * np.eye(d)[1:len(sizes) + 1], 0.0)
+        return RelationDataset(pairs, buckets, negatives), table, clusters
+
+    @pytest.mark.parametrize("select_on", training.SELECT_ON)
+    @pytest.mark.parametrize("kind", list(Regularizer))
+    def test_d10_every_cluster_in_one_batch(self, tmp_path, kind, select_on):
+        # the desk case: each cluster's whole epoch is one batch, of three uneven sizes
+        data, table, clusters = self.fixture_d10((23, 17, 30))
+        cfg = TrainConfig(epochs=15, batch_size=64, k=3, seed=2, alpha=0.01, lam=0.5,
+                          regularizer=kind, select_on=select_on)
+        got = self.assert_same_bytes(data, table, cfg, clusters, tmp_path)
+        assert got.meta.data["train_pairs"] == [23, 17, 30]
+        assert got.meta.steps == [15, 15, 15]
+
+    @pytest.mark.parametrize("kind", list(Regularizer))
+    def test_d10_one_row_batch_beside_a_longer_one(self, tmp_path, kind):
+        # batches of 8: the last batch index holds 1 row of cluster 0 and 5 of cluster 1
+        data, table, clusters = self.fixture_d10((17, 21))
+        cfg = TrainConfig(epochs=10, batch_size=8, k=2, seed=4, alpha=0.01, lam=0.5,
+                          regularizer=kind)
+        got = self.assert_same_bytes(data, table, cfg, clusters, tmp_path)
+        assert [n - 16 for n in got.meta.data["train_pairs"]] == [1, 5]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # fixture overflows by design
+    @pytest.mark.parametrize("big,named", [((1,), 1), ((0, 1), 0)])
+    def test_d10_overflow_in_an_uneven_stack_names_the_lowest_cluster(self, big, named):
+        # one batch each, of 4 and 2 rows, taken in one call where zero rows keep the bits
+        data, table, clusters = self.fixture_d10((4, 2), big=big)
+        cfg = TrainConfig(epochs=3, batch_size=4, k=2, seed=0)
+        with pytest.raises(TrainingError, match=f"cluster {named} at epoch 1"):
+            train(data, table, cfg, clusters=clusters)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # fixture overflows by design
     def test_non_finite_gradient_names_the_cluster_a_per_cluster_loop_meets_first(self):
