@@ -1,7 +1,9 @@
 """Command-line pipeline: split, cluster, train, eval, predict, synth.
 
 Every subcommand is deterministic in (inputs, flags, seed) and records a
-manifest with input/output content hashes and per-stage timings. Exit
+manifest with input/output content hashes, per-stage timings and the BLAS
+kernel set and thread count (``blas``: numpy's bundled OpenBLAS, as it
+reports them, or null for any other BLAS). Exit
 codes: 0 success, 2 usage or validation error, 1 runtime failure. The
 HYPERPROJ_LOG environment variable (debug/info/warning/error) controls
 log verbosity.
@@ -15,6 +17,7 @@ HYPERPROJ_CACHE, else ``$XDG_CACHE_HOME/hyperproj``, else
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import logging
@@ -42,12 +45,34 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # once per process
+def blas_info() -> dict | None:
+    """``{"core", "threads"}`` of numpy's bundled OpenBLAS: the kernel set it picked for
+    this CPU and its thread count. None for any other BLAS, which this cannot ask."""
+    numpy_dir = Path(np.__file__).parent
+    libraries = [*numpy_dir.parent.glob("numpy.libs/*openblas*"),
+                 *numpy_dir.glob(".dylibs/*openblas*")]
+    for library in sorted(libraries):
+        try:
+            blas = ctypes.CDLL(str(library))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):  # numpy 2 wheels, then numpy 1
+            core = getattr(blas, f"{prefix}_get_corename64_", None)
+            threads = getattr(blas, f"{prefix}_get_num_threads64_", None)
+            if core is not None and threads is not None:
+                core.argtypes, core.restype = [], ctypes.c_char_p
+                threads.argtypes, threads.restype = [], ctypes.c_int
+                return {"core": core().decode("ascii", "replace"), "threads": int(threads())}
+    return None
+
+
 class Manifest:
-    """Run record: the parsed flags, input/output hashes, stage timings."""
+    """Run record: the parsed flags, input/output hashes, stage timings, the BLAS."""
 
     def __init__(self, args: argparse.Namespace):
         config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-        self.payload: dict = {"command": args.command, "config": config,
+        self.payload: dict = {"command": args.command, "config": config, "blas": blas_info(),
                               "inputs": {}, "outputs": {}, "timings": {}}
         self._t0 = time.monotonic()
         self._stage_start = self._t0
@@ -94,11 +119,11 @@ def _load_table(args, manifest: Manifest | None = None) -> EmbeddingTable:
 
 
 def _read_split(args, table, manifest: Manifest) -> ds.RelationDataset:
-    for name in (*ds.BUCKETS, "negatives"):
-        path = Path(args.split_dir) / f"{name}.tsv"
-        if path.is_file():
-            manifest.add_input(path)
-    return ds.read_split_dir(args.split_dir, table)
+    """The bound --split-dir; the manifest gets the digest of each file's parsed bytes."""
+    bound = ds.read_split_dir(args.split_dir, table)
+    for path, digest in bound.source_sha256.items():
+        manifest.add_input(path, digest)
+    return bound
 
 
 def _check_vocab_hash(model: ProjectionModel, table) -> None:
@@ -138,10 +163,10 @@ def cmd_split(args) -> int:
     fractions = tuple(args.fractions)
     ds.validate_fractions(fractions)
     manifest = Manifest(args)
-    pairs = ds.load_relations(args.relations)
-    manifest.add_input(Path(args.relations))
+    relations = ds.read_relations(args.relations)
+    manifest.add_input(Path(args.relations), relations.source_sha256)
     manifest.stage("load")
-    split = ds.split_relations(pairs, fractions, args.seed)
+    split = ds.split_relations(relations, fractions, args.seed)
     manifest.stage("split")
     out_dir = Path(args.out)
     paths = ds.write_split(split, out_dir)
@@ -149,9 +174,9 @@ def cmd_split(args) -> int:
         manifest.add_output(path)
     manifest.stage("write")
     manifest.write(out_dir / "manifest.json")
-    counts = {b: len(split.pairs_in(b)) for b in ds.BUCKETS}
-    print(f"split {len(split.positives)} positive pairs -> "
-          + ", ".join(f"{b}={n}" for b, n in counts.items()))
+    counts = np.bincount(split.buckets, minlength=len(ds.BUCKETS)).tolist()
+    print(f"split {len(split.hypernyms)} positive pairs -> "
+          + ", ".join(f"{b}={n}" for b, n in zip(ds.BUCKETS, counts)))
     return 0
 
 
@@ -159,7 +184,7 @@ def cmd_cluster(args) -> int:
     manifest = Manifest(args)
     table = _load_table(args, manifest)
     manifest.stage("load_embeddings")
-    train_pairs = _read_split(args, table, manifest).pairs_in("train")
+    train_pairs = _read_split(args, table, manifest).relations_in("train")
     if not train_pairs:
         raise InputError("training bucket is empty after binding")
     manifest.stage("load_relations")
@@ -222,11 +247,11 @@ def cmd_eval(args) -> int:
     table = _load_table(args, manifest)
     _check_vocab_hash(model, table)
     manifest.stage("load")
-    pairs = ds.load_relations(args.test)
-    pairs = [p for p in pairs if p.relation == "hypernym"]
+    relations = ds.read_relations(args.test)
+    pairs = relations.take(relations.codes == ds.HYPERNYM)
     if not pairs:
         raise InputError(f"{args.test}: no hypernym pairs to evaluate")
-    manifest.add_input(Path(args.test))
+    manifest.add_input(Path(args.test), relations.source_sha256)
     report = evaluation.evaluate(model, table, pairs, l_max=args.l_max)
     manifest.stage("evaluate")
     manifest.payload["ranking"] = {"queries": report.n_pairs, "rechecked": report.rechecked}

@@ -7,7 +7,8 @@ makes bytes that are not UTF-8 an InputError naming the file and line, and
 drops one leading byte-order mark (U+FEFF). Text embedding files are parsed
 through it as they are read; ``load_relations`` decodes a whole file and
 reads through it only to name the line of an error. ``file_sha256`` is the
-package's one file hash, for the embedding loader and the manifests alike.
+package's one file hash, for the embedding loader and the manifests alike;
+``read_hashed`` gives the same digest of the bytes a relations reader parses.
 Every file the package writes goes through ``atomic_open``. Cache entries and
 models are containers: magic, a sorted JSON header padded so that the payload
 is 8-byte aligned, NUL, a little-endian float64 payload, a CRC-32 of it all.
@@ -52,6 +53,12 @@ def utf8_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 except UnicodeEncodeError:
                     raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
             yield lineno, line
+
+
+def read_hashed(path: str | Path) -> tuple[bytes, str]:
+    """A file's bytes and their hex SHA-256, from one read."""
+    data = Path(path).read_bytes()
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def file_sha256(path: str | Path) -> str:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import assign_clusters
-from .dataset import RelationPair, pair_rows
+from .dataset import RelationPair, Relations, pair_rows
 from .embeddings import EmbeddingTable, _below_one, gold_ranks, top_cosines
 from .embeddings import nearest_neighbors  # noqa: F401  (perfbench's tracer test patches it here)
 from .errors import InputError, atomic_open
@@ -78,7 +78,8 @@ def auc(hits: list[float]) -> float:
     return 0.5 * sum(hits[i] + hits[i + 1] for i in range(len(hits) - 1))
 
 
-def _usable_rows(table: EmbeddingTable, pairs: list[RelationPair]) -> tuple[np.ndarray, int]:
+def _usable_rows(table: EmbeddingTable,
+                 pairs: list[RelationPair] | Relations) -> tuple[np.ndarray, int]:
     if not pairs:
         raise InputError("pairs must be nonempty")
     rows, found = pair_rows(pairs, table)
@@ -135,8 +136,8 @@ def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
     return clusters, ranks, rechecked
 
 
-def hit_at(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPair],
-           l: int) -> float:
+def hit_at(model: ProjectionModel, table: EmbeddingTable,
+           pairs: list[RelationPair] | Relations, l: int) -> float:
     """Fraction of pairs whose gold hypernym is in the top-l neighbor list."""
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
@@ -145,7 +146,8 @@ def hit_at(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPa
     return int(np.count_nonzero((ranks >= 1) & (ranks <= l))) / len(rows)
 
 
-def evaluate(model: ProjectionModel, table: EmbeddingTable, pairs: list[RelationPair],
+def evaluate(model: ProjectionModel, table: EmbeddingTable,
+             pairs: list[RelationPair] | Relations,
              l_max: int = DEFAULT_L_MAX) -> EvalReport:
     """Full hit@1..l_max curve, AUC, and per-pair ranks in one pass."""
     if l_max < 2:

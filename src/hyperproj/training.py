@@ -310,10 +310,10 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     """
     cfg.validate()
     d = table.dim
-    train_pairs = dataset.pairs_in("train")
+    train_pairs = dataset.relations_in("train")  # a bound dataset's ids are table rows
     if not train_pairs:
         raise InputError("training bucket is empty")
-    rows, X, Y = _pair_vectors(train_pairs, table)  # the one lookup of the training words
+    rows, X, Y = _pair_vectors(train_pairs, table)
     train_offsets = Y - X
     if clusters is None:
         clusters = fit_kmeans(train_offsets, cfg.k, cfg.seed)
@@ -332,7 +332,7 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
         per_cluster.append(_Cluster(cid, sources, cfg, d, negatives))
 
     select_validation = cfg.select_on == "best_validation_hit10"
-    val_pairs = dataset.pairs_in("validation") if select_validation else []
+    val_pairs = dataset.relations_in("validation") if select_validation else []
     if select_validation and not val_pairs:
         log.warning("validation bucket is empty; falling back to final-epoch selection")
         select_validation = False

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperproj import cli, embeddings
+from hyperproj import cli, dataset, embeddings
 from hyperproj.cli import main
 from hyperproj.embeddings import load_embeddings
 from hyperproj.errors import read_container, write_container
@@ -679,6 +679,47 @@ def test_manifest_config_is_the_parsed_flags(tmp_path, fixture_dir, split_dir):
     }
     n_pairs = json.loads(report.read_text())["n_pairs"]
     assert eval_manifest["ranking"] == {"queries": n_pairs, "rechecked": 0}
+
+
+def test_every_manifest_records_the_blas(tmp_path, fixture_dir, split_dir):
+    blas = cli.blas_info()
+    if blas is not None:  # numpy's bundled OpenBLAS: its kernel set and thread count
+        assert set(blas) == {"core", "threads"}
+        assert isinstance(blas["core"], str) and blas["core"]
+        assert isinstance(blas["threads"], int) and blas["threads"] >= 1
+    emb = fixture_dir / "embeddings.txt"
+    assert run("cluster", "--embeddings", emb, "--split-dir", split_dir, "--k", 2,
+               "--out", tmp_path / "c.json") == 0
+    assert train_quick(fixture_dir, split_dir, tmp_path / "m.hprj") == 0
+    assert run("eval", "--model", tmp_path / "m.hprj", "--embeddings", emb,
+               "--test", split_dir / "test.tsv", "--out", tmp_path / "r.json") == 0
+    for manifest in (fixture_dir / "manifest.json", split_dir / "manifest.json",
+                     tmp_path / "c.json.manifest.json", tmp_path / "m.hprj.manifest.json",
+                     tmp_path / "r.json.manifest.json"):
+        assert json.loads(manifest.read_text())["blas"] == blas
+
+
+def test_blas_is_none_without_a_bundled_openblas(tmp_path, monkeypatch):
+    (tmp_path / "numpy").mkdir()
+    monkeypatch.setattr(cli, "np", mock.Mock(__file__=str(tmp_path / "numpy" / "__init__.py")))
+    assert cli.blas_info.__wrapped__() is None
+
+
+def test_split_files_are_read_once(tmp_path, fixture_dir, split_dir):
+    """The manifest's digest of a split file is that of the bytes parsed: no second read."""
+    reads = []
+    read_hashed = dataset.read_hashed
+
+    def record(path):
+        reads.append(Path(path))
+        return read_hashed(path)
+
+    with mock.patch.object(dataset, "read_hashed", side_effect=record), \
+            mock.patch.object(cli, "file_sha256", wraps=cli.file_sha256) as hashed:
+        assert train_quick(fixture_dir, split_dir, tmp_path / "m.hprj") == 0
+    files = [split_dir / f"{name}.tsv" for name in ("train", "validation", "test", "negatives")]
+    assert reads == files
+    assert not set(map(Path, (c.args[0] for c in hashed.call_args_list))) & set(files)
 
 
 def test_train_manifest_records_data_accounting(tmp_path):

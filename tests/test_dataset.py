@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 from unittest import mock
@@ -7,25 +8,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperproj import dataset
+from hyperproj import cli, dataset
 from hyperproj.clustering import offsets
 from hyperproj.dataset import (
     BUCKETS,
+    DEFAULT_FRACTIONS,
     RELATIONS,
     RelationDataset,
     RelationPair,
+    Relations,
     build_dataset,
     lexical_split,
     load_relations,
     negative_index,
+    read_relations,
     read_split_dir,
     sample_negative,
     split_relations,
+    validate_fractions,
     write_split,
 )
-from hyperproj.embeddings import EmbeddingTable, nearest_neighbors
+from hyperproj.embeddings import EmbeddingTable, load_embeddings, nearest_neighbors
 from hyperproj.errors import InputError, utf8_lines
 from hyperproj.evaluation import evaluate, hit_at
+from hyperproj.synth import SynthConfig, make_fixture, write_fixture
 from hyperproj.training import TrainConfig, train
 
 from conftest import make_model
@@ -142,13 +148,16 @@ UNKNOWN_RELATION = st.sampled_from(["antonym", "Hypernym", "hypernym ", ""])
 
 
 @st.composite
-def relations_files(draw):
-    """A relations TSV of valid rows, or one broken by a few mutations."""
-    rows = draw(st.lists(st.tuples(REL_WORD, REL_WORD, st.sampled_from(RELATIONS)), max_size=8))
+def relations_files(draw, relations=RELATIONS, word=REL_WORD, valid=False):
+    """A relations TSV of valid rows of ``relations``, or one broken by a few mutations;
+    ``valid`` keeps to the mutations that leave it valid."""
+    row = st.tuples(word, word, st.sampled_from(relations))
+    rows = draw(st.lists(row.filter(lambda r: r[0] != r[1]) if valid else row, max_size=8))
     lines = [list(row) for row in rows]
+    kinds = ["comment", "blank", "repeat", "extra"] + ([] if valid else ["drop", "self",
+                                                                          "unknown"])
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["comment", "blank", "repeat", "extra", "drop", "self",
-                                     "unknown"]))
+        kind = draw(st.sampled_from(kinds))
         at = draw(st.integers(0, len(lines)))
         if kind == "comment":
             lines.insert(at, ["#" + draw(REL_WORD)])
@@ -168,7 +177,7 @@ def relations_files(draw):
                 line[2] = draw(UNKNOWN_RELATION)
     data = "".join("\t".join(line) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
                    for line in lines).encode("utf-8")
-    if data and draw(st.booleans()):
+    if data and not valid and draw(st.booleans()):
         at = draw(st.integers(0, len(data)))
         splice = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\r", b"\n", b"\t"]))
         data = data[:at] + splice + data[at:]
@@ -180,6 +189,77 @@ def relations_files(draw):
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "r.tsv"
+
+
+# the split files' words: mostly the table's, whose last row is in no file, and some
+# outside it; few, so that rows repeat and buckets share words
+SPLIT_TABLE = table_for(["a", "b", "c", "d", "\u00e9", "a b", "sink"])
+SPLIT_WORD = st.sampled_from(SPLIT_TABLE.vocab[:-1] * 3 + ["#", "x\x85", "oov"])
+
+
+@st.composite
+def split_files(draw):
+    """The bytes of a split directory's files (None: no such file). At most one file
+    is missing, broken as relations_files breaks a file, or holds other relations."""
+    broken = draw(st.sampled_from([None, None, *BUCKETS, "negatives"]))
+    files = {}
+    for name in (*BUCKETS, "negatives"):
+        holds = ("hypernym",) if name in BUCKETS else ("synonym", "cohyponym")
+        files[name] = draw(relations_files(holds, SPLIT_WORD, valid=True)) if name != broken \
+            else draw(st.none() | relations_files(holds, SPLIT_WORD)
+                      | relations_files(RELATIONS, SPLIT_WORD, valid=True))
+    return files
+
+
+@pytest.fixture(scope="module")
+def fuzz_split(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-split")
+
+
+def reference_check_positive(path, pairs, positive):
+    """The relation check read_split_dir ran on each file's pairs before it read columns."""
+    for pair in pairs:
+        relation = pair[2]
+        if (relation == "hypernym") is not positive:
+            holds = "only hypernym rows" if positive else "no hypernym rows"
+            raise InputError(f"{path}: row {tuple(pair)} is a {relation} pair, "
+                             f"but {path.name} holds {holds}")
+    return pairs
+
+
+def reference_read_split_dir(split_dir, table):
+    """read_split_dir row by row: each file through reference_load_relations and the
+    relation check, then the row-by-row filter of bind."""
+    positives, assignment = [], []
+    for bucket in BUCKETS:
+        path = split_dir / f"{bucket}.tsv"
+        if not path.is_file():
+            raise InputError(f"split directory is missing {path.name}")
+        pairs = reference_check_positive(path, reference_load_relations(path), True)
+        positives += pairs
+        assignment += [bucket] * len(pairs)
+    path = split_dir / "negatives.tsv"
+    negatives = (reference_check_positive(path, reference_load_relations(path), False)
+                 if path.is_file() else [])
+    found = oracle_found([RelationPair(*p) for p in positives], table)
+    kept = kept_by_oracle([RelationPair(*p) for p in negatives], table)
+    return ([p for p, f in zip(positives, found) if f], [b for b, f in zip(assignment, found) if f],
+            [tuple(p) for p in kept], found.count(False), len(negatives) - len(kept))
+
+
+def split_outcome(read, split_dir):
+    """What a split reader makes of a directory: its bound rows and warnings, or its
+    InputError message."""
+    with mock.patch.object(dataset.log, "warning") as warn:
+        try:
+            got = read(split_dir, SPLIT_TABLE)
+        except InputError as exc:
+            return "error", str(exc)
+    if isinstance(got, RelationDataset):
+        got = ([tuple(p) for p in got.positives], got.assignment,
+               [tuple(p) for p in got.negative_pairs], got.dropped_positives,
+               got.dropped_negatives)
+    return "dataset", got, [c.args[0] % c.args[1:] for c in warn.call_args_list]
 
 
 class TestLoadRelationsMatchesReference:
@@ -209,6 +289,51 @@ class TestLoadRelationsMatchesReference:
         with pytest.raises(InputError, match=expected) as got:
             load_relations(path)
         assert relations_outcome(reference_load_relations, path) == ("error", str(got.value))
+
+    @given(files=split_files())
+    @example(files={"train": b"a\tb\thypernym\na\tb\thypernym\n", "validation": b"",
+                    "test": b"\xc3\xa9\ta\thypernym\n", "negatives": b"a\t#\tsynonym\n"})
+    @example(files={"train": b"a\tb\thypernym\n", "validation": b"b\tc\tsynonym\n",
+                    "test": b"a\ta\thypernym\n", "negatives": None})
+    @settings(deadline=None)
+    def test_read_split_dir(self, fuzz_split, files):
+        """Bucket order, bound rows, drop counts, warnings and the first error all match
+        the row-by-row reader plus the row-by-row filter; so does negative_index."""
+        for name, content in files.items():
+            path = fuzz_split / f"{name}.tsv"
+            path.unlink(missing_ok=True)
+            if content is not None:
+                path.write_bytes(content)
+        got = split_outcome(read_split_dir, fuzz_split)
+        assert got == split_outcome(reference_read_split_dir, fuzz_split)
+        if got[0] == "error":
+            return
+        data = read_split_dir(fuzz_split, SPLIT_TABLE)
+        assert data.words is SPLIT_TABLE.vocab
+        assert data.hypernyms.ids.tolist() == [[SPLIT_TABLE.lookup(w) for w in p[:2]]
+                                               for p in got[1][0]]
+        assert data.source_sha256 == {
+            fuzz_split / f"{name}.tsv": hashlib.sha256(content).hexdigest()
+            for name, content in files.items() if content is not None}
+        got_index = [a.tolist() for a in negative_index(data, SPLIT_TABLE)]
+        assert got_index == oracle_negative_index(data, SPLIT_TABLE)
+        # unbound, from the rows as read: a candidate missing from the table is an error
+        positives, assignment, negatives = [], [], []
+        for name in (*BUCKETS, "negatives"):
+            path = fuzz_split / f"{name}.tsv"
+            pairs = [RelationPair(*p) for p in reference_load_relations(path)] \
+                if path.is_file() else []
+            if name == "negatives":
+                negatives = pairs
+            else:
+                positives += pairs
+                assignment += [name] * len(pairs)
+        unbound = RelationDataset(positives, assignment, negatives)
+        try:
+            got_index = [a.tolist() for a in negative_index(unbound, SPLIT_TABLE)]
+        except InputError as exc:
+            got_index = str(exc)
+        assert got_index == oracle_negative_index(unbound, SPLIT_TABLE)
 
 
 def hyp(a, b):
@@ -273,6 +398,135 @@ class TestLexicalSplit:
         assert not (vocabs[0] & vocabs[1])
         assert not (vocabs[0] & vocabs[2])
         assert not (vocabs[1] & vocabs[2])
+
+
+def oracle_lexical_split(pairs, fractions, seed):
+    """The lexical_split that ran union-find over words and placed with numpy scalars."""
+    validate_fractions(fractions)
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    if not pairs:
+        return []
+    parent = {}
+
+    def find(w):
+        root = w
+        while parent[root] != root:
+            root = parent[root]
+        while parent[w] != root:
+            parent[w], w = root, parent[w]
+        return root
+
+    for pair in pairs:
+        for w in (pair.source, pair.target):
+            parent.setdefault(w, w)
+        ra, rb = find(pair.source), find(pair.target)
+        if ra != rb:
+            parent[rb] = ra
+
+    by_root = {}
+    for i, pair in enumerate(pairs):
+        by_root.setdefault(find(pair.source), []).append(i)
+    components = sorted(by_root.values(), key=lambda idxs: idxs[0])
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(components))
+
+    targets = np.array(fractions, dtype=np.float64) * len(pairs)
+    counts = np.zeros(3, dtype=np.float64)
+    assignment = [""] * len(pairs)
+    for ci in order:
+        comp = components[ci]
+        if len(comp) > targets.max():
+            dataset.log.warning(
+                "component with %d pairs exceeds the largest bucket target (%.1f); "
+                "assigning anyway, fractions will be approximate", len(comp), targets.max(),
+            )
+        bucket = int(np.argmax(targets - counts))
+        counts[bucket] += len(comp)
+        for i in comp:
+            assignment[i] = BUCKETS[bucket]
+    return assignment
+
+
+def split_and_warnings(split, pairs, fractions, seed):
+    with mock.patch.object(dataset.log, "warning") as warn:
+        assignment = split(pairs, fractions, seed)
+    return assignment, [c.args[0] % c.args[1:] for c in warn.call_args_list]
+
+
+SPLIT_FRACTIONS = [DEFAULT_FRACTIONS, (0.5, 0.25, 0.25), (0.6, 0.2, 0.2), (1 / 3, 1 / 3, 1 / 3),
+                   (0.98, 0.01, 0.01)]
+
+
+class TestLexicalSplitMatchesOracle:
+    """The split over word ids assigns what the split over words did, warnings included."""
+
+    @pytest.fixture(scope="class")
+    def desk_positives(self):
+        _, relations = make_fixture(SynthConfig(dim=10, n_pairs=1000, noise=0.05, distractors=5,
+                                                hyper_angle_deg=25, seed=1))
+        return [p for p in relations if p.relation == "hypernym"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 901, 12345])
+    def test_desk_fixture(self, desk_positives, seed):
+        want = oracle_lexical_split(desk_positives, DEFAULT_FRACTIONS, seed)
+        assert lexical_split(desk_positives, DEFAULT_FRACTIONS, seed) == want
+        assert lexical_split(Relations.of(desk_positives), DEFAULT_FRACTIONS, seed) == want
+
+    @given(edges=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=40),
+           fractions=st.sampled_from(SPLIT_FRACTIONS), seed=st.integers(0, 2 ** 32 - 1))
+    @example(edges=[(i, i + 1) for i in range(10)] + [(20, 21), (22, 23)],
+             fractions=(0.5, 0.25, 0.25), seed=0)  # a component above every target
+    def test_word_graphs(self, edges, fractions, seed):
+        pairs = list(dict.fromkeys(hyp(f"w{a}", f"w{b}") for a, b in edges if a != b))
+        assert (split_and_warnings(lexical_split, pairs, fractions, seed)
+                == split_and_warnings(oracle_lexical_split, pairs, fractions, seed))
+
+
+class TestNoRelationPairPerRow:
+    """The command-line pipeline reads, splits, binds, trains and ranks without one."""
+
+    @pytest.fixture
+    def fixture_files(self, tmp_path):
+        table, relations = make_fixture(SynthConfig(dim=4, n_pairs=120, noise=0.05,
+                                                    distractors=2, planted_clusters=2, seed=3))
+        write_fixture(table, relations, tmp_path / "fix")
+        return tmp_path / "fix"
+
+    @pytest.fixture
+    def refused(self):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a RelationPair was built")
+
+        with mock.patch.object(RelationPair, "_make", side_effect=refuse), \
+                mock.patch.object(RelationPair, "__new__", side_effect=refuse):
+            yield
+
+    def test_the_patch_catches_the_word_level_edge(self, fixture_files, refused):
+        with pytest.raises(AssertionError, match="RelationPair"):
+            load_relations(fixture_files / "relations.tsv")
+        with pytest.raises(AssertionError, match="RelationPair"):
+            RelationPair("a", "b", "hypernym")
+
+    def test_read_split_dir_and_the_commands(self, tmp_path, fixture_files, refused):
+        emb, split = fixture_files / "embeddings.txt", tmp_path / "split"
+
+        def run(*argv):
+            return cli.main([str(a) for a in argv])
+
+        assert run("split", "--relations", fixture_files / "relations.tsv", "--seed", 3,
+                   "--out", split) == 0
+        data = read_split_dir(split, load_embeddings(emb))
+        assert len(data.hypernyms) == 120 and len(data.negatives) == 240
+        assert run("cluster", "--embeddings", emb, "--split-dir", split, "--k", 2,
+                   "--out", tmp_path / "c.json") == 0
+        for reg in ("none", "neighbor"):
+            assert run("train", "--embeddings", emb, "--split-dir", split, "--k", 2,
+                       "--clusters", tmp_path / "c.json", "--epochs", 10, "--reg", reg,
+                       "--select-on", "best_validation_hit10",
+                       "--out", tmp_path / f"{reg}.hprj") == 0
+        assert run("eval", "--model", tmp_path / "neighbor.hprj", "--embeddings", emb,
+                   "--test", split / "test.tsv", "--out", tmp_path / "r.json") == 0
 
 
 class TestBuildDataset:
@@ -498,6 +752,19 @@ class TestPairRows:
         assert got.dropped_positives == 1 + keep.count(False)
         assert got.dropped_negatives == 2 + len(negatives) - len(got.negative_pairs)
 
+    def test_bound_rows_are_read_only(self):
+        """Bound rows are the columns' own ids, so no caller may write through them."""
+        table = table_for(["a", "b", "c"])
+        ids = np.array([[0, 1], [1, 2]])
+        relations = Relations(table.vocab, ids, np.zeros(2, np.int8))
+        rows, found = dataset.pair_rows(relations, table)
+        assert rows is relations.ids and found.all()
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            relations.codes[0] = 1
+        ids[0, 0] = 2  # the caller's own array stays writable
+
     @given(pairs=pairs_with_oov(), seed=st.integers(0, 3))
     def test_offsets_and_training_refuse_what_the_filter_drops(self, pairs, seed):
         table = sink_table(seed)
@@ -561,6 +828,28 @@ class TestSplitRoundTrip:
         assert dict(zip(again.positives, again.assignment)) == dict(
             zip(data.positives, data.assignment))
         assert again.train_negatives == data.train_negatives
+
+    def test_columns_and_pairs_give_the_same_dataset(self, tmp_path):
+        table = table_for([f"w{i}" for i in range(40)])
+        pairs = [hyp(f"w{i}", f"w{(7 * i + 1) % 40}") for i in range(30)]
+        pairs += [RelationPair(f"w{i}", f"oov{i}", "synonym") for i in range(5)]
+        pairs += [RelationPair(f"w{i}", f"w{i + 1}", "cohyponym") for i in range(0, 20, 3)]
+        path = tmp_path / "r.tsv"
+        dataset.write_relations(pairs, path)
+        columns = read_relations(path)
+        assert list(columns) == load_relations(path) == pairs
+        assert columns.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        a, b = build_dataset(pairs, table, seed=5), build_dataset(columns, table, seed=5)
+        for data in (a, b):
+            assert data.words is table.vocab
+        assert (a.positives, a.assignment, a.negative_pairs) == (
+            b.positives, b.assignment, b.negative_pairs)
+        assert np.array_equal(a.hypernyms.ids, b.hypernyms.ids)
+        model = make_model(np.random.default_rng(5).normal(size=(2, 2)))
+        for bucket in BUCKETS:
+            want = evaluate(model, table, a.pairs_in(bucket))
+            got = evaluate(model, table, a.relations_in(bucket))
+            assert (got.hits, got.per_pair, got.skips) == (want.hits, want.per_pair, want.skips)
 
     def test_deterministic_bytes(self, tmp_path):
         table = table_for([f"w{i}" for i in range(20)])
