@@ -7,7 +7,9 @@ in batches of 68) -> eval and predict of each model, all through the
 command-line entry point, in a temporary directory. Prints
 ``sha256  path`` for every file written except the ``*manifest.json``
 run records (they hold timings), then one digest of everything
-``predict`` printed. Two commits that print the same lines
+``predict`` printed, then one digest of the ``validation`` record of
+every train manifest: the hit@10 of each validation check, not only
+the snapshot it selects. Two commits that print the same lines
 produce the same bytes on this pipeline.
 
 Paths are relative to the temporary directory, because ``eval`` echoes
@@ -20,6 +22,7 @@ Usage:
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -70,6 +73,10 @@ def pipeline() -> str:
     return "".join(printed)
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def main() -> int:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -79,9 +86,12 @@ def main() -> int:
             for path in sorted(Path(".").rglob("*")):
                 if path.is_file() and not path.name.endswith("manifest.json"):
                     print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+            validation = {path.name: json.loads(path.read_text(encoding="utf-8"))["validation"]
+                          for path in sorted(Path(".").glob("*.hprj.manifest.json"))}
         finally:
             os.chdir(cwd)
-    print(f"{hashlib.sha256(predicted.encode('utf-8')).hexdigest()}  (predict stdout)")
+    print(f"{sha256(predicted)}  (predict stdout)")
+    print(f"{sha256(json.dumps(validation, sort_keys=True))}  (train validation records)")
     return 0
 
 

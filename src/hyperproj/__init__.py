@@ -11,7 +11,8 @@ from their modules.
 """
 
 from .clustering import ClusterModel, assign_clusters, fit_kmeans, offsets
-from .dataset import RelationDataset, RelationPair, build_dataset, lexical_split, load_relations
+from .dataset import (RelationDataset, RelationPair, build_dataset, lexical_split, load_relations,
+                      read_relations)
 from .embeddings import EmbeddingTable, load_embeddings, save_embeddings_text
 from .errors import HyperprojError, InputError, TrainingError
 from .evaluation import EvalReport, auc, evaluate, hit_at, predict_candidates
@@ -46,6 +47,7 @@ __all__ = [
     "load_relations",
     "offsets",
     "predict_candidates",
+    "read_relations",
     "save_embeddings_text",
     "save_model",
     "train",

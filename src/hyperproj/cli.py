@@ -233,6 +233,7 @@ def cmd_train(args) -> int:
     manifest.add_output(trace_path)
     manifest.stage("write")
     manifest.payload["data"] = model.meta.data
+    manifest.payload["validation"] = model.meta.validation
     manifest.write(out.with_name(out.name + ".manifest.json"))
     losses = ", ".join("none" if v is None else f"{v:.6g}" for v in model.meta.final_losses)
     print(f"trained k={model.k} reg={model.regularizer.value} lambda={model.lam}; "

@@ -51,6 +51,12 @@ scale each query first by the power of two that brings its norm into [1/4,
 1/2) (``_scaled_queries``): exact, so no score depends on a query's scale,
 and no product with a row overflows. ``_below_one`` is the package's one
 rescaling rule; row norms and overflowing projections use it too.
+
+``gold_ranks`` counts each tile of scores unmasked, then takes the zero
+rows and each query's excluded row back out of the counts (see
+``_window_ranks``). ``gold_targets`` holds what no query changes, so that
+pairs ranked again and again bind it once. Every ranking function holds at
+most BLOCK_ENTRIES scores (512 KiB) at once.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +79,7 @@ from .errors import (InputError, atomic_open, file_sha256, read_container, utf8_
 log = logging.getLogger(__name__)
 
 TEXT_PRECISION = 9  # significant digits written by save_embeddings_text
-BLOCK_ENTRIES = 1 << 15  # scores cosine_blocks and gold_ranks hold at once: 256 KiB of float64
+BLOCK_ENTRIES = 1 << 16  # scores a ranking function holds at once: 512 KiB of float64
 MIN_WHOLE_ROWS = 4  # gold_ranks tiles the vocabulary when fewer whole score rows fit
 GEMM_ROWS = 64  # queries per matrix product when gold_ranks tiles the vocabulary
 PARSE_TOKENS = 1 << 15  # components _parse_text converts at once: max(1, PARSE_TOKENS // dim) rows
@@ -609,21 +616,44 @@ def tie_window(dim: int) -> float:
     return 4 * gamma(dim + 2) * (1 + gamma(2 * dim + 6)) + dim * 2.0 ** -102 + 3 * u
 
 
-def gold_ranks(table: EmbeddingTable, queries: np.ndarray, gold: np.ndarray,
-               exclude: np.ndarray) -> tuple[np.ndarray, int]:
-    """1-based rank of row ``gold[i]`` among query i's cosines, and how many
-    queries were ranked again by the per-query product.
+class GoldTargets(NamedTuple):
+    """What ranking one gold row per query needs that no query changes, so that
+    pairs ranked again and again (validation during training) bind it once."""
+
+    gold: np.ndarray  # the row to rank, per query
+    exclude: np.ndarray  # the row left out, per query; -1 for none or a zero row
+    units: np.ndarray  # each gold row over its norm, NaN for a zero row
+    rankable: np.ndarray  # the gold row is nonzero and not the one left out
+
+
+def gold_targets(table: EmbeddingTable, gold: np.ndarray, exclude: np.ndarray) -> GoldTargets:
+    """``GoldTargets`` of the table rows ``gold``, each ranked without row ``exclude[i]``.
+
+    A zero row scores -inf whether it is left out or not, so an excluded zero
+    row is recorded as -1, none.
+    """
+    gold, exclude = np.asarray(gold, dtype=np.intp), np.asarray(exclude, dtype=np.intp)
+    norms = table._row_norms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        units = table.vectors[gold] / norms[gold, None]
+    rankable = (norms[gold] > 0.0) & (gold != exclude)
+    exclude = np.where((exclude >= 0) & (norms[exclude] > 0.0), exclude, -1)
+    return GoldTargets(gold, exclude, units, rankable)
+
+
+def gold_ranks(table: EmbeddingTable, queries: np.ndarray,
+               targets: GoldTargets) -> tuple[np.ndarray, int]:
+    """1-based rank of row ``targets.gold[i]`` among query i's cosines, and how
+    many queries were ranked again by the per-query product.
 
     The ranks are those the scores of ``cosine_blocks`` give, ties to the
-    lower vocabulary index and row ``exclude[i]`` left out; 0 where the
-    gold row scores -inf. Blocks of unit queries are scored with one matrix
-    product against tiles of the table's unit columns: ``BLOCK_ENTRIES //
-    len(table)`` queries against the whole vocabulary when at least
-    MIN_WHOLE_ROWS fit, else GEMM_ROWS queries against ``BLOCK_ENTRIES //
-    GEMM_ROWS`` columns at a time. Those cosines can be off from the per-query ones, so a rank is
-    counted from them only when no other row scores within ``tie_window``
-    of the gold row; any other query is ranked again from ``cosine_blocks``.
-    Every rank equals the per-query one.
+    lower vocabulary index and row ``targets.exclude[i]`` left out; 0 where
+    the gold row scores -inf. Blocks of unit queries are scored with one
+    matrix product against tiles of the table's unit columns (see
+    ``_rank_tiles``). Those cosines can be off from the per-query ones, so a
+    rank is counted from them only when no other row scores within
+    ``tie_window`` of the gold row; any other query is ranked again from
+    ``cosine_blocks``. Every rank equals the per-query one.
     """
     original = np.asarray(queries, dtype=np.float64)
     n = len(original)
@@ -631,8 +661,11 @@ def gold_ranks(table: EmbeddingTable, queries: np.ndarray, gold: np.ndarray,
     if table._min_norm < 4 * PRODUCT_FLOOR:  # no bound between the products, see tie_window
         redo = np.arange(n)
     else:
-        redo = _window_ranks(table, *_scaled_queries(original), gold, exclude, ranks)
-    for start, S in cosine_blocks(table, original[redo], exclude[redo]):
+        redo = _window_ranks(table, *_scaled_queries(original), targets, ranks)
+    if not redo.size:
+        return ranks, 0
+    gold = targets.gold
+    for start, S in cosine_blocks(table, original[redo], targets.exclude[redo]):
         for i, row in zip(redo[start:start + len(S)], S):
             g = gold[i]
             s_gold = row[g]
@@ -642,24 +675,41 @@ def gold_ranks(table: EmbeddingTable, queries: np.ndarray, gold: np.ndarray,
     return ranks, len(redo)
 
 
+def _rank_tiles(n: int, vocab: int) -> tuple[int, int]:
+    """(queries, columns) of each matrix product of ``_window_ranks``.
+
+    BLOCK_ENTRIES // vocab queries against the whole vocabulary when at least
+    MIN_WHOLE_ROWS fit, else GEMM_ROWS queries against BLOCK_ENTRIES //
+    GEMM_ROWS columns at a time.
+    """
+    whole = BLOCK_ENTRIES // vocab
+    if whole >= MIN_WHOLE_ROWS:
+        return max(1, min(n, whole)), vocab
+    return max(1, min(n, GEMM_ROWS)), max(1, BLOCK_ENTRIES // GEMM_ROWS)
+
+
 def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray,
-                  gold: np.ndarray, exclude: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+                  targets: GoldTargets, ranks: np.ndarray) -> np.ndarray:
     """Fill ``ranks`` where the matrix-product cosines prove them; the indices of
-    the other queries whose gold row can be ranked."""
+    the other queries whose gold row can be ranked.
+
+    Each tile's scores are counted as the product leaves them, unmasked. A
+    zero row's unit column is zero, so it scores exactly ±0.0 against every
+    live query; the zero rows are taken back out of the counts from that,
+    and each query's excluded row from its own score, read off its tile.
+    """
     n, vocab = len(queries), len(table)
-    norms, dead = table._row_norms, table._dead
-    whole = BLOCK_ENTRIES // vocab >= MIN_WHOLE_ROWS
-    rows = max(1, min(n, BLOCK_ENTRIES // vocab if whole else GEMM_ROWS))
-    width = vocab if whole else max(1, BLOCK_ENTRIES // GEMM_ROWS)
-    live = (qnorms > 0.0) & (norms[gold] > 0.0) & (gold != exclude)
+    rows, width = _rank_tiles(n, vocab)
+    live = (qnorms > 0.0) & targets.rankable
     with np.errstate(divide="ignore", invalid="ignore"):  # zero queries and rows: NaN
         units = queries / qnorms[:, None]
-        s_gold = np.einsum("ij,ij->i", units, table.vectors[gold] / norms[gold, None])
+        s_gold = np.einsum("ij,ij->i", units, targets.units)
     window = tie_window(table.dim)
-    above = np.where(live, s_gold + window, np.inf)[:, None]
-    below = np.where(live, s_gold - window, np.inf)[:, None]
+    above = np.where(live, s_gold + window, np.inf)
+    below = np.where(live, s_gold - window, np.inf)
     ahead = np.zeros(n, dtype=np.intp)  # rows above the window
     near = np.zeros(n, dtype=np.intp)  # rows at or above its low end, the gold row included
+    left_out = np.full(n, -np.inf)  # the product's score of each query's excluded row
     score_buf = np.empty(rows * min(width, vocab))
     mask_buf = np.empty(score_buf.shape, dtype=bool)
     for first in range(0, vocab, width):
@@ -667,21 +717,27 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
         # narrow tiles are copied: each block of queries packs the tile again, and
         # OpenBLAS packs columns of a contiguous tile faster than ones V apart
         tile = np.ascontiguousarray(table._unit_columns[:, first:last])
-        cut = np.searchsorted(dead, (first, last))
+        column = targets.exclude - first
+        inside = (column >= 0) & (column < last - first)
+        # where each query's excluded row lies in its block's flattened scores
+        flat = np.where(inside, np.arange(n) % rows * (last - first) + column, 0)
         for start in range(0, n, rows):
             stop = min(start + rows, n)
             shape = (stop - start, last - first)
             S = score_buf[:shape[0] * shape[1]].reshape(shape)
             M = mask_buf[:S.size].reshape(shape)
             np.matmul(units[start:stop], tile, out=S)
-            _mask(S, dead[cut[0]:cut[1]] - first, qnorms[start:stop],
-                  exclude[start:stop] - first)
             for bound, op, count in ((above, np.greater, ahead),
                                      (below, np.greater_equal, near)):
-                op(S, bound[start:stop], out=M)
+                op(S, bound[start:stop, None], out=M)
                 # one 1-D count per whole row is fastest; narrow tiles count along axis 1
-                count[start:stop] += ([np.count_nonzero(r) for r in M] if whole
+                count[start:stop] += ([np.count_nonzero(r) for r in M] if width == vocab
                                       else M.sum(axis=1))
+            np.copyto(left_out[start:stop], S.reshape(-1).take(flat[start:stop]),
+                      where=inside[start:stop])
+    dead = len(table._dead)
+    ahead -= dead * (0.0 > above) + (left_out > above)
+    near -= dead * (0.0 >= below) + (left_out >= below)
     # a row above `above` is ahead of the gold row in the per-query product too,
     # and one below `below` behind it (see tie_window); a rank is proven when
     # only the gold row lies in between

@@ -9,7 +9,12 @@ Evaluation protocol. eval (and validation during training) routes each
 pair to the cluster nearest its gold offset y - x, so the cluster choice
 uses the answer. predict has no gold word: it projects through every
 cluster and keeps each word's best cosine. Ties go to the lower
-vocabulary index. Each holds at most 256 KiB of scores at once.
+vocabulary index. Each holds at most 512 KiB of scores at once.
+
+``bind_pairs`` looks the pairs' words up, routes each pair and divides its
+gold row by its norm once: ``hit_at`` and ``evaluate`` take the
+``BoundPairs`` in place of a list, and training binds its validation pairs
+once per run, so that a check only projects and ranks.
 
 Both rank through one matrix product of unit queries against the table's
 kept unit columns, then make it exact. eval and validation rank through
@@ -34,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import assign_clusters
+from .clustering import ClusterModel, assign_clusters
 from .dataset import RelationPair, Relations, pair_rows
-from .embeddings import EmbeddingTable, _below_one, gold_ranks, top_cosines
+from .embeddings import (EmbeddingTable, GoldTargets, _below_one, gold_ranks, gold_targets,
+                         top_cosines)
 from .embeddings import nearest_neighbors  # noqa: F401  (perfbench's tracer test patches it here)
 from .errors import InputError, atomic_open
 from .projection import ProjectionModel
@@ -114,53 +120,92 @@ def _project(X: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return P[:, 0]
 
 
-def _rank_pairs(model: ProjectionModel, table: EmbeddingTable,
-                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """For the (n, 2) hyponym and gold ``rows``: cluster of each pair (from its gold
-    offset), 1-based rank of its gold word, and how many pairs ``gold_ranks`` re-ranked.
+@dataclass(eq=False)
+class BoundPairs:
+    """Pairs bound to one table and one cluster model (``bind_pairs``): all that
+    ranking them needs that no projection matrix changes."""
+
+    table: EmbeddingTable
+    clusters: ClusterModel
+    rows: np.ndarray  # (n, 2) table rows of each pair's hyponym and gold hypernym
+    skips: int  # pairs left out for a word missing from the table
+    cluster: np.ndarray  # each pair's cluster, nearest its gold offset
+    members: list[tuple[int, np.ndarray]]  # each nonempty cluster and its pairs
+    hyponyms: np.ndarray  # (n, d) hyponym vectors
+    targets: GoldTargets
+
+
+def bind_pairs(clusters: ClusterModel, table: EmbeddingTable,
+               pairs: list[RelationPair] | Relations) -> BoundPairs:
+    """Bind ``pairs`` to ``table`` and route each by its gold offset ``y - x``.
+
+    A pair with a word missing from the table is skipped with a warning; a
+    list with no pair left is an error.
+    """
+    rows, skips = _usable_rows(table, pairs)
+    if clusters.dim != table.dim:
+        raise InputError(f"model has dimension {clusters.dim}, embeddings have {table.dim}")
+    sources, gold = rows[:, 0], rows[:, 1]
+    X = table.vectors[sources]
+    cluster = assign_clusters(clusters, table.vectors[gold] - X)
+    members = [(c, np.flatnonzero(cluster == c)) for c in range(clusters.k)]
+    members = [(c, idx) for c, idx in members if idx.size]
+    return BoundPairs(table, clusters, rows, skips, cluster, members, X,
+                      gold_targets(table, gold, sources))
+
+
+def _bound(model: ProjectionModel, table: EmbeddingTable,
+           pairs: list[RelationPair] | Relations | BoundPairs) -> BoundPairs:
+    """``pairs`` bound for ``model`` and ``table``: as given if already bound to them."""
+    if not isinstance(pairs, BoundPairs):
+        return bind_pairs(model.clusters, table, pairs)
+    if pairs.table is not table or pairs.clusters is not model.clusters:
+        raise InputError("pairs are bound to another table or cluster model")
+    return pairs
+
+
+def _rank_pairs(model: ProjectionModel, bound: BoundPairs) -> tuple[np.ndarray, int]:
+    """1-based rank of each bound pair's gold word, and how many pairs
+    ``gold_ranks`` re-ranked.
 
     A rank of 0 means the gold word cannot be ranked: its score is -inf
     because the projection is zero, the word has a zero vector, or it is
     the excluded hyponym.
     """
-    _check_dims(model, table)
-    sources, gold = rows[:, 0], rows[:, 1]
-    X = table.vectors[sources]
-    clusters = assign_clusters(model.clusters, table.vectors[gold] - X)
+    X = bound.hyponyms
     queries = np.empty_like(X)
-    for c in range(model.k):
-        members = clusters == c
-        queries[members] = _project(X[members], model.matrices[c])
-    ranks, rechecked = gold_ranks(table, queries, gold, sources)
-    log.debug("ranked %d pair(s), %d re-ranked by the per-query product", len(rows), rechecked)
-    return clusters, ranks, rechecked
+    for c, idx in bound.members:
+        queries[idx] = _project(X[idx], model.matrices[c])
+    ranks, rechecked = gold_ranks(bound.table, queries, bound.targets)
+    log.debug("ranked %d pair(s), %d re-ranked by the per-query product", len(X), rechecked)
+    return ranks, rechecked
 
 
 def hit_at(model: ProjectionModel, table: EmbeddingTable,
-           pairs: list[RelationPair] | Relations, l: int) -> float:
+           pairs: list[RelationPair] | Relations | BoundPairs, l: int) -> float:
     """Fraction of pairs whose gold hypernym is in the top-l neighbor list."""
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
-    rows, _ = _usable_rows(table, pairs)
-    _, ranks, _ = _rank_pairs(model, table, rows)
-    return int(np.count_nonzero((ranks >= 1) & (ranks <= l))) / len(rows)
+    bound = _bound(model, table, pairs)
+    ranks, _ = _rank_pairs(model, bound)
+    return int(np.count_nonzero((ranks >= 1) & (ranks <= l))) / len(ranks)
 
 
 def evaluate(model: ProjectionModel, table: EmbeddingTable,
-             pairs: list[RelationPair] | Relations,
+             pairs: list[RelationPair] | Relations | BoundPairs,
              l_max: int = DEFAULT_L_MAX) -> EvalReport:
     """Full hit@1..l_max curve, AUC, and per-pair ranks in one pass."""
     if l_max < 2:
         raise InputError(f"l_max must be >= 2, got {l_max}")
-    rows, skips = _usable_rows(table, pairs)
-    clusters, ranks, rechecked = _rank_pairs(model, table, rows)
+    bound = _bound(model, table, pairs)
+    ranks, rechecked = _rank_pairs(model, bound)
     vocab = table.vocab
     per_pair = [PairResult(vocab[s], vocab[g], int(c), int(r) if 1 <= r <= l_max else None)
-                for (s, g), c, r in zip(rows.tolist(), clusters, ranks)]
+                for (s, g), c, r in zip(bound.rows.tolist(), bound.cluster, ranks)]
     n = len(per_pair)
     hits = [int(np.count_nonzero((ranks >= 1) & (ranks <= i))) / n
             for i in range(1, l_max + 1)]
-    return EvalReport(hits, auc(hits), per_pair, skips, rechecked)
+    return EvalReport(hits, auc(hits), per_pair, bound.skips, rechecked)
 
 
 def predict_candidates(model: ProjectionModel, table: EmbeddingTable, word: str,

@@ -75,8 +75,10 @@ class TrainingMeta:
     ``trace`` holds (epoch, cluster, baseline_term, reg_term, total) rows;
     it stays in memory only and is written out as CSV, not into the model
     file. ``data`` is training's data accounting (see
-    ``training._data_accounting``); it too stays out of the model file and
-    goes into the train manifest.
+    ``training._data_accounting``). ``validation`` records the checks of a
+    run that selects on validation hit@10, as ``{"every": 10, "hit10":
+    [[epoch, hit10], ...], "selected_epoch": e}``, and is None otherwise.
+    Both stay out of the model file and go into the train manifest.
     """
 
     seed: int
@@ -87,6 +89,7 @@ class TrainingMeta:
     trace: list[tuple[int, int, float, float, float]] = field(
         default_factory=list, repr=False)
     data: dict = field(default_factory=dict, repr=False)
+    validation: dict | None = field(default=None, repr=False)
 
 
 @dataclass(eq=False)

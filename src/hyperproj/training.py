@@ -26,6 +26,11 @@ for one; see ``projection.padding_is_exact``) gets a stack of its own
 width instead, another call at that index. Each cluster's terms are
 summed over its own rows and Adam is elementwise, so every matrix, loss
 and random draw is bitwise the one a cluster training alone gets.
+
+Selecting on validation, ``train`` binds the validation pairs once
+(``evaluation.bind_pairs``) and calls ``evaluation.hit_at`` on them once
+per check, every VALIDATION_EVERY epochs and at the last; each check's
+hit@10 and the selected epoch go into ``TrainingMeta.validation``.
 """
 
 from __future__ import annotations
@@ -336,7 +341,11 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     if select_validation and not val_pairs:
         log.warning("validation bucket is empty; falling back to final-epoch selection")
         select_validation = False
+    # the validation pairs' rows, clusters and gold rows, bound once for every check
+    bound = evaluation.bind_pairs(clusters, table, val_pairs) if select_validation else None
+    checks: list[list] = []  # [epoch, hit@10] of every check
     best_hit = -1.0
+    best_epoch = None
     best_matrices: np.ndarray | None = None
     active = [c for c in per_cluster if c.n > 0]
     pool = np.argsort(assign, kind="stable")  # the training pairs, cluster after cluster
@@ -355,10 +364,11 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
                 snapshot = phi.copy()
                 interim = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, meta,
                                           vhash)
-                hit10 = evaluation.hit_at(interim, table, val_pairs, 10)
+                hit10 = evaluation.hit_at(interim, table, bound, 10)
                 log.info("epoch %d validation hit@10 = %.4f", epoch, hit10)
+                checks.append([epoch, hit10])
                 if hit10 > best_hit:
-                    best_hit = hit10
+                    best_hit, best_epoch = hit10, epoch
                     best_matrices = snapshot
 
     matrices = best_matrices if best_matrices is not None else phi
@@ -366,6 +376,9 @@ def train(dataset: RelationDataset, table: EmbeddingTable, cfg: TrainConfig,
     meta.steps = state.t.tolist()
     meta.trace = sorted(row for c in per_cluster for row in c.trace)
     meta.data = _data_accounting(dataset, per_cluster, negatives)
+    if select_validation:
+        meta.validation = {"every": VALIDATION_EVERY, "hit10": checks,
+                           "selected_epoch": best_epoch}
     # lambda is inert without a regularizer; canonicalize so the model file
     # is identical whatever value was passed alongside kind NONE
     lam = 0.0 if cfg.regularizer is Regularizer.NONE else cfg.lam

@@ -748,6 +748,20 @@ def test_train_manifest_records_data_accounting(tmp_path):
     assert data["negative_fallbacks"] is None and data["train_pairs"] == [4]
 
 
+def test_train_manifest_records_the_validation_checks(tmp_path, fixture_dir, split_dir):
+    out = tmp_path / "m.hprj"
+    manifest = tmp_path / "m.hprj.manifest.json"
+    assert train_quick(fixture_dir, split_dir, out, select_on="best_validation_hit10") == 0
+    record = json.loads(manifest.read_text())["validation"]
+    assert record["every"] == 10
+    assert [epoch for epoch, _ in record["hit10"]] == [10, 20, 30]  # train_quick's 30 epochs
+    hits = [hit for _, hit in record["hit10"]]
+    assert all(0.0 <= hit <= 1.0 for hit in hits)
+    assert record["selected_epoch"] == record["hit10"][hits.index(max(hits))][0]
+    assert train_quick(fixture_dir, split_dir, out) == 0
+    assert json.loads(manifest.read_text())["validation"] is None
+
+
 def test_unknown_subcommand_exit_2():
     assert run("frobnicate") == 2
 

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperproj import embeddings
-from hyperproj.clustering import assign_cluster, assign_clusters
-from hyperproj.dataset import RelationPair, pair_rows
+from hyperproj.clustering import assign_cluster
+from hyperproj.dataset import RelationPair
 from hyperproj.embeddings import EmbeddingTable, nearest_neighbors
 from hyperproj.errors import InputError
 from hyperproj.evaluation import (
     _project,
     _rank_pairs,
     auc,
+    bind_pairs,
     evaluate,
     hit_at,
     predict_candidates,
@@ -21,7 +22,7 @@ from hyperproj.evaluation import (
     write_report_json,
 )
 
-from conftest import make_model
+from conftest import make_model, oracle_rank_pairs
 
 
 def hyp(a, b):
@@ -80,6 +81,42 @@ class TestHitAt:
         model = make_model(Q)
         with pytest.raises(InputError, match="no evaluable"):
             hit_at(model, table, [hyp("nope", "also-nope")], 1)
+
+
+class TestBoundPairs:
+    def test_bound_pairs_rank_as_the_pairs_do(self, caplog):
+        table, pairs, model = random_fixture(71, k=3)
+        padded = pairs + [hyp("w0", "missing")]
+        with caplog.at_level("WARNING"):
+            bound = bind_pairs(model.clusters, table, padded)
+        assert caplog.text.count("skipped 1 pair") == 1
+        assert len(bound.rows) == len(pairs) and bound.skips == 1
+        want = evaluate(model, table, padded)
+        hits = [hit_at(model, table, pairs, l) for l in (1, 10)]
+        caplog.clear()
+        for _ in range(2):  # a bound set is ranked again and again, without a warning
+            assert evaluate(model, table, bound) == want
+            assert [hit_at(model, table, bound, l) for l in (1, 10)] == hits
+        assert "skipped" not in caplog.text
+        # another model with the same cluster model ranks the same bound pairs
+        other = make_model(model.matrices[::-1], centroids=model.clusters.centroids)
+        other.clusters = model.clusters
+        assert evaluate(other, table, bound) == evaluate(other, table, padded)
+
+    def test_bound_pairs_need_their_table_and_cluster_model(self):
+        table, pairs, model = random_fixture(72)
+        bound = bind_pairs(model.clusters, table, pairs)
+        copy = make_model(model.matrices, centroids=model.clusters.centroids)
+        with pytest.raises(InputError, match="bound to another"):
+            hit_at(copy, table, bound, 10)
+        table2 = EmbeddingTable(table.vocab, table.vectors)
+        with pytest.raises(InputError, match="bound to another"):
+            evaluate(model, table2, bound)
+
+    def test_a_cluster_model_of_another_dimension_is_rejected(self):
+        table, pairs, model = random_fixture(73, d=5)
+        with pytest.raises(InputError, match="model has dimension 3, embeddings have 5"):
+            bind_pairs(make_model(np.eye(3)).clusters, table, pairs)
 
 
 def toy_rank_fixture():
@@ -373,30 +410,35 @@ class TestWriters:
 # ---------------------------------------------------------------------------
 
 
-def oracle_rank_pairs(model, table, pairs):
-    """(clusters, ranks) from one ``cosine_blocks`` row per pair, counted in Python."""
+def rank_pairs(model, table, pairs):
+    """(clusters, ranks, rechecked) of ``pairs``, bound and ranked by the package."""
+    bound = bind_pairs(model.clusters, table, pairs)
+    return (bound.cluster, *_rank_pairs(model, bound))
+
+
+def oracle_rechecked(model, table, pairs):
+    """How many pairs the scan must rank again: those with another row whose exact
+    cosine ties their gold row's. A row within twice the window but not tied could
+    go either way, and the fixtures that use this have none."""
     sources = np.array([table.lookup(p.source) for p in pairs])
     gold = np.array([table.lookup(p.target) for p in pairs])
-    X = table.vectors[sources]
-    clusters = assign_clusters(model.clusters, table.vectors[gold] - X)
-    queries = np.empty_like(X)
-    for c in range(model.k):
-        members = clusters == c
-        queries[members] = (X[members, None, :] @ model.matrices[c]).reshape(-1, table.dim)
-    ranks = np.zeros(len(pairs), dtype=np.intp)
+    _, ranks = oracle_rank_pairs(model, table, pairs)
+    queries = _project(table.vectors[sources], model.matrices[0])  # one cluster
+    window = embeddings.tie_window(table.dim)
+    count = 0
     for start, S in embeddings.cosine_blocks(table, queries, sources):
         for i, row in enumerate(S, start=start):
-            g = gold[i]
-            s_gold = row[g]
-            if s_gold > -np.inf:
-                ranks[i] = (1 + np.count_nonzero(row[:g] >= s_gold)
-                            + np.count_nonzero(row[g + 1:] > s_gold))
-    return clusters, ranks
+            if ranks[i] == 0:
+                continue
+            gaps = np.abs(np.delete(row, gold[i]) - row[gold[i]])
+            assert not ((gaps > 0.0) & (gaps <= 2 * window)).any()
+            count += bool((gaps == 0.0).any())
+    return count
 
 
 def assert_ranks_match_oracle(model, table, pairs):
     """``_rank_pairs`` gives the oracle's clusters and ranks; returns its recheck count."""
-    clusters, ranks, rechecked = _rank_pairs(model, table, pair_rows(pairs, table)[0])
+    clusters, ranks, rechecked = rank_pairs(model, table, pairs)
     want_clusters, want_ranks = oracle_rank_pairs(model, table, pairs)
     assert clusters.tolist() == want_clusters.tolist()
     assert ranks.tolist() == want_ranks.tolist()
@@ -406,7 +448,7 @@ def assert_ranks_match_oracle(model, table, pairs):
 # (BLOCK_ENTRIES, GEMM_ROWS, MIN_WHOLE_ROWS): whole score rows at the defaults,
 # then 6 queries against tiles of 7 rows, which divide neither fixed vocabulary
 # below (37 and 600 rows), then 4 queries against one tile wider than the vocabulary
-TILINGS = {"whole-rows": (1 << 15, 64, 4), "tiles-of-7": (42, 6, 1 << 30),
+TILINGS = {"whole-rows": (1 << 16, 64, 4), "tiles-of-7": (42, 6, 1 << 30),
            "one-wide-tile": (400, 4, 1 << 30)}
 
 
@@ -440,7 +482,7 @@ class TestGemmRanking:
         table = EmbeddingTable(table.vocab, vectors)
         pairs = pair_words(table, [(0, 3), (0, 10), (0, 17), (0, 30), (5, 10), (6, 20)])
         assert assert_ranks_match_oracle(model, table, pairs) == 5  # each gold with a copy
-        ranks = _rank_pairs(model, table, pair_rows(pairs, table)[0])[1]
+        ranks = rank_pairs(model, table, pairs)[1]
         assert np.diff(ranks[:4]).tolist() == [1, 1, 1]
 
     def test_rows_one_ulp_apart(self, tiling):
@@ -463,7 +505,7 @@ class TestGemmRanking:
         model = make_model(matrices, centroids=model.clusters.centroids)
         pairs = pair_words(table, [(i, (i * 7 + 3) % 37) for i in range(37)] + [(1, 7), (2, 21)])
         assert_ranks_match_oracle(model, table, pairs)
-        clusters, ranks, rechecked = _rank_pairs(model, table, pair_rows(pairs, table)[0])
+        clusters, ranks, rechecked = rank_pairs(model, table, pairs)
         assert rechecked == 0
         assert ranks[-2] == ranks[-1] == 0
         assert set(clusters) == {0, 1} and not ranks[clusters == 1].any()
@@ -520,8 +562,7 @@ class TestGemmRanking:
         pairs = [hyp("x", "g")]
         rechecked = assert_ranks_match_oracle(make_model(np.eye(2)), table, pairs)
         assert rechecked == (0 if beyond else 1)
-        rows = pair_rows(pairs, table)[0]
-        assert _rank_pairs(make_model(np.eye(2)), table, rows)[1].tolist() == [rank]
+        assert rank_pairs(make_model(np.eye(2)), table, pairs)[1].tolist() == [rank]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_larger_table_with_near_ties(self, tiling, seed):
@@ -541,6 +582,50 @@ class TestGemmRanking:
         sources = rng.choice(n_words, size=len(gold))
         pairs = pair_words(table, list(zip(sources, gold)))
         assert assert_ranks_match_oracle(model, table, pairs) > 0
+
+    # the first and last column of every tile under each tiling: tiles of 7 over 37
+    # rows, and the one tile of the other two
+    TILE_ENDS = (0, 6, 7, 13, 14, 20, 21, 27, 28, 34, 35, 36)
+
+    @pytest.mark.parametrize("layout", ["zero-rows-first", "hyponyms-first"])
+    def test_excluded_and_zero_rows_at_tile_ends(self, tiling, layout):
+        # the scan counts each tile unmasked and then takes the zero rows and each
+        # query's excluded hyponym back out; here they sit at every tile's ends, the
+        # hyponym scores near 1 against its own query, and half of the gold rows score
+        # below 0, so that a zero row's 0.0 lies above their window
+        rng = np.random.default_rng(86)
+        d = 5
+        vectors = rng.normal(size=(37, d))
+        ends = self.TILE_ENDS if layout == "zero-rows-first" else self.TILE_ENDS[1:] + (0,)
+        zeros, hyponyms = ends[0::2], ends[1::2]
+        vectors[list(zeros)] = 0.0
+        phi = np.eye(d) + 0.1 * rng.normal(size=(d, d))
+        free = iter(sorted(set(range(37)) - set(ends)))
+        pairs = []
+        for h in hyponyms:
+            up, down = next(free), next(free)
+            vectors[up] = vectors[h] @ phi + 0.5 * rng.normal(size=d)
+            vectors[down] = -(vectors[h] @ phi) + 0.5 * rng.normal(size=d)
+            pairs += [(h, up), (h, down)]
+        vectors[next(free)] = vectors[pairs[0][1]]  # an exact tie: that pair is ranked again
+        table = EmbeddingTable([f"w{i}" for i in range(37)], vectors)
+        model = make_model(phi)
+        pairs = pair_words(table, pairs)
+        rechecked = assert_ranks_match_oracle(model, table, pairs)
+        assert rechecked == oracle_rechecked(model, table, pairs) == 1
+        ranks = rank_pairs(model, table, pairs)[1]
+        assert (ranks > 0).all()
+        queries = table.vectors[[table.lookup(p.source) for p in pairs]] @ phi
+        golds = table.vectors[[table.lookup(p.target) for p in pairs]]
+        negative = np.einsum("ij,ij->i", queries, golds) < 0
+        assert negative.tolist() == [False, True] * len(hyponyms)
+
+    def test_the_measured_tiling(self):
+        # desk: 9 whole score rows of 7,000 words; mid: 64 queries against tiles of
+        # 1,024 of its 70,000 columns
+        assert embeddings._rank_tiles(100, 7000) == (9, 7000)
+        assert embeddings._rank_tiles(3, 7000) == (3, 7000)
+        assert embeddings._rank_tiles(1000, 70_000) == (64, 1024)
 
     def test_window_is_the_derived_bound(self):
         u = 2.0 ** -53

@@ -72,11 +72,12 @@ def test_golden_digests_lists_every_output():
     lines = proc.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines), lines
     names = [line[66:] for line in lines]
-    # synth 2, split 4, cluster 1, then model, trace, report and per-pair TSV of 7 arms
-    assert len(names) == 2 + 4 + 1 + 7 * 4 + 1
+    # synth 2, split 4, cluster 1, then model, trace, report and per-pair TSV of 7 arms,
+    # then predict's output and the train manifests' validation records
+    assert len(names) == 2 + 4 + 1 + 7 * 4 + 2
     assert {"fixture/relations.tsv", "split/test.tsv", "clusters.json",
-            "neighbor-select.report.json", "neighbor-reproj-batch68.hprj",
-            "(predict stdout)"} <= set(names)
+            "neighbor-select.report.json", "neighbor-reproj-batch68.hprj"} <= set(names)
+    assert names[-2:] == ["(predict stdout)", "(train validation records)"]
     assert not any(name.endswith("manifest.json") for name in names)
 
 

@@ -31,6 +31,8 @@ from hyperproj.training import (
     write_trace_csv,
 )
 
+from conftest import oracle_rank_pairs
+
 
 def hyp(a, b):
     return RelationPair(a, b, "hypernym")
@@ -236,6 +238,10 @@ class TestTrain:
         final = train(data, table, final_cfg)
         # with epochs < 10 the only checkpoint is the final epoch
         assert np.array_equal(selected.matrices, final.matrices)
+        hit10 = hit_at(final, table, data.relations_in("validation"), 10)
+        assert selected.meta.validation == {"every": 10, "hit10": [[5, hit10]],
+                                            "selected_epoch": 5}
+        assert final.meta.validation is None
 
     def test_empty_train_bucket_rejected(self):
         table = EmbeddingTable(["a", "b"], np.eye(2))
@@ -294,7 +300,8 @@ def reference_train(data, table, cfg, clusters):
     ref = [ReferenceCluster(cid, [p for p, a in zip(train_pairs, assign) if a == cid], table, cfg)
            for cid in range(cfg.k)]
     meta = TrainingMeta(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size)
-    best_hit, best = -1.0, None
+    validation = data.pairs_in("validation")
+    best_hit, best, best_epoch, checks = -1.0, None, None, []
     for epoch in range(1, cfg.epochs + 1):
         for c in ref:
             if len(c.sources):
@@ -303,9 +310,13 @@ def reference_train(data, table, cfg, clusters):
             snapshot = np.stack([c.phi for c in ref])
             model = ProjectionModel(snapshot, clusters, cfg.regularizer, cfg.lam, meta,
                                     vocab_hash(table))
-            hit = hit_at(model, table, data.pairs_in("validation"), 10)
+            _, ranks = oracle_rank_pairs(model, table, validation)
+            hit = int(np.count_nonzero((ranks >= 1) & (ranks <= 10))) / len(ranks)
+            checks.append([epoch, hit])
             if hit > best_hit:
-                best_hit, best = hit, snapshot
+                best_hit, best, best_epoch = hit, snapshot, epoch
+    if checks:
+        meta.validation = {"every": 10, "hit10": checks, "selected_epoch": best_epoch}
     meta.final_losses = [c.trace[-1][4] if c.trace else None for c in ref]
     meta.steps = [int(c.state.t) for c in ref]
     meta.trace = sorted(row for c in ref for row in c.trace)
@@ -338,6 +349,7 @@ class TestLockstep:
         want = reference_train(data, table, cfg, clusters)
         assert got.meta.steps == want.meta.steps
         assert got.meta.final_losses == want.meta.final_losses
+        assert got.meta.validation == want.meta.validation
         for name, model in (("got", got), ("want", want)):
             save_model(model, tmp_path / f"{name}.hprj")
             write_trace_csv(model, tmp_path / f"{name}.csv")
@@ -354,6 +366,23 @@ class TestLockstep:
         got = self.assert_same_bytes(data, table, cfg, clusters, tmp_path)
         sizes = got.meta.data["train_pairs"]
         assert sizes[2] == 0 and len({-(-n // 8) for n in sizes[:2]}) == 2  # uneven batch counts
+
+    @pytest.mark.parametrize("kind", [Regularizer.NONE, Regularizer.NEIGHBOR_PLAIN])
+    def test_validation_selection_with_four_clusters_one_empty(self, setup, tmp_path, kind):
+        # every check ranks the same bound validation pairs; cluster 3 has no pair at all
+        data, table, _ = setup
+        three = fit_kmeans(offsets(data.pairs_in("train"), table), 3, seed=5)
+        clusters = ClusterModel(np.vstack([three.centroids, np.full(4, 1e3)]), three.inertia)
+        cfg = TrainConfig(epochs=45, batch_size=8, k=4, seed=3, alpha=0.05, lam=0.5,
+                          regularizer=kind, select_on="best_validation_hit10")
+        got = self.assert_same_bytes(data, table, cfg, clusters, tmp_path)
+        assert got.meta.data["train_pairs"][3] == 0
+        record = got.meta.validation
+        assert [epoch for epoch, _ in record["hit10"]] == [10, 20, 30, 40, 45]
+        hits = [hit for _, hit in record["hit10"]]
+        assert record["selected_epoch"] == record["hit10"][hits.index(max(hits))][0]
+        validation = data.pairs_in("validation")
+        assert set(assign_clusters(clusters, offsets(validation, table))) <= {0, 1, 2}
 
     @staticmethod
     def fixture_d10(sizes, big=()):
