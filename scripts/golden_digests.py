@@ -12,6 +12,12 @@ every train manifest: the hit@10 of each validation check, not only
 the snapshot it selects. Two commits that print the same lines
 produce the same bytes on this pipeline.
 
+Model and trace bytes are fixed per BLAS kernel set, so the script first
+writes ``blas: {"core": ..., "threads": ...}`` (``cli.blas_info()``, null for
+a BLAS other than numpy's bundled OpenBLAS) to standard error. Standard
+output holds only the digests, so runs at different thread counts can be
+compared with ``diff``.
+
 Paths are relative to the temporary directory, because ``eval`` echoes
 the model path into its report.
 
@@ -28,6 +34,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from hyperproj.cli import blas_info
 from hyperproj.cli import main as cli
 
 FIXTURE = ["--d", "10", "--n", "1000", "--noise", "0.05", "--distractors", "5",
@@ -78,6 +85,7 @@ def sha256(text: str) -> str:
 
 
 def main() -> int:
+    print(f"blas: {json.dumps(blas_info())}", file=sys.stderr)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)

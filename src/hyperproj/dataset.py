@@ -242,7 +242,9 @@ class RelationDataset:
         return list(self.relations_in(bucket))
 
     def vocabulary(self, bucket: str) -> set[str]:
-        return set(map(self.words.__getitem__, np.unique(self.relations_in(bucket).ids).tolist()))
+        seen = np.zeros(len(self.words), dtype=bool)  # np.unique would import numpy.ma
+        seen[self.relations_in(bucket).ids] = True
+        return set(map(self.words.__getitem__, np.flatnonzero(seen).tolist()))
 
     @cached_property
     def train_negatives(self) -> dict[str, list[str]]:

@@ -46,11 +46,11 @@ unit queries against the table's kept unit columns, then makes it exact:
 ``gold_ranks`` ranks a gold row per query from it, and ranks a query again
 through ``cosine_blocks`` whenever the two products could order its gold
 row differently; ``top_cosines`` keeps every row within the same window of
-its l-th best score and scores only those exactly (see ``tie_window``). Both
-scale each query first by the power of two that brings its norm into [1/4,
-1/2) (``_scaled_queries``): exact, so no score depends on a query's scale,
-and no product with a row overflows. ``_below_one`` is the package's one
-rescaling rule; row norms and overflowing projections use it too.
+its l-th best score and scores only those exactly (see ``tie_window``).
+Queries and rows alike are first scaled by the power of two that brings
+their norm into [1/4, 1/2) (``_quartered``): exact, so no score depends on a
+scale, and every table ranks through the window. ``_below_one`` measures
+vectors near the float64 limits: row norms, queries and projections.
 
 ``gold_ranks`` counts each tile of scores unmasked, then takes the zero
 rows and each query's excluded row back out of the counts (see
@@ -85,8 +85,6 @@ GEMM_ROWS = 64  # queries per matrix product when gold_ranks tiles the vocabular
 PARSE_TOKENS = 1 << 15  # components _parse_text converts at once: max(1, PARSE_TOKENS // dim) rows
 # below this a row's sum of squares underflows to a subnormal or to 0
 NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
-# a query norm times a row norm at least this keeps their dot product out of the subnormals
-PRODUCT_FLOOR = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 FORMATS = ("text", "binary")
 CACHE_MAGIC = b"HPTAB1"
 CACHE_VERSION = 3  # in each entry's name and header: entries of other rules are not read
@@ -97,9 +95,9 @@ def _below_one(A: np.ndarray, axis: int | tuple[int, ...] = -1) -> tuple[np.ndar
     """``A`` times 2^-e, where e brings the largest |entry| of each vector along
     ``axis`` into [0.5, 1), and e (with ``axis`` kept). A zero vector keeps e = 0.
 
-    The package's one rescaling rule for vectors near the float64 limits: a
-    power of two changes no cosine, as the product is exact unless an entry far
-    below the largest falls into the subnormals (the caller decides, through
+    The package's rescaling rule for measuring vectors near the float64 limits:
+    a power of two changes no cosine, as the product is exact unless an entry
+    far below the largest falls into the subnormals (the caller decides, through
     ``np.errstate``, whether that underflow is reported).
     """
     _, exponent = np.frexp(np.abs(A).max(axis=axis, keepdims=True))
@@ -119,24 +117,33 @@ def _row_norms(vectors: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _quartered(vectors: np.ndarray, norms: np.ndarray,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each vector (into ``out`` if given) and its norm ``norms`` times the power
+    of two that brings a nonzero norm into [1/4, 1/2); a zero vector stays zero,
+    with norm 0. The scaling is exact, as ``_below_one``'s is, so an ordinary
+    cosine keeps its bits. A subnormal norm holds too few bits for a cosine: its
+    vector is measured again once scaled. Two such norms multiply to at least 1/16.
+    """
+    fraction, exponent = np.frexp(norms)
+    vectors, norms = np.ldexp(vectors, -1 - exponent[:, None], out=out), fraction / 2
+    if exponent.min(initial=0) < -1021:  # a norm below 2^-1022
+        low = np.flatnonzero(exponent < -1021)
+        vectors[low], norms[low] = _quartered(vectors[low], np.linalg.norm(vectors[low], axis=1))
+    return vectors, norms
+
+
 def _scaled_queries(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each query times a power of two that brings its norm into [1/4, 1/2), and
-    those norms; a zero query stays zero, with norm 0.
+    """Each query ``_quartered`` by its norm, and those norms.
 
     ``_below_one`` first brings a query's largest |entry| into [0.5, 1), so that
-    its sum of squares neither overflows nor falls into the subnormals. Being
-    exact, the scaling changes no cosine that ``cosine_blocks`` or ``gold_ranks``
-    computes from an ordinary query, while a query of any scale scores as its
-    copies at other scales do. A norm below 1/2 keeps every product with a row
-    of the table finite, and one of at least 1/4 keeps it out of the subnormals
-    for a row of norm at least 4·PRODUCT_FLOOR. The caller's array is not
-    modified.
+    its sum of squares neither overflows nor falls into the subnormals. The
+    caller's array is not modified.
     """
     with np.errstate(under="ignore"):
         queries, _ = _below_one(queries)
         norms = np.sqrt((queries[:, None, :] @ queries[:, :, None]).reshape(len(queries)))
-        fraction, exponent = np.frexp(norms)
-        return np.ldexp(queries, -1 - exponent[:, None]), fraction / 2
+        return _quartered(queries, norms)
 
 
 @dataclass(eq=False)
@@ -159,7 +166,6 @@ class EmbeddingTable:
     _index: dict[str, int] | None = field(default=None, repr=False)
     _row_norms: np.ndarray = field(init=False, repr=False)
     _dead: np.ndarray = field(init=False, repr=False)  # the zero rows
-    _min_norm: float = field(init=False, repr=False)  # the smallest nonzero one
 
     def __post_init__(self) -> None:
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
@@ -184,8 +190,6 @@ class EmbeddingTable:
             raise InputError(f"row {huge[0] + 1} ({self.vocab[huge[0]]!r}) has an L2 norm "
                              "above the float64 maximum")
         self._dead = np.flatnonzero(self._row_norms == 0.0)
-        self._min_norm = float(self._row_norms.min(initial=np.inf,
-                                                   where=self._row_norms > 0.0))
         if self.normalized and np.abs(self._row_norms - 1.0).max() > 1e-6:
             raise InputError("normalized table has rows with L2 norm far from 1")
 
@@ -195,12 +199,13 @@ class EmbeddingTable:
 
     @functools.cached_property
     def _unit_columns(self) -> np.ndarray:
-        """(dim, len) array whose column j is row j over its norm, zero for a zero
-        row: the factor of every ranking matrix product, built by the first that
-        needs it and kept. OpenBLAS multiplies a few queries by a contiguous (d, V)
-        array about twice as fast as by a transposed view of the table."""
-        columns = np.zeros((self.dim, len(self)))
-        np.divide(self.vectors.T, self._row_norms, out=columns, where=self._row_norms > 0.0)
+        """(dim, len) array whose column j is row j over its norm, ``_quartered``,
+        zero for a zero row: the factor of every ranking matrix product, built by
+        the first that needs it and kept. OpenBLAS multiplies a few queries by a
+        contiguous (d, V) array about twice as fast as by a transposed view."""
+        columns = np.empty((self.dim, len(self)))
+        _, norms = _quartered(self.vectors, self._row_norms, out=columns.T)
+        np.divide(columns, norms, out=columns, where=norms > 0.0)
         return columns
 
     def __len__(self) -> int:
@@ -528,9 +533,9 @@ def _mask(S: np.ndarray, dead: np.ndarray, qnorms: np.ndarray,
 
 def _per_row_cosines(vectors: np.ndarray, norms: np.ndarray, queries: np.ndarray,
                      qnorms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill and return ``out[i, j]``, fl(fl(q_i·v_j) / fl(rn_j·qn_i)) for the scaled
-    ``queries`` and their norms against rows ``vectors`` of norms ``norms``; NaN
-    for a zero row or query, which the caller masks.
+    """Fill and return ``out[i, j]``, fl(fl(q_i·v_j) / fl(rn_j·qn_i)) for ``queries``
+    against rows ``vectors``, each with its norms and as ``_quartered`` leaves
+    it; NaN for a zero row or query, which the caller masks.
 
     ``np.einsum`` forms each dot product in numpy's own loop over one row and
     one query, whose order of operations depends only on the dimension, so a
@@ -559,43 +564,42 @@ def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
     BLAS library: scoring any subset of rows alone gives them too.
     """
     queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
+    vectors, norms = _quartered(table.vectors, table._row_norms)
     n, vocab = queries.shape[0], len(table)
     rows = max(1, BLOCK_ENTRIES // vocab)
     scores = np.empty((min(rows, n), vocab))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        S = _per_row_cosines(table.vectors, table._row_norms, queries[start:stop],
-                             qnorms[start:stop], scores[:stop - start])
+        S = _per_row_cosines(vectors, norms, queries[start:stop], qnorms[start:stop],
+                             scores[:stop - start])
         _mask(S, table._dead, qnorms[start:stop],
               None if exclude is None else exclude[start:stop])
         yield start, S
 
 
+@functools.cache  # one value per dimension, read by every ranking call
 def tie_window(dim: int) -> float:
     """How far apart two cosines must be for the ranking matrix product (of
     ``gold_ranks`` and ``top_cosines``) and the per-row product of
     ``cosine_blocks`` to order them alike, at embedding dimension ``dim``.
 
-    Take u = 2^-53 and γ_n = n·u / (1 - n·u). Let q be a nonzero query as
-    ``_scaled_queries`` leaves it and v a nonzero row, with computed norms qn
-    and rn, and ρ = ‖q‖·‖v‖ / (qn·rn). Each computed norm is the true one times
-    1 + θ with |θ| ≤ γ_{d+3}, power-of-two rescaling included, so ρ ≤ 1 +
-    γ_{2d+6}. A dot product of d terms, summed in any order, with or without
-    fused multiply-adds and however threads split it, is within γ_d·Σ|a_k b_k|
-    of the exact one, plus 2^-1074 for each product that underflows (Higham,
-    Accuracy and Stability of Numerical Algorithms, §2.1 and §3.1);
-    Σ|a_k b_k| ≤ ‖a‖·‖b‖.
+    Take u = 2^-53 and γ_n = n·u / (1 - n·u). Let q be a nonzero query and v a
+    nonzero row, each as ``_quartered`` leaves it, with computed norms qn and
+    rn in [1/4, 1/2), and ρ = ‖q‖·‖v‖ / (qn·rn). Each computed norm is the true
+    one times 1 + θ with |θ| ≤ γ_{d+3}, power-of-two rescaling and a subnormal
+    norm's second measure included, so ρ ≤ 1 + γ_{2d+6}. A dot product of d
+    terms, summed in any order, with or without fused multiply-adds and however
+    threads split it, is within γ_d·Σ|a_k b_k| of the exact one, plus 2^-1074
+    for each product that underflows (Higham, Accuracy and Stability of
+    Numerical Algorithms, §2.1 and §3.1); Σ|a_k b_k| ≤ ‖a‖·‖b‖.
 
     - The matrix product scores fl(q/qn)·fl(v/rn). The two divisions add
-      γ_2, so it is within γ_{d+2}·ρ of q·v / (qn·rn), plus subnormal terms
-      below d·2^-1072: both factors have norm about 1.
+      γ_2, so it is within γ_{d+2}·ρ of q·v / (qn·rn), plus subnormal terms,
+      those of scaling v included, below d·2^-1071: both factors have norm
+      about 1.
     - The per-row product scores fl(fl(q·v) / fl(qn·rn)), within
-      γ_{d+2}·ρ of q·v / (qn·rn) as well, plus d·2^-1074 / (qn·rn) from
-      underflow. ``_scaled_queries`` gives every nonzero query a norm of at
-      least 1/4, so qn·rn ≥ PRODUCT_FLOOR = 2^-970 when the table's smallest
-      nonzero row norm is at least 4·PRODUCT_FLOOR = 2^-968, and that term is
-      below d·2^-103. Below that floor there is no bound, and ``gold_ranks``
-      and ``top_cosines`` score every query by the per-row product.
+      γ_{d+2}·ρ of q·v / (qn·rn) as well, plus subnormal terms below
+      d·2^-1069, as qn·rn ≥ 1/16: far below d·2^-103.
 
     So any two of these scores of one pair, the gold score ``gold_ranks``
     estimates included, differ by at most β = 2γ_{d+2}(1 + γ_{2d+6}) +
@@ -634,8 +638,9 @@ def gold_targets(table: EmbeddingTable, gold: np.ndarray, exclude: np.ndarray) -
     """
     gold, exclude = np.asarray(gold, dtype=np.intp), np.asarray(exclude, dtype=np.intp)
     norms = table._row_norms
+    vectors, gold_norms = _quartered(table.vectors[gold], norms[gold])
     with np.errstate(divide="ignore", invalid="ignore"):
-        units = table.vectors[gold] / norms[gold, None]
+        units = vectors / gold_norms[:, None]
     rankable = (norms[gold] > 0.0) & (gold != exclude)
     exclude = np.where((exclude >= 0) & (norms[exclude] > 0.0), exclude, -1)
     return GoldTargets(gold, exclude, units, rankable)
@@ -656,12 +661,8 @@ def gold_ranks(table: EmbeddingTable, queries: np.ndarray,
     ``cosine_blocks``. Every rank equals the per-query one.
     """
     original = np.asarray(queries, dtype=np.float64)
-    n = len(original)
-    ranks = np.zeros(n, dtype=np.intp)
-    if table._min_norm < 4 * PRODUCT_FLOOR:  # no bound between the products, see tie_window
-        redo = np.arange(n)
-    else:
-        redo = _window_ranks(table, *_scaled_queries(original), targets, ranks)
+    ranks = np.zeros(len(original), dtype=np.intp)
+    redo = _window_ranks(table, *_scaled_queries(original), targets, ranks)
     if not redo.size:
         return ranks, 0
     gold = targets.gold
@@ -758,17 +759,9 @@ def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
     rows whose best score is within ``tie_window`` of the l-th best are scored
     again by ``_per_row_cosines``. Each matrix-product cosine is within β of the
     exact one and the window is at least 2β, so every row of the exact top l,
-    the whole tie class at the cut included, is among them. Below
-    4·PRODUCT_FLOOR there is no such bound, and every row is scored exactly.
+    the whole tie class at the cut included, is among them.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if table._min_norm < 4 * PRODUCT_FLOOR:  # no bound between the products, see tie_window
-        best = np.full(len(table), -np.inf)
-        for _, S in cosine_blocks(table, queries, np.full(len(queries), exclude)):
-            np.maximum(best, S.max(axis=0), out=best)
-        top = top_indices(best, l)
-        return top, best[top]
-    queries, qnorms = _scaled_queries(queries)
+    queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
     live = qnorms > 0.0
     if not live.any():
         return np.zeros(0, dtype=np.intp), np.zeros(0)
@@ -781,13 +774,14 @@ def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
         np.max(units @ columns[:, first:first + width], axis=0, out=best[first:first + width])
     best[table._dead] = -np.inf
     best[exclude] = -np.inf
-    m = min(l, int(np.count_nonzero(best > -np.inf)))
+    # every row but these scores a finite cosine against the live queries
+    m = min(l, vocab - len(table._dead) - int(table._row_norms[exclude] > 0.0))
     if m == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0)
     cut = np.partition(best, vocab - m)[vocab - m]  # the m-th best
     short = np.flatnonzero(best >= cut - tie_window(table.dim))
-    exact = _per_row_cosines(table.vectors[short], table._row_norms[short], queries, qnorms,
-                             np.empty((len(queries), len(short)))).max(axis=0)
+    exact = _per_row_cosines(*_quartered(table.vectors[short], table._row_norms[short]),
+                             queries, qnorms, np.empty((len(queries), len(short)))).max(axis=0)
     top = top_indices(exact, l)
     return short[top], exact[top]
 

@@ -1,6 +1,10 @@
 import hashlib
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -545,6 +549,25 @@ class TestBuildDataset:
                  RelationPair("a", "d", "cohyponym")]
         data = build_dataset(pairs, table)
         assert data.train_negatives == {"a": ["c", "d"]}
+
+    def test_train_negatives_leave_numpy_ma_unimported(self):
+        # plain np.unique imports numpy.ma on its first call; a process that
+        # splits, trains and evaluates should not pay for that import
+        code = "\n".join([
+            "import sys",
+            "from hyperproj.dataset import RelationDataset, RelationPair",
+            "hyp = [RelationPair('a', 'b', 'hypernym'), RelationPair('c', 'd', 'hypernym'),",
+            "       RelationPair('e', 'f', 'hypernym')]",
+            "neg = [RelationPair('a', 'd', 'synonym'), RelationPair('a', 'g', 'cohyponym'),",
+            "       RelationPair('a', 'f', 'synonym')]",
+            "data = RelationDataset(hyp, ['train', 'validation', 'test'], neg)",
+            "assert data.train_negatives == {'a': ['g']}, data.train_negatives",
+            "assert 'numpy.ma' not in sys.modules",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(dataset.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_equals_split_then_read(self, tmp_path):
         # the pairs with an out-of-vocabulary word are split too, then dropped

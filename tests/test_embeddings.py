@@ -677,9 +677,29 @@ class TestPerRowProduct:
         subsets += [rng.choice(n_words, size=rng.integers(1, n_words), replace=False)
                     for _ in range(40)]
         for rows in map(np.array, subsets):
-            got = embeddings._per_row_cosines(table.vectors[rows], table._row_norms[rows],
-                                              scaled, qnorms, np.empty((len(queries), len(rows))))
+            got = embeddings._per_row_cosines(
+                *embeddings._quartered(table.vectors[rows], table._row_norms[rows]),
+                scaled, qnorms, np.empty((len(queries), len(rows))))
             assert got.tobytes() == whole[:, rows].tobytes()
+
+    def test_rows_score_bitwise_as_their_copies_at_any_scale(self):
+        # a row and its norm are scaled by a power of two before the per-row
+        # product, and a subnormal norm is measured again once scaled: rows of
+        # small integers times 2^-1070 (subnormal entries and norms) and normal
+        # rows times 2^k score as the rows themselves, in both products
+        rng = np.random.default_rng(11)
+        integers = rng.integers(-3, 4, size=(40, 3)).astype(float)
+        normal = rng.normal(size=(40, 3))
+        queries = rng.normal(size=(5, 3))
+
+        def scores(vectors):
+            table = EmbeddingTable([f"w{i}" for i in range(len(vectors))], vectors)
+            _, S = next(embeddings.cosine_blocks(table, queries))
+            return S.tobytes(), table._unit_columns.tobytes()
+
+        assert scores(integers * 2.0 ** -1070) == scores(integers)
+        for k in (-1000, -60, 1, 60, 1000):
+            assert scores(normal * 2.0 ** k) == scores(normal)
 
 
 def test_duplicate_vocab_rejected_in_table():

@@ -422,8 +422,11 @@ def oracle_rechecked(model, table, pairs):
     go either way, and the fixtures that use this have none."""
     sources = np.array([table.lookup(p.source) for p in pairs])
     gold = np.array([table.lookup(p.target) for p in pairs])
-    _, ranks = oracle_rank_pairs(model, table, pairs)
-    queries = _project(table.vectors[sources], model.matrices[0])  # one cluster
+    clusters, ranks = oracle_rank_pairs(model, table, pairs)
+    X = table.vectors[sources]
+    queries = np.empty_like(X)
+    for c in range(model.k):
+        queries[clusters == c] = _project(X[clusters == c], model.matrices[c])
     window = embeddings.tie_window(table.dim)
     count = 0
     for start, S in embeddings.cosine_blocks(table, queries, sources):
@@ -519,18 +522,19 @@ class TestGemmRanking:
         monkeypatch.setattr(embeddings, "tie_window", lambda dim: 4.0)
         assert assert_ranks_match_oracle(model, table, pairs) == len(pairs) - 2
 
-    @pytest.mark.parametrize("norm", [1e-300, 2.0 ** -969], ids=["1e-300", "2^-969"])
-    def test_rows_below_the_product_floor_rank_by_the_per_query_product(self, monkeypatch,
-                                                                        norm):
-        # a query's norm can be 1/4, so a row of norm 2^-969 takes their product
-        # below PRODUCT_FLOOR, 2^-970
+    @pytest.mark.parametrize("norm", [1e-300, 2.0 ** -969, 1e-310, 2.0 ** -1060],
+                             ids=["1e-300", "2^-969", "1e-310", "2^-1060"])
+    def test_rows_of_tiny_norm_rank_through_the_window(self, norm):
+        # a query's norm can be 1/4, so unscaled, a row of norm 2^-969 or less would
+        # take their per-row product into the subnormals; at 1e-310 and 2^-1060 the
+        # row's entries, and its norm, are subnormal themselves
         table, pairs, model = random_fixture(85, n_words=37)
         vectors = table.vectors.copy()
         vectors[11] *= norm / np.linalg.norm(vectors[11])
         table = EmbeddingTable(table.vocab, vectors)
-        assert table._min_norm < 4 * embeddings.PRODUCT_FLOOR
-        monkeypatch.setattr(embeddings, "_window_ranks", None)  # never called
-        assert assert_ranks_match_oracle(model, table, pairs) == len(pairs)
+        assert assert_ranks_match_oracle(model, table, pairs) == oracle_rechecked(model, table,
+                                                                                  pairs)
+        assert_predict_is_the_brute_force(model, table, table.vocab, 10)
 
     @staticmethod
     def row_with_cosine(target, b0):
@@ -718,7 +722,7 @@ class TestPredictShortlist:
             nudge = float(rng.integers(-ulps, ulps + 1)) * 2.0 ** -52
             vectors[dst, rng.integers(dim)] *= 1 + nudge
         vectors[rng.integers(n_words, size=zeros)] = 0.0
-        if tiny:  # below 4 * PRODUCT_FLOOR: every row is scored exactly
+        if tiny:  # its products with a query reach the subnormals unless it is scaled too
             vectors[0] = rng.normal(size=dim)
             vectors[0] *= 2.0 ** -969 / np.linalg.norm(vectors[0])
         table = EmbeddingTable([f"w{i}" for i in range(n_words)], vectors)

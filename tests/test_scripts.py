@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperproj.cli import main
+from hyperproj.cli import blas_info, main
 from hyperproj.dataset import build_dataset
 from hyperproj.evaluation import evaluate
 from hyperproj.projection import Regularizer
@@ -79,6 +79,10 @@ def test_golden_digests_lists_every_output():
             "neighbor-select.report.json", "neighbor-reproj-batch68.hprj"} <= set(names)
     assert names[-2:] == ["(predict stdout)", "(train validation records)"]
     assert not any(name.endswith("manifest.json") for name in names)
+    # the BLAS goes to stderr, ahead of anything else there, and stays off the digest lines
+    first = proc.stderr.splitlines()[0]
+    assert first.startswith("blas: ")
+    assert json.loads(first[len("blas: "):]) == blas_info()
 
 
 def test_golden_digests_same_cold_and_warm(tmp_path):
