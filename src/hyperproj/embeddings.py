@@ -48,9 +48,13 @@ through ``cosine_blocks`` whenever the two products could order its gold
 row differently; ``top_cosines`` keeps every row within the same window of
 its l-th best score and scores only those exactly (see ``tie_window``).
 Queries and rows alike are first scaled by the power of two that brings
-their norm into [1/4, 1/2) (``_quartered``): exact, so no score depends on a
-scale, and every table ranks through the window. ``_below_one`` measures
-vectors near the float64 limits: row norms, queries and projections.
+their norm into [1/4, 1/2) (``_quarters``): exact, so no score depends on a
+scale, and every table ranks through the window. A table keeps each row's
+exponent and scaled norm from construction (``_shifts`` and
+``_quarter_norms``, 12 bytes a row); queries are scaled per call
+(``_scaled_queries``). ``_below_one`` measures vectors near the float64
+limits: row norms, queries with an entry outside [2^-255, 2^254) in
+magnitude, and projections that overflow.
 
 ``gold_ranks`` counts each tile of scores unmasked, then takes the zero
 rows and each query's excluded row back out of the counts (see
@@ -117,33 +121,58 @@ def _row_norms(vectors: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _quartered(vectors: np.ndarray, norms: np.ndarray,
-               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each vector (into ``out`` if given) and its norm ``norms`` times the power
-    of two that brings a nonzero norm into [1/4, 1/2); a zero vector stays zero,
-    with norm 0. The scaling is exact, as ``_below_one``'s is, so an ordinary
-    cosine keeps its bits. A subnormal norm holds too few bits for a cosine: its
-    vector is measured again once scaled. Two such norms multiply to at least 1/16.
+def _quarters(vectors: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent of the power of two that brings each nonzero norm ``norms`` of
+    ``vectors`` into [1/4, 1/2), and the norm times it; a zero norm gives 0.
+
+    A subnormal norm holds too few bits for a cosine: its vector is measured
+    again once scaled, and its exponent combines both powers of two. That is
+    exact: the first, at least 2^1021, brings every entry, 2^-1074 too, into the
+    normals without losing a bit; the held norm is off by at most 2^-1075, so
+    the measured one lies in about [1/8, 3/4), the second is 2^-1, 1 or 2, and
+    every entry stays normal. Two such norms multiply to at least 1/16.
     """
     fraction, exponent = np.frexp(norms)
-    vectors, norms = np.ldexp(vectors, -1 - exponent[:, None], out=out), fraction / 2
+    shift, norms = -1 - exponent, fraction / 2
     if exponent.min(initial=0) < -1021:  # a norm below 2^-1022
         low = np.flatnonzero(exponent < -1021)
-        vectors[low], norms[low] = _quartered(vectors[low], np.linalg.norm(vectors[low], axis=1))
-    return vectors, norms
+        scaled = np.ldexp(vectors[low], shift[low, None])
+        again, norms[low] = _quarters(scaled, np.linalg.norm(scaled, axis=1))
+        shift[low] += again
+    return shift, norms
+
+
+def _quartered(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each query and its norm times the power of two ``_quarters`` gives: exact,
+    as ``_below_one``'s scaling is, so an ordinary cosine keeps its bits. A zero
+    query stays zero, with norm 0. Each norm is measured by numpy's dot product of
+    the query with itself. Tables keep each row's exponent and norm
+    (``EmbeddingTable._shifts``), so only queries come here.
+    """
+    norms = np.sqrt((queries[:, None, :] @ queries[:, :, None]).reshape(len(queries)))
+    shift, norms = _quarters(queries, norms)
+    return np.ldexp(queries, shift[:, None]), norms
 
 
 def _scaled_queries(queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each query ``_quartered`` by its norm, and those norms.
+    """Each query ``_quartered``, and its norm; the caller's array is not modified.
 
-    ``_below_one`` first brings a query's largest |entry| into [0.5, 1), so that
-    its sum of squares neither overflows nor falls into the subnormals. The
-    caller's array is not modified.
+    A query whose sum of squares could overflow or fall into the subnormals is
+    first brought by ``_below_one`` to a largest |entry| in [0.5, 1). When every
+    nonzero |entry| of every query lies in [2^-255, 2^254) (``np.frexp``
+    exponents in [-254, 254]; a zero's is 0), that step is skipped, as it
+    changes no bit. With it or without, each nonzero square is then at least
+    2^-1022 (the entries of a query lie within 2^509 of each other) and a sum of
+    them far below the float64 maximum, so every product and sum of one norm is
+    an exact scaled copy of the other's, the square root halves the scale, and
+    ``_quartered`` lands on the same bits. Both routes measure a contiguous array,
+    so numpy takes the same dot product kernel.
     """
+    _, exponent = np.frexp(queries)
+    if np.abs(exponent).max(initial=0) <= 254:
+        return _quartered(np.ascontiguousarray(queries))
     with np.errstate(under="ignore"):
-        queries, _ = _below_one(queries)
-        norms = np.sqrt((queries[:, None, :] @ queries[:, :, None]).reshape(len(queries)))
-        return _quartered(queries, norms)
+        return _quartered(_below_one(queries)[0])
 
 
 @dataclass(eq=False)
@@ -165,6 +194,10 @@ class EmbeddingTable:
     # word -> row; a caller that already holds it for ``vocab`` may pass it
     _index: dict[str, int] | None = field(default=None, repr=False)
     _row_norms: np.ndarray = field(init=False, repr=False)
+    # row j times 2^_shifts[j] has norm _quarter_norms[j] in [1/4, 1/2), 0 for a zero
+    # row (``_quarters``): how every ranking product sees the row
+    _shifts: np.ndarray = field(init=False, repr=False)
+    _quarter_norms: np.ndarray = field(init=False, repr=False)
     _dead: np.ndarray = field(init=False, repr=False)  # the zero rows
 
     def __post_init__(self) -> None:
@@ -189,6 +222,7 @@ class EmbeddingTable:
         if huge.size:
             raise InputError(f"row {huge[0] + 1} ({self.vocab[huge[0]]!r}) has an L2 norm "
                              "above the float64 maximum")
+        self._shifts, self._quarter_norms = _quarters(self.vectors, self._row_norms)
         self._dead = np.flatnonzero(self._row_norms == 0.0)
         if self.normalized and np.abs(self._row_norms - 1.0).max() > 1e-6:
             raise InputError("normalized table has rows with L2 norm far from 1")
@@ -199,12 +233,14 @@ class EmbeddingTable:
 
     @functools.cached_property
     def _unit_columns(self) -> np.ndarray:
-        """(dim, len) array whose column j is row j over its norm, ``_quartered``,
-        zero for a zero row: the factor of every ranking matrix product, built by
-        the first that needs it and kept. OpenBLAS multiplies a few queries by a
-        contiguous (d, V) array about twice as fast as by a transposed view."""
+        """(dim, len) array whose column j is row j, scaled by 2^_shifts[j], over its
+        quartered norm, zero for a zero row: the factor of every ranking matrix
+        product, built by the first that needs it and kept. OpenBLAS multiplies a
+        few queries by a contiguous (d, V) array about twice as fast as by a
+        transposed view."""
         columns = np.empty((self.dim, len(self)))
-        _, norms = _quartered(self.vectors, self._row_norms, out=columns.T)
+        np.ldexp(self.vectors, self._shifts[:, None], out=columns.T)
+        norms = self._quarter_norms
         np.divide(columns, norms, out=columns, where=norms > 0.0)
         return columns
 
@@ -534,8 +570,8 @@ def _mask(S: np.ndarray, dead: np.ndarray, qnorms: np.ndarray,
 def _per_row_cosines(vectors: np.ndarray, norms: np.ndarray, queries: np.ndarray,
                      qnorms: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill and return ``out[i, j]``, fl(fl(q_i·v_j) / fl(rn_j·qn_i)) for ``queries``
-    against rows ``vectors``, each with its norms and as ``_quartered`` leaves
-    it; NaN for a zero row or query, which the caller masks.
+    against rows ``vectors``, each with its norms and scaled by the power of two
+    of ``_quarters``; NaN for a zero row or query, which the caller masks.
 
     ``np.einsum`` forms each dot product in numpy's own loop over one row and
     one query, whose order of operations depends only on the dimension, so a
@@ -564,7 +600,7 @@ def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
     BLAS library: scoring any subset of rows alone gives them too.
     """
     queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
-    vectors, norms = _quartered(table.vectors, table._row_norms)
+    vectors, norms = np.ldexp(table.vectors, table._shifts[:, None]), table._quarter_norms
     n, vocab = queries.shape[0], len(table)
     rows = max(1, BLOCK_ENTRIES // vocab)
     scores = np.empty((min(rows, n), vocab))
@@ -584,7 +620,7 @@ def tie_window(dim: int) -> float:
     ``cosine_blocks`` to order them alike, at embedding dimension ``dim``.
 
     Take u = 2^-53 and γ_n = n·u / (1 - n·u). Let q be a nonzero query and v a
-    nonzero row, each as ``_quartered`` leaves it, with computed norms qn and
+    nonzero row, each scaled by the power of two of ``_quarters``, with norms qn and
     rn in [1/4, 1/2), and ρ = ‖q‖·‖v‖ / (qn·rn). Each computed norm is the true
     one times 1 + θ with |θ| ≤ γ_{d+3}, power-of-two rescaling and a subnormal
     norm's second measure included, so ρ ≤ 1 + γ_{2d+6}. A dot product of d
@@ -638,9 +674,9 @@ def gold_targets(table: EmbeddingTable, gold: np.ndarray, exclude: np.ndarray) -
     """
     gold, exclude = np.asarray(gold, dtype=np.intp), np.asarray(exclude, dtype=np.intp)
     norms = table._row_norms
-    vectors, gold_norms = _quartered(table.vectors[gold], norms[gold])
+    vectors = np.ldexp(table.vectors[gold], table._shifts[gold, None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        units = vectors / gold_norms[:, None]
+        units = vectors / table._quarter_norms[gold, None]
     rankable = (norms[gold] > 0.0) & (gold != exclude)
     exclude = np.where((exclude >= 0) & (norms[exclude] > 0.0), exclude, -1)
     return GoldTargets(gold, exclude, units, rankable)
@@ -689,6 +725,15 @@ def _rank_tiles(n: int, vocab: int) -> tuple[int, int]:
     return max(1, min(n, GEMM_ROWS)), max(1, BLOCK_ENTRIES // GEMM_ROWS)
 
 
+def _true_counts(mask: np.ndarray) -> np.ndarray:
+    """How many entries of each row of the C-contiguous bool array ``mask`` are
+    True; each row spans a whole number of 8 bytes. Each 8 bytes are read as one
+    uint64 word, and a word times 0x0101010101010101 holds the sum of its bytes,
+    each 0 or 1, in its top byte: about a third of the time of ``mask.sum(axis=1)``."""
+    words = mask.view(np.uint64) * np.uint64(0x0101010101010101)
+    return (words >> np.uint64(56)).sum(axis=1, dtype=np.intp)
+
+
 def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray,
                   targets: GoldTargets, ranks: np.ndarray) -> np.ndarray:
     """Fill ``ranks`` where the matrix-product cosines prove them; the indices of
@@ -711,8 +756,11 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
     ahead = np.zeros(n, dtype=np.intp)  # rows above the window
     near = np.zeros(n, dtype=np.intp)  # rows at or above its low end, the gold row included
     left_out = np.full(n, -np.inf)  # the product's score of each query's excluded row
+    whole = width == vocab
     score_buf = np.empty(rows * min(width, vocab))
-    mask_buf = np.empty(score_buf.shape, dtype=bool)
+    # narrow tiles pad each mask row with zeros to a whole number of 8 bytes
+    span = vocab if whole else -(-min(width, vocab) // 8) * 8
+    masks = np.zeros((rows, span), dtype=bool)
     for first in range(0, vocab, width):
         last = min(first + width, vocab)
         # narrow tiles are copied: each block of queries packs the tile again, and
@@ -722,18 +770,21 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
         inside = (column >= 0) & (column < last - first)
         # where each query's excluded row lies in its block's flattened scores
         flat = np.where(inside, np.arange(n) % rows * (last - first) + column, 0)
+        masks[:, last - first:] = False  # a last tile narrower than the others
         for start in range(0, n, rows):
             stop = min(start + rows, n)
             shape = (stop - start, last - first)
             S = score_buf[:shape[0] * shape[1]].reshape(shape)
-            M = mask_buf[:S.size].reshape(shape)
+            padded = masks[:shape[0]]
+            M = padded[:, :shape[1]]
             np.matmul(units[start:stop], tile, out=S)
             for bound, op, count in ((above, np.greater, ahead),
                                      (below, np.greater_equal, near)):
                 op(S, bound[start:stop, None], out=M)
-                # one 1-D count per whole row is fastest; narrow tiles count along axis 1
-                count[start:stop] += ([np.count_nonzero(r) for r in M] if width == vocab
-                                      else M.sum(axis=1))
+                # one 1-D count per whole row is fastest; narrow tiles add up
+                # their rows eight bytes at a time
+                count[start:stop] += ([np.count_nonzero(r) for r in M] if whole
+                                      else _true_counts(padded))
             np.copyto(left_out[start:stop], S.reshape(-1).take(flat[start:stop]),
                       where=inside[start:stop])
     dead = len(table._dead)
@@ -757,9 +808,11 @@ def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
     scores, without scoring every row exactly: unit queries are multiplied by
     the table's unit columns, ``BLOCK_ENTRIES`` scores at a time, and only the
     rows whose best score is within ``tie_window`` of the l-th best are scored
-    again by ``_per_row_cosines``. Each matrix-product cosine is within β of the
-    exact one and the window is at least 2β, so every row of the exact top l,
-    the whole tie class at the cut included, is among them.
+    again by ``_per_row_cosines``, each row scaled by the power of two its table
+    keeps. Each matrix-product cosine is within β of the exact one and the
+    window is at least 2β, so every row of the exact top l, the whole tie class
+    at the cut included, is among them. Those rows are in index order, so one
+    stable sort by descending exact score orders them as ``top_indices`` would.
     """
     queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
     live = qnorms > 0.0
@@ -771,7 +824,9 @@ def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
     width = max(1, BLOCK_ENTRIES // len(units))
     best = np.empty(vocab)
     for first in range(0, vocab, width):
-        np.max(units @ columns[:, first:first + width], axis=0, out=best[first:first + width])
+        # the ufunc's own reduce: np.max adds a Python wrapper's cost per call
+        np.maximum.reduce(units @ columns[:, first:first + width], axis=0,
+                          out=best[first:first + width])
     best[table._dead] = -np.inf
     best[exclude] = -np.inf
     # every row but these scores a finite cosine against the live queries
@@ -780,9 +835,11 @@ def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
         return np.zeros(0, dtype=np.intp), np.zeros(0)
     cut = np.partition(best, vocab - m)[vocab - m]  # the m-th best
     short = np.flatnonzero(best >= cut - tie_window(table.dim))
-    exact = _per_row_cosines(*_quartered(table.vectors[short], table._row_norms[short]),
-                             queries, qnorms, np.empty((len(queries), len(short)))).max(axis=0)
-    top = top_indices(exact, l)
+    exact = np.maximum.reduce(_per_row_cosines(
+        np.ldexp(table.vectors[short], table._shifts[short, None]), table._quarter_norms[short],
+        queries, qnorms, np.empty((len(queries), len(short)))), axis=0)
+    # every score is finite, and the indices ascend: ties go to the lower index
+    top = np.argsort(-exact, kind="stable")[:l]
     return short[top], exact[top]
 
 

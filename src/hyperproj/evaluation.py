@@ -112,8 +112,8 @@ def _project(X: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         P = X[:, None, :] @ matrices
-    bad = np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))
-    if bad.size:
+    if not np.isfinite(P).all():  # one test of the whole projection, then the rows
+        bad = np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))
         X1, M1 = (np.broadcast_to(a, (len(P), *a.shape[-2:]))[bad]
                   for a in (X[:, None, :], matrices))
         P[bad] = _below_one(X1, axis=(1, 2))[0] @ _below_one(M1, axis=(1, 2))[0]

@@ -678,8 +678,8 @@ class TestPerRowProduct:
                     for _ in range(40)]
         for rows in map(np.array, subsets):
             got = embeddings._per_row_cosines(
-                *embeddings._quartered(table.vectors[rows], table._row_norms[rows]),
-                scaled, qnorms, np.empty((len(queries), len(rows))))
+                np.ldexp(table.vectors[rows], table._shifts[rows, None]),
+                table._quarter_norms[rows], scaled, qnorms, np.empty((len(queries), len(rows))))
             assert got.tobytes() == whole[:, rows].tobytes()
 
     def test_rows_score_bitwise_as_their_copies_at_any_scale(self):
@@ -700,6 +700,111 @@ class TestPerRowProduct:
         assert scores(integers * 2.0 ** -1070) == scores(integers)
         for k in (-1000, -60, 1, 60, 1000):
             assert scores(normal * 2.0 ** k) == scores(normal)
+
+
+def two_step_quartered(vectors, norms):
+    """Each row and its held norm times the power of two that brings the norm
+    into [1/4, 1/2); a row of subnormal norm is measured again once scaled and
+    scaled a second time, in two separate steps."""
+    fraction, exponent = np.frexp(norms)
+    vectors, norms = np.ldexp(vectors, -1 - exponent[:, None]), fraction / 2
+    low = np.flatnonzero(exponent < -1021)
+    if low.size:
+        vectors[low], norms[low] = two_step_quartered(vectors[low],
+                                                      np.linalg.norm(vectors[low], axis=1))
+    return vectors, norms
+
+
+class TestRowScaling:
+    """The table keeps each row's power-of-two exponent and quartered norm."""
+
+    def test_stored_exponents_give_the_two_step_scaling(self):
+        rng = np.random.default_rng(5)
+        integers = rng.integers(-3, 4, size=(30, 4)).astype(float)
+        integers[integers.any(axis=1) == 0, 0] = 1.0
+        rows = np.vstack([
+            rng.normal(size=(20, 4)),
+            integers * 2.0 ** -1060,  # subnormal entries and norms
+            integers * 1e-310,
+            rng.normal(size=(10, 4)) * 2.0 ** -1000,
+            rng.normal(size=(10, 4)) * 2.0 ** 1000,
+            np.zeros((3, 4)),
+            [[1.0, 0.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0],
+             # norms of about 3.61 and 7.81 times 2^-1074, held as 4 and 8 times it:
+             # the first power of two leaves them below 1/4, the second doubles them
+             [2.0, 3.0, 0.0, 0.0], [5.0, 6.0, 0.0, 0.0]] * np.array(2.0 ** -1074),
+        ])
+        table = EmbeddingTable([f"w{i}" for i in range(len(rows))], rows)
+        assert (table._row_norms[20:80] < 2.0 ** -1022).all()  # the subnormal norms
+        first = -1 - np.frexp(table._row_norms)[1]
+        assert (table._shifts[-2:] == first[-2:] + 1).all()  # one exponent for both steps
+        want, want_norms = two_step_quartered(table.vectors, table._row_norms)
+        got = np.ldexp(table.vectors, table._shifts[:, None])
+        assert got.tobytes() == want.tobytes()
+        assert table._quarter_norms.tobytes() == want_norms.tobytes()
+        live = want_norms > 0.0
+        assert ((want_norms[live] >= 0.25) & (want_norms[live] < 0.5)).all()
+        assert (want_norms[~live] == 0.0).all() and not want[~live].any()
+        with np.errstate(invalid="ignore"):
+            units = want / want_norms[:, None]
+        units[~live] = 0.0
+        assert table._unit_columns.tobytes() == np.ascontiguousarray(units.T).tobytes()
+        targets = embeddings.gold_targets(table, np.arange(len(rows)), np.full(len(rows), -1))
+        np.testing.assert_array_equal(targets.units[live], units[live])
+        assert np.isnan(targets.units[~live]).all()
+
+
+def below_one_route(queries):
+    """``_scaled_queries`` as it is without its fast path: every query through
+    ``_below_one`` first."""
+    with np.errstate(under="ignore"):
+        return embeddings._quartered(embeddings._below_one(queries)[0])
+
+
+class TestScaledQueries:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 8), dim=st.integers(1, 100),
+           # half the draws from the range where the fast path can apply
+           power=st.integers(-1074, 1023) | st.integers(-255, 253),
+           spread=st.sampled_from([0, 10, 400, 600, 1100]),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]), zero_query=st.booleans(),
+           strided=st.booleans())
+    def test_bytes_equal_the_below_one_route(self, seed, k, dim, power, spread, zeros,
+                                             zero_query, strided):
+        # entries below 2^power by up to 2^spread, so that a query can mix
+        # entries more than 2^500 apart; every |entry| stays below 2^1023
+        rng = np.random.default_rng(seed)
+        queries = np.ldexp(rng.uniform(-1.0, 1.0, size=(k, dim)),
+                           power - rng.integers(0, spread + 1, size=(k, dim)))
+        queries[rng.random((k, dim)) < zeros] = 0.0
+        if zero_query:
+            queries[rng.integers(k)] = 0.0
+        if strided:  # a view the fast path must measure as the copy is measured
+            queries = np.repeat(queries, 2, axis=1)[:, ::2]
+        before = queries.copy()
+        got, got_norms = embeddings._scaled_queries(queries)
+        want, want_norms = below_one_route(queries)
+        assert got.tobytes() == want.tobytes()
+        assert got_norms.tobytes() == want_norms.tobytes()
+        assert queries.tobytes() == before.tobytes()  # the caller's array is kept
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -200, 2.0 ** 200, 1e-30, 1e30])
+    def test_ordinary_queries_skip_below_one(self, monkeypatch, scale):
+        rng = np.random.default_rng(7)
+        queries = rng.normal(size=(4, 10)) * scale
+        queries[0, 3] = 0.0
+        want = below_one_route(queries)
+        monkeypatch.setattr(embeddings, "_below_one", None)  # the fast path must not call it
+        got = embeddings._scaled_queries(queries)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("entry", [2.0 ** -256, 2.0 ** 254, 1e-300, 1e300])
+    def test_queries_near_the_limits_take_below_one(self, monkeypatch, entry):
+        calls = []
+        below_one = embeddings._below_one
+        monkeypatch.setattr(embeddings, "_below_one", lambda A: calls.append(A) or below_one(A))
+        embeddings._scaled_queries(np.array([[1.0, entry], [0.5, 0.25]]))
+        assert len(calls) == 1
 
 
 def test_duplicate_vocab_rejected_in_table():

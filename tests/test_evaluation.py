@@ -710,9 +710,10 @@ class TestPredictShortlist:
            dim=st.sampled_from([1, 2, 3, 10, 17]), k=st.integers(1, 3),
            l=st.integers(1, 45), copies=st.integers(0, 8), ulps=st.integers(0, 4),
            zeros=st.integers(0, 3), zero_cluster=st.booleans(), tiny=st.booleans(),
-           block=st.sampled_from([1, 7, 64, 1 << 15]))
+           block=st.sampled_from([1, 7, 64, 1 << 15]),
+           power=st.sampled_from([0, 0, -1060, -1000, -300, 300, 1000]))
     def test_property_equals_the_exact_scan(self, seed, n_words, dim, k, l, copies, ulps,
-                                            zeros, zero_cluster, tiny, block):
+                                            zeros, zero_cluster, tiny, block, power):
         rng = np.random.default_rng(seed)
         vectors = rng.normal(size=(n_words, dim))
         # copies of a row, some a few ulps off, tie at the cut or nearly so
@@ -729,6 +730,10 @@ class TestPredictShortlist:
         matrices = rng.normal(size=(k, dim, dim)) + np.eye(dim)
         if zero_cluster:  # a cluster that projects every word to zero
             matrices[rng.integers(k)] = 0.0
+        # queries near the float64 limits, some of them with subnormal entries;
+        # with more than one cluster the first keeps its scale, so that they mix
+        # with ordinary queries
+        matrices[min(1, k - 1):] *= 2.0 ** power
         model = make_model(matrices, centroids=rng.normal(size=(k, dim)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(embeddings, "BLOCK_ENTRIES", block)  # more than one score tile
