@@ -39,7 +39,7 @@ def run_seed(seed, args):
                       planted_clusters=args.planted_clusters, hyper_angle_deg=args.hyper_angle)
     table, relations = make_fixture(cfg)
     data = build_dataset(relations, table, seed=seed)
-    pairs = {bucket: data.pairs_in(bucket) for bucket in BUCKETS}
+    pairs = {bucket: data.relations_in(bucket) for bucket in BUCKETS}
     for k in args.k:
         for reg in args.reg:
             tc = TrainConfig(epochs=args.epochs, lam=args.lam, regularizer=Regularizer(reg),

@@ -5,9 +5,9 @@ hypernym vectors, with optional asymmetric and neighbor (negative
 sampling) regularizers, and evaluates ranked predictions with hit@l and
 trapezoid AUC.
 
-The one-query reference forms (``embeddings.nearest_neighbors``,
-``clustering.assign_cluster``, ``dataset.sample_negative``) are imported
-from their modules.
+The one-query forms (``embeddings.nearest_neighbors``, which is
+``embeddings.top_cosines`` of one query, ``clustering.assign_cluster`` and
+``dataset.sample_negative``) are imported from their modules.
 """
 
 from .clustering import ClusterModel, assign_clusters, fit_kmeans, offsets

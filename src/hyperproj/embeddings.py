@@ -37,16 +37,17 @@ are deleted, and then the least recently used entries while the
 directory's entries exceed CACHE_MAX_BYTES; a hit updates its entry's
 modification time.
 
-Similarity search has one exact scorer, ``cosine_blocks``: each dot product
-is numpy's own per-row product of one query and one row, so a score depends
-on neither the other queries, the other rows, the BLAS library nor its
-threads: ``_per_row_cosines`` gives the same bits for chosen rows alone.
-``nearest_neighbors`` prints its scores. Ranking runs one matrix product of
-unit queries against the table's kept unit columns, then makes it exact:
-``gold_ranks`` ranks a gold row per query from it, and ranks a query again
-through ``cosine_blocks`` whenever the two products could order its gold
-row differently; ``top_cosines`` keeps every row within the same window of
-its l-th best score and scores only those exactly (see ``tie_window``).
+Similarity search has one exact scorer, ``_per_row_cosines``, on chosen
+rows: each dot product is numpy's own per-row product of one query and one
+row, so a score depends on neither the other queries, the other rows, the
+BLAS library nor its threads. Ranking runs one matrix product of unit
+queries against the table's kept unit columns, then scores exactly only the
+rows within ``tie_window`` of a cut: ``top_cosines`` keeps every row within
+the window of its l-th best score, and ``gold_ranks`` ranks a gold row per
+query from the product, ranking a query again (``_rerank``) from its own
+product whenever another row scores within the window of its gold row.
+``nearest_neighbors`` is ``top_cosines`` of one query; the tests keep a
+whole-vocabulary scan as their oracle.
 Queries and rows alike are first scaled by the power of two that brings
 their norm into [1/4, 1/2) (``_quarters``): exact, so no score depends on a
 scale, and every table ranks through the window. A table keeps each row's
@@ -70,7 +71,6 @@ import functools
 import hashlib
 import logging
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -555,69 +555,33 @@ def save_embeddings_text(table: EmbeddingTable, path: str | Path) -> None:
                       for word, values in zip(table.vocab, table.vectors))
 
 
-def _mask(S: np.ndarray, dead: np.ndarray, qnorms: np.ndarray,
-          exclude: np.ndarray | None) -> None:
-    """Set to -inf, in scores ``S`` of queries against a run of vocabulary rows, the
-    columns ``dead`` (zero rows), every column of a zero query, and per query the
-    column ``exclude[i]`` when it is one."""
-    S[:, dead] = -np.inf
-    S[qnorms == 0.0] = -np.inf
-    if exclude is not None:
-        hit = np.flatnonzero((exclude >= 0) & (exclude < S.shape[1]))
-        S[hit, exclude[hit]] = -np.inf
-
-
-def _per_row_cosines(vectors: np.ndarray, norms: np.ndarray, queries: np.ndarray,
-                     qnorms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill and return ``out[i, j]``, fl(fl(q_i·v_j) / fl(rn_j·qn_i)) for ``queries``
-    against rows ``vectors``, each with its norms and scaled by the power of two
-    of ``_quarters``; NaN for a zero row or query, which the caller masks.
+def _per_row_cosines(table: EmbeddingTable, rows: np.ndarray, queries: np.ndarray,
+                     qnorms: np.ndarray) -> np.ndarray:
+    """The (len(queries), len(rows)) exact cosines fl(fl(q_i·v_j) / fl(rn_j·qn_i)) of
+    ``queries``, scaled by ``_scaled_queries`` with norms ``qnorms``, against the
+    table rows ``rows``, each scaled by the power of two the table keeps for it
+    (``_shifts``, norm ``_quarter_norms``); NaN for a zero row or query, which the
+    caller leaves out.
 
     ``np.einsum`` forms each dot product in numpy's own loop over one row and
     one query, whose order of operations depends only on the dimension, so a
     score has the same bits whatever other rows or queries are in the call and
     whatever the BLAS library or its thread count.
     """
+    vectors = np.ldexp(table.vectors[rows], table._shifts[rows, None])
+    out = np.empty((len(queries), len(vectors)))
     for q, row in zip(queries, out):
         np.einsum("ij,j->i", vectors, q, out=row)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(out, np.multiply(norms, qnorms[:, None]), out=out)
+        np.divide(out, np.multiply(table._quarter_norms[rows], qnorms[:, None]), out=out)
     return out
-
-
-def cosine_blocks(table: EmbeddingTable, queries: np.ndarray,
-                  exclude: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Cosine similarity of every query row with every vocabulary row.
-
-    Yields ``(start, S)`` where ``S[i, j]`` scores query ``start + i``
-    against vocabulary row j, for blocks of at most
-    ``max(1, BLOCK_ENTRIES // len(table))`` queries. Zero-norm vocabulary
-    rows, zero-norm queries and, per query, the row ``exclude[i]`` (when
-    it is >= 0) score -inf. ``S`` is overwritten by the next block.
-
-    Each score is a per-row product (``_per_row_cosines``), so its bits do
-    not depend on the block a query lands in, on the other rows, or on the
-    BLAS library: scoring any subset of rows alone gives them too.
-    """
-    queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
-    vectors, norms = np.ldexp(table.vectors, table._shifts[:, None]), table._quarter_norms
-    n, vocab = queries.shape[0], len(table)
-    rows = max(1, BLOCK_ENTRIES // vocab)
-    scores = np.empty((min(rows, n), vocab))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        S = _per_row_cosines(vectors, norms, queries[start:stop], qnorms[start:stop],
-                             scores[:stop - start])
-        _mask(S, table._dead, qnorms[start:stop],
-              None if exclude is None else exclude[start:stop])
-        yield start, S
 
 
 @functools.cache  # one value per dimension, read by every ranking call
 def tie_window(dim: int) -> float:
     """How far apart two cosines must be for the ranking matrix product (of
-    ``gold_ranks`` and ``top_cosines``) and the per-row product of
-    ``cosine_blocks`` to order them alike, at embedding dimension ``dim``.
+    ``gold_ranks`` and ``top_cosines``) and the exact per-row product of
+    ``_per_row_cosines`` to order them alike, at embedding dimension ``dim``.
 
     Take u = 2^-53 and γ_n = n·u / (1 - n·u). Let q be a nonzero query and v a
     nonzero row, each scaled by the power of two of ``_quarters``, with norms qn and
@@ -642,11 +606,14 @@ def tie_window(dim: int) -> float:
     d·2^-103 + d·2^-1071, and a difference of two scores moves by at most
     2β from one product to the other. The window adds 2u for rounding its
     ends, c ± window with |c ± window| < 2, and u for the subnormal terms and
-    for evaluating this formula. A best score over several queries moves by
-    at most β too, so a row of the exact top l scores at least the exact l-th
-    best, which is at least the product's l-th best less β, and the row's own
-    product score is at most β below its exact one: ``top_cosines`` keeps
-    every row within the window of the product's l-th best.
+    for evaluating this formula. ``_rerank`` centres the window on the gold
+    row's exact score instead, which only widens the margin: a row whose
+    product score lies outside it is at least window - β from the gold row
+    exactly. A best score over several queries moves by at most β too, so a
+    row of the exact top l scores at least the exact l-th best, which is at
+    least the product's l-th best less β, and the row's own product score is
+    at most β below its exact one: ``top_cosines`` keeps every row within the
+    window of the product's l-th best.
     """
     u = float(np.finfo(np.float64).eps) / 2
 
@@ -684,32 +651,58 @@ def gold_targets(table: EmbeddingTable, gold: np.ndarray, exclude: np.ndarray) -
 
 def gold_ranks(table: EmbeddingTable, queries: np.ndarray,
                targets: GoldTargets) -> tuple[np.ndarray, int]:
-    """1-based rank of row ``targets.gold[i]`` among query i's cosines, and how
-    many queries were ranked again by the per-query product.
+    """1-based rank of row ``targets.gold[i]`` among query i's exact cosines
+    (``_per_row_cosines``), and how many queries were ranked again.
 
-    The ranks are those the scores of ``cosine_blocks`` give, ties to the
-    lower vocabulary index and row ``targets.exclude[i]`` left out; 0 where
-    the gold row scores -inf. Blocks of unit queries are scored with one
-    matrix product against tiles of the table's unit columns (see
-    ``_rank_tiles``). Those cosines can be off from the per-query ones, so a
-    rank is counted from them only when no other row scores within
-    ``tie_window`` of the gold row; any other query is ranked again from
-    ``cosine_blocks``. Every rank equals the per-query one.
+    Ties go to the lower vocabulary index, and zero rows and row
+    ``targets.exclude[i]`` take no part; the rank is 0 where the gold row or
+    the query is zero, or the gold row is the one left out. Blocks of unit
+    queries are scored with one matrix product against tiles of the table's
+    unit columns (see ``_rank_tiles``). Those cosines can be off from the exact
+    ones, so a rank is counted from them only when no other row scores within
+    ``tie_window`` of the gold row; any other query is ranked again by
+    ``_rerank``. Every rank equals the exact one.
     """
-    original = np.asarray(queries, dtype=np.float64)
-    ranks = np.zeros(len(original), dtype=np.intp)
-    redo = _window_ranks(table, *_scaled_queries(original), targets, ranks)
-    if not redo.size:
-        return ranks, 0
-    gold = targets.gold
-    for start, S in cosine_blocks(table, original[redo], targets.exclude[redo]):
-        for i, row in zip(redo[start:start + len(S)], S):
-            g = gold[i]
-            s_gold = row[g]
-            if s_gold > -np.inf:  # ties rank the lower vocabulary index first
-                ranks[i] = (1 + np.count_nonzero(row[:g] >= s_gold)
-                            + np.count_nonzero(row[g + 1:] > s_gold))
+    queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
+    ranks = np.zeros(len(queries), dtype=np.intp)
+    redo = _window_ranks(table, queries, qnorms, targets, ranks)
+    for i in redo.tolist():
+        ranks[i] = _rerank(table, queries[i], qnorms[i], targets.gold[i], targets.exclude[i])
     return ranks, len(redo)
+
+
+def _rerank(table: EmbeddingTable, query: np.ndarray, qnorm: float, gold: int,
+            exclude: int) -> int:
+    """The exact rank of row ``gold`` for one scaled ``query`` of norm ``qnorm``,
+    row ``exclude`` (-1 for none) and the zero rows left out.
+
+    The gold row is scored exactly, and the unit query is multiplied by the
+    table's unit columns, half of BLOCK_ENTRIES at a time, so that a tile and
+    its exact scores fit in BLOCK_ENTRIES. A row whose product score lies more
+    than ``tie_window`` above the gold row's exact score beats it exactly, and
+    one more than the window below loses; the rows in between are scored
+    exactly. Both sides are read off this one product, not mixed with
+    ``_window_ranks``' counts: a product of another shape could round a row
+    across an end of the window.
+    """
+    q, qn = query[None, :], np.array([qnorm])
+    s_gold = _per_row_cosines(table, np.array([gold]), q, qn)[0, 0]
+    window = tie_window(table.dim)
+    above, below = s_gold + window, s_gold - window
+    unit = query / qnorm
+    # the gold row lies within the window and only ties itself, so it counts for
+    # nothing; an exclude of -1 lies in no tile
+    skip = np.append(table._dead, exclude)
+    width = max(1, BLOCK_ENTRIES // 2)
+    rank = 1
+    for first in range(0, len(table), width):
+        S = unit @ table._unit_columns[:, first:first + width]
+        S[skip[(skip >= first) & (skip < first + len(S))] - first] = -np.inf
+        near = first + np.flatnonzero((S >= below) & (S <= above))
+        exact = _per_row_cosines(table, near, q, qn)[0]
+        rank += (np.count_nonzero(S > above) + np.count_nonzero(exact > s_gold)
+                 + np.count_nonzero(exact[near < gold] == s_gold))  # ties: the lower index
+    return rank
 
 
 def _rank_tiles(n: int, vocab: int) -> tuple[int, int]:
@@ -799,20 +792,19 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
 
 
 def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
-                exclude: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``l`` rows with the best cosine over the queries, each row keeping its
-    best score over them, and those scores, by descending score then index; row
-    ``exclude``, zero rows and zero queries take no part.
+                exclude: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``l`` rows with the best exact cosine over the queries, each row keeping
+    its best score over them, and those scores, by descending score then index;
+    row ``exclude`` (None for none), zero rows and zero queries take no part.
 
-    Bitwise what ``top_indices`` gives on the row-wise max of ``cosine_blocks``'
-    scores, without scoring every row exactly: unit queries are multiplied by
-    the table's unit columns, ``BLOCK_ENTRIES`` scores at a time, and only the
-    rows whose best score is within ``tie_window`` of the l-th best are scored
-    again by ``_per_row_cosines``, each row scaled by the power of two its table
-    keeps. Each matrix-product cosine is within β of the exact one and the
-    window is at least 2β, so every row of the exact top l, the whole tie class
-    at the cut included, is among them. Those rows are in index order, so one
-    stable sort by descending exact score orders them as ``top_indices`` would.
+    Not every row is scored exactly: unit queries are multiplied by the table's
+    unit columns, ``BLOCK_ENTRIES`` scores at a time, and only the rows whose
+    best score is within ``tie_window`` of the l-th best are scored again by
+    ``_per_row_cosines``. Each matrix-product cosine is within β of the exact
+    one and the window is at least 2β, so every row of the exact top l, the
+    whole tie class at the cut included, is among them. Those rows are in index
+    order, so one stable sort by descending exact score gives ties to the lower
+    index.
     """
     queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
     live = qnorms > 0.0
@@ -828,35 +820,26 @@ def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
         np.maximum.reduce(units @ columns[:, first:first + width], axis=0,
                           out=best[first:first + width])
     best[table._dead] = -np.inf
-    best[exclude] = -np.inf
     # every row but these scores a finite cosine against the live queries
-    m = min(l, vocab - len(table._dead) - int(table._row_norms[exclude] > 0.0))
+    usable = vocab - len(table._dead)
+    if exclude is not None and table._row_norms[exclude] > 0.0:
+        best[exclude] = -np.inf
+        usable -= 1
+    m = min(l, usable)
     if m == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0)
     cut = np.partition(best, vocab - m)[vocab - m]  # the m-th best
     short = np.flatnonzero(best >= cut - tie_window(table.dim))
-    exact = np.maximum.reduce(_per_row_cosines(
-        np.ldexp(table.vectors[short], table._shifts[short, None]), table._quarter_norms[short],
-        queries, qnorms, np.empty((len(queries), len(short)))), axis=0)
+    exact = np.maximum.reduce(_per_row_cosines(table, short, queries, qnorms), axis=0)
     # every score is finite, and the indices ascend: ties go to the lower index
     top = np.argsort(-exact, kind="stable")[:l]
     return short[top], exact[top]
 
 
-def top_indices(scores: np.ndarray, l: int) -> np.ndarray:
-    """Indices of the ``l`` best finite scores, by descending score then index."""
-    m = min(l, int(np.count_nonzero(scores > -np.inf)))
-    if m == 0:
-        return np.zeros(0, dtype=np.intp)
-    cutoff = -np.partition(-scores, m - 1)[m - 1]
-    tied_or_better = np.flatnonzero(scores >= cutoff)  # the whole tie class at the cut
-    order = np.argsort(-scores[tied_or_better], kind="stable")
-    return tied_or_better[order[:m]]
-
-
 def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, l: int,
                       exclude: str | None = None) -> NeighborList:
-    """Exhaustive top-``l`` cosine scan of the vocabulary.
+    """The ``l`` words of best exact cosine with ``query``: ``top_cosines`` of one
+    query, leaving out the word ``exclude`` when the table holds it.
 
     Zero-norm rows are unusable and never returned. If ``l`` exceeds the
     usable vocabulary, all usable words are returned. A zero query vector
@@ -869,12 +852,10 @@ def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, l: int,
         raise InputError(f"query has dimension {query.shape[0]}, table has {table.dim}")
     if not query.any():
         raise InputError("cosine similarity is undefined for a zero query vector")
-    idx = table.lookup(exclude) if exclude is not None else None
-    ex = np.array([-1 if idx is None else idx])
-    _, S = next(cosine_blocks(table, query[None, :], ex))
-    scores = S[0]
-    entries = [(table.vocab[i], float(scores[i])) for i in top_indices(scores, l)]
-    return NeighborList(query=query, entries=entries)
+    rows, scores = top_cosines(table, query[None, :], l,
+                               None if exclude is None else table.lookup(exclude))
+    return NeighborList(query, [(table.vocab[i], s)
+                                for i, s in zip(rows.tolist(), scores.tolist())])
 
 
 def vocab_hash(table: EmbeddingTable) -> str:

@@ -21,11 +21,13 @@ kept unit columns, then make it exact. eval and validation rank through
 ``_rank_pairs`` and ``embeddings.gold_ranks``: a gold word's rank is
 counted from the product's scores, without sorting them, and a query with
 another word within ``embeddings.tie_window`` of its gold score is ranked
-again by ``embeddings.cosine_blocks``' per-row product. predict ranks
-through ``embeddings.top_cosines``: only the words within the same window
-of the l-th best score are scored again, by the per-row product, so every
-rank and printed score is the exact scan's, whatever the BLAS library or
-its threads. Both project through ``_project``, which computes a
+again from its own product, which scores exactly, by the per-row product
+``embeddings._per_row_cosines``, only the gold word and the words within
+the window of it. predict ranks through ``embeddings.top_cosines``: only
+the words within the same window of the l-th best score are scored again,
+by the same per-row product, so every rank and printed score is that of an
+exact scan of the whole vocabulary, whatever the BLAS library or its
+threads. Both project through ``_project``, which computes a
 projection that overflows again from factors scaled by powers of two, and
 both score every query scaled by a power of two
 (``embeddings._scaled_queries``), so no score depends on a query's scale.

@@ -44,6 +44,25 @@ def embedding_cache(tmp_path_factory):
         yield cache
 
 
+# (BLOCK_ENTRIES, GEMM_ROWS, MIN_WHOLE_ROWS): whole score rows at the defaults,
+# then 6 queries against tiles of 7 rows, which divide neither fixed vocabulary of
+# the ranking tests (37 and 600 rows), then 4 queries against one tile wider than
+# the vocabulary
+TILINGS = {"whole-rows": (1 << 16, 64, 4), "tiles-of-7": (42, 6, 1 << 30),
+           "one-wide-tile": (400, 4, 1 << 30)}
+
+
+def set_tiling(mp, name):
+    for attr, value in zip(("BLOCK_ENTRIES", "GEMM_ROWS", "MIN_WHOLE_ROWS"), TILINGS[name]):
+        mp.setattr(embeddings, attr, value)
+
+
+@pytest.fixture(params=list(TILINGS), ids=list(TILINGS))
+def tiling(request, monkeypatch):
+    set_tiling(monkeypatch, request.param)
+    return request.param
+
+
 @pytest.fixture
 def tiny_table():
     """Three axis-aligned words: a=(1,0), b=(0,1), c=(-1,0)."""
@@ -91,12 +110,51 @@ def central_difference(phi, X, Y, Z, kind, lam, h=1e-5):
     return num
 
 
-def oracle_rank_pairs(model, table, pairs):
-    """(clusters, ranks) from one ``cosine_blocks`` row per pair, counted in Python.
+def exact_cosines(table, queries, exclude=None):
+    """Every query's exact cosine with every row of ``table``, scanned without BLAS.
 
-    Each pair goes to the cluster nearest its gold offset; a rank is 0 where the
-    gold row scores -inf. No matrix product of the ranking scan is involved.
+    Each dot product is numpy's own per-row product of one query and one row,
+    the query scaled by ``_scaled_queries`` and the row by the power of two the
+    table keeps for it, over the product of their quartered norms: the bits
+    the package's exact scorer, ``embeddings._per_row_cosines``, gives for any
+    subset of rows. Zero rows, zero queries and, per query, the row
+    ``exclude[i]`` when it is >= 0 score -inf.
     """
+    queries, qnorms = embeddings._scaled_queries(np.asarray(queries, dtype=np.float64))
+    rows = np.ldexp(table.vectors, table._shifts[:, None])
+    S = np.empty((len(queries), len(table)))
+    for q, out in zip(queries, S):
+        np.einsum("ij,j->i", rows, q, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S /= table._quarter_norms * qnorms[:, None]
+    S[:, table._dead] = -np.inf
+    S[qnorms == 0.0] = -np.inf
+    if exclude is not None:
+        exclude = np.asarray(exclude)
+        hit = np.flatnonzero(exclude >= 0)
+        S[hit, exclude[hit]] = -np.inf
+    return S
+
+
+def top_indices(scores, l):
+    """Indices of the ``l`` best finite scores, by descending score then index."""
+    finite = np.flatnonzero(scores > -np.inf)
+    return finite[np.argsort(-scores[finite], kind="stable")[:l]]
+
+
+def gold_rank(scores, gold):
+    """1-based rank of column ``gold`` among the finite ``scores``, ties to the
+    lower index; 0 where it scores -inf."""
+    s_gold = scores[gold]
+    if s_gold == -np.inf:
+        return 0
+    return (1 + np.count_nonzero(scores[:gold] >= s_gold)
+            + np.count_nonzero(scores[gold + 1:] > s_gold))
+
+
+def pair_queries(model, table, pairs):
+    """(clusters, queries, sources, gold) of ``pairs``: each pair's hyponym row
+    projected through the cluster nearest its gold offset."""
     sources = np.array([table.lookup(p.source) for p in pairs])
     gold = np.array([table.lookup(p.target) for p in pairs])
     X = table.vectors[sources]
@@ -105,12 +163,15 @@ def oracle_rank_pairs(model, table, pairs):
     for c in range(model.k):
         members = clusters == c
         queries[members] = (X[members, None, :] @ model.matrices[c]).reshape(-1, table.dim)
-    ranks = np.zeros(len(pairs), dtype=np.intp)
-    for start, S in embeddings.cosine_blocks(table, queries, sources):
-        for i, row in enumerate(S, start=start):
-            g = gold[i]
-            s_gold = row[g]
-            if s_gold > -np.inf:
-                ranks[i] = (1 + np.count_nonzero(row[:g] >= s_gold)
-                            + np.count_nonzero(row[g + 1:] > s_gold))
-    return clusters, ranks
+    return clusters, queries, sources, gold
+
+
+def oracle_rank_pairs(model, table, pairs):
+    """(clusters, ranks) from one ``exact_cosines`` row per pair, counted in Python.
+
+    Each pair goes to the cluster nearest its gold offset; a rank is 0 where the
+    gold row scores -inf. No matrix product of the ranking scan is involved.
+    """
+    clusters, queries, sources, gold = pair_queries(model, table, pairs)
+    S = exact_cosines(table, queries, sources)
+    return clusters, np.array([gold_rank(row, g) for row, g in zip(S, gold)], dtype=np.intp)

@@ -32,13 +32,13 @@ from hyperproj.dataset import (
     validate_fractions,
     write_split,
 )
-from hyperproj.embeddings import EmbeddingTable, load_embeddings, nearest_neighbors
+from hyperproj.embeddings import EmbeddingTable, load_embeddings
 from hyperproj.errors import InputError, utf8_lines
 from hyperproj.evaluation import evaluate, hit_at
 from hyperproj.synth import SynthConfig, make_fixture, write_fixture
 from hyperproj.training import TrainConfig, train
 
-from conftest import make_model
+from conftest import exact_cosines, gold_rank, make_model
 
 
 def write(path, text):
@@ -816,14 +816,12 @@ class TestPairRows:
             return
         report = evaluate(model, table, pairs, l_max=len(table))
         assert report.skips == len(pairs) - len(kept)
-        # each kept pair ranked on its own, from its words, by the per-query product
+        # each kept pair ranked on its own, from its words, by the exact scan
         X = np.array([table.vector(p.source) for p in kept])
         queries = (X[:, None, :] @ model.matrices[0]).reshape(-1, 3)
-        want = []
-        for p, query in zip(kept, queries):
-            ranked = nearest_neighbors(table, query, len(table), exclude=p.source).words()
-            want.append((p.source, p.target, ranked.index(p.target) + 1
-                         if p.target in ranked else None))
+        S = exact_cosines(table, queries, [table.lookup(p.source) for p in kept])
+        want = [(p.source, p.target, gold_rank(row, table.lookup(p.target)) or None)
+                for p, row in zip(kept, S)]
         assert [(r.hyponym, r.gold, r.rank) for r in report.per_pair] == want
         hits = sum(rank == 1 for *_, rank in want) / len(kept)
         assert hit_at(model, table, pairs, 1) == report.hits[0] == hits

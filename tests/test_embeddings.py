@@ -23,6 +23,8 @@ from hyperproj.embeddings import (
 )
 from hyperproj.errors import InputError, utf8_lines
 
+from conftest import TILINGS, exact_cosines, set_tiling, top_indices
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -557,6 +559,46 @@ class TestNearestNeighbors:
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert len(set(nn.words())) == len(nn.words())
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_words=st.integers(1, 30),
+           dim=st.sampled_from([1, 2, 3, 10]), copies=st.integers(0, 6), zeros=st.integers(0, 3),
+           l=st.integers(1, 35), exclude=st.sampled_from(["none", "present", "missing"]),
+           power=st.sampled_from([-1060, -300, 0, 300, 1000]),
+           tiling=st.sampled_from(list(TILINGS)))
+    def test_property_equals_the_exact_scan(self, seed, n_words, dim, copies, zeros, l,
+                                            exclude, power, tiling):
+        # duplicate rows tie exactly, l may exceed the usable vocabulary, and queries
+        # near the float64 limits have subnormal entries or overflowing squares
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(n_words, dim))
+        for _ in range(copies):
+            src, dst = rng.integers(n_words, size=2)
+            vectors[dst] = vectors[src]
+        vectors[rng.integers(n_words, size=zeros)] = 0.0
+        table = EmbeddingTable([f"w{i}" for i in range(n_words)], vectors)
+        query = rng.normal(size=dim) * 2.0 ** power
+        word = {"none": None, "present": f"w{rng.integers(n_words)}", "missing": "absent"}[exclude]
+        row = table.lookup(word) if word is not None else None
+        scores = exact_cosines(table, query[None, :], [-1 if row is None else row])[0]
+        want = top_indices(scores, l)
+        with pytest.MonkeyPatch.context() as mp:
+            set_tiling(mp, tiling)
+            if not query.any():  # every entry fell below the subnormals
+                with pytest.raises(InputError, match="zero query"):
+                    nearest_neighbors(table, query, l, exclude=word)
+                return
+            nn = nearest_neighbors(table, query, l, exclude=word)
+        assert nn.words() == [table.vocab[i] for i in want]
+        assert np.array([s for _, s in nn.entries]).tobytes() == scores[want].tobytes()
+        with pytest.raises(InputError, match="zero query"):
+            nearest_neighbors(table, np.zeros(dim), l, exclude=word)
+
+    def test_top_cosines_without_an_exclusion_keeps_the_last_row(self):
+        table = EmbeddingTable(["a", "b", "c"], np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]))
+        rows, scores = embeddings.top_cosines(table, np.array([[2.0, 0.0]]), 2, None)
+        assert rows.tolist() == [2, 1] and scores.tolist() == pytest.approx([1.0, 0.5 ** 0.5])
+        assert nearest_neighbors(table, np.array([2.0, 0.0]), 1).words() == ["c"]
+
 
 class TestExtremeRowNorms:
     # a plain L2 norm overflows on row a and underflows on rows d and e
@@ -567,7 +609,7 @@ class TestExtremeRowNorms:
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
     def test_cosines_are_exact(self, tmp_path, normalize):
         table = load_embeddings(write(tmp_path / "e.txt", self.TEXT), normalize=normalize)
-        _, S = next(embeddings.cosine_blocks(table, np.eye(2)))
+        S = exact_cosines(table, np.eye(2))
         np.testing.assert_allclose(S, self.EXACT, rtol=1e-14, atol=0)
 
     # a plain query norm overflows on the first query and underflows on the others;
@@ -579,7 +621,7 @@ class TestExtremeRowNorms:
         table = EmbeddingTable(["b", "c", "f"], np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         queries = np.array(self.QUERIES)
         with np.errstate(all="raise"):  # the product must not overflow either
-            _, S = next(embeddings.cosine_blocks(table, queries))
+            S = exact_cosines(table, queries)
         np.testing.assert_allclose(S, self.QUERY_EXACT, rtol=1e-14, atol=0)
         assert queries.tolist() == self.QUERIES  # the caller's array is not modified
         for query, exact in zip(self.QUERIES, self.QUERY_EXACT):
@@ -597,7 +639,7 @@ class TestExtremeRowNorms:
         table = EmbeddingTable(["g", "b", "c"], np.array([[1e200, 1.0], [1.0, 0.0], [0.0, 1.0]]))
         queries = np.array(self.BIG_ROW_QUERIES)
         with np.errstate(all="raise"):
-            _, S = next(embeddings.cosine_blocks(table, queries))
+            S = exact_cosines(table, queries)
             neighbors = [dict(nearest_neighbors(table, q, 3).entries) for q in queries]
         np.testing.assert_allclose(S, self.BIG_ROW_EXACT, rtol=1e-14, atol=0)
         for got, exact in zip(neighbors, self.BIG_ROW_EXACT):
@@ -605,7 +647,7 @@ class TestExtremeRowNorms:
                                        rtol=1e-14, atol=0)
         assert queries.tolist() == self.BIG_ROW_QUERIES  # the caller's array is not modified
         # a query whose product cannot overflow scores bitwise as it does alone
-        _, plain = next(embeddings.cosine_blocks(table, queries[3:]))
+        plain = exact_cosines(table, queries[3:])
         assert S[3].tobytes() == plain[0].tobytes()
 
     # the query norms are plain, but times the norm of row h, 1e-200, they underflow;
@@ -621,7 +663,7 @@ class TestExtremeRowNorms:
         table = EmbeddingTable(["h", "b", "c"], np.array([[1e-200, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         queries = np.array(self.TINY_ROW_QUERIES)
         with np.errstate(all="raise"):
-            _, S = next(embeddings.cosine_blocks(table, queries))
+            S = exact_cosines(table, queries)
             neighbors = [dict(nearest_neighbors(table, q, 3).entries) for q in queries]
         np.testing.assert_allclose(S, self.TINY_ROW_EXACT, rtol=1e-14, atol=0)
         for got, exact in zip(neighbors, self.TINY_ROW_EXACT):
@@ -629,9 +671,9 @@ class TestExtremeRowNorms:
                                        rtol=1e-14, atol=0)
         assert queries.tolist() == self.TINY_ROW_QUERIES  # the caller's array is not modified
         # a query whose product cannot underflow scores bitwise as it does alone
-        _, plain = next(embeddings.cosine_blocks(table, queries[3:]))
+        plain = exact_cosines(table, queries[3:])
         assert S[3].tobytes() == plain[0].tobytes()
-        _, unit = next(embeddings.cosine_blocks(table, queries[3:] / np.hypot(0.37, 1.9)))
+        unit = exact_cosines(table, queries[3:] / np.hypot(0.37, 1.9))
         assert S[3].tobytes() != unit[0].tobytes()  # which a unit query would not
 
     def test_rows_below_the_product_floor_score_queries_at_any_scale(self):
@@ -641,10 +683,10 @@ class TestExtremeRowNorms:
         table = EmbeddingTable(["t", "b"], np.array([[1e-300, 0.0], [1.0, 0.0]]))
         queries = np.array([[3.0, 4.0], [0.37, 1.9], [1e-150, 0.0]])
         with np.errstate(all="raise"):
-            _, S = next(embeddings.cosine_blocks(table, queries))
+            S = exact_cosines(table, queries)
             for query, scores in zip(queries, S):
                 for scale in (2.0 ** 60, 2.0 ** -60):
-                    _, scaled = next(embeddings.cosine_blocks(table, query[None, :] * scale))
+                    scaled = exact_cosines(table, query[None, :] * scale)
                     assert scaled[0].tobytes() == scores.tobytes()
         np.testing.assert_allclose(S[:2], [[0.6, 0.6], [0.37 / np.hypot(0.37, 1.9)] * 2],
                                    rtol=1e-14, atol=0)
@@ -671,15 +713,13 @@ class TestPerRowProduct:
         vectors = rng.normal(size=(n_words, dim)) * rng.uniform(0.1, 10.0, size=(n_words, 1))
         table = EmbeddingTable([f"w{i}" for i in range(n_words)], vectors)
         queries = rng.normal(size=(5, dim))
-        _, whole = next(embeddings.cosine_blocks(table, queries))
+        whole = exact_cosines(table, queries)
         scaled, qnorms = embeddings._scaled_queries(queries)
         subsets = [[0], [n_words - 1], [int(rng.integers(n_words))], list(range(n_words))]
         subsets += [rng.choice(n_words, size=rng.integers(1, n_words), replace=False)
                     for _ in range(40)]
         for rows in map(np.array, subsets):
-            got = embeddings._per_row_cosines(
-                np.ldexp(table.vectors[rows], table._shifts[rows, None]),
-                table._quarter_norms[rows], scaled, qnorms, np.empty((len(queries), len(rows))))
+            got = embeddings._per_row_cosines(table, rows, scaled, qnorms)
             assert got.tobytes() == whole[:, rows].tobytes()
 
     def test_rows_score_bitwise_as_their_copies_at_any_scale(self):
@@ -694,7 +734,7 @@ class TestPerRowProduct:
 
         def scores(vectors):
             table = EmbeddingTable([f"w{i}" for i in range(len(vectors))], vectors)
-            _, S = next(embeddings.cosine_blocks(table, queries))
+            S = exact_cosines(table, queries)
             return S.tobytes(), table._unit_columns.tobytes()
 
         assert scores(integers * 2.0 ** -1070) == scores(integers)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hyperproj import embeddings
 from hyperproj.clustering import assign_cluster
 from hyperproj.dataset import RelationPair
-from hyperproj.embeddings import EmbeddingTable, nearest_neighbors
+from hyperproj.embeddings import EmbeddingTable
 from hyperproj.errors import InputError
 from hyperproj.evaluation import (
     _project,
@@ -22,7 +22,8 @@ from hyperproj.evaluation import (
     write_report_json,
 )
 
-from conftest import make_model, oracle_rank_pairs
+from conftest import (TILINGS, exact_cosines, make_model, oracle_rank_pairs, pair_queries,
+                      set_tiling, top_indices)
 
 
 def hyp(a, b):
@@ -213,8 +214,9 @@ class TestPredictCandidates:
         table, pairs, _ = rotation_fixture()
         model = make_model(np.eye(4))
         got = predict_candidates(model, table, "x0", 5)
-        nn = nearest_neighbors(table, table.vector("x0"), 5, exclude="x0")
-        assert got == nn.entries
+        idx = table.lookup("x0")
+        scores = exact_cosines(table, table.vectors[idx, None], [idx])[0]
+        assert got == [(table.vocab[i], float(scores[i])) for i in top_indices(scores, 5)]
 
     def test_merges_over_clusters(self):
         table, pairs, Q = rotation_fixture()
@@ -420,22 +422,16 @@ def oracle_rechecked(model, table, pairs):
     """How many pairs the scan must rank again: those with another row whose exact
     cosine ties their gold row's. A row within twice the window but not tied could
     go either way, and the fixtures that use this have none."""
-    sources = np.array([table.lookup(p.source) for p in pairs])
-    gold = np.array([table.lookup(p.target) for p in pairs])
-    clusters, ranks = oracle_rank_pairs(model, table, pairs)
-    X = table.vectors[sources]
-    queries = np.empty_like(X)
-    for c in range(model.k):
-        queries[clusters == c] = _project(X[clusters == c], model.matrices[c])
+    _, ranks = oracle_rank_pairs(model, table, pairs)
+    _, queries, sources, gold = pair_queries(model, table, pairs)
     window = embeddings.tie_window(table.dim)
     count = 0
-    for start, S in embeddings.cosine_blocks(table, queries, sources):
-        for i, row in enumerate(S, start=start):
-            if ranks[i] == 0:
-                continue
-            gaps = np.abs(np.delete(row, gold[i]) - row[gold[i]])
-            assert not ((gaps > 0.0) & (gaps <= 2 * window)).any()
-            count += bool((gaps == 0.0).any())
+    for row, g, rank in zip(exact_cosines(table, queries, sources), gold, ranks):
+        if rank == 0:
+            continue
+        gaps = np.abs(np.delete(row, g) - row[g])
+        assert not ((gaps > 0.0) & (gaps <= 2 * window)).any()
+        count += bool((gaps == 0.0).any())
     return count
 
 
@@ -446,24 +442,6 @@ def assert_ranks_match_oracle(model, table, pairs):
     assert clusters.tolist() == want_clusters.tolist()
     assert ranks.tolist() == want_ranks.tolist()
     return rechecked
-
-
-# (BLOCK_ENTRIES, GEMM_ROWS, MIN_WHOLE_ROWS): whole score rows at the defaults,
-# then 6 queries against tiles of 7 rows, which divide neither fixed vocabulary
-# below (37 and 600 rows), then 4 queries against one tile wider than the vocabulary
-TILINGS = {"whole-rows": (1 << 16, 64, 4), "tiles-of-7": (42, 6, 1 << 30),
-           "one-wide-tile": (400, 4, 1 << 30)}
-
-
-def set_tiling(mp, name):
-    for attr, value in zip(("BLOCK_ENTRIES", "GEMM_ROWS", "MIN_WHOLE_ROWS"), TILINGS[name]):
-        mp.setattr(embeddings, attr, value)
-
-
-@pytest.fixture(params=list(TILINGS), ids=list(TILINGS))
-def tiling(request, monkeypatch):
-    set_tiling(monkeypatch, request.param)
-    return request.param
 
 
 def pair_words(table, pairs):
@@ -521,6 +499,42 @@ class TestGemmRanking:
         pairs += pair_words(table, [(0, 5), (6, 6)])  # a zero gold row, and gold = hyponym
         monkeypatch.setattr(embeddings, "tie_window", lambda dim: 4.0)
         assert assert_ranks_match_oracle(model, table, pairs) == len(pairs) - 2
+
+    def test_a_window_that_splits_the_vocabulary(self, tiling, monkeypatch):
+        # with a window of 0.25, every pair is ranked again, and its query has rows
+        # above, inside and below the window, in more than one tile of the re-rank;
+        # rows 3, 21 and 30 are exact copies, and in the window of each of them lie
+        # the zero rows and the excluded hyponym, row 13; both lie above the window
+        # of row 33
+        window = 0.25
+        rng = np.random.default_rng(87)
+        planted = {13: 0.2, 3: 0.1, 8: 0.3, 25: -0.1, 33: -0.4}  # cosines with the query (1, 0)
+        filler = [0.92, -0.45, 0.75, -0.7, 0.62, -0.93]
+        vectors = np.empty((37, 2))
+        for j in range(37):
+            c = planted.get(j, filler[j % len(filler)])
+            vectors[j] = rng.uniform(0.5, 3.0) * np.array([c, (-1) ** j * np.sqrt(1 - c * c)])
+        vectors[[0, 20, 36]] = 0.0
+        vectors[[21, 30]] = vectors[3]
+        t = -np.arctan2(vectors[13, 1], vectors[13, 0])
+        model = make_model([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])  # 13 onto (1, 0)
+        table = EmbeddingTable([f"w{i}" for i in range(37)], vectors)
+        pairs = pair_words(table, [(13, 3), (13, 21), (13, 30), (13, 8), (13, 25), (13, 33)])
+        monkeypatch.setattr(embeddings, "tie_window", lambda dim: window)
+        _, queries, sources, gold = pair_queries(model, table, pairs)
+        full = exact_cosines(table, queries)  # the hyponym not left out
+        for i, (row, g) in enumerate(zip(full, gold)):
+            gaps = row[row > -np.inf] - row[g]
+            assert (gaps > window).any() and (gaps < -window).any()
+            assert (np.abs(np.abs(gaps) - window) > 0.01).all()  # clear of the window's ends
+            if i < 3:
+                assert abs(row[13] - row[g]) < window and abs(0.0 - row[g]) < window
+        assert min(full[-1, 13], 0.0) > full[-1, 33] + window
+        # the oracle's recheck count: pairs with another usable row within the window
+        near = [(np.abs(np.delete(row, g) - row[g]) <= window).any()
+                for row, g in zip(exact_cosines(table, queries, sources), gold)]
+        assert assert_ranks_match_oracle(model, table, pairs) == sum(near) == len(pairs)
+        assert np.diff(rank_pairs(model, table, pairs)[1][:3]).tolist() == [1, 1]
 
     @pytest.mark.parametrize("norm", [1e-300, 2.0 ** -969, 1e-310, 2.0 ** -1060],
                              ids=["1e-300", "2^-969", "1e-310", "2^-1060"])
@@ -668,29 +682,25 @@ class TestGemmRanking:
 
 
 class TestPredictKeepsThePerQueryProduct:
-    def test_scores_are_the_best_cosine_blocks_row(self):
+    def test_scores_are_the_best_exact_row(self):
         table, _, model = random_fixture(91, n_words=40, k=3)
         for word in table.vocab[:8]:
             idx = table.lookup(word)
-            rows = [next(embeddings.cosine_blocks(table, (table.vectors[idx] @ phi)[None, :],
-                                                  np.array([idx])))[1][0].copy()
-                    for phi in model.matrices]
-            best = np.maximum.reduce(rows)
+            queries = np.array([table.vectors[idx] @ phi for phi in model.matrices])
+            best = np.maximum.reduce(exact_cosines(table, queries, [idx] * model.k))
             got = predict_candidates(model, table, word, 10)
-            want = embeddings.top_indices(best, 10)
+            want = top_indices(best, 10)
             assert [w for w, _ in got] == [table.vocab[i] for i in want]
             assert np.array([s for _, s in got]).tobytes() == best[want].tobytes()
 
 
 def brute_force_predict(model, table, word, l):
-    """(words, score bytes): the best ``cosine_blocks`` score of each row over the
+    """(words, score bytes): the best ``exact_cosines`` score of each row over the
     projections of ``word``, the word itself left out, then ``top_indices``."""
     idx = table.lookup(word)
-    best = np.full(len(table), -np.inf)
-    for query in _project(table.vectors[idx, None], model.matrices):
-        _, S = next(embeddings.cosine_blocks(table, query[None, :], np.array([idx])))
-        np.maximum(best, S[0], out=best)
-    top = embeddings.top_indices(best, l)
+    queries = _project(table.vectors[idx, None], model.matrices)
+    best = np.maximum.reduce(exact_cosines(table, queries, [idx] * len(queries)))
+    top = top_indices(best, l)
     return [table.vocab[i] for i in top], best[top].tobytes()
 
 
