@@ -11,7 +11,12 @@ log verbosity.
 Every command that reads ``--embeddings`` goes through ``_load_table``,
 which keeps parsed text tables in a cache directory (see ``embeddings``):
 HYPERPROJ_CACHE, else ``$XDG_CACHE_HOME/hyperproj``, else
-``~/.cache/hyperproj``. Outputs are the same with a cold or a warm cache.
+``~/.cache/hyperproj``. ``cluster`` and ``train`` read ``--split-dir``
+through ``_read_split``, which keeps the bound split in the same directory
+(see ``dataset.read_split_dir``), so that every arm trained on one split
+skips its parse. Outputs are the same with a cold or a warm cache; a
+manifest's ``cache`` maps each input looked up there to "hit" or "miss",
+and is left out when nothing was.
 """
 
 from __future__ import annotations
@@ -77,9 +82,13 @@ class Manifest:
         self._t0 = time.monotonic()
         self._stage_start = self._t0
 
-    def add_input(self, path: Path, digest: str | None = None) -> None:
-        """Record an input's SHA-256: ``digest`` if the caller hashed the bytes it read."""
+    def add_input(self, path: Path, digest: str | None = None,
+                  cache_status: str | None = None) -> None:
+        """Record an input's SHA-256: ``digest`` if the caller hashed the bytes it read;
+        and whether a cache lookup of it was a "hit" or a "miss", if there was one."""
         self.payload["inputs"][str(path)] = digest or file_sha256(path)
+        if cache_status is not None:
+            self.payload.setdefault("cache", {})[str(path)] = cache_status
 
     def add_output(self, path: Path) -> None:
         self.payload["outputs"][str(path)] = file_sha256(path)
@@ -97,7 +106,8 @@ class Manifest:
 
 def _cache_dir() -> Path | None:
     """HYPERPROJ_CACHE, else $XDG_CACHE_HOME/hyperproj, else ~/.cache/hyperproj;
-    None, so that tables are parsed every time, if there is no home directory."""
+    None, so that tables and splits are parsed every time, if there is no home
+    directory."""
     if os.environ.get("HYPERPROJ_CACHE"):
         return Path(os.environ["HYPERPROJ_CACHE"])
     if os.environ.get("XDG_CACHE_HOME"):
@@ -114,15 +124,16 @@ def _load_table(args, manifest: Manifest | None = None) -> EmbeddingTable:
     table = load_embeddings(path, format=args.format, normalize=args.normalize,
                             cache=_cache_dir())
     if manifest is not None:
-        manifest.add_input(path, table.source_sha256)
+        manifest.add_input(path, table.source_sha256, table.cache_status)
     return table
 
 
 def _read_split(args, table, manifest: Manifest) -> ds.RelationDataset:
-    """The bound --split-dir; the manifest gets the digest of each file's parsed bytes."""
-    bound = ds.read_split_dir(args.split_dir, table)
+    """The bound --split-dir, through the cache; the manifest gets the digest of each
+    file's bytes."""
+    bound = ds.read_split_dir(args.split_dir, table, cache=_cache_dir())
     for path, digest in bound.source_sha256.items():
-        manifest.add_input(path, digest)
+        manifest.add_input(path, digest, bound.cache_status)
     return bound
 
 

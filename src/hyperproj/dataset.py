@@ -14,6 +14,14 @@ both end in it. A bound dataset's word list is the table's vocabulary, so
 its word ids are table rows: training, clustering, validation and
 ``negative_index`` take them as they are.
 
+``read_split_dir`` can keep bound splits in the cache directory of parsed
+tables (see ``embeddings``), as ``.hpsplit`` entries keyed by the digests
+of the bytes it reads and the table's ``vocab_hash``. A hit builds the
+bound dataset from the stored table rows, relation codes and buckets,
+skipping the parse and ``bind``, and logs the duplicate-row warnings and
+the drop message of the parse again, with its own paths. A miss parses
+the bytes already read; only a split that loads gets an entry.
+
 ``RelationPair`` remains at the library's word-level edge:
 ``load_relations`` returns them, the ``RelationDataset(positives,
 assignment, negative_pairs)`` constructor takes them, and the dataset's
@@ -26,6 +34,7 @@ lists; each keeps its own policy for a pair with a missing word.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -38,19 +47,22 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
-from .errors import InputError, atomic_open, read_hashed, utf8_lines
+from .embeddings import EmbeddingTable, _entry_path, _store, _touch, vocab_hash
+from .errors import InputError, atomic_open, read_container, read_hashed, utf8_lines
 
 log = logging.getLogger(__name__)
 
 RELATIONS = ("hypernym", "synonym", "cohyponym")
 BUCKETS = ("train", "validation", "test")
+SPLIT_FILES = (*BUCKETS, "negatives")  # a split directory's files, stem only, in read order
 DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)  # of the positive pairs, in BUCKETS order
 HYPERNYM = RELATIONS.index("hypernym")  # the relation code of a positive
 
 _RELATION_CODES = {name: code for code, name in enumerate(RELATIONS)}
 _BUCKET_CODES = {name: code for code, name in enumerate(BUCKETS)}
 _ROW_ENDS = tuple(f"\t{name}\n" for name in RELATIONS)  # a written row's last column
+SPLIT_MAGIC = b"HPSPL1"
+SPLIT_CACHE_VERSION = 1  # in each bound split entry's name and header, see read_split_dir
 
 
 class RelationPair(NamedTuple):
@@ -174,7 +186,7 @@ class RelationDataset:
     relation codes tell synonyms and co-hyponyms apart. Both share one word
     list, the table's vocabulary once ``bind`` has run. The drop counts are
     those of ``bind``; ``source_sha256`` maps each file ``read_split_dir``
-    parsed to the SHA-256 of its bytes.
+    read to the SHA-256 of its bytes.
 
     ``RelationDataset(positives, assignment, negative_pairs)`` builds one
     from word-level pairs and their BUCKETS labels. ``train_negatives``
@@ -215,6 +227,7 @@ class RelationDataset:
         self.dropped_positives = dropped_positives
         self.dropped_negatives = dropped_negatives
         self.source_sha256 = source_sha256
+        self.cache_status: str | None = None  # "hit" or "miss" once read_split_dir looked it up
 
     @property
     def words(self) -> list[str]:
@@ -257,9 +270,22 @@ class RelationDataset:
         return {src: cands for src, cands in negatives.items() if cands}
 
 
-def _parse(path: Path, words: _Words) -> tuple[np.ndarray, np.ndarray, str]:
-    """The word ids and relation codes of a relations file's distinct rows, in file
-    order, and the SHA-256 of the bytes parsed.
+def _read_file(path: Path) -> tuple[bytes, str]:
+    """A relations file's bytes and their SHA-256."""
+    if not path.is_file():
+        raise InputError(f"relations file not found: {path}")
+    return read_hashed(path)
+
+
+def _warn_duplicates(path: Path, duplicates: int) -> None:
+    if duplicates:
+        log.warning("%s: dropped %d duplicate row(s)", path, duplicates)
+
+
+def _parse(path: Path, data: bytes, words: _Words) -> tuple[np.ndarray, np.ndarray, int]:
+    """The word ids and relation codes of the distinct rows of the relations file
+    ``path``, whose bytes are ``data``, in file order, and how many duplicate rows
+    were dropped, with a warning.
 
     The file is decoded, split and checked whole. Rows of exactly three
     columns, the usual case, are cut into columns by one join and one split
@@ -267,9 +293,6 @@ def _parse(path: Path, words: _Words) -> tuple[np.ndarray, np.ndarray, str]:
     to three first. A file that fails a check is scanned line by line by
     ``_raise_first_bad_line``.
     """
-    if not path.is_file():
-        raise InputError(f"relations file not found: {path}")
-    data, digest = read_hashed(path)
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError:
@@ -294,18 +317,20 @@ def _parse(path: Path, words: _Words) -> tuple[np.ndarray, np.ndarray, str]:
     # one key per distinct row; it fits an int64 below 1.7e9 words met
     key = (ids[:, 0].astype(np.int64) * len(words) + ids[:, 1]) * len(RELATIONS) + codes
     first = np.unique(key, return_index=True)[1]
-    if len(first) < len(key):
-        log.warning("%s: dropped %d duplicate row(s)", path, len(key) - len(first))
+    duplicates = len(key) - len(first)
+    _warn_duplicates(path, duplicates)
+    if duplicates:
         first.sort()  # the first of each, in file order
         ids, codes = ids[first], codes[first]
-    return ids, codes, digest
+    return ids, codes, duplicates
 
 
 def read_relations(path: str | Path) -> Relations:
     """A relations TSV as columns: the rows ``load_relations`` returns, in file order,
     with the same checks, warnings and errors, and no Python object per row."""
-    words = _Words()
-    ids, codes, digest = _parse(Path(path), words)
+    path, words = Path(path), _Words()
+    data, digest = _read_file(path)
+    ids, codes, _ = _parse(path, data, words)
     return Relations(*words.dense(ids), codes, digest)
 
 
@@ -457,15 +482,19 @@ def bind(dataset: RelationDataset, table: EmbeddingTable) -> RelationDataset:
     kept, kept_neg = (positives >= 0).all(axis=1), (negatives >= 0).all(axis=1)
     dropped_pos = len(kept) - int(np.count_nonzero(kept))
     dropped_neg = len(kept_neg) - int(np.count_nonzero(kept_neg))
-    if dropped_pos or dropped_neg:
-        log.info("dropped %d positive and %d negative pair(s) not in the vocabulary",
-                 dropped_pos, dropped_neg)
+    _log_dropped(dropped_pos, dropped_neg)
     return RelationDataset.from_columns(
         Relations(table.vocab, positives[kept], dataset.hypernyms.codes[kept]),
         dataset.buckets[kept],
         Relations(table.vocab, negatives[kept_neg], dataset.negatives.codes[kept_neg]),
         dataset.dropped_positives + dropped_pos, dataset.dropped_negatives + dropped_neg,
         dataset.source_sha256)
+
+
+def _log_dropped(positives: int, negatives: int) -> None:
+    if positives or negatives:
+        log.info("dropped %d positive and %d negative pair(s) not in the vocabulary",
+                 positives, negatives)
 
 
 def build_dataset(pairs: Sequence[RelationPair] | Relations, table: EmbeddingTable,
@@ -558,29 +587,116 @@ def write_split(dataset: RelationDataset, out_dir: str | Path) -> dict[str, Path
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {name: out_dir / f"{name}.tsv" for name in (*BUCKETS, "negatives")}
+    paths = {name: out_dir / f"{name}.tsv" for name in SPLIT_FILES}
     for bucket in BUCKETS:
         write_relations(dataset.relations_in(bucket), paths[bucket])
     write_relations(dataset.negatives, paths["negatives"])
     return paths
 
 
-def read_split_dir(split_dir: str | Path, table: EmbeddingTable) -> RelationDataset:
+def _read_ahead(paths: list[Path]) -> dict[Path, tuple[bytes, str]]:
+    """The bytes and digest of each file of a split directory, read in order to key
+    its cache entry; empty if a bucket file is missing or a file cannot be read,
+    so that the parse reports that in its own order."""
+    *buckets, negatives = paths
+    files = {}
+    for path in buckets + [negatives] * negatives.is_file():
+        try:
+            files[path] = read_hashed(path)
+        except OSError:  # a missing bucket file too
+            return {}
+    return files
+
+
+def _split_key(files: dict[Path, tuple[bytes, str]], table: EmbeddingTable) -> list[str] | None:
+    """What a bound split's cache entry is keyed by: each file's digest in BUCKETS
+    order, then negatives.tsv's or "none", then ``vocab_hash(table)``. None when no
+    entry applies: a file could not be read ahead, or a word of the table holds a
+    newline, so that its vocab_hash could name another vocabulary too."""
+    if len(files) < len(BUCKETS) or not table._vocab_digest[1]:
+        return None
+    digests = [digest for _, digest in files.values()]
+    if len(digests) == len(BUCKETS):
+        digests.append("none")  # no negatives.tsv
+    return [*digests, vocab_hash(table)]
+
+
+def _whole(values: np.ndarray, low: int, high: int) -> bool:
+    """Whether every value is an integer in [low, high)."""
+    return bool(((values >= low) & (values < high) & (values == np.floor(values))).all())
+
+
+def _cached_split(entry: Path, key: list[str], files: dict[Path, tuple[bytes, str]],
+                  table: EmbeddingTable) -> RelationDataset | None:
+    """The bound split a cache entry holds, its warnings and its drop message logged
+    as the parse logs them, or None if the entry is missing, unsound or another key's."""
+    try:
+        header, payload = read_container(entry, SPLIT_MAGIC)
+        n, m, duplicates, dropped = (header["positives"], header["negatives"],
+                                     header["duplicates"], header["dropped"])
+        counts = [n, m, *duplicates, *dropped]
+        sound = (header["version"] == SPLIT_CACHE_VERSION and header["key"] == key
+                 and all(type(c) is int and c >= 0 for c in counts)
+                 and len(duplicates) == len(SPLIT_FILES) and len(dropped) == 2
+                 and payload.size == 4 * n + 3 * m)
+    except (OSError, InputError, TypeError, KeyError):
+        return None
+    if not sound:
+        return None
+    pos, pos_codes, buckets, neg, neg_codes = np.split(payload, np.cumsum([2 * n, n, n, 2 * m]))
+    vocab = len(table)
+    if not (_whole(pos, 0, vocab) and _whole(pos_codes, HYPERNYM, HYPERNYM + 1)
+            and _whole(buckets, 0, len(BUCKETS)) and _whole(neg, 0, vocab)
+            and _whole(neg_codes, HYPERNYM + 1, len(RELATIONS))):
+        return None
+    _touch(entry)
+    for path, count in zip(files, duplicates):  # a missing negatives.tsv dropped none
+        _warn_duplicates(path, count)
+    _log_dropped(*dropped)
+    bound = RelationDataset.from_columns(
+        Relations(table.vocab, pos.astype(np.intp).reshape(n, 2), pos_codes.astype(np.int8)),
+        buckets.astype(np.int8),
+        Relations(table.vocab, neg.astype(np.intp).reshape(m, 2), neg_codes.astype(np.int8)),
+        *dropped, {path: digest for path, (_, digest) in files.items()})
+    bound.cache_status = "hit"
+    return bound
+
+
+def read_split_dir(split_dir: str | Path, table: EmbeddingTable,
+                   cache: str | Path | None = None) -> RelationDataset:
     """Bind the split in a directory written by write_split to ``table``.
 
     Each file is read once, into columns over one word list, and ``bind``
     then makes the ids table rows; the dataset's ``source_sha256`` names
-    the bytes parsed. Every row of a
-    bucket file must be a hypernym and no row of ``negatives.tsv`` may be
-    one; otherwise the first row that breaks this is an ``InputError``.
+    the bytes read. Every row of a bucket file must be a hypernym and no
+    row of ``negatives.tsv`` may be one; otherwise the first row that breaks
+    this is an ``InputError``.
+
+    Given a ``cache`` directory, the bound split is looked up there first,
+    keyed by the digests of the bytes read and the table's vocabulary
+    (``_split_key``); a hit builds it from the stored table rows and logs
+    the parse's warnings and drop message again, with this call's paths. A
+    miss parses the same bytes and stores the bound split, if it loads.
+    The dataset's ``cache_status`` tells which; None parses every time.
     """
     split_dir = Path(split_dir)
+    paths = [split_dir / f"{name}.tsv" for name in SPLIT_FILES]
+    files = _read_ahead(paths) if cache is not None else {}
+    key, entry = _split_key(files, table), None
+    if key is not None:
+        name = hashlib.sha256(" ".join(key).encode("ascii")).hexdigest()
+        entry = _entry_path(cache, name, SPLIT_CACHE_VERSION, ".hpsplit")
+        cached = _cached_split(entry, key, files, table)
+        if cached is not None:
+            return cached
     words = _Words()
     digests: dict[Path, str] = {}
+    duplicates = [0] * len(paths)
 
-    def read(name: str, positive: bool) -> tuple[np.ndarray, np.ndarray]:
-        path = split_dir / f"{name}.tsv"
-        ids, codes, digests[path] = _parse(path, words)
+    def read(i: int, positive: bool) -> tuple[np.ndarray, np.ndarray]:
+        path = paths[i]
+        data, digests[path] = files[path] if path in files else _read_file(path)
+        ids, codes, duplicates[i] = _parse(path, data, words)
         wrong = np.flatnonzero((codes == HYPERNYM) != positive)
         if wrong.size:
             row = (*map(words.words.__getitem__, ids[wrong[0]].tolist()),
@@ -591,15 +707,23 @@ def read_split_dir(split_dir: str | Path, table: EmbeddingTable) -> RelationData
         return ids, codes
 
     parts = []
-    for bucket in BUCKETS:
-        if not (split_dir / f"{bucket}.tsv").is_file():
+    for i, bucket in enumerate(BUCKETS):
+        if not paths[i].is_file():
             raise InputError(f"split directory is missing {bucket}.tsv")
-        parts.append(read(bucket, True))
-    negatives = (read("negatives", False) if (split_dir / "negatives.tsv").is_file()
+        parts.append(read(i, True))
+    negatives = (read(len(BUCKETS), False) if paths[-1].is_file()
                  else (np.empty((0, 2), np.intp), np.empty(0, np.int8)))
     (pos, pos_codes), (neg, neg_codes) = [np.concatenate(c) for c in zip(*parts)], negatives
     buckets = np.repeat(np.arange(len(BUCKETS), dtype=np.int8), [len(c) for _, c in parts])
     every, pos, neg = words.dense(pos, neg)
-    return bind(RelationDataset.from_columns(Relations(every, pos, pos_codes), buckets,
-                                             Relations(every, neg, neg_codes),
-                                             source_sha256=digests), table)
+    bound = bind(RelationDataset.from_columns(Relations(every, pos, pos_codes), buckets,
+                                              Relations(every, neg, neg_codes),
+                                              source_sha256=digests), table)
+    if entry is not None:  # only a split that loads gets an entry
+        header = {"version": SPLIT_CACHE_VERSION, "key": key, "positives": len(bound.hypernyms),
+                  "negatives": len(bound.negatives), "duplicates": duplicates,
+                  "dropped": [bound.dropped_positives, bound.dropped_negatives]}
+        _store(entry, SPLIT_MAGIC, header, bound.hypernyms.ids, bound.hypernyms.codes,
+               bound.buckets, bound.negatives.ids, bound.negatives.codes)
+        bound.cache_status = "miss"
+    return bound

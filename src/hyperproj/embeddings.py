@@ -26,16 +26,23 @@ gives the table a parse gives: duplicates, their warning and ``normalize``
 are applied after either. An entry that is missing, short or unsound in any
 way is a miss, an unwritable directory only means parsing every time, and a
 file that fails to load, or changes while it is read, never gets an entry.
-An entry is a container, as a model file is (see ``errors``): ``CACHE_MAGIC``,
-a header of version, sha256, count, dim and the words joined by spaces
-(which no word holds), and the row-major float64 rows as its payload. A
+``load_embeddings`` sets the table's ``cache_status`` to "hit" or "miss"
+when it looked the file up, else leaves it None. An entry is a container,
+as a model file is (see ``errors``): ``CACHE_MAGIC``, a header of version,
+sha256, count, dim and the words joined by spaces (which no word holds),
+and the row-major float64 rows as its payload. A
 binary file is hashed but never cached: its float64 entry would be twice
 the file's size, and on a large table (70k rows of 100) a hit saved only
-about a seventh of a parse while a miss cost about a third more. After
-writing an entry, entries named by a digest alone, which no version reads,
-are deleted, and then the least recently used entries while the
-directory's entries exceed CACHE_MAX_BYTES; a hit updates its entry's
-modification time.
+about a seventh of a parse while a miss cost about a third more.
+
+A cache directory holds two kinds of entry under one naming scheme,
+``<sha256>-<version><suffix>`` (``_entry_path``): tables here, as
+``.hptab``, and bound splits (see ``dataset.read_split_dir``), as
+``.hpsplit``. Both are written through ``_store``. After writing an entry
+of either kind, entries named by a digest alone, which no version reads,
+are deleted, and then the least recently used entries of both kinds while
+together they exceed CACHE_MAX_BYTES (``_evict``); a hit updates its
+entry's modification time (``_touch``).
 
 Similarity search has one exact scorer, ``_per_row_cosines``, on chosen
 rows: each dot product is numpy's own per-row product of one query and one
@@ -92,7 +99,8 @@ NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 FORMATS = ("text", "binary")
 CACHE_MAGIC = b"HPTAB1"
 CACHE_VERSION = 3  # in each entry's name and header: entries of other rules are not read
-CACHE_MAX_BYTES = 1 << 30  # entries a cache directory keeps, see _evict
+CACHE_MAX_BYTES = 1 << 30  # entries a cache directory keeps, of both kinds, see _evict
+ENTRY_SUFFIXES = (".hptab", ".hpsplit")  # a parsed table, a bound split
 
 
 def _below_one(A: np.ndarray, axis: int | tuple[int, ...] = -1) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +193,8 @@ class EmbeddingTable:
         normalized: rows were scaled to unit L2 norm at load time.
         source_sha256: SHA-256 of the file bytes ``load_embeddings`` read
             the table from; empty for a table built in memory.
+        cache_status: "hit" or "miss" when ``load_embeddings`` looked the
+            file up in a cache directory, else None.
     """
 
     vocab: list[str]
@@ -199,6 +209,7 @@ class EmbeddingTable:
     _shifts: np.ndarray = field(init=False, repr=False)
     _quarter_norms: np.ndarray = field(init=False, repr=False)
     _dead: np.ndarray = field(init=False, repr=False)  # the zero rows
+    cache_status: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
@@ -243,6 +254,15 @@ class EmbeddingTable:
         norms = self._quarter_norms
         np.divide(columns, norms, out=columns, where=norms > 0.0)
         return columns
+
+    @functools.cached_property
+    def _vocab_digest(self) -> tuple[str, bool]:
+        """``vocab_hash``'s digest, and whether it names the vocabulary: true
+        unless a word holds a newline, so that two vocabularies join alike.
+        Computed by the first caller and kept, as the table is immutable."""
+        joined = "\n".join([*self.vocab, ""])
+        return (hashlib.sha256(joined.encode("utf-8")).hexdigest(),
+                joined.count("\n") == len(self.vocab))
 
     def __len__(self) -> int:
         return len(self.vocab)
@@ -444,8 +464,31 @@ def _parse_binary(path: Path) -> tuple[list[str], np.ndarray]:
     return words, _binary_rows(words, payloads, dim, path)
 
 
+def _entry_path(cache: str | Path, key: str, version: int, suffix: str) -> Path:
+    """Where a cache entry lives: ``<key>-<version><suffix>`` in ``cache``, the
+    one naming scheme of both entry kinds (ENTRY_SUFFIXES)."""
+    return Path(cache) / f"{key}-{version}{suffix}"
+
+
+def _touch(entry: Path) -> None:
+    """Mark a hit entry as the most recently used, see _evict."""
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+
+
+def _store(entry: Path, magic: bytes, header: dict, *arrays: np.ndarray) -> None:
+    """Write a cache entry, a container, then evict; failures are only logged."""
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        write_container(entry, magic, header, *arrays)
+    except OSError as exc:
+        log.info("cache entry not written: %s", exc)
+        return
+    _evict(entry)
+
+
 def _read_entry(entry: Path, digest: str) -> tuple[list[str], np.ndarray] | None:
-    """The words and rows a cache entry holds, or None if it is missing or unsound."""
+    """The words and rows a table's cache entry holds, or None if it is missing or unsound."""
     try:
         header, rows = read_container(entry, CACHE_MAGIC)
         words, count, dim = header["words"].split(" "), header["count"], header["dim"]
@@ -458,33 +501,30 @@ def _read_entry(entry: Path, digest: str) -> tuple[list[str], np.ndarray] | None
 
 
 def _write_entry(entry: Path, digest: str, words: list[str], vectors: np.ndarray) -> None:
-    """Store a parse as a cache entry; failures are only logged."""
+    """Store a parse as a table's cache entry; failures are only logged."""
     header = {"version": CACHE_VERSION, "sha256": digest, "count": len(words),
               "dim": vectors.shape[1], "words": " ".join(words)}  # no word holds a space
-    try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        write_container(entry, CACHE_MAGIC, header, vectors)
-    except OSError as exc:
-        log.info("embedding cache not written: %s", exc)
-        return
-    _evict(entry)
+    _store(entry, CACHE_MAGIC, header, vectors)
 
 
 def _evict(kept: Path) -> None:
     """Delete the entries beside ``kept`` named by a digest alone, which no version
-    reads, then the least recently used ones while the entries hold more than
-    CACHE_MAX_BYTES; ``kept``, just written, stays.
+    reads, then the least recently used ones while the entries, tables and
+    splits together, hold more than CACHE_MAX_BYTES; ``kept``, just written, stays.
 
     1 GiB holds about 17 tables of 70k words at d=100 (57 MB each) or 1,700
-    of 7k words at d=10, so every fixture of a sweep over seeds stays warm,
-    while a directory that has filled up costs no more disk than that. An
+    of 7k words at d=10, about 1,350 with a split entry beside each (0.15 MB
+    for 6,000 rows), so every fixture of a sweep over seeds stays warm, while
+    a directory that has filled up costs no more disk than that. An
     entry's modification time is when it was last written or hit. An entry
     that cannot be listed, read or deleted is passed over: another process
     may be using the same directory.
     """
     aged = []
     with contextlib.suppress(OSError):
-        for path in kept.parent.glob("*.hptab"):
+        for path in kept.parent.iterdir():
+            if path.suffix not in ENTRY_SUFFIXES:
+                continue
             with contextlib.suppress(OSError):
                 if "-" not in path.stem:
                     path.unlink()
@@ -526,18 +566,20 @@ def load_embeddings(path: str | Path, format: str = "text", normalize: bool = Fa
     digest = file_sha256(path)
     entry = None  # binary files are never cached, see the module docstring
     if cache is not None and format == "text":
-        entry = Path(cache) / f"{digest}-{CACHE_VERSION}.hptab"
+        entry = _entry_path(cache, digest, CACHE_VERSION, ".hptab")
         cached = _read_entry(entry, digest)
         if cached is not None:
-            with contextlib.suppress(OSError):
-                os.utime(entry)  # most recently used, see _evict
-            return _finish(*cached, normalize, str(path), digest)
+            _touch(entry)
+            table = _finish(*cached, normalize, str(path), digest)
+            table.cache_status = "hit"
+            return table
     parsed = (_parse_text if format == "text" else _parse_binary)(path)
     if file_sha256(path) != digest:
         raise InputError(f"{path}: changed while it was read")
     table = _finish(*parsed, normalize, str(path), digest)
     if entry is not None:
         _write_entry(entry, digest, *parsed)  # only a file that loads gets an entry
+        table.cache_status = "miss"
     return table
 
 
@@ -859,5 +901,6 @@ def nearest_neighbors(table: EmbeddingTable, query: np.ndarray, l: int,
 
 
 def vocab_hash(table: EmbeddingTable) -> str:
-    """SHA-256 over the newline-joined vocabulary; recorded in model files."""
-    return hashlib.sha256("\n".join([*table.vocab, ""]).encode("utf-8")).hexdigest()
+    """SHA-256 over the newline-joined vocabulary; recorded in model files and in
+    a bound split's cache key. Computed once per table."""
+    return table._vocab_digest[0]

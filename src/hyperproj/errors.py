@@ -8,9 +8,10 @@ drops one leading byte-order mark (U+FEFF). Text embedding files are parsed
 through it as they are read; ``load_relations`` decodes a whole file and
 reads through it only to name the line of an error. ``file_sha256`` is the
 package's one file hash, for the embedding loader and the manifests alike;
-``read_hashed`` gives the same digest of the bytes a relations reader parses.
-Every file the package writes goes through ``atomic_open``. Cache entries and
-models are containers: magic, a sorted JSON header padded so that the payload
+``read_hashed`` gives the same digest of the bytes a relations reader parses
+or, through the cache, looks up.
+Every file the package writes goes through ``atomic_open``. Cache entries, of
+tables and of bound splits, and models are containers: magic, a sorted JSON header padded so that the payload
 is 8-byte aligned, NUL, a little-endian float64 payload, a CRC-32 of it all.
 """
 

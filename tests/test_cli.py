@@ -804,7 +804,7 @@ class TestEmbeddingCache:
             "r.json": ["eval", *flags, "--model", tmp_path / "m.hprj",
                        "--test", split_dir / "test.tsv", "--out"],
         }
-        hashed, parsed, counts = [], [], []
+        hashed, parsed, counts, looked_up = [], [], [], []
         real_hash, real_parse = embeddings.file_sha256, embeddings._parse_text
 
         def record_hash(path):
@@ -819,14 +819,39 @@ class TestEmbeddingCache:
                 hashed.clear()
                 parsed.clear()
                 assert run(*argv, tmp_path / out) == 0
-                inputs = json.loads((tmp_path / f"{out}.manifest.json").read_text())["inputs"]
-                assert inputs[str(emb)] == digest
+                manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+                assert manifest["inputs"][str(emb)] == digest
                 assert len(hashed) > hashed.count(emb)  # the other inputs are hashed too
                 counts.append((hashed.count(emb), len(parsed)))
+                looked_up.append(manifest["cache"])
+                # perfbench re-hashes outputs: a cache entry, which a later run may evict,
+                # is never one
+                assert all(Path(o).parent != tmp_path / "cache" for o in manifest["outputs"])
         # cold: hashed before and after its one parse; warm: hashed once, not parsed
         assert counts == [(2, 1), (1, 0), (1, 0)]
-        assert ([p.name for p in (tmp_path / "cache").iterdir()]
-                == [f"{digest}-{embeddings.CACHE_VERSION}.hptab"])
+        # every cached input, and only those: the model and the test TSV are not cached
+        split_files = [str(split_dir / f"{name}.tsv") for name in dataset.SPLIT_FILES]
+        assert looked_up == [dict.fromkeys([str(emb), *split_files], "miss"),
+                             dict.fromkeys([str(emb), *split_files], "hit"),
+                             {str(emb): "hit"}]
+        # one table entry and one bound split entry
+        assert (sorted(p.suffix for p in (tmp_path / "cache").iterdir())
+                == [".hpsplit", ".hptab"])
+        assert (tmp_path / "cache" / f"{digest}-{embeddings.CACHE_VERSION}.hptab").is_file()
+
+    def test_without_a_cache_directory_manifests_leave_the_field_out(
+            self, tmp_path, fixture_dir, split_dir):
+        flags = ["--embeddings", fixture_dir / "embeddings.txt"]
+        with mock.patch.object(cli, "_cache_dir", return_value=None):
+            assert run("cluster", *flags, "--split-dir", split_dir, "--k", 1,
+                       "--out", tmp_path / "c.json") == 0
+            assert run("train", *flags, "--split-dir", split_dir, "--k", 1, "--epochs", 2,
+                       "--out", tmp_path / "m.hprj") == 0
+            assert run("eval", *flags, "--model", tmp_path / "m.hprj",
+                       "--test", split_dir / "test.tsv", "--out", tmp_path / "r.json") == 0
+        for out in ("c.json", "m.hprj", "r.json"):
+            manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+            assert "cache" not in manifest and manifest["inputs"]
 
     def test_embeddings_changed_while_read_exit_2_with_no_entry(self, tmp_path, monkeypatch,
                                                                capsys):

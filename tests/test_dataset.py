@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperproj import cli, dataset
+from hyperproj import cli, dataset, embeddings
 from hyperproj.clustering import offsets
 from hyperproj.dataset import (
     BUCKETS,
@@ -33,7 +34,7 @@ from hyperproj.dataset import (
     write_split,
 )
 from hyperproj.embeddings import EmbeddingTable, load_embeddings
-from hyperproj.errors import InputError, utf8_lines
+from hyperproj.errors import InputError, read_container, utf8_lines, write_container
 from hyperproj.evaluation import evaluate, hit_at
 from hyperproj.synth import SynthConfig, make_fixture, write_fixture
 from hyperproj.training import TrainConfig, train
@@ -220,6 +221,11 @@ def fuzz_split(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz-split")
 
 
+@pytest.fixture(scope="module")
+def fuzz_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-cache")
+
+
 def reference_check_positive(path, pairs, positive):
     """The relation check read_split_dir ran on each file's pairs before it read columns."""
     for pair in pairs:
@@ -300,9 +306,11 @@ class TestLoadRelationsMatchesReference:
     @example(files={"train": b"a\tb\thypernym\n", "validation": b"b\tc\tsynonym\n",
                     "test": b"a\ta\thypernym\n", "negatives": None})
     @settings(deadline=None)
-    def test_read_split_dir(self, fuzz_split, files):
+    def test_read_split_dir(self, fuzz_split, fuzz_cache, files):
         """Bucket order, bound rows, drop counts, warnings and the first error all match
-        the row-by-row reader plus the row-by-row filter; so does negative_index."""
+        the row-by-row reader plus the row-by-row filter; so does negative_index. Read
+        through a cache, cold or warm, the outcome is the same, and an error writes
+        no entry."""
         for name, content in files.items():
             path = fuzz_split / f"{name}.tsv"
             path.unlink(missing_ok=True)
@@ -310,7 +318,11 @@ class TestLoadRelationsMatchesReference:
                 path.write_bytes(content)
         got = split_outcome(read_split_dir, fuzz_split)
         assert got == split_outcome(reference_read_split_dir, fuzz_split)
+        before = sorted(fuzz_cache.iterdir())
+        for _ in range(2):  # a miss or a hit, then a hit
+            assert split_outcome(partial(read_split_dir, cache=fuzz_cache), fuzz_split) == got
         if got[0] == "error":
+            assert sorted(fuzz_cache.iterdir()) == before
             return
         data = read_split_dir(fuzz_split, SPLIT_TABLE)
         assert data.words is SPLIT_TABLE.vocab
@@ -904,3 +916,219 @@ class TestSplitRoundTrip:
         with pytest.raises(InputError) as err:
             read_split_dir(tmp_path, table_for("abcdefg"))
         assert str(err.value) == f"{path}: {expected}"
+
+
+# ---------------------------------------------------------------------------
+# the bound split cache
+# ---------------------------------------------------------------------------
+
+CACHE_SPLIT = {  # a duplicate train row, one positive and one negative out of vocabulary
+    "train": "a\tb\thypernym\nc\td\thypernym\na\tb\thypernym\nc\toov\thypernym\n",
+    "validation": "e\tf\thypernym\n",
+    "test": "g\th\thypernym\n",
+    "negatives": "a\tc\tsynonym\na\tg\tcohyponym\nb\toov\tsynonym\nb\td\tsynonym\n",
+}
+CACHE_TABLE = table_for("abcdefgh")
+
+
+def write_split_files(split_dir, files=CACHE_SPLIT):
+    split_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        write(split_dir / f"{name}.tsv", text)
+    return split_dir
+
+
+def split_entries(cache):
+    return sorted(cache.glob("*.hpsplit")) if cache.is_dir() else []
+
+
+def read_logged(caplog, split_dir, table=CACHE_TABLE, cache=None):
+    """A read's dataset and its log records, as (level, message)."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="hyperproj.dataset"):
+        data = read_split_dir(split_dir, table, cache=cache)
+    return data, [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+def assert_same_split(got, want):
+    assert got.words is want.words
+    for name in ("hypernyms", "negatives"):
+        for column in ("ids", "codes"):
+            a, b = getattr(getattr(got, name), column), getattr(getattr(want, name), column)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+    assert got.buckets.dtype == want.buckets.dtype
+    assert got.buckets.tobytes() == want.buckets.tobytes()
+    assert (got.dropped_positives, got.dropped_negatives) == (
+        want.dropped_positives, want.dropped_negatives)
+    assert got.source_sha256 == want.source_sha256
+
+
+class TestSplitCache:
+    def test_a_warm_read_is_a_cold_one(self, tmp_path, caplog):
+        split, cache = write_split_files(tmp_path / "split"), tmp_path / "cache"
+        plain, plain_log = read_logged(caplog, split)
+        assert [level for level, _ in plain_log] == ["WARNING", "INFO"]  # both replayed below
+        cold, cold_log = read_logged(caplog, split, cache=cache)
+        with mock.patch.object(dataset, "_parse", side_effect=AssertionError):
+            warm, warm_log = read_logged(caplog, split, cache=cache)
+        assert [d.cache_status for d in (plain, cold, warm)] == [None, "miss", "hit"]
+        for data in (cold, warm):
+            assert_same_split(data, plain)
+        assert cold_log == warm_log == plain_log
+        assert len(split_entries(cache)) == 1
+        assert [a.tolist() for a in negative_index(warm, CACHE_TABLE)] == [
+            a.tolist() for a in negative_index(plain, CACHE_TABLE)]
+
+    def test_a_hit_names_the_paths_of_its_own_call(self, tmp_path, caplog):
+        cache = tmp_path / "cache"
+        read_split_dir(write_split_files(tmp_path / "one"), CACHE_TABLE, cache=cache)
+        other = write_split_files(tmp_path / "two")
+        plain, plain_log = read_logged(caplog, other)
+        warm, warm_log = read_logged(caplog, other, cache=cache)
+        assert warm.cache_status == "hit" and len(split_entries(cache)) == 1
+        assert_same_split(warm, plain)
+        assert warm_log == plain_log and str(other / "train.tsv") in warm_log[0][1]
+        assert set(warm.source_sha256) == {other / f"{name}.tsv" for name in CACHE_SPLIT}
+
+    def test_a_missing_negatives_file_is_its_own_key(self, tmp_path):
+        cache, split = tmp_path / "cache", write_split_files(tmp_path / "split")
+        read_split_dir(split, CACHE_TABLE, cache=cache)
+        (split / "negatives.tsv").unlink()
+        for status in ("miss", "hit"):
+            data = read_split_dir(split, CACHE_TABLE, cache=cache)
+            assert data.cache_status == status
+            assert_same_split(data, read_split_dir(split, CACHE_TABLE))
+        assert len(data.negatives) == 0 and len(split_entries(cache)) == 2
+
+    @pytest.mark.parametrize("name, text", [
+        ("negatives", "a\tc\thypernym\n"), ("validation", "e\tf\tsynonym\n"),
+        ("test", "g\tg\thypernym\n"), ("train", None)],
+        ids=["negatives-hypernym", "bucket-synonym", "unparsable", "missing-bucket"])
+    def test_a_failing_split_writes_no_entry(self, tmp_path, capsys, name, text):
+        fixture, split = tmp_path / "fixture", write_split_files(tmp_path / "split")
+        assert cli.main(["synth", "--d", "2", "--n", "4", "--distractors", "1",
+                         "--out", str(fixture)]) == 0
+        path = split / f"{name}.tsv"
+        path.unlink()
+        if text is not None:
+            write(path, text)
+        with pytest.raises(InputError) as plain:
+            read_split_dir(split, CACHE_TABLE)
+        capsys.readouterr()
+        for cache in (None, tmp_path / "cache", tmp_path / "cache"):
+            with mock.patch.object(cli, "_cache_dir", return_value=cache):
+                code = cli.main(["cluster", "--embeddings", str(fixture / "embeddings.txt"),
+                                 "--split-dir", str(split), "--k", "1",
+                                 "--out", str(tmp_path / "c.json")])
+            assert (code, capsys.readouterr().err) == (2, f"error: {plain.value}\n")
+        assert split_entries(tmp_path / "cache") == []
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "flipped", "appended", "not-a-container", "another-key", "another-version",
+        "counts", "row-outside-the-table", "fractional-row", "negative-code",
+        "duplicates-not-a-list"])
+    def test_an_unsound_entry_is_a_miss_and_rewritten(self, tmp_path, caplog, damage):
+        split, cache = write_split_files(tmp_path / "split"), tmp_path / "cache"
+        plain, plain_log = read_logged(caplog, split)
+        read_split_dir(split, CACHE_TABLE, cache=cache)
+        [entry] = split_entries(cache)
+        valid = entry.read_bytes()
+        header, payload = read_container(entry, dataset.SPLIT_MAGIC)
+        payload = payload.copy()
+        n = header["positives"]
+        if damage == "truncated":
+            entry.write_bytes(valid[:len(valid) // 2])
+        elif damage == "flipped":
+            entry.write_bytes(valid[:-20] + bytes([valid[-20] ^ 1]) + valid[-19:])
+        elif damage == "appended":
+            entry.write_bytes(valid + b"\0" * 8)
+        elif damage == "not-a-container":
+            entry.write_bytes(b"HPTAB1 a table's magic")
+        else:
+            if damage == "another-key":
+                header["key"][0] = "0" * 64
+            elif damage == "another-version":
+                header["version"] += 1
+            elif damage == "counts":
+                header["positives"], header["negatives"] = n - 1, header["negatives"] + 1
+            elif damage == "row-outside-the-table":
+                payload[0] = len(CACHE_TABLE)
+            elif damage == "fractional-row":
+                payload[0] += 0.5
+            elif damage == "negative-code":  # a positive row's relation code
+                payload[2 * n] = 1
+            else:
+                header["duplicates"] = 1
+            write_container(entry, dataset.SPLIT_MAGIC, header, payload)
+        data, log = read_logged(caplog, split, cache=cache)
+        assert data.cache_status == "miss"
+        assert_same_split(data, plain)
+        assert log == plain_log
+        assert entry.read_bytes() == valid  # rewritten
+        assert read_split_dir(split, CACHE_TABLE, cache=cache).cache_status == "hit"
+
+    @pytest.mark.parametrize("cache", ["file", "file/below", "dir"])
+    def test_an_unwritable_directory_parses_every_time(self, tmp_path, cache):
+        split = write_split_files(tmp_path / "split")
+        plain = read_split_dir(split, CACHE_TABLE)
+        write(tmp_path / "file", "not a directory")
+        key = dataset._split_key(dataset._read_ahead(
+            [split / f"{name}.tsv" for name in dataset.SPLIT_FILES]), CACHE_TABLE)
+        name = hashlib.sha256(" ".join(key).encode()).hexdigest()
+        # where the entry goes
+        (tmp_path / "dir" / f"{name}-{dataset.SPLIT_CACHE_VERSION}.hpsplit").mkdir(parents=True)
+        parse = mock.Mock(wraps=dataset._parse)
+        with mock.patch.object(dataset, "_parse", parse):
+            for _ in range(2):
+                data = read_split_dir(split, CACHE_TABLE, cache=tmp_path / cache)
+                assert data.cache_status == "miss"
+                assert_same_split(data, plain)
+        assert parse.call_count == 2 * len(dataset.SPLIT_FILES)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file", "split"]
+
+    def test_another_vocabulary_misses(self, tmp_path):
+        split, cache = write_split_files(tmp_path / "split"), tmp_path / "cache"
+        # the same words in another order, and one word fewer: other rows, other drops
+        tables = [CACHE_TABLE, table_for("hgfedcba"), table_for("abcdefg"), CACHE_TABLE]
+        statuses = []
+        for table in tables:
+            data = read_split_dir(split, table, cache=cache)
+            assert_same_split(data, read_split_dir(split, table))
+            statuses.append(data.cache_status)
+        assert statuses == ["miss", "miss", "miss", "hit"]
+        assert len(split_entries(cache)) == 3
+
+    def test_a_word_with_a_newline_is_never_cached(self, tmp_path):
+        # ["a", "b\nc"] and ["a\nb", "c"] join alike, so vocab_hash cannot tell them apart
+        split, cache = write_split_files(tmp_path / "split"), tmp_path / "cache"
+        table = table_for([*"abdefgh", "c\nx"])
+        for _ in range(2):
+            data = read_split_dir(split, table, cache=cache)
+            assert data.cache_status is None
+            assert_same_split(data, read_split_dir(split, table))
+        assert not cache.exists()
+
+    def test_eviction_counts_both_entry_kinds(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        # tables of 20 columns: each entry is larger than the split's
+        emb = [write(tmp_path / f"e{i}.txt", "".join(f"{w}{f' {i}' * 20}\n" for w in "abcdefgh"))
+               for i in range(2)]
+        split = write_split_files(tmp_path / "split")
+        load_embeddings(emb[0], cache=cache)
+        read_split_dir(split, CACHE_TABLE, cache=cache)
+        [table_entry] = cache.glob("*.hptab")
+        [split_entry] = split_entries(cache)
+        os.utime(split_entry, ns=(0, 10**9))  # the least recently used
+        os.utime(table_entry, ns=(0, 2 * 10**9))
+        # room for two tables, not for two tables and a split
+        assert split_entry.stat().st_size < table_entry.stat().st_size
+        monkeypatch.setattr(embeddings, "CACHE_MAX_BYTES", 2 * table_entry.stat().st_size)
+        load_embeddings(emb[1], cache=cache)  # a table entry evicts the split's
+        assert table_entry.exists() and not split_entry.exists()
+        assert len(list(cache.iterdir())) == 2
+        # and a split entry evicts the least recently used table's
+        os.utime(table_entry, ns=(0, 10**9))
+        read_split_dir(split, CACHE_TABLE, cache=cache)
+        assert split_entry.exists() and not table_entry.exists()
+        assert len(list(cache.iterdir())) == 2

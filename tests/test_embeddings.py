@@ -867,6 +867,22 @@ def test_vocab_hash_changes_with_vocab(tiny_table):
     assert vocab_hash(tiny_table) == vocab_hash(tiny_table)
 
 
+def test_vocab_hash_is_computed_once_per_table():
+    table = EmbeddingTable(["a", "b"], np.eye(2))
+    with mock.patch.object(embeddings.hashlib, "sha256", wraps=hashlib.sha256) as sha256:
+        first = vocab_hash(table)
+        assert vocab_hash(table) == first and sha256.call_count == 1
+        assert vocab_hash(EmbeddingTable(["a", "b"], np.eye(2))) == first
+        assert sha256.call_count == 2
+
+
+@pytest.mark.parametrize("vocab, names_it", [
+    (["a", "b\nc"], False), (["a\nb", "c"], False), (["a", "b c", "\r"], True), ([], True)])
+def test_vocab_hash_names_a_vocabulary_without_newlines(vocab, names_it):
+    table = EmbeddingTable(vocab, np.ones((len(vocab), 1)))
+    assert table._vocab_digest == (vocab_hash(table), names_it)
+
+
 # ---------------------------------------------------------------------------
 # the parsed-table cache
 # ---------------------------------------------------------------------------

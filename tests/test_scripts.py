@@ -7,16 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyperproj.cli import blas_info, main
-from hyperproj.dataset import build_dataset
+from hyperproj.dataset import SPLIT_CACHE_VERSION, build_dataset
+from hyperproj.embeddings import CACHE_VERSION
 from hyperproj.evaluation import evaluate
 from hyperproj.projection import Regularizer
 from hyperproj.synth import SynthConfig, make_fixture
 from hyperproj.training import TrainConfig, train
 
 ROOT = Path(__file__).resolve().parents[1]
+# golden_digests.py's output per (numpy major version, OpenBLAS kernel set)
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_script(script, *args, **env_vars):
@@ -89,10 +93,18 @@ def test_golden_digests_same_cold_and_warm(tmp_path):
     cache = tmp_path / "cache"
     cold = run_script("golden_digests.py", HYPERPROJ_CACHE=str(cache))
     assert cold.returncode == 0, cold.stderr
-    assert len(list(cache.iterdir())) == 1  # one fixture, parsed once
+    # one fixture table and the one split every command binds to it, each parsed once
+    assert sorted(path.name.split("-", 1)[1] for path in cache.iterdir()) == [
+        f"{SPLIT_CACHE_VERSION}.hpsplit", f"{CACHE_VERSION}.hptab"]
     warm = run_script("golden_digests.py", HYPERPROJ_CACHE=str(cache))
     assert warm.returncode == 0, warm.stderr
     assert warm.stdout == cold.stdout
+    blas = json.loads(cold.stderr.splitlines()[0][len("blas: "):])
+    golden = GOLDEN / f"{np.__version__.split('.')[0]}-{blas and blas['core']}.txt"
+    if not golden.is_file():
+        pytest.skip(f"no {golden.relative_to(ROOT)}: the output bytes of numpy "
+                    f"{np.__version__} with BLAS {blas} were never pinned")
+    assert cold.stdout == golden.read_text(encoding="utf-8")
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch):
