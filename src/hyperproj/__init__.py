@@ -5,14 +5,18 @@ hypernym vectors, with optional asymmetric and neighbor (negative
 sampling) regularizers, and evaluates ranked predictions with hit@l and
 trapezoid AUC.
 
+Relations take one form, ``Relations``: a word list with int arrays of
+word ids and relation codes, as ``read_relations`` reads a file and
+``synth.make_fixture`` generates one. ``lexical_split`` returns each
+row's bucket as its int8 index in ``dataset.BUCKETS``.
+
 The one-query forms (``embeddings.nearest_neighbors``, which is
 ``embeddings.top_cosines`` of one query, ``clustering.assign_cluster`` and
 ``dataset.sample_negative``) are imported from their modules.
 """
 
 from .clustering import ClusterModel, assign_clusters, fit_kmeans, offsets
-from .dataset import (RelationDataset, RelationPair, build_dataset, lexical_split, load_relations,
-                      read_relations)
+from .dataset import RelationDataset, Relations, build_dataset, lexical_split, read_relations
 from .embeddings import EmbeddingTable, load_embeddings, save_embeddings_text
 from .errors import HyperprojError, InputError, TrainingError
 from .evaluation import EvalReport, auc, evaluate, hit_at, predict_candidates
@@ -31,7 +35,7 @@ __all__ = [
     "ProjectionModel",
     "Regularizer",
     "RelationDataset",
-    "RelationPair",
+    "Relations",
     "TrainConfig",
     "TrainingError",
     "adam_step",
@@ -44,7 +48,6 @@ __all__ = [
     "lexical_split",
     "load_embeddings",
     "load_model",
-    "load_relations",
     "offsets",
     "predict_candidates",
     "read_relations",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import RelationPair, Relations, pair_rows
+from .dataset import Relations, pair_rows
 from .embeddings import EmbeddingTable
 from .errors import InputError
 
@@ -51,16 +51,16 @@ class ClusterModel:
         return int(self.centroids.shape[1])
 
 
-def _pair_vectors(pairs: list[RelationPair] | Relations,
-                  table: EmbeddingTable) -> tuple[np.ndarray, ...]:
+def _pair_vectors(pairs: Relations, table: EmbeddingTable) -> tuple[np.ndarray, ...]:
     """The rows of ``pairs`` and their source and target vectors; a missing word is an error."""
     rows, found = pair_rows(pairs, table)
     if not found.all():  # the first such pair, as ('source', 'target')
-        raise InputError(f"unresolvable pair {pairs[int(np.argmin(found))][:2]!r}")
+        words = tuple(map(pairs.words.__getitem__, pairs.ids[int(np.argmin(found))].tolist()))
+        raise InputError(f"unresolvable pair {words!r}")
     return rows, *table.vectors[rows.T]
 
 
-def offsets(pairs: list[RelationPair] | Relations, table: EmbeddingTable) -> np.ndarray:
+def offsets(pairs: Relations, table: EmbeddingTable) -> np.ndarray:
     """Offset matrix with row i = vector(target_i) - vector(source_i)."""
     _, X, Y = _pair_vectors(pairs, table)
     return Y - X

@@ -22,14 +22,13 @@ skipping the parse and ``bind``, and logs the duplicate-row warnings and
 the drop message of the parse again, with its own paths. A miss parses
 the bytes already read; only a split that loads gets an entry.
 
-``RelationPair`` remains at the library's word-level edge:
-``load_relations`` returns them, the ``RelationDataset(positives,
-assignment, negative_pairs)`` constructor takes them, and the dataset's
-``positives``, ``assignment``, ``negative_pairs``, ``pairs_in``,
-``vocabulary`` and ``train_negatives`` views build them row by row, each
-time one is called. ``pair_rows`` resolves pairs of either form to table
-rows for evaluation, clustering and training, which callers may hand
-lists; each keeps its own policy for a pair with a missing word.
+Every function that takes relations takes a ``Relations``. ``pair_rows``
+resolves them to table rows for evaluation, clustering and training;
+each keeps its own policy for a pair with a missing word. Two word-level
+forms remain, because the benchmark's tracer hooks them by name:
+``load_relations``, a list of ``RelationPair`` built from
+``read_relations``' columns, and ``sample_negative``, the one-word
+reference form of ``_negative_sampler``, over ``train_negatives``.
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -69,14 +67,6 @@ class RelationPair(NamedTuple):
     source: str
     target: str
     relation: str
-
-
-def _codes(labels: Sequence[str], codes: dict[str, int], what: str) -> np.ndarray:
-    """The int8 code of each label; an unknown label is an InputError."""
-    try:
-        return np.fromiter(map(codes.__getitem__, labels), np.int8, len(labels))
-    except KeyError as exc:
-        raise InputError(f"unknown {what} {exc.args[0]!r}") from None
 
 
 class _Words:
@@ -109,12 +99,6 @@ class _Words:
         return list(self.first), *(renumber[i] for i in ids)
 
 
-def _encode(pairs: Sequence[RelationPair], words: _Words) -> tuple[np.ndarray, np.ndarray]:
-    """Word ids and relation codes of word-level pairs."""
-    ids = words.ids([word for pair in pairs for word in pair[:2]])
-    return ids, _codes(list(map(itemgetter(2), pairs)), _RELATION_CODES, "relation")
-
-
 def _table_rows(words: list[str], table: EmbeddingTable) -> np.ndarray:
     """The table row of each word, -1 for a word missing from ``table``: one lookup a word."""
     return np.fromiter(map(table._index.get, words, repeat(-1)), np.intp, len(words))
@@ -122,12 +106,11 @@ def _table_rows(words: list[str], table: EmbeddingTable) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Relations:
-    """Relation rows as columns; a read-only sequence of RelationPair.
+    """Relation rows as columns.
 
     ``ids[i]`` holds the indexes into ``words`` of row i's source and
     target, and ``codes[i]`` its relation's index in RELATIONS. When
     ``words`` is an embedding table's vocabulary, the ids are its rows.
-    Indexing or iterating builds RelationPair rows as it goes.
     ``source_sha256`` names the bytes ``read_relations`` parsed.
     """
 
@@ -143,29 +126,8 @@ class Relations:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
-    @classmethod
-    def of(cls, pairs: Sequence[RelationPair] | Relations) -> Relations:
-        """Word-level pairs as columns; a Relations is returned as it is."""
-        if isinstance(pairs, Relations):
-            return pairs
-        words = _Words()
-        ids, codes = _encode(pairs, words)
-        words, ids = words.dense(ids)
-        return cls(words, ids, codes)
-
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __getitem__(self, i: int) -> RelationPair:
-        source, target = self.ids[i].tolist()
-        return RelationPair._make((self.words[source], self.words[target],
-                                   RELATIONS[self.codes[i]]))
-
-    def __iter__(self) -> Iterator[RelationPair]:
-        sources, targets = self.ids.T.tolist()
-        word = self.words.__getitem__
-        return map(RelationPair._make, zip(map(word, sources), map(word, targets),
-                                           map(RELATIONS.__getitem__, self.codes.tolist())))
 
     def take(self, which: np.ndarray) -> Relations:
         """The rows ``which`` (a mask or indexes) picks, over the same words."""
@@ -188,62 +150,27 @@ class RelationDataset:
     those of ``bind``; ``source_sha256`` maps each file ``read_split_dir``
     read to the SHA-256 of its bytes.
 
-    ``RelationDataset(positives, assignment, negative_pairs)`` builds one
-    from word-level pairs and their BUCKETS labels. ``train_negatives``
-    (built on first use) maps each source to its distinct negatives outside
-    the validation and test vocabularies, keeping the split during sampling.
+    ``train_negatives`` (built on first use) maps each source word to its
+    distinct negatives outside the validation and test vocabularies,
+    keeping the split during sampling.
     """
 
-    def __init__(self, positives: Sequence[RelationPair], assignment: Sequence[str],
-                 negative_pairs: Sequence[RelationPair], dropped_positives: int = 0,
-                 dropped_negatives: int = 0):
-        if len(positives) != len(assignment):
-            raise InputError("assignment must be parallel to positives")
-        words = _Words()
-        pos, pos_codes = _encode(positives, words)
-        neg, neg_codes = _encode(negative_pairs, words)
-        words, pos, neg = words.dense(pos, neg)
-        self._set(Relations(words, pos, pos_codes), _codes(assignment, _BUCKET_CODES, "bucket"),
-                  Relations(words, neg, neg_codes), dropped_positives, dropped_negatives, {})
-
-    @classmethod
-    def from_columns(cls, hypernyms: Relations, buckets: np.ndarray, negatives: Relations,
-                     dropped_positives: int = 0, dropped_negatives: int = 0,
-                     source_sha256: dict[Path, str] | None = None) -> RelationDataset:
-        """A dataset of columns over one word list, kept as they are."""
+    def __init__(self, hypernyms: Relations, buckets: np.ndarray, negatives: Relations,
+                 dropped_positives: int = 0, dropped_negatives: int = 0,
+                 source_sha256: dict[Path, str] | None = None):
         if hypernyms.words is not negatives.words or len(hypernyms) != len(buckets):
             raise InputError("columns must share one word list, and buckets the positives' rows")
-        dataset = cls.__new__(cls)
-        dataset._set(hypernyms, buckets, negatives, dropped_positives, dropped_negatives,
-                     source_sha256 or {})
-        return dataset
-
-    def _set(self, hypernyms: Relations, buckets: np.ndarray, negatives: Relations,
-             dropped_positives: int, dropped_negatives: int,
-             source_sha256: dict[Path, str]) -> None:
         self.hypernyms = hypernyms
         self.buckets = buckets
         self.negatives = negatives
         self.dropped_positives = dropped_positives
         self.dropped_negatives = dropped_negatives
-        self.source_sha256 = source_sha256
+        self.source_sha256 = source_sha256 or {}
         self.cache_status: str | None = None  # "hit" or "miss" once read_split_dir looked it up
 
     @property
     def words(self) -> list[str]:
         return self.hypernyms.words
-
-    @property
-    def positives(self) -> list[RelationPair]:
-        return list(self.hypernyms)
-
-    @property
-    def assignment(self) -> list[str]:
-        return list(map(BUCKETS.__getitem__, self.buckets.tolist()))
-
-    @property
-    def negative_pairs(self) -> list[RelationPair]:
-        return list(self.negatives)
 
     def relations_in(self, bucket: str) -> Relations:
         """The bucket's positive rows, in order, as columns."""
@@ -251,23 +178,23 @@ class RelationDataset:
             raise InputError(f"unknown bucket {bucket!r}")
         return self.hypernyms.take(self.buckets == _BUCKET_CODES[bucket])
 
-    def pairs_in(self, bucket: str) -> list[RelationPair]:
-        return list(self.relations_in(bucket))
-
-    def vocabulary(self, bucket: str) -> set[str]:
-        seen = np.zeros(len(self.words), dtype=bool)  # np.unique would import numpy.ma
-        seen[self.relations_in(bucket).ids] = True
-        return set(map(self.words.__getitem__, np.flatnonzero(seen).tolist()))
+    def _held_out(self) -> np.ndarray:
+        """Which words, by id, a validation or test positive holds."""
+        held_out = np.zeros(len(self.words), dtype=bool)  # np.unique would import numpy.ma
+        held_out[self.hypernyms.ids[self.buckets != _BUCKET_CODES["train"]]] = True
+        return held_out
 
     @cached_property
     def train_negatives(self) -> dict[str, list[str]]:
-        held_out = self.vocabulary("validation") | self.vocabulary("test")
-        negatives: dict[str, list[str]] = {}
-        for pair in self.negatives:
-            cands = negatives.setdefault(pair.source, [])  # keys keep first-seen order
-            if pair.target not in held_out and pair.target not in cands:
-                cands.append(pair.target)
-        return {src: cands for src, cands in negatives.items() if cands}
+        sources, targets = self.negatives.ids.T.tolist()
+        held_out = self._held_out()[targets].tolist()
+        negatives: dict[int, list[int]] = {}
+        for source, target, held in zip(sources, targets, held_out):
+            cands = negatives.setdefault(source, [])  # keys keep first-seen order
+            if not held and target not in cands:
+                cands.append(target)
+        word = self.words.__getitem__
+        return {word(src): list(map(word, cands)) for src, cands in negatives.items() if cands}
 
 
 def _read_file(path: Path) -> tuple[bytes, str]:
@@ -313,7 +240,7 @@ def _parse(path: Path, data: bytes, words: _Words) -> tuple[np.ndarray, np.ndarr
     ids = words.ids(fields)
     if (ids[:, 0] == ids[:, 1]).any():
         _raise_first_bad_line(path)
-    codes = _codes(relations, _RELATION_CODES, "relation")
+    codes = np.fromiter(map(_RELATION_CODES.__getitem__, relations), np.int8, len(relations))
     # one key per distinct row; it fits an int64 below 1.7e9 words met
     key = (ids[:, 0].astype(np.int64) * len(words) + ids[:, 1]) * len(RELATIONS) + codes
     first = np.unique(key, return_index=True)[1]
@@ -326,8 +253,14 @@ def _parse(path: Path, data: bytes, words: _Words) -> tuple[np.ndarray, np.ndarr
 
 
 def read_relations(path: str | Path) -> Relations:
-    """A relations TSV as columns: the rows ``load_relations`` returns, in file order,
-    with the same checks, warnings and errors, and no Python object per row."""
+    """Parse a relations TSV into columns, preserving file order.
+
+    Lines starting with ``#`` are ignored. Exact duplicate rows are
+    dropped with a warning reporting the count. The file is decoded,
+    split and checked whole, in one pass, with no Python object per row; a
+    file that fails is then scanned line by line, to report its first
+    failing line.
+    """
     path, words = Path(path), _Words()
     data, digest = _read_file(path)
     ids, codes, _ = _parse(path, data, words)
@@ -335,18 +268,16 @@ def read_relations(path: str | Path) -> Relations:
 
 
 def load_relations(path: str | Path) -> list[RelationPair]:
-    """Parse a relations TSV, preserving file order.
-
-    Lines starting with ``#`` are ignored. Exact duplicate rows are
-    dropped with a warning reporting the count. The file is decoded,
-    split and checked whole, in one pass; a file that fails is then
-    scanned line by line, to report its first failing line.
-    """
-    return list(read_relations(path))
+    """The rows ``read_relations`` reads, as a list of RelationPair."""
+    relations = read_relations(path)
+    sources, targets = relations.ids.T.tolist()
+    word = relations.words.__getitem__
+    return list(map(RelationPair._make, zip(map(word, sources), map(word, targets),
+                                            map(RELATIONS.__getitem__, relations.codes.tolist()))))
 
 
 def _raise_first_bad_line(path: Path) -> NoReturn:
-    """Raise the error of the first line of ``path`` that fails a check of load_relations."""
+    """Raise the error of the first line of ``path`` that fails a check of read_relations."""
     for lineno, line in utf8_lines(path):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
@@ -365,19 +296,15 @@ def _raise_first_bad_line(path: Path) -> NoReturn:
     raise AssertionError(f"{path}: the whole-file check failed, yet no line does")
 
 
-def write_relations(pairs: Iterable[RelationPair] | Relations, path: str | Path) -> None:
-    """Write pairs as a relations TSV, the format ``load_relations`` reads. The text
-    of a Relations is one join of its columns: source, tab, target, tab-relation-newline."""
-    if not isinstance(pairs, Relations):
-        with atomic_open(path) as fh:
-            fh.writelines(f"{p.source}\t{p.target}\t{p.relation}\n" for p in pairs)
-        return
-    sources, targets = pairs.ids.T.tolist()
-    parts = [""] * (4 * len(pairs))
-    parts[0::4] = map(pairs.words.__getitem__, sources)
-    parts[1::4] = repeat("\t", len(pairs))
-    parts[2::4] = map(pairs.words.__getitem__, targets)
-    parts[3::4] = map(_ROW_ENDS.__getitem__, pairs.codes.tolist())
+def write_relations(relations: Relations, path: str | Path) -> None:
+    """Write relations as a TSV, the format ``read_relations`` reads: one join of
+    the columns, source, tab, target, tab-relation-newline."""
+    sources, targets = relations.ids.T.tolist()
+    parts = [""] * (4 * len(relations))
+    parts[0::4] = map(relations.words.__getitem__, sources)
+    parts[1::4] = repeat("\t", len(relations))
+    parts[2::4] = map(relations.words.__getitem__, targets)
+    parts[3::4] = map(_ROW_ENDS.__getitem__, relations.codes.tolist())
     with atomic_open(path) as fh:
         fh.write("".join(parts))
 
@@ -391,9 +318,9 @@ def validate_fractions(fractions: tuple[float, float, float]) -> None:
         raise InputError(f"fractions must sum to 1, got {sum(fractions)}")
 
 
-def lexical_split(pairs: Sequence[RelationPair] | Relations,
-                  fractions: tuple[float, float, float], seed: int) -> list[str]:
-    """Assign whole word-graph components to buckets.
+def lexical_split(relations: Relations, fractions: tuple[float, float, float],
+                  seed: int) -> np.ndarray:
+    """Assign whole word-graph components to buckets: each row's int8 index in BUCKETS.
 
     Words are nodes, pairs are edges; connected components are shuffled by
     ``seed`` and greedily placed into the currently most-underfilled
@@ -405,9 +332,8 @@ def lexical_split(pairs: Sequence[RelationPair] | Relations,
     validate_fractions(fractions)
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    relations = Relations.of(pairs)
     if not len(relations):
-        return []
+        return np.empty(0, np.int8)
     parent = list(range(int(relations.ids.max()) + 1))
 
     def find(w: int) -> int:
@@ -445,30 +371,23 @@ def lexical_split(pairs: Sequence[RelationPair] | Relations,
         bucket = gaps.index(max(gaps))  # ties: train, then validation, then test
         counts[bucket] += size
         placed[ci] = bucket
-    return list(map(BUCKETS.__getitem__, np.take(placed, component).tolist()))
+    return np.array(placed, np.int8)[component]
 
 
-def split_relations(pairs: Sequence[RelationPair] | Relations,
-                    fractions: tuple[float, float, float], seed: int) -> RelationDataset:
+def split_relations(relations: Relations, fractions: tuple[float, float, float],
+                    seed: int) -> RelationDataset:
     """Split the hypernym rows lexically; the other rows are the negative pairs."""
-    relations = Relations.of(pairs)
     positive = relations.codes == HYPERNYM
     hypernyms = relations.take(positive)
-    buckets = _codes(lexical_split(hypernyms, fractions, seed), _BUCKET_CODES, "bucket")
-    return RelationDataset.from_columns(hypernyms, buckets, relations.take(~positive))
+    return RelationDataset(hypernyms, lexical_split(hypernyms, fractions, seed),
+                           relations.take(~positive))
 
 
-def pair_rows(pairs: Sequence | Relations,
-              table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
+def pair_rows(pairs: Relations, table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, found)``: the (n, 2) table rows of each pair's source and target, -1 for
     a missing word (it would read the last row), and which pairs have both words."""
-    if isinstance(pairs, Relations):
-        rows = pairs.rows(table)
-        return rows, (rows >= 0).all(axis=1)
-    get = table._index.get  # one dict lookup per word, without a method call
-    rows = np.array([np.fromiter(map(get, map(itemgetter(col), pairs), repeat(-1)),
-                                 np.intp, len(pairs)) for col in (0, 1)])
-    return rows.T, (rows >= 0).all(axis=0)  # (n, 2), each column contiguous
+    rows = pairs.rows(table)
+    return rows, (rows >= 0).all(axis=1)
 
 
 def bind(dataset: RelationDataset, table: EmbeddingTable) -> RelationDataset:
@@ -483,7 +402,7 @@ def bind(dataset: RelationDataset, table: EmbeddingTable) -> RelationDataset:
     dropped_pos = len(kept) - int(np.count_nonzero(kept))
     dropped_neg = len(kept_neg) - int(np.count_nonzero(kept_neg))
     _log_dropped(dropped_pos, dropped_neg)
-    return RelationDataset.from_columns(
+    return RelationDataset(
         Relations(table.vocab, positives[kept], dataset.hypernyms.codes[kept]),
         dataset.buckets[kept],
         Relations(table.vocab, negatives[kept_neg], dataset.negatives.codes[kept_neg]),
@@ -497,11 +416,11 @@ def _log_dropped(positives: int, negatives: int) -> None:
                  positives, negatives)
 
 
-def build_dataset(pairs: Sequence[RelationPair] | Relations, table: EmbeddingTable,
+def build_dataset(relations: Relations, table: EmbeddingTable,
                   fractions: tuple[float, float, float] = DEFAULT_FRACTIONS,
                   seed: int = 0) -> RelationDataset:
     """Split, then bind: the dataset that ``write_split`` then ``read_split_dir`` give."""
-    return bind(split_relations(pairs, fractions, seed), table)
+    return bind(split_relations(relations, fractions, seed), table)
 
 
 def sample_negative(dataset: RelationDataset, source: str,
@@ -535,9 +454,7 @@ def negative_index(dataset: RelationDataset,
     ``train_negatives`` order.
     """
     negatives = dataset.negatives
-    held_out = np.zeros(len(dataset.words), dtype=bool)
-    held_out[dataset.hypernyms.ids[dataset.buckets != _BUCKET_CODES["train"]]] = True
-    keep = np.flatnonzero(~held_out[negatives.ids[:, 1]])
+    keep = np.flatnonzero(~dataset._held_out()[negatives.ids[:, 1]])
     source_ids, target_ids = negatives.ids[keep].T
     key = source_ids.astype(np.int64) * len(dataset.words) + target_ids
     keep = keep[np.sort(np.unique(key, return_index=True)[1])]
@@ -653,7 +570,7 @@ def _cached_split(entry: Path, key: list[str], files: dict[Path, tuple[bytes, st
     for path, count in zip(files, duplicates):  # a missing negatives.tsv dropped none
         _warn_duplicates(path, count)
     _log_dropped(*dropped)
-    bound = RelationDataset.from_columns(
+    bound = RelationDataset(
         Relations(table.vocab, pos.astype(np.intp).reshape(n, 2), pos_codes.astype(np.int8)),
         buckets.astype(np.int8),
         Relations(table.vocab, neg.astype(np.intp).reshape(m, 2), neg_codes.astype(np.int8)),
@@ -716,9 +633,8 @@ def read_split_dir(split_dir: str | Path, table: EmbeddingTable,
     (pos, pos_codes), (neg, neg_codes) = [np.concatenate(c) for c in zip(*parts)], negatives
     buckets = np.repeat(np.arange(len(BUCKETS), dtype=np.int8), [len(c) for _, c in parts])
     every, pos, neg = words.dense(pos, neg)
-    bound = bind(RelationDataset.from_columns(Relations(every, pos, pos_codes), buckets,
-                                              Relations(every, neg, neg_codes),
-                                              source_sha256=digests), table)
+    bound = bind(RelationDataset(Relations(every, pos, pos_codes), buckets,
+                                 Relations(every, neg, neg_codes), source_sha256=digests), table)
     if entry is not None:  # only a split that loads gets an entry
         header = {"version": SPLIT_CACHE_VERSION, "key": key, "positives": len(bound.hypernyms),
                   "negatives": len(bound.negatives), "duplicates": duplicates,

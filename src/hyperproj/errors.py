@@ -5,7 +5,7 @@ The CLI maps InputError to exit code 2 (bad input or configuration) and
 every other HyperprojError to exit code 1 (runtime failure). ``utf8_lines``
 makes bytes that are not UTF-8 an InputError naming the file and line, and
 drops one leading byte-order mark (U+FEFF). Text embedding files are parsed
-through it as they are read; ``load_relations`` decodes a whole file and
+through it as they are read; ``read_relations`` decodes a whole file and
 reads through it only to name the line of an error. ``file_sha256`` is the
 package's one file hash, for the embedding loader and the manifests alike;
 ``read_hashed`` gives the same digest of the bytes a relations reader parses

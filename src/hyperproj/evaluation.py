@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterModel, assign_clusters
-from .dataset import RelationPair, Relations, pair_rows
+from .dataset import Relations, pair_rows
 from .embeddings import (EmbeddingTable, GoldTargets, _below_one, gold_ranks, gold_targets,
                          top_cosines)
 from .embeddings import nearest_neighbors  # noqa: F401  (perfbench's tracer test patches it here)
@@ -86,8 +86,7 @@ def auc(hits: list[float]) -> float:
     return 0.5 * sum(hits[i] + hits[i + 1] for i in range(len(hits) - 1))
 
 
-def _usable_rows(table: EmbeddingTable,
-                 pairs: list[RelationPair] | Relations) -> tuple[np.ndarray, int]:
+def _usable_rows(table: EmbeddingTable, pairs: Relations) -> tuple[np.ndarray, int]:
     if not pairs:
         raise InputError("pairs must be nonempty")
     rows, found = pair_rows(pairs, table)
@@ -137,12 +136,11 @@ class BoundPairs:
     targets: GoldTargets
 
 
-def bind_pairs(clusters: ClusterModel, table: EmbeddingTable,
-               pairs: list[RelationPair] | Relations) -> BoundPairs:
+def bind_pairs(clusters: ClusterModel, table: EmbeddingTable, pairs: Relations) -> BoundPairs:
     """Bind ``pairs`` to ``table`` and route each by its gold offset ``y - x``.
 
     A pair with a word missing from the table is skipped with a warning; a
-    list with no pair left is an error.
+    set with no pair left is an error.
     """
     rows, skips = _usable_rows(table, pairs)
     if clusters.dim != table.dim:
@@ -157,7 +155,7 @@ def bind_pairs(clusters: ClusterModel, table: EmbeddingTable,
 
 
 def _bound(model: ProjectionModel, table: EmbeddingTable,
-           pairs: list[RelationPair] | Relations | BoundPairs) -> BoundPairs:
+           pairs: Relations | BoundPairs) -> BoundPairs:
     """``pairs`` bound for ``model`` and ``table``: as given if already bound to them."""
     if not isinstance(pairs, BoundPairs):
         return bind_pairs(model.clusters, table, pairs)
@@ -184,7 +182,7 @@ def _rank_pairs(model: ProjectionModel, bound: BoundPairs) -> tuple[np.ndarray, 
 
 
 def hit_at(model: ProjectionModel, table: EmbeddingTable,
-           pairs: list[RelationPair] | Relations | BoundPairs, l: int) -> float:
+           pairs: Relations | BoundPairs, l: int) -> float:
     """Fraction of pairs whose gold hypernym is in the top-l neighbor list."""
     if l < 1:
         raise InputError(f"l must be >= 1, got {l}")
@@ -194,7 +192,7 @@ def hit_at(model: ProjectionModel, table: EmbeddingTable,
 
 
 def evaluate(model: ProjectionModel, table: EmbeddingTable,
-             pairs: list[RelationPair] | Relations | BoundPairs,
+             pairs: Relations | BoundPairs,
              l_max: int = DEFAULT_L_MAX) -> EvalReport:
     """Full hit@1..l_max curve, AUC, and per-pair ranks in one pass."""
     if l_max < 2:

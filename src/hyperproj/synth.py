@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RelationPair, write_relations
+from .dataset import HYPERNYM, RELATIONS, Relations, write_relations
 from .embeddings import EmbeddingTable, save_embeddings_text
 from .errors import InputError
 
@@ -108,8 +108,12 @@ def _distractor_rows(X: np.ndarray, k: int, theta: float,
     return rows
 
 
-def make_fixture(cfg: SynthConfig) -> tuple[EmbeddingTable, list[RelationPair]]:
+def make_fixture(cfg: SynthConfig) -> tuple[EmbeddingTable, Relations]:
     """Generate the embedding table and relations for one fixture.
+
+    The relations are columns over ``table.vocab``, so their ids are table
+    rows: hyponym i (row i) has hypernym row n + i, then each distractor row
+    2n + r is a synonym of hyponym r // k.
 
     With more than one planted cluster, each cluster's hyponyms are drawn
     from a cone around a cluster-specific direction, so the offset vectors
@@ -143,15 +147,15 @@ def make_fixture(cfg: SynthConfig) -> tuple[EmbeddingTable, list[RelationPair]]:
     hypo_words = [f"hypo{i:0{width}d}" for i in range(n)]
     hyper_words = [f"hyper{i:0{width}d}" for i in range(n)]
     syn_words = [f"syn{i:0{width}d}_{j}" for i in range(n) for j in range(k)]
-    relations = [RelationPair(hypo, hyper, "hypernym")
-                 for hypo, hyper in zip(hypo_words, hyper_words)]
-    relations += [RelationPair(hypo_words[r // k], word, "synonym")
-                  for r, word in enumerate(syn_words)]
     table = EmbeddingTable(hypo_words + hyper_words + syn_words, np.vstack([X, Y, syn_rows]))
-    return table, relations
+    hypo = np.arange(n)
+    ids = np.concatenate([np.stack([hypo, n + hypo], axis=1),
+                          np.stack([np.repeat(hypo, k), np.arange(2 * n, (2 + k) * n)], axis=1)])
+    codes = np.repeat(np.array([HYPERNYM, RELATIONS.index("synonym")], np.int8), [n, n * k])
+    return table, Relations(table.vocab, ids, codes)
 
 
-def write_fixture(table: EmbeddingTable, relations: list[RelationPair],
+def write_fixture(table: EmbeddingTable, relations: Relations,
                   out_dir: str | Path) -> dict[str, Path]:
     """Write embeddings.txt and relations.tsv; returns the paths."""
     out_dir = Path(out_dir)

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from hyperproj import embeddings
 from hyperproj.clustering import ClusterModel, assign_clusters
+from hyperproj.dataset import BUCKETS, RELATIONS, RelationDataset, RelationPair, Relations
 from hyperproj.embeddings import EmbeddingTable
 from hyperproj.projection import (
     ProjectionModel,
@@ -67,6 +68,43 @@ def tiling(request, monkeypatch):
 def tiny_table():
     """Three axis-aligned words: a=(1,0), b=(0,1), c=(-1,0)."""
     return EmbeddingTable(["a", "b", "c"], np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
+
+
+def relations_of(pairs):
+    """Word-level pairs, each (source, target, relation), as Relations over
+    their distinct words in first-seen order."""
+    index = {}
+    ids = [index.setdefault(word, len(index)) for pair in pairs for word in pair[:2]]
+    codes = [RELATIONS.index(pair[2]) for pair in pairs]
+    return Relations(list(index), np.array(ids, np.intp).reshape(-1, 2), np.array(codes, np.int8))
+
+
+def pairs_of(relations):
+    """The rows of a Relations as a list of RelationPair."""
+    word = relations.words.__getitem__
+    return [RelationPair(word(s), word(t), RELATIONS[c])
+            for (s, t), c in zip(relations.ids.tolist(), relations.codes.tolist())]
+
+
+def dataset_of(positives, assignment, negatives, dropped_positives=0, dropped_negatives=0):
+    """A RelationDataset of word-level positives, each one's bucket name, and
+    word-level negatives, over the words of all of them."""
+    assert len(positives) == len(assignment)
+    every = relations_of([*positives, *negatives])
+    buckets = np.array([BUCKETS.index(b) for b in assignment], np.int8)
+    n = len(positives)
+    return RelationDataset(every.take(slice(n)), buckets, every.take(slice(n, None)),
+                           dropped_positives, dropped_negatives)
+
+
+def assignment_of(data):
+    """Each positive's bucket name."""
+    return [BUCKETS[b] for b in data.buckets.tolist()]
+
+
+def vocabulary(data, bucket):
+    """The words of a bucket's positives."""
+    return {data.words[i] for i in data.relations_in(bucket).ids.ravel().tolist()}
 
 
 def make_model(matrices, centroids=None, regularizer=Regularizer.NONE, lam=0.0):

@@ -12,14 +12,14 @@ import numpy as np
 
 from hyperproj.clustering import fit_kmeans
 from hyperproj.cli import main as cli_main
-from hyperproj.dataset import BUCKETS, RelationDataset, RelationPair, build_dataset, lexical_split
+from hyperproj.dataset import BUCKETS, RelationPair, build_dataset, lexical_split
 from hyperproj.embeddings import EmbeddingTable
 from hyperproj.evaluation import auc, evaluate, hit_at
 from hyperproj.projection import Regularizer, loss_terms_and_gradient
 from hyperproj.synth import SynthConfig, make_fixture
 from hyperproj.training import TrainConfig, train
 
-from conftest import central_difference, make_model
+from conftest import central_difference, dataset_of, make_model, relations_of, vocabulary
 
 ALL_KINDS = list(Regularizer)
 
@@ -74,7 +74,7 @@ def test_criterion_2_metric_oracles():
         Y = rng.normal(size=(n, d))
         vocab = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)]
         table = EmbeddingTable(vocab, np.vstack([X, Y]))
-        pairs = [hyp(f"x{i}", f"y{i}") for i in range(n)]
+        pairs = relations_of([hyp(f"x{i}", f"y{i}") for i in range(n)])
         model = make_model(rng.normal(size=(d, d)))
         rep = evaluate(model, table, pairs, l_max=6)
         monotone &= all(a <= b for a, b in zip(rep.hits, rep.hits[1:]))
@@ -119,7 +119,7 @@ def test_criterion_4_regularizer_trend():
                           seed=seed, hyper_angle_deg=25.0, distractor_angle_deg=15.0)
         table, relations = make_fixture(cfg)
         data = build_dataset(relations, table, seed=seed)
-        test_pairs = data.pairs_in("test")
+        test_pairs = data.relations_in("test")
         base = train(data, table, reference_config(seed=seed))
         neigh = train(data, table, reference_config(
             seed=seed, regularizer=Regularizer.NEIGHBOR_REPROJ, lam=lam))
@@ -146,7 +146,7 @@ def test_criterion_5_reduction_identity():
             _, reg_a, grad_a = loss_terms_and_gradient(phi, X, Y, None, asym, 0.5)
             ok &= reg_n == reg_a and np.array_equal(grad_n, grad_a)
     # the dataset-level fallback hands back the hyponym itself
-    data = RelationDataset([hyp("a", "b")], ["train"], [])
+    data = dataset_of([hyp("a", "b")], ["train"], [])
     from hyperproj.dataset import sample_negative
 
     ok &= sample_negative(data, "a", np.random.default_rng(0)) == "a"
@@ -209,9 +209,10 @@ def test_criterion_8_lexical_split_at_scale():
     for i in range(500):
         pairs.append(hyp(f"c{i}a", f"c{i}b"))
         pairs.append(hyp(f"c{i}b", f"c{i}c"))
-    assignment = lexical_split(pairs, (0.8, 0.1, 0.1), seed=31)
-    data = RelationDataset(pairs, assignment, [])
-    vocabs = {b: data.vocabulary(b) for b in BUCKETS}
+    buckets = lexical_split(relations_of(pairs), (0.8, 0.1, 0.1), seed=31)
+    assignment = [BUCKETS[b] for b in buckets.tolist()]
+    data = dataset_of(pairs, assignment, [])
+    vocabs = {b: vocabulary(data, b) for b in BUCKETS}
     disjoint = (not (vocabs["train"] & vocabs["validation"])
                 and not (vocabs["train"] & vocabs["test"])
                 and not (vocabs["validation"] & vocabs["test"]))
@@ -228,9 +229,7 @@ def test_criterion_9_asymmetry_effect():
     cfg = SynthConfig(dim=10, n_pairs=1000, noise=0.0, distractors=0, seed=11)
     table, relations = make_fixture(cfg)
     data = build_dataset(relations, table, seed=11)
-    train_pairs = data.pairs_in("train")
-    X = table.rows([p.source for p in train_pairs])
-    Y = table.rows([p.target for p in train_pairs])
+    X, Y = table.vectors[data.relations_in("train").ids.T]
     base = train(data, table, reference_config())
     asym = train(data, table, reference_config(
         regularizer=Regularizer.ASYMMETRIC_REPROJ, lam=0.1))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,11 @@ from hyperproj.clustering import (
     fit_kmeans,
     offsets,
 )
-from hyperproj.dataset import RelationPair
+from hyperproj.dataset import RelationPair, Relations
 from hyperproj.embeddings import EmbeddingTable
 from hyperproj.errors import InputError
+
+from conftest import relations_of
 
 
 def hyp(a, b):
@@ -22,19 +26,19 @@ def hyp(a, b):
 class TestOffsets:
     def test_subtraction(self):
         table = EmbeddingTable(["x", "y"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        out = offsets([hyp("x", "y")], table)
+        out = offsets(relations_of([hyp("x", "y")]), table)
         assert np.array_equal(out, [[-1.0, 1.0]])
 
     def test_equal_vectors_give_zero_offset(self):
         table = EmbeddingTable(["x", "y"], np.array([[2.0, 3.0], [2.0, 3.0]]))
-        assert np.array_equal(offsets([hyp("x", "y")], table), [[0.0, 0.0]])
+        assert np.array_equal(offsets(relations_of([hyp("x", "y")]), table), [[0.0, 0.0]])
 
     def test_batch_matches_elementwise_oracle(self):
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(6)]
         table = EmbeddingTable(words, rng.normal(size=(6, 3)))
         pairs = [hyp("w0", "w3"), hyp("w1", "w4"), hyp("w2", "w5")]
-        got = offsets(pairs, table)
+        got = offsets(relations_of(pairs), table)
         for i, pair in enumerate(pairs):
             expected = table.vector(pair.target) - table.vector(pair.source)
             assert np.array_equal(got[i], expected)
@@ -42,7 +46,15 @@ class TestOffsets:
     def test_unresolvable_pair_rejected(self):
         table = EmbeddingTable(["x"], np.array([[1.0]]))
         with pytest.raises(InputError, match="unresolvable"):
-            offsets([hyp("x", "nope")], table)
+            offsets(relations_of([hyp("x", "nope")]), table)
+
+    def test_unresolvable_pair_names_the_first_by_its_words(self):
+        # ids over a word list of their own: the message names words, not ids or rows
+        table = EmbeddingTable(["a", "x", "y"], np.eye(3))
+        relations = Relations(["y", "b", "x", "a"], np.array([[2, 0], [3, 1], [0, 1]]),
+                              np.zeros(3, np.int8))
+        with pytest.raises(InputError, match=re.escape("unresolvable pair ('a', 'b')")):
+            offsets(relations, table)
 
 
 class TestFitKmeans:

@@ -18,6 +18,7 @@ from hyperproj.clustering import offsets
 from hyperproj.dataset import (
     BUCKETS,
     DEFAULT_FRACTIONS,
+    HYPERNYM,
     RELATIONS,
     RelationDataset,
     RelationPair,
@@ -36,15 +37,22 @@ from hyperproj.dataset import (
 from hyperproj.embeddings import EmbeddingTable, load_embeddings
 from hyperproj.errors import InputError, read_container, utf8_lines, write_container
 from hyperproj.evaluation import evaluate, hit_at
+from hyperproj.projection import Regularizer
 from hyperproj.synth import SynthConfig, make_fixture, write_fixture
 from hyperproj.training import TrainConfig, train
 
-from conftest import exact_cosines, gold_rank, make_model
+from conftest import (assignment_of, dataset_of, exact_cosines, gold_rank, make_model, pairs_of,
+                      relations_of, vocabulary)
 
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def views(data):
+    """A dataset's positives, their bucket names and its negatives, word by word."""
+    return pairs_of(data.hypernyms), assignment_of(data), pairs_of(data.negatives)
 
 
 def table_for(words, dim=2, seed=0):
@@ -266,9 +274,9 @@ def split_outcome(read, split_dir):
         except InputError as exc:
             return "error", str(exc)
     if isinstance(got, RelationDataset):
-        got = ([tuple(p) for p in got.positives], got.assignment,
-               [tuple(p) for p in got.negative_pairs], got.dropped_positives,
-               got.dropped_negatives)
+        positives, assignment, negatives = views(got)
+        got = ([tuple(p) for p in positives], assignment, [tuple(p) for p in negatives],
+               got.dropped_positives, got.dropped_negatives)
     return "dataset", got, [c.args[0] % c.args[1:] for c in warn.call_args_list]
 
 
@@ -344,7 +352,7 @@ class TestLoadRelationsMatchesReference:
             else:
                 positives += pairs
                 assignment += [name] * len(pairs)
-        unbound = RelationDataset(positives, assignment, negatives)
+        unbound = dataset_of(positives, assignment, negatives)
         try:
             got_index = [a.tolist() for a in negative_index(unbound, SPLIT_TABLE)]
         except InputError as exc:
@@ -356,20 +364,30 @@ def hyp(a, b):
     return RelationPair(a, b, "hypernym")
 
 
+def split_names(pairs, fractions, seed):
+    """lexical_split of word-level pairs, each row's bucket by name."""
+    return [BUCKETS[b] for b in lexical_split(relations_of(pairs), fractions, seed).tolist()]
+
+
 class TestLexicalSplit:
     def test_two_components_land_apart(self):
         pairs = [hyp("a", "b"), hyp("c", "d")]
-        assignment = lexical_split(pairs, (0.5, 0.25, 0.25), seed=1)
-        assert len(set(assignment)) == 2  # separate components, separate buckets
+        buckets = lexical_split(relations_of(pairs), (0.5, 0.25, 0.25), seed=1)
+        assert buckets.dtype == np.int8 and buckets.shape == (2,)
+        assert len(set(buckets.tolist())) == 2  # separate components, separate buckets
+
+    def test_no_rows(self):
+        buckets = lexical_split(relations_of([]), (0.5, 0.25, 0.25), seed=1)
+        assert buckets.dtype == np.int8 and buckets.shape == (0,)
 
     def test_shared_word_merges_components(self):
         pairs = [hyp("a", "b"), hyp("b", "c")]
-        assignment = lexical_split(pairs, (0.5, 0.25, 0.25), seed=5)
+        assignment = split_names(pairs, (0.5, 0.25, 0.25), seed=5)
         assert assignment[0] == assignment[1]
 
     def test_fractions_reached_on_disjoint_pairs(self):
         pairs = [hyp(f"x{i}", f"y{i}") for i in range(1000)]
-        assignment = lexical_split(pairs, (0.8, 0.1, 0.1), seed=42)
+        assignment = split_names(pairs, (0.8, 0.1, 0.1), seed=42)
         counts = {b: assignment.count(b) for b in BUCKETS}
         assert abs(counts["train"] - 800) <= 20
         assert abs(counts["validation"] - 100) <= 20
@@ -377,17 +395,17 @@ class TestLexicalSplit:
 
     def test_determinism(self):
         pairs = [hyp(f"x{i}", f"y{i}") for i in range(200)]
-        a = lexical_split(pairs, (0.6, 0.2, 0.2), seed=9)
-        b = lexical_split(pairs, (0.6, 0.2, 0.2), seed=9)
+        a = split_names(pairs, (0.6, 0.2, 0.2), seed=9)
+        b = split_names(pairs, (0.6, 0.2, 0.2), seed=9)
         assert a == b
-        c = lexical_split(pairs, (0.6, 0.2, 0.2), seed=10)
+        c = split_names(pairs, (0.6, 0.2, 0.2), seed=10)
         assert a != c
 
     def test_oversized_component_warns_but_assigns(self, caplog):
         chain = [hyp(f"w{i}", f"w{i + 1}") for i in range(10)]
         extra = [hyp("p", "q"), hyp("r", "s")]
         with caplog.at_level(logging.WARNING):
-            assignment = lexical_split(chain + extra, (0.5, 0.25, 0.25), seed=0)
+            assignment = split_names(chain + extra, (0.5, 0.25, 0.25), seed=0)
         assert "exceeds" in caplog.text
         assert all(a in BUCKETS for a in assignment)
         assert len(set(assignment[:10])) == 1
@@ -395,7 +413,7 @@ class TestLexicalSplit:
     @pytest.mark.parametrize("fractions", [(0.5, 0.4, 0.0), (0.5, 0.25, 0.15), (-0.2, 0.6, 0.6)])
     def test_bad_fractions_rejected(self, fractions):
         with pytest.raises(InputError):
-            lexical_split([hyp("a", "b")], fractions, seed=0)
+            lexical_split(relations_of([hyp("a", "b")]), fractions, seed=0)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.integers(min_value=5, max_value=60))
@@ -408,9 +426,9 @@ class TestLexicalSplit:
             a, b = rng.choice(len(words), size=2, replace=False)
             pairs.append(hyp(words[a], words[b]))
         pairs = list(dict.fromkeys(pairs))
-        assignment = lexical_split(pairs, (0.6, 0.2, 0.2), seed=seed)
-        data = RelationDataset(pairs, assignment, [])
-        vocabs = [data.vocabulary(b) for b in BUCKETS]
+        assignment = split_names(pairs, (0.6, 0.2, 0.2), seed=seed)
+        data = dataset_of(pairs, assignment, [])
+        vocabs = [vocabulary(data, b) for b in BUCKETS]
         assert not (vocabs[0] & vocabs[1])
         assert not (vocabs[0] & vocabs[2])
         assert not (vocabs[1] & vocabs[2])
@@ -481,13 +499,16 @@ class TestLexicalSplitMatchesOracle:
     def desk_positives(self):
         _, relations = make_fixture(SynthConfig(dim=10, n_pairs=1000, noise=0.05, distractors=5,
                                                 hyper_angle_deg=25, seed=1))
-        return [p for p in relations if p.relation == "hypernym"]
+        return relations.take(relations.codes == HYPERNYM)
 
     @pytest.mark.parametrize("seed", [0, 1, 901, 12345])
     def test_desk_fixture(self, desk_positives, seed):
-        want = oracle_lexical_split(desk_positives, DEFAULT_FRACTIONS, seed)
-        assert lexical_split(desk_positives, DEFAULT_FRACTIONS, seed) == want
-        assert lexical_split(Relations.of(desk_positives), DEFAULT_FRACTIONS, seed) == want
+        pairs = pairs_of(desk_positives)
+        want = oracle_lexical_split(pairs, DEFAULT_FRACTIONS, seed)
+        # ids of the table's rows, and of the words in first-seen order
+        got = lexical_split(desk_positives, DEFAULT_FRACTIONS, seed)
+        assert [BUCKETS[b] for b in got.tolist()] == want
+        assert split_names(pairs, DEFAULT_FRACTIONS, seed) == want
 
     @given(edges=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=40),
            fractions=st.sampled_from(SPLIT_FRACTIONS), seed=st.integers(0, 2 ** 32 - 1))
@@ -495,18 +516,20 @@ class TestLexicalSplitMatchesOracle:
              fractions=(0.5, 0.25, 0.25), seed=0)  # a component above every target
     def test_word_graphs(self, edges, fractions, seed):
         pairs = list(dict.fromkeys(hyp(f"w{a}", f"w{b}") for a, b in edges if a != b))
-        assert (split_and_warnings(lexical_split, pairs, fractions, seed)
+        assert (split_and_warnings(split_names, pairs, fractions, seed)
                 == split_and_warnings(oracle_lexical_split, pairs, fractions, seed))
 
 
+FEW_PAIRS = SynthConfig(dim=4, n_pairs=120, noise=0.05, distractors=2, planted_clusters=2, seed=3)
+
+
 class TestNoRelationPairPerRow:
-    """The command-line pipeline reads, splits, binds, trains and ranks without one."""
+    """The command-line pipeline and the library flow read, split, bind, train and
+    rank without one."""
 
     @pytest.fixture
     def fixture_files(self, tmp_path):
-        table, relations = make_fixture(SynthConfig(dim=4, n_pairs=120, noise=0.05,
-                                                    distractors=2, planted_clusters=2, seed=3))
-        write_fixture(table, relations, tmp_path / "fix")
+        write_fixture(*make_fixture(FEW_PAIRS), tmp_path / "fix")
         return tmp_path / "fix"
 
     @pytest.fixture
@@ -544,13 +567,22 @@ class TestNoRelationPairPerRow:
         assert run("eval", "--model", tmp_path / "neighbor.hprj", "--embeddings", emb,
                    "--test", split / "test.tsv", "--out", tmp_path / "r.json") == 0
 
+    def test_the_library_flow(self, refused):
+        table, relations = make_fixture(FEW_PAIRS)
+        data = build_dataset(relations, table, seed=3)
+        assert len(data.hypernyms) == 120 and len(data.negatives) == 240
+        cfg = TrainConfig(k=2, epochs=10, regularizer=Regularizer.NEIGHBOR_PLAIN,
+                          select_on="best_validation_hit10")
+        report = evaluate(train(data, table, cfg), table, data.relations_in("test"))
+        assert report.n_pairs == len(data.relations_in("test")) > 0
+
 
 class TestBuildDataset:
     def test_unresolvable_pairs_dropped(self):
         table = table_for(["a", "b", "c"])
         pairs = [hyp("a", "b"), hyp("a", "zzz"), RelationPair("c", "qqq", "synonym")]
-        data = build_dataset(pairs, table)
-        assert len(data.positives) == 1
+        data = build_dataset(relations_of(pairs), table)
+        assert len(data.hypernyms) == 1
         assert data.dropped_positives == 1
         assert data.dropped_negatives == 1
 
@@ -559,7 +591,7 @@ class TestBuildDataset:
         pairs = [hyp("a", "b"),
                  RelationPair("a", "c", "synonym"),
                  RelationPair("a", "d", "cohyponym")]
-        data = build_dataset(pairs, table)
+        data = build_dataset(relations_of(pairs), table)
         assert data.train_negatives == {"a": ["c", "d"]}
 
     def test_train_negatives_leave_numpy_ma_unimported(self):
@@ -567,12 +599,13 @@ class TestBuildDataset:
         # splits, trains and evaluates should not pay for that import
         code = "\n".join([
             "import sys",
-            "from hyperproj.dataset import RelationDataset, RelationPair",
-            "hyp = [RelationPair('a', 'b', 'hypernym'), RelationPair('c', 'd', 'hypernym'),",
-            "       RelationPair('e', 'f', 'hypernym')]",
-            "neg = [RelationPair('a', 'd', 'synonym'), RelationPair('a', 'g', 'cohyponym'),",
-            "       RelationPair('a', 'f', 'synonym')]",
-            "data = RelationDataset(hyp, ['train', 'validation', 'test'], neg)",
+            "import numpy as np",
+            "from hyperproj.dataset import RelationDataset, Relations",
+            "words = list('abcdefg')",
+            "hyp = Relations(words, np.array([[0, 1], [2, 3], [4, 5]]), np.zeros(3, np.int8))",
+            "neg = Relations(words, np.array([[0, 3], [0, 6], [0, 5]]),",
+            "                np.array([1, 2, 1], np.int8))",
+            "data = RelationDataset(hyp, np.array([0, 1, 2], np.int8), neg)",
             "assert data.train_negatives == {'a': ['g']}, data.train_negatives",
             "assert 'numpy.ma' not in sys.modules",
         ])
@@ -590,13 +623,13 @@ class TestBuildDataset:
         pairs += [RelationPair(f"w{i}", f"oov{i}", "cohyponym") for i in range(1, 30, 4)]
         table = table_for(words)
         fractions = (0.6, 0.2, 0.2)
-        data = build_dataset(pairs, table, fractions, 4)
-        write_split(split_relations(pairs, fractions, 4), tmp_path)
+        data = build_dataset(relations_of(pairs), table, fractions, 4)
+        write_split(split_relations(relations_of(pairs), fractions, 4), tmp_path)
         again = read_split_dir(tmp_path, table)
-        assert dict(zip(again.positives, again.assignment)) == dict(
-            zip(data.positives, data.assignment))
-        assert len(data.positives) == 30
-        assert again.negative_pairs == data.negative_pairs
+        (positives, assignment, negatives), want = views(again), views(data)
+        assert dict(zip(positives, assignment)) == dict(zip(*want[:2]))
+        assert len(data.hypernyms) == 30
+        assert negatives == want[2]
         assert (again.dropped_positives, again.dropped_negatives) == (10, 8)
         assert (data.dropped_positives, data.dropped_negatives) == (10, 8)
         assert again.train_negatives == data.train_negatives
@@ -606,7 +639,7 @@ class TestSampleNegative:
     def _dataset(self, negatives, positives=None, assignment=None):
         positives = positives or [hyp("dog", "animal")]
         assignment = assignment or ["train"] * len(positives)
-        return RelationDataset(positives, assignment, negatives)
+        return dataset_of(positives, assignment, negatives)
 
     def test_single_candidate(self):
         data = self._dataset([RelationPair("dog", "hound", "synonym")])
@@ -621,8 +654,7 @@ class TestSampleNegative:
     def test_heldout_words_excluded(self):
         # "feline" appears in a test-bucket pair, so it cannot be sampled
         positives = [hyp("dog", "animal"), hyp("feline", "creature")]
-        data = RelationDataset(positives, ["train", "test"],
-                               [RelationPair("dog", "feline", "synonym")])
+        data = dataset_of(positives, ["train", "test"], [RelationPair("dog", "feline", "synonym")])
         rng = np.random.default_rng(0)
         assert sample_negative(data, "dog", rng) == "dog"
 
@@ -638,7 +670,7 @@ class TestSampleNegative:
         table = table_for(["a", "b", "c"])
         pairs = [hyp("a", "b"), RelationPair("a", "c", "synonym"),
                  RelationPair("a", "zz", "synonym")]
-        data = build_dataset(pairs, table)
+        data = build_dataset(relations_of(pairs), table)
         rng = np.random.default_rng(7)
         for _ in range(200):
             assert sample_negative(data, "a", rng) in table
@@ -663,7 +695,7 @@ class TestSampleNegatives:
             RelationPair("owl", "dog", "cohyponym"),
             RelationPair("owl", "cat", "cohyponym"),
         ]  # eel has no negative at all: falls back
-        data = RelationDataset(positives, ["train"] * 5 + ["test"], negatives)
+        data = dataset_of(positives, ["train"] * 5 + ["test"], negatives)
         return data, table, [table.lookup(w) for w in sources]
 
     def test_index_keeps_candidate_order(self, fixture):
@@ -678,7 +710,7 @@ class TestSampleNegatives:
         assert cands["fox"] == cands["eel"] == cands["hound"] == []
 
     def test_index_rejects_candidate_outside_table(self):
-        data = RelationDataset([hyp("a", "b")], ["train"], [RelationPair("a", "zz", "synonym")])
+        data = dataset_of([hyp("a", "b")], ["train"], [RelationPair("a", "zz", "synonym")])
         with pytest.raises(InputError, match="'zz' of 'a'"):
             negative_index(data, table_for(["a", "b"]))
 
@@ -763,13 +795,13 @@ class TestPairRows:
     """Every caller of ``pair_rows`` keeps or refuses the pairs the row-by-row filter did."""
 
     def test_no_pairs(self):
-        rows, found = dataset.pair_rows([], sink_table(0))
+        rows, found = dataset.pair_rows(relations_of([]), sink_table(0))
         assert rows.shape == (0, 2) and found.shape == (0,)
 
     @given(pairs=pairs_with_oov(), seed=st.integers(0, 3))
     def test_rows_are_the_lookups(self, pairs, seed):
         table = sink_table(seed)
-        rows, found = dataset.pair_rows(pairs, table)
+        rows, found = dataset.pair_rows(relations_of(pairs), table)
         assert found.tolist() == oracle_found(pairs, table)
         assert rows.tolist() == [[table.lookup(w) if w in table else -1 for w in p[:2]]
                                  for p in pairs]
@@ -779,13 +811,14 @@ class TestPairRows:
     def test_bind(self, positives, negatives, seed):
         table = sink_table(seed)
         assignment = [BUCKETS[i % 3] for i in range(len(positives))]
-        got = dataset.bind(RelationDataset(positives, assignment, negatives, 1, 2), table)
+        got = dataset.bind(dataset_of(positives, assignment, negatives, 1, 2), table)
         keep = oracle_found(positives, table)
-        assert got.positives == kept_by_oracle(positives, table)
-        assert got.assignment == [b for b, k in zip(assignment, keep) if k]
-        assert got.negative_pairs == kept_by_oracle(negatives, table)
+        got_positives, got_assignment, got_negatives = views(got)
+        assert got_positives == kept_by_oracle(positives, table)
+        assert got_assignment == [b for b, k in zip(assignment, keep) if k]
+        assert got_negatives == kept_by_oracle(negatives, table)
         assert got.dropped_positives == 1 + keep.count(False)
-        assert got.dropped_negatives == 2 + len(negatives) - len(got.negative_pairs)
+        assert got.dropped_negatives == 2 + len(negatives) - len(got_negatives)
 
     def test_bound_rows_are_read_only(self):
         """Bound rows are the columns' own ids, so no caller may write through them."""
@@ -805,14 +838,14 @@ class TestPairRows:
         table = sink_table(seed)
         kept = kept_by_oracle(pairs, table)
         want = [table.vector(p.target) - table.vector(p.source) for p in kept]
-        assert offsets(kept, table).tolist() == np.array(want).reshape(-1, 3).tolist()
+        assert offsets(relations_of(kept), table).tolist() == np.array(want).reshape(-1, 3).tolist()
         if len(kept) == len(pairs):
             return
         first = next(p for p in pairs if p not in kept)
         message = re.escape(f"unresolvable pair ({first.source!r}, {first.target!r})")
         with pytest.raises(InputError, match=message):
-            offsets(pairs, table)
-        data = RelationDataset(pairs, ["train"] * len(pairs), [])
+            offsets(relations_of(pairs), table)
+        data = dataset_of(pairs, ["train"] * len(pairs), [])
         with pytest.raises(InputError, match=message):
             train(data, table, TrainConfig(epochs=1))
 
@@ -824,9 +857,9 @@ class TestPairRows:
         kept = kept_by_oracle(pairs, table)
         if not kept:
             with pytest.raises(InputError, match="no evaluable"):
-                evaluate(model, table, pairs)
+                evaluate(model, table, relations_of(pairs))
             return
-        report = evaluate(model, table, pairs, l_max=len(table))
+        report = evaluate(model, table, relations_of(pairs), l_max=len(table))
         assert report.skips == len(pairs) - len(kept)
         # each kept pair ranked on its own, from its words, by the exact scan
         X = np.array([table.vector(p.source) for p in kept])
@@ -836,12 +869,12 @@ class TestPairRows:
                 for p, row in zip(kept, S)]
         assert [(r.hyponym, r.gold, r.rank) for r in report.per_pair] == want
         hits = sum(rank == 1 for *_, rank in want) / len(kept)
-        assert hit_at(model, table, pairs, 1) == report.hits[0] == hits
+        assert hit_at(model, table, relations_of(pairs), 1) == report.hits[0] == hits
 
     @given(negatives=pairs_with_oov("synonym"), seed=st.integers(0, 3))
     def test_negative_index(self, negatives, seed):
         table = sink_table(seed)
-        data = RelationDataset([], [], negatives)
+        data = dataset_of([], [], negatives)
         try:
             got = [a.tolist() for a in negative_index(data, table)]
         except InputError as exc:
@@ -854,12 +887,11 @@ class TestSplitRoundTrip:
         table = table_for([f"w{i}" for i in range(40)])
         pairs = [hyp(f"w{i}", f"w{i + 20}") for i in range(15)]
         pairs += [RelationPair("w0", "w19", "synonym")]
-        data = build_dataset(pairs, table, fractions=(0.6, 0.2, 0.2), seed=4)
+        data = build_dataset(relations_of(pairs), table, fractions=(0.6, 0.2, 0.2), seed=4)
         write_split(data, tmp_path)
         again = read_split_dir(tmp_path, table)
         # bucket files group pairs by bucket; the pair -> bucket mapping survives
-        assert dict(zip(again.positives, again.assignment)) == dict(
-            zip(data.positives, data.assignment))
+        assert dict(zip(*views(again)[:2])) == dict(zip(*views(data)[:2]))
         assert again.train_negatives == data.train_negatives
 
     def test_columns_and_pairs_give_the_same_dataset(self, tmp_path):
@@ -868,19 +900,19 @@ class TestSplitRoundTrip:
         pairs += [RelationPair(f"w{i}", f"oov{i}", "synonym") for i in range(5)]
         pairs += [RelationPair(f"w{i}", f"w{i + 1}", "cohyponym") for i in range(0, 20, 3)]
         path = tmp_path / "r.tsv"
-        dataset.write_relations(pairs, path)
+        dataset.write_relations(relations_of(pairs), path)
         columns = read_relations(path)
-        assert list(columns) == load_relations(path) == pairs
+        assert pairs_of(columns) == load_relations(path) == pairs
         assert columns.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-        a, b = build_dataset(pairs, table, seed=5), build_dataset(columns, table, seed=5)
+        a = build_dataset(relations_of(pairs), table, seed=5)
+        b = build_dataset(columns, table, seed=5)
         for data in (a, b):
             assert data.words is table.vocab
-        assert (a.positives, a.assignment, a.negative_pairs) == (
-            b.positives, b.assignment, b.negative_pairs)
+        assert views(a) == views(b)
         assert np.array_equal(a.hypernyms.ids, b.hypernyms.ids)
         model = make_model(np.random.default_rng(5).normal(size=(2, 2)))
-        for bucket in BUCKETS:
-            want = evaluate(model, table, a.pairs_in(bucket))
+        for bucket in BUCKETS:  # unbound columns of the words, and the bound rows
+            want = evaluate(model, table, relations_of(pairs_of(a.relations_in(bucket))))
             got = evaluate(model, table, a.relations_in(bucket))
             assert (got.hits, got.per_pair, got.skips) == (want.hits, want.per_pair, want.skips)
 
@@ -888,8 +920,8 @@ class TestSplitRoundTrip:
         table = table_for([f"w{i}" for i in range(20)])
         pairs = [hyp(f"w{i}", f"w{i + 10}") for i in range(8)]
         d1, d2 = tmp_path / "one", tmp_path / "two"
-        write_split(build_dataset(pairs, table, seed=3), d1)
-        write_split(build_dataset(pairs, table, seed=3), d2)
+        write_split(build_dataset(relations_of(pairs), table, seed=3), d1)
+        write_split(build_dataset(relations_of(pairs), table, seed=3), d2)
         names = sorted(p.name for p in d1.iterdir())
         assert names == ["negatives.tsv", "test.tsv", "train.tsv", "validation.tsv"]
         for name in names:

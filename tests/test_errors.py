@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hyperproj.dataset import RelationPair, write_relations
+from hyperproj.dataset import Relations, write_relations
 from hyperproj.errors import InputError, atomic_open, read_container, write_container
 from hyperproj.projection import save_model
 
@@ -19,20 +19,18 @@ def checksummed(body: bytes) -> bytes:
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-def failing_pairs():
-    yield RelationPair("a", "b", "hypernym")
-    raise RuntimeError("the writer fails mid-write")
-
-
 class TestAtomicOpen:
     @pytest.mark.parametrize("writer", ["text", "binary", "relations"])
     def test_a_writer_that_raises_leaves_the_old_bytes_and_no_temporary_file(
             self, tmp_path, writer):
         path = tmp_path / "out"
         path.write_bytes(b"old bytes\n")
-        with pytest.raises(RuntimeError, match="mid-write"):
-            if writer == "relations":
-                write_relations(failing_pairs(), path)
+        error, match = ((UnicodeEncodeError, "surrogates not allowed") if writer == "relations"
+                        else (RuntimeError, "mid-write"))
+        with pytest.raises(error, match=match):
+            if writer == "relations":  # a lone surrogate cannot be encoded: the write fails
+                write_relations(Relations(["a", "b", "c\ud800"], np.array([[0, 1], [1, 2]]),
+                                          np.zeros(2, np.int8)), path)
             else:
                 with atomic_open(path, "w" if writer == "text" else "wb") as fh:
                     fh.write("new" if writer == "text" else b"new")

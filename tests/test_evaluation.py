@@ -23,7 +23,7 @@ from hyperproj.evaluation import (
 )
 
 from conftest import (TILINGS, exact_cosines, make_model, oracle_rank_pairs, pair_queries,
-                      set_tiling, top_indices)
+                      relations_of, set_tiling, top_indices)
 
 
 def hyp(a, b):
@@ -64,24 +64,24 @@ class TestHitAt:
     def test_perfect_projector(self):
         table, pairs, Q = rotation_fixture()
         model = make_model(Q)
-        assert hit_at(model, table, pairs, 1) == 1.0
+        assert hit_at(model, table, relations_of(pairs), 1) == 1.0
 
     def test_zero_matrix_scores_as_misses(self):
         table, pairs, _ = rotation_fixture()
         model = make_model(np.zeros((4, 4)))
-        assert hit_at(model, table, pairs, 5) == 0.0
+        assert hit_at(model, table, relations_of(pairs), 5) == 0.0
 
     def test_oov_pairs_skipped(self):
         table, pairs, Q = rotation_fixture()
         model = make_model(Q)
         padded = pairs + [hyp("x0", "missing"), hyp("ghost", "y0")]
-        assert hit_at(model, table, padded, 1) == 1.0
+        assert hit_at(model, table, relations_of(padded), 1) == 1.0
 
     def test_all_pairs_oov_rejected(self):
         table, _, Q = rotation_fixture()
         model = make_model(Q)
         with pytest.raises(InputError, match="no evaluable"):
-            hit_at(model, table, [hyp("nope", "also-nope")], 1)
+            hit_at(model, table, relations_of([hyp("nope", "also-nope")]), 1)
 
 
 class TestBoundPairs:
@@ -89,11 +89,11 @@ class TestBoundPairs:
         table, pairs, model = random_fixture(71, k=3)
         padded = pairs + [hyp("w0", "missing")]
         with caplog.at_level("WARNING"):
-            bound = bind_pairs(model.clusters, table, padded)
+            bound = bind_pairs(model.clusters, table, relations_of(padded))
         assert caplog.text.count("skipped 1 pair") == 1
         assert len(bound.rows) == len(pairs) and bound.skips == 1
-        want = evaluate(model, table, padded)
-        hits = [hit_at(model, table, pairs, l) for l in (1, 10)]
+        want = evaluate(model, table, relations_of(padded))
+        hits = [hit_at(model, table, relations_of(pairs), l) for l in (1, 10)]
         caplog.clear()
         for _ in range(2):  # a bound set is ranked again and again, without a warning
             assert evaluate(model, table, bound) == want
@@ -102,11 +102,11 @@ class TestBoundPairs:
         # another model with the same cluster model ranks the same bound pairs
         other = make_model(model.matrices[::-1], centroids=model.clusters.centroids)
         other.clusters = model.clusters
-        assert evaluate(other, table, bound) == evaluate(other, table, padded)
+        assert evaluate(other, table, bound) == evaluate(other, table, relations_of(padded))
 
     def test_bound_pairs_need_their_table_and_cluster_model(self):
         table, pairs, model = random_fixture(72)
-        bound = bind_pairs(model.clusters, table, pairs)
+        bound = bind_pairs(model.clusters, table, relations_of(pairs))
         copy = make_model(model.matrices, centroids=model.clusters.centroids)
         with pytest.raises(InputError, match="bound to another"):
             hit_at(copy, table, bound, 10)
@@ -117,7 +117,7 @@ class TestBoundPairs:
     def test_a_cluster_model_of_another_dimension_is_rejected(self):
         table, pairs, model = random_fixture(73, d=5)
         with pytest.raises(InputError, match="model has dimension 3, embeddings have 5"):
-            bind_pairs(make_model(np.eye(3)).clusters, table, pairs)
+            bind_pairs(make_model(np.eye(3)).clusters, table, relations_of(pairs))
 
 
 def toy_rank_fixture():
@@ -144,7 +144,7 @@ class TestEvaluate:
     def test_toy_curve(self):
         table, pairs = toy_rank_fixture()
         model = make_model(np.eye(2))
-        report = evaluate(model, table, pairs, l_max=4)
+        report = evaluate(model, table, relations_of(pairs), l_max=4)
         assert report.hits[0] == 0.5
         assert report.hits[1] == 1.0
         assert report.hits == [0.5, 1.0, 1.0, 1.0]
@@ -154,7 +154,7 @@ class TestEvaluate:
     def test_perfect_projector_report(self):
         table, pairs, Q = rotation_fixture()
         model = make_model(Q)
-        report = evaluate(model, table, pairs, l_max=10)
+        report = evaluate(model, table, relations_of(pairs), l_max=10)
         assert report.hits == [1.0] * 10
         assert report.auc == 9.0
         assert all(r.rank == 1 for r in report.per_pair)
@@ -165,23 +165,23 @@ class TestEvaluate:
         for trial in range(20):
             table, pairs, _ = rotation_fixture(n=10, d=3, seed=trial)
             model = make_model(rng.normal(size=(3, 3)))
-            report = evaluate(model, table, pairs, l_max=6)
+            report = evaluate(model, table, relations_of(pairs), l_max=6)
             for i in range(1, 7):
-                assert report.hits[i - 1] == hit_at(model, table, pairs, i)
+                assert report.hits[i - 1] == hit_at(model, table, relations_of(pairs), i)
 
     def test_monotone_hits(self):
         rng = np.random.default_rng(6)
         for trial in range(20):
             table, pairs, _ = rotation_fixture(n=15, d=4, seed=100 + trial)
             model = make_model(rng.normal(size=(4, 4)))
-            hits = evaluate(model, table, pairs, l_max=8).hits
+            hits = evaluate(model, table, relations_of(pairs), l_max=8).hits
             assert all(a <= b for a, b in zip(hits, hits[1:]))
 
     def test_auc_consistent_with_ranks(self):
         rng = np.random.default_rng(7)
         table, pairs, _ = rotation_fixture(n=20, d=4, seed=3)
         model = make_model(rng.normal(size=(4, 4)))
-        report = evaluate(model, table, pairs, l_max=10)
+        report = evaluate(model, table, relations_of(pairs), l_max=10)
         n = report.n_pairs
         rebuilt = [sum(1 for r in report.per_pair if r.rank is not None and r.rank <= i) / n
                    for i in range(1, 11)]
@@ -191,7 +191,7 @@ class TestEvaluate:
         table, pairs, Q = rotation_fixture()
         model = make_model(Q)
         padded = pairs + [hyp("ghost1", "y0"), hyp("ghost2", "y1")]
-        report = evaluate(model, table, padded, l_max=4)
+        report = evaluate(model, table, relations_of(padded), l_max=4)
         assert report.n_pairs + report.skips == len(padded)
         assert report.skips == 2
 
@@ -202,7 +202,7 @@ class TestEvaluate:
             [table.vector(p.target) - table.vector(p.source) for p in pairs])
         centroids = np.vstack([gold_offsets[0], -gold_offsets[0]])
         model = make_model(np.stack([Q, np.zeros((4, 4))]), centroids=centroids)
-        report = evaluate(model, table, pairs, l_max=4)
+        report = evaluate(model, table, relations_of(pairs), l_max=4)
         for row, off in zip(report.per_pair, gold_offsets):
             d0 = ((off - centroids[0]) ** 2).sum()
             d1 = ((off - centroids[1]) ** 2).sum()
@@ -292,14 +292,14 @@ def random_fixture(seed, n_words=60, d=5, k=3, n_pairs=40):
 
 
 def assert_matches_oracle(model, table, pairs, l_max, words=None):
-    report = evaluate(model, table, pairs, l_max=l_max)
+    report = evaluate(model, table, relations_of(pairs), l_max=l_max)
     expected = [oracle_rank(model, table, p, l_max) for p in pairs]
     assert [(r.cluster, r.rank) for r in report.per_pair] == expected
     n = len(pairs)
     assert report.hits == [sum(1 for _, r in expected if r is not None and r <= i) / n
                            for i in range(1, l_max + 1)]
     for l in (1, l_max):
-        assert hit_at(model, table, pairs, l) == report.hits[l - 1]
+        assert hit_at(model, table, relations_of(pairs), l) == report.hits[l - 1]
     for word in words if words is not None else table.vocab[:10]:
         got = predict_candidates(model, table, word, l_max)
         want = oracle_predict(model, table, word, l_max)
@@ -325,7 +325,7 @@ class TestBlockedScorerMatchesOracle:
         pairs = [hyp("w2", "w0"), hyp("w0", "w2"), hyp("w3", "w2"), hyp("w5", "w6"),
                  hyp("w6", "w5"), hyp("w1", "w2"), hyp("w1", "w3")]
         assert_matches_oracle(model, table, pairs, l_max=8, words=table.vocab)
-        ranks = [r.rank for r in evaluate(model, table, pairs, l_max=8).per_pair]
+        ranks = [r.rank for r in evaluate(model, table, relations_of(pairs), l_max=8).per_pair]
         # gold w0 beats w3, gold w2 beats w3 but not w0, and w5/w6 tie alone
         assert ranks[:5] == [1, 1, 2, 1, 1]
         for l in (1, 2, 3):  # cut-offs inside a tie class
@@ -342,7 +342,7 @@ class TestBlockedScorerMatchesOracle:
         table = EmbeddingTable(table.vocab, vectors)
         pairs += [hyp("w1", "w7"), hyp("w8", "w2")]  # zero gold, zero hyponym
         assert_matches_oracle(model, table, pairs, l_max=10, words=["w0", "w3", "w9"])
-        report = evaluate(model, table, pairs, l_max=10)
+        report = evaluate(model, table, relations_of(pairs), l_max=10)
         assert report.per_pair[-2].rank is None and report.per_pair[-1].rank is None
         assert not {"w3", "w7", "w8"} & {w for w, _ in predict_candidates(model, table, "w0", 30)}
 
@@ -351,7 +351,7 @@ class TestBlockedScorerMatchesOracle:
         matrices = model.matrices.copy()
         matrices[1] = 0.0
         model = make_model(matrices, centroids=model.clusters.centroids)
-        report = evaluate(model, table, pairs, l_max=10)
+        report = evaluate(model, table, relations_of(pairs), l_max=10)
         assert {r.cluster for r in report.per_pair} == {0, 1}
         assert all(r.rank is None for r in report.per_pair if r.cluster == 1)
         assert_matches_oracle(model, table, pairs, l_max=10)
@@ -363,7 +363,7 @@ class TestBlockedScorerMatchesOracle:
         model = make_model(np.eye(4))
         self_pairs = pairs + [hyp("x1", "x1")]  # gold equal to the excluded hyponym
         assert_matches_oracle(model, table, self_pairs, l_max=5)
-        assert evaluate(model, table, self_pairs, l_max=5).per_pair[-1].rank is None
+        assert evaluate(model, table, relations_of(self_pairs), l_max=5).per_pair[-1].rank is None
         # the identity projection scores x0 highest against itself
         assert predict_candidates(model, table, "x0", 1)[0][0] != "x0"
 
@@ -381,7 +381,7 @@ class TestBlockedScorerMatchesOracle:
         results = []
         for entries in (1, len(table) * len(pairs)):
             monkeypatch.setattr(embeddings, "BLOCK_ENTRIES", entries)
-            report = evaluate(model, table, pairs, l_max=10)
+            report = evaluate(model, table, relations_of(pairs), l_max=10)
             results.append(([r.rank for r in report.per_pair],
                             [predict_candidates(model, table, w, 10) for w in table.vocab]))
         assert results[0] == results[1]
@@ -390,7 +390,7 @@ class TestBlockedScorerMatchesOracle:
 class TestWriters:
     def test_report_json(self, tmp_path):
         table, pairs = toy_rank_fixture()
-        report = evaluate(make_model(np.eye(2)), table, pairs, l_max=4)
+        report = evaluate(make_model(np.eye(2)), table, relations_of(pairs), l_max=4)
         path = tmp_path / "report.json"
         write_report_json(report, path, {"note": "toy"})
         payload = json.loads(path.read_text())
@@ -400,7 +400,7 @@ class TestWriters:
 
     def test_per_pair_tsv(self, tmp_path):
         table, pairs = toy_rank_fixture()
-        report = evaluate(make_model(np.zeros((2, 2))), table, pairs, l_max=4)
+        report = evaluate(make_model(np.zeros((2, 2))), table, relations_of(pairs), l_max=4)
         path = tmp_path / "pairs.tsv"
         write_per_pair_tsv(report, path)
         lines = path.read_text().splitlines()
@@ -414,7 +414,7 @@ class TestWriters:
 
 def rank_pairs(model, table, pairs):
     """(clusters, ranks, rechecked) of ``pairs``, bound and ranked by the package."""
-    bound = bind_pairs(model.clusters, table, pairs)
+    bound = bind_pairs(model.clusters, table, relations_of(pairs))
     return (bound.cluster, *_rank_pairs(model, bound))
 
 
@@ -789,8 +789,8 @@ class TestRecheckCount:
         vectors[15] = vectors[4]
         table = EmbeddingTable(table.vocab, vectors)
         pairs = pair_words(table, [(0, 4), (1, 15), (2, 9)])
-        assert evaluate(model, table, pairs).rechecked == 2
-        assert evaluate(model, table, pairs[2:]).rechecked == 0
+        assert evaluate(model, table, relations_of(pairs)).rechecked == 2
+        assert evaluate(model, table, relations_of(pairs[2:])).rechecked == 0
 
 
 class TestProjectionThatOverflows:
@@ -806,7 +806,8 @@ class TestProjectionThatOverflows:
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(table.vectors @ huge).all(axis=-1)
         assert 0 < np.count_nonzero(finite) < finite.size
-        want, got = evaluate(small, table, pairs), evaluate(big, table, pairs)
+        relations = relations_of(pairs)
+        want, got = evaluate(small, table, relations), evaluate(big, table, relations)
         assert got.per_pair == want.per_pair and got.hits == want.hits
         assert got.rechecked == want.rechecked
         assert want.hits[-1] > 0

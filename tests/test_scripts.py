@@ -65,7 +65,7 @@ def test_experiment_agrees_with_the_library(grid):
     tc = TrainConfig(epochs=5, lam=0.5, regularizer=Regularizer.NEIGHBOR_REPROJ, k=2, seed=2)
     table, relations = make_fixture(cfg)
     data = build_dataset(relations, table, seed=2)
-    report = evaluate(train(data, table, tc), table, data.pairs_in("test"), l_max=10)
+    report = evaluate(train(data, table, tc), table, data.relations_in("test"), l_max=10)
     assert row["test"] == {"hits": report.hits, "auc": report.auc,
                            "ranks": [p.rank for p in report.per_pair]}
 

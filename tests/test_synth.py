@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperproj.dataset import RelationPair
+from hyperproj.dataset import RelationPair, read_relations
 from hyperproj.errors import InputError
 from hyperproj.synth import (
     MIXER_SCALE,
@@ -15,6 +15,8 @@ from hyperproj.synth import (
     make_fixture,
     write_fixture,
 )
+
+from conftest import pairs_of
 
 
 def reference_fixture(cfg):
@@ -66,7 +68,8 @@ def assert_matches_reference(cfg):
     vocab, vectors, ref_relations = reference_fixture(cfg)
     assert np.array_equal(table.vectors, vectors)
     assert table.vocab == vocab
-    assert relations == ref_relations
+    assert relations.words is table.vocab
+    assert pairs_of(relations) == ref_relations
 
 
 class TestMatchesRowByRowReference:
@@ -99,14 +102,25 @@ class TestMakeFixture:
         for name in ("embeddings.txt", "relations.tsv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_relations_are_table_rows_and_read_back_equal(self, tmp_path):
+        n, k = 7, 3
+        table, relations = make_fixture(SynthConfig(dim=4, n_pairs=n, distractors=k, seed=8))
+        assert relations.words is table.vocab
+        hypernyms = [[i, n + i] for i in range(n)]
+        synonyms = [[r // k, 2 * n + r] for r in range(n * k)]
+        assert relations.ids.tolist() == hypernyms + synonyms
+        assert relations.codes.tolist() == [0] * n + [1] * (n * k)
+        again = read_relations(write_fixture(table, relations, tmp_path)["relations"])
+        assert pairs_of(again) == pairs_of(relations)
+
     def test_no_distractors_means_only_hypernym_rows(self):
         _, relations = make_fixture(SynthConfig(dim=5, n_pairs=10, seed=1))
-        assert all(p.relation == "hypernym" for p in relations)
+        assert all(p.relation == "hypernym" for p in pairs_of(relations))
         assert len(relations) == 10
 
     def test_distractor_rows_and_words(self):
         table, relations = make_fixture(SynthConfig(dim=5, n_pairs=10, distractors=3, seed=2))
-        synonyms = [p for p in relations if p.relation == "synonym"]
+        synonyms = [p for p in pairs_of(relations) if p.relation == "synonym"]
         assert len(synonyms) == 30
         assert len(table) == 10 * 2 + 30
 
@@ -114,7 +128,7 @@ class TestMakeFixture:
         cfg = SynthConfig(dim=8, n_pairs=15, distractors=4, seed=3,
                           distractor_angle_deg=15.0)
         table, relations = make_fixture(cfg)
-        for pair in relations:
+        for pair in pairs_of(relations):
             if pair.relation != "synonym":
                 continue
             x = table.vector(pair.source)
@@ -125,8 +139,7 @@ class TestMakeFixture:
     def test_noise_zero_is_exactly_linear(self):
         cfg = SynthConfig(dim=6, n_pairs=50, noise=0.0, seed=4)
         table, relations = make_fixture(cfg)
-        X = np.vstack([table.vector(p.source) for p in relations])
-        Y = np.vstack([table.vector(p.target) for p in relations])
+        X, Y = table.vectors[relations.ids.T]
         A, residuals, *_ = np.linalg.lstsq(X, Y, rcond=None)
         assert np.abs(X @ A - Y).max() < 1e-12
 
@@ -134,7 +147,7 @@ class TestMakeFixture:
         cfg = SynthConfig(dim=10, n_pairs=200, seed=5, hyper_angle_deg=25.0)
         table, relations = make_fixture(cfg)
         angles = []
-        for p in relations:
+        for p in pairs_of(relations):
             x, y = table.vector(p.source), table.vector(p.target)
             cos = float(x @ y) / (np.linalg.norm(x) * np.linalg.norm(y))
             angles.append(np.degrees(np.arccos(np.clip(cos, -1, 1))))
@@ -143,8 +156,7 @@ class TestMakeFixture:
     def test_planted_clusters_distinct_mixers(self):
         cfg = SynthConfig(dim=6, n_pairs=100, seed=6, planted_clusters=2)
         table, relations = make_fixture(cfg)
-        X = np.vstack([table.vector(p.source) for p in relations])
-        Y = np.vstack([table.vector(p.target) for p in relations])
+        X, Y = table.vectors[relations.ids.T]
         # a single linear map cannot explain two different mixers
         A, *_ = np.linalg.lstsq(X, Y, rcond=None)
         assert np.abs(X @ A - Y).max() > 1e-3

@@ -6,7 +6,6 @@ import pytest
 from hyperproj import training
 from hyperproj.clustering import ClusterModel, assign_clusters, fit_kmeans, offsets
 from hyperproj.dataset import (
-    RelationDataset,
     RelationPair,
     _negative_sampler,
     build_dataset,
@@ -31,7 +30,7 @@ from hyperproj.training import (
     write_trace_csv,
 )
 
-from conftest import oracle_rank_pairs
+from conftest import dataset_of, oracle_rank_pairs, pairs_of, relations_of
 
 
 def hyp(a, b):
@@ -123,7 +122,7 @@ def planted_fixture(n=1000, d=10, seed=13):
     vocab = [f"x{i}" for i in range(n)] + [f"y{i}" for i in range(n)]
     table = EmbeddingTable(vocab, np.vstack([X, Y]))
     pairs = [hyp(f"x{i}", f"y{i}") for i in range(n)]
-    data = RelationDataset(pairs, ["train"] * n, [])
+    data = dataset_of(pairs, ["train"] * n, [])
     return table, data, A
 
 
@@ -160,7 +159,7 @@ class TestTrain:
         table = EmbeddingTable(["x1", "y1", "x2", "y2"],
                                np.array([[1.0, 0.0], [2.0, 0.0],
                                          [0.0, 1.0], [1.0, 1.0]]))
-        data = RelationDataset([hyp("x1", "y1"), hyp("x2", "y2")], ["train", "train"], [])
+        data = dataset_of([hyp("x1", "y1"), hyp("x2", "y2")], ["train", "train"], [])
         cfg = TrainConfig(epochs=2, batch_size=8, k=2, seed=3)
         with caplog.at_level(logging.WARNING):
             model = train(data, table, cfg)
@@ -172,7 +171,7 @@ class TestTrain:
     def test_non_finite_gradient_aborts_with_location(self):
         big = 1e200
         table = EmbeddingTable(["x1", "y1"], np.array([[big, 0.0], [0.0, big]]))
-        data = RelationDataset([hyp("x1", "y1")], ["train"], [])
+        data = dataset_of([hyp("x1", "y1")], ["train"], [])
         cfg = TrainConfig(epochs=3, batch_size=4, k=1, seed=0)
         with pytest.raises(TrainingError, match="cluster 0 at epoch 1"):
             train(data, table, cfg)
@@ -183,7 +182,8 @@ class TestTrain:
         table = EmbeddingTable(words, rng.normal(size=(30, 4)))
         pairs = [hyp(words[i], words[i + 10]) for i in range(10)]
         negatives = [RelationPair(words[i], words[i + 20], "synonym") for i in range(10)]
-        data = build_dataset(pairs + negatives, table, fractions=(0.8, 0.1, 0.1), seed=0)
+        data = build_dataset(relations_of(pairs + negatives), table, fractions=(0.8, 0.1, 0.1),
+                             seed=0)
         cfg = TrainConfig(epochs=3, batch_size=8, k=1, seed=5,
                           regularizer=Regularizer.NEIGHBOR_REPROJ, lam=0.5)
         model = train(data, table, cfg)
@@ -202,7 +202,8 @@ class TestTrain:
         negatives = [RelationPair(words[i], words[j], "synonym")
                      for i in range(30) for j in rng.choice(90, size=i % 4, replace=False)
                      if j != i]
-        data = build_dataset(pairs + negatives, table, fractions=(0.7, 0.15, 0.15), seed=2)
+        data = build_dataset(relations_of(pairs + negatives), table, fractions=(0.7, 0.15, 0.15),
+                             seed=2)
         cfg = TrainConfig(epochs=4, batch_size=batch_size, k=2, seed=9, regularizer=kind,
                           lam=0.5)
 
@@ -224,13 +225,13 @@ class TestTrain:
 
         monkeypatch.setattr(training, "_negative_sampler", per_example)
         assert artifacts("slow") == fast
-        assert len(calls) == 2 * cfg.epochs and sum(calls) == 4 * len(data.pairs_in("train"))
+        assert len(calls) == 2 * cfg.epochs and sum(calls) == 4 * len(data.relations_in("train"))
 
     def test_validation_selection_smoke(self):
         table, data, _ = planted_fixture(n=80)
         # move a fifth of the pairs to the validation bucket
         assignment = ["validation" if i % 5 == 0 else "train" for i in range(80)]
-        data = RelationDataset(data.positives, assignment, [])
+        data = dataset_of(pairs_of(data.hypernyms), assignment, [])
         cfg = TrainConfig(epochs=5, batch_size=32, k=1, seed=6,
                           select_on="best_validation_hit10")
         final_cfg = TrainConfig(epochs=5, batch_size=32, k=1, seed=6, select_on="final")
@@ -245,7 +246,7 @@ class TestTrain:
 
     def test_empty_train_bucket_rejected(self):
         table = EmbeddingTable(["a", "b"], np.eye(2))
-        data = RelationDataset([hyp("a", "b")], ["test"], [])
+        data = dataset_of([hyp("a", "b")], ["test"], [])
         with pytest.raises(InputError, match="training bucket"):
             train(data, table, TrainConfig(epochs=1, k=1))
 
@@ -294,13 +295,13 @@ class ReferenceCluster:
 
 def reference_train(data, table, cfg, clusters):
     """train() as a cluster-by-cluster loop: each cluster runs its whole epoch in turn."""
-    train_pairs = data.pairs_in("train")
-    assign = assign_clusters(clusters, offsets(train_pairs, table))
+    train_pairs = pairs_of(data.relations_in("train"))
+    assign = assign_clusters(clusters, offsets(data.relations_in("train"), table))
     negatives = negative_index(data, table) if cfg.regularizer.needs_negatives else None
     ref = [ReferenceCluster(cid, [p for p, a in zip(train_pairs, assign) if a == cid], table, cfg)
            for cid in range(cfg.k)]
     meta = TrainingMeta(seed=cfg.seed, epochs=cfg.epochs, batch_size=cfg.batch_size)
-    validation = data.pairs_in("validation")
+    validation = pairs_of(data.relations_in("validation"))
     best_hit, best, best_epoch, checks = -1.0, None, None, []
     for epoch in range(1, cfg.epochs + 1):
         for c in ref:
@@ -336,8 +337,9 @@ class TestLockstep:
         pairs = [hyp(words[i], words[i + 50]) for i in range(50)]
         negatives = [RelationPair(words[i], words[100 + (7 * i + j) % 50], "cohyponym")
                      for i in range(50) for j in range(i % 3)]
-        data = build_dataset(pairs + negatives, table, fractions=(0.7, 0.15, 0.15), seed=1)
-        two = fit_kmeans(offsets(data.pairs_in("train"), table), 2, seed=5)  # 25 and 10 pairs
+        data = build_dataset(relations_of(pairs + negatives), table, fractions=(0.7, 0.15, 0.15),
+                             seed=1)
+        two = fit_kmeans(offsets(data.relations_in("train"), table), 2, seed=5)  # 25 and 10 pairs
         # a third centroid far from every offset: cluster 2 gets no training pair
         clusters = ClusterModel(np.vstack([two.centroids, np.full(4, 1e3)]), two.inertia)
         return data, table, clusters
@@ -371,7 +373,7 @@ class TestLockstep:
     def test_validation_selection_with_four_clusters_one_empty(self, setup, tmp_path, kind):
         # every check ranks the same bound validation pairs; cluster 3 has no pair at all
         data, table, _ = setup
-        three = fit_kmeans(offsets(data.pairs_in("train"), table), 3, seed=5)
+        three = fit_kmeans(offsets(data.relations_in("train"), table), 3, seed=5)
         clusters = ClusterModel(np.vstack([three.centroids, np.full(4, 1e3)]), three.inertia)
         cfg = TrainConfig(epochs=45, batch_size=8, k=4, seed=3, alpha=0.05, lam=0.5,
                           regularizer=kind, select_on="best_validation_hit10")
@@ -381,7 +383,7 @@ class TestLockstep:
         assert [epoch for epoch, _ in record["hit10"]] == [10, 20, 30, 40, 45]
         hits = [hit for _, hit in record["hit10"]]
         assert record["selected_epoch"] == record["hit10"][hits.index(max(hits))][0]
-        validation = data.pairs_in("validation")
+        validation = data.relations_in("validation")
         assert set(assign_clusters(clusters, offsets(validation, table))) <= {0, 1, 2}
 
     @staticmethod
@@ -418,7 +420,7 @@ class TestLockstep:
             buckets.append("validation")
         table = EmbeddingTable(words, np.array(vectors))
         clusters = ClusterModel(4.0 * np.eye(d)[1:len(sizes) + 1], 0.0)
-        return RelationDataset(pairs, buckets, negatives), table, clusters
+        return dataset_of(pairs, buckets, negatives), table, clusters
 
     @pytest.mark.parametrize("select_on", training.SELECT_ON)
     @pytest.mark.parametrize("kind", list(Regularizer))
@@ -457,7 +459,7 @@ class TestLockstep:
         table = EmbeddingTable(["a", "A", "b", "B", "c", "C"],
                                np.array([[1.0, 0.0], [1.0, 1.0], [big, 0.0], [big, 1.0],
                                          [big, 0.0], [big, -1.0]]))
-        data = RelationDataset([hyp("a", "A"), hyp("b", "B"), hyp("c", "C")], ["train"] * 3, [])
+        data = dataset_of([hyp("a", "A"), hyp("b", "B"), hyp("c", "C")], ["train"] * 3, [])
         clusters = ClusterModel(np.array([[0.0, 1.0], [0.0, -1.0]]), 0.0)
 
         def big_pair_second(seed):  # cluster 0's stream: initial matrix, then the shuffle
