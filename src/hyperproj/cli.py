@@ -37,7 +37,7 @@ from . import dataset as ds
 from . import evaluation, synth, training
 from .clustering import ClusterModel, fit_kmeans, offsets
 from .embeddings import FORMATS, EmbeddingTable, load_embeddings, vocab_hash
-from .errors import HyperprojError, InputError, atomic_open, file_sha256
+from .errors import HyperprojError, InputError, atomic_open, file_sha256, read_hashed
 from .projection import ProjectionModel, Regularizer, load_model, save_model
 from .synth import SynthConfig
 from .training import SELECT_ON, TrainConfig
@@ -82,11 +82,10 @@ class Manifest:
         self._t0 = time.monotonic()
         self._stage_start = self._t0
 
-    def add_input(self, path: Path, digest: str | None = None,
-                  cache_status: str | None = None) -> None:
-        """Record an input's SHA-256: ``digest`` if the caller hashed the bytes it read;
-        and whether a cache lookup of it was a "hit" or a "miss", if there was one."""
-        self.payload["inputs"][str(path)] = digest or file_sha256(path)
+    def add_input(self, path: Path, digest: str, cache_status: str | None = None) -> None:
+        """Record an input's SHA-256, ``digest``, of the bytes the caller parsed; and
+        whether a cache lookup of it was a "hit" or a "miss", if there was one."""
+        self.payload["inputs"][str(path)] = digest
         if cache_status is not None:
             self.payload.setdefault("cache", {})[str(path)] = cache_status
 
@@ -153,16 +152,17 @@ def _write_clusters_json(clusters: ClusterModel, path: Path) -> None:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _read_clusters_json(path: Path) -> ClusterModel:
+def _read_clusters_json(path: Path) -> tuple[ClusterModel, str]:
     if not path.is_file():
         raise InputError(f"cluster file not found: {path}")
+    data, digest = read_hashed(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(data.decode("utf-8"))
         centroids = np.array(payload["centroids"], dtype=np.float64)
         inertia = float(payload["inertia"])
     except (RecursionError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed cluster file ({exc})") from None
-    return ClusterModel(centroids, inertia)
+    return ClusterModel(centroids, inertia), digest
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,8 @@ def cmd_train(args) -> int:
     manifest.stage("load_relations")
     clusters = None
     if args.clusters:
-        clusters = _read_clusters_json(Path(args.clusters))
-        manifest.add_input(Path(args.clusters))
+        clusters, digest = _read_clusters_json(Path(args.clusters))
+        manifest.add_input(Path(args.clusters), digest)
     model = training.train(bound, table, cfg, clusters=clusters)
     manifest.stage("train")
     out = Path(args.out)
@@ -255,7 +255,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     manifest = Manifest(args)
     model = load_model(args.model)
-    manifest.add_input(Path(args.model))
+    manifest.add_input(Path(args.model), model.source_sha256)
     table = _load_table(args, manifest)
     _check_vocab_hash(model, table)
     manifest.stage("load")

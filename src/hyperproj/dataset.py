@@ -5,7 +5,8 @@ where relation is one of hypernym, synonym, cohyponym. ``read_relations``
 reads a whole file into a ``Relations``: one word list plus int arrays of
 word ids and relation codes, with no Python object per row. Only a file
 that fails is read again, line by line, by ``_raise_first_bad_line``, so
-that its error names the first failing line, as a row-by-row reader would.
+that its error names the first failing line, as a row-by-row reader would;
+text embedding files share this policy (see ``embeddings``).
 
 ``split_relations`` splits the hypernym rows (the positives) into buckets
 and keeps the rest as negatives; ``bind`` then drops the pairs with a word

@@ -8,11 +8,12 @@ token followed by d little-endian float32 values). Vectors are held as
 float64 internally regardless of the file precision.
 
 Text components parse with Python ``float()``, in blocks of whole rows
-(``PARSE_TOKENS`` components at most) rather than one value at a time;
-binary payloads are gathered and converted in one call. Either way a bad
-file reports the error of its first failing line or word, exactly as a
-row-by-row reader would: within a text line an unparsable component
-comes before a dimension mismatch, which comes before a non-finite value.
+(``PARSE_TOKENS`` components at most), with no error bookkeeping: a text
+file that fails any check is read again, line by line, by
+``_raise_first_bad_line``, as a relations file is (see ``dataset``). Its
+error is that of its first failing line, where an unparsable component comes
+before a dimension mismatch, which comes before a non-finite value. Binary
+payloads are converted in one call, and report their first failing word.
 
 ``load_embeddings`` has one flow for every format and cache setting: hash
 the file (``file_sha256``); given a ``cache`` directory, look a text file's
@@ -49,10 +50,11 @@ rows: each dot product is numpy's own per-row product of one query and one
 row, so a score depends on neither the other queries, the other rows, the
 BLAS library nor its threads. Ranking runs one matrix product of unit
 queries against the table's kept unit columns, then scores exactly only the
-rows within ``tie_window`` of a cut: ``top_cosines`` keeps every row within
-the window of its l-th best score, and ``gold_ranks`` ranks a gold row per
-query from the product, ranking a query again (``_rerank``) from its own
-product whenever another row scores within the window of its gold row.
+rows within ``tie_window`` of a cut. ``gold_ranks`` ranks a gold row per
+query from one product of many queries (``_window_ranks``), and ranks a query
+with another row within the window of its gold row again by ``_rerank``.
+``_rerank`` and ``top_cosines``, which keeps every row within the window of
+the l-th best, scan few queries one way: ``_product_scores``.
 ``nearest_neighbors`` is ``top_cosines`` of one query; the tests keep a
 whole-vocabulary scan as their oracle.
 Queries and rows alike are first scaled by the power of two that brings
@@ -64,11 +66,12 @@ exponent and scaled norm from construction (``_shifts`` and
 limits: row norms, queries with an entry outside [2^-255, 2^254) in
 magnitude, and projections that overflow.
 
-``gold_ranks`` counts each tile of scores unmasked, then takes the zero
-rows and each query's excluded row back out of the counts (see
-``_window_ranks``). ``gold_targets`` holds what no query changes, so that
-pairs ranked again and again bind it once. Every ranking function holds at
-most BLOCK_ENTRIES scores (512 KiB) at once.
+Every ranking function scores a query's excluded row -inf before it counts
+or cuts; ``_product_scores`` scores the zero rows -inf too, and
+``_window_ranks`` takes them, which score ±0.0, back out of its counts.
+``gold_targets`` holds what no query changes, so that pairs ranked again and
+again bind it once. A matrix product yields at most BLOCK_ENTRIES scores
+(512 KiB) at once.
 """
 
 from __future__ import annotations
@@ -77,10 +80,11 @@ import contextlib
 import functools
 import hashlib
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -90,7 +94,7 @@ from .errors import (InputError, atomic_open, file_sha256, read_container, utf8_
 log = logging.getLogger(__name__)
 
 TEXT_PRECISION = 9  # significant digits written by save_embeddings_text
-BLOCK_ENTRIES = 1 << 16  # scores a ranking function holds at once: 512 KiB of float64
+BLOCK_ENTRIES = 1 << 16  # scores one ranking matrix product yields: 512 KiB of float64
 MIN_WHOLE_ROWS = 4  # gold_ranks tiles the vocabulary when fewer whole score rows fit
 GEMM_ROWS = 64  # queries per matrix product when gold_ranks tiles the vocabulary
 PARSE_TOKENS = 1 << 15  # components _parse_text converts at once: max(1, PARSE_TOKENS // dim) rows
@@ -327,83 +331,75 @@ def _finish(words: list[str], vectors: np.ndarray, normalize: bool,
                           _index=first)
 
 
-def _unparsable(path: Path, lineno: int, exc: ValueError) -> InputError:
-    return InputError(f"{path}:{lineno}: unparsable vector component ({exc})")
-
-
-def _parse_block(tokens: list[str], linenos: list[int], dim: int, path: Path) -> np.ndarray:
-    """The ``(len(linenos), dim)`` rows whose components are ``tokens``.
-
-    Row i comes from line ``linenos[i]``. If any row fails, the first
-    failing row is reported, with its first failure in the order an
-    unparsable component, then a non-finite one.
-    """
-    try:
-        block = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
-    except ValueError as exc:
-        if len(linenos) == 1:
-            raise _unparsable(path, linenos[0], exc) from None
-        for row, lineno in enumerate(linenos):  # an earlier row may fail first
-            _parse_block(tokens[row * dim:(row + 1) * dim], [lineno], dim, path)
-        raise  # not reached: the row holding the bad component fails above
-    block = block.reshape(len(linenos), dim)
-    finite = np.isfinite(block).all(axis=1)
-    if not finite.all():
-        raise InputError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite vector component")
-    return block
-
-
 def _parse_text(path: Path) -> tuple[list[str], np.ndarray]:
-    """Words and rows of the text file ``path``, parsed as it is read."""
+    """Words and rows of the text file ``path``, parsed as it is read, PARSE_TOKENS
+    components at most at a time; any failure is reported by _raise_first_bad_line."""
     words: list[str] = []
     blocks: list[np.ndarray] = []
     tokens: list[str] = []  # components of the rows not parsed yet
-    linenos: list[int] = []  # their line numbers
     count = dim = None  # of the `count dim` header, else dim is the first row's
     try:
         for lineno, line in utf8_lines(path):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if parts and parts[-1] == "":  # tolerate one trailing space
+            parts = line.rstrip("\n").split(" ")
+            if parts[-1] == "":  # a blank line, or one trailing space
                 parts.pop()
+            if not parts:
+                continue
             if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
                 count, dim = int(parts[0]), int(parts[1])
                 if count < 1 or dim < 1:
-                    raise InputError(f"{path}: header declares count={count} dim={dim}")
+                    raise ValueError("bad header")
                 continue
-            if len(parts) < 2:
-                raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
-            if dim is None:
-                dim = len(parts) - 1
-            elif len(parts) - 1 != dim:
-                try:  # an unparsable component is reported before the mismatch
-                    [float(t) for t in parts[1:]]
-                except ValueError as exc:
-                    raise _unparsable(path, lineno, exc) from None
-                raise InputError(
-                    f"{path}:{lineno}: dimension mismatch (got {len(parts) - 1}, expected {dim})"
-                )
+            dim = len(parts) - 1 if dim is None else dim
+            if len(parts) < 2 or len(parts) - 1 != dim:
+                raise ValueError("bad row")
             words.append(parts[0])
             tokens += parts[1:]
-            linenos.append(lineno)
             if len(tokens) > PARSE_TOKENS - dim:  # max(1, PARSE_TOKENS // dim) rows
-                blocks.append(_parse_block(tokens, linenos, dim, path))
-                tokens, linenos = [], []
-    except InputError:
-        # the rows read before the failing line fail first; a block that
-        # failed to parse above fails here again with the same error
-        if linenos:
-            _parse_block(tokens, linenos, dim, path)
-        raise
-    if linenos:
-        blocks.append(_parse_block(tokens, linenos, dim, path))
+                blocks.append(np.fromiter(map(float, tokens), np.float64, count=len(tokens)))
+                tokens = []
+        blocks.append(np.fromiter(map(float, tokens), np.float64, count=len(tokens)))
+    except (InputError, ValueError):  # not UTF-8, a bad header, row or component
+        _raise_first_bad_line(path)
     if not words:
         raise InputError(f"{path}: no embedding rows found")
+    vectors = np.concatenate(blocks).reshape(len(words), dim)
+    if not np.isfinite(vectors).all():
+        _raise_first_bad_line(path)
     if count is not None and count != len(words):
         raise InputError(f"{path}: header declares {count} rows, the file holds {len(words)}")
-    return words, np.concatenate(blocks)
+    return words, vectors
+
+
+def _raise_first_bad_line(path: Path) -> NoReturn:
+    """Raise the error of the first line of the text file ``path`` that fails a check
+    of ``_parse_text``; within a line, an unparsable component comes before a
+    dimension mismatch, which comes before a non-finite value."""
+    dim = None
+    for lineno, line in utf8_lines(path):
+        parts = line.rstrip("\n").split(" ")
+        if parts[-1] == "":
+            parts.pop()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
+            count, dim = int(parts[0]), int(parts[1])
+            if count < 1 or dim < 1:
+                raise InputError(f"{path}: header declares count={count} dim={dim}")
+            continue
+        if len(parts) < 2:
+            raise InputError(f"{path}:{lineno}: expected `word v1 ... vd`")
+        try:
+            row = [float(t) for t in parts[1:]]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: unparsable vector component ({exc})") from None
+        dim = len(row) if dim is None else dim
+        if len(row) != dim:
+            raise InputError(
+                f"{path}:{lineno}: dimension mismatch (got {len(row)}, expected {dim})")
+        if not all(map(math.isfinite, row)):
+            raise InputError(f"{path}:{lineno}: non-finite vector component")
+    raise AssertionError(f"{path}: the block parse failed, yet no line does")
 
 
 def _is_int(token: str) -> bool:
@@ -718,12 +714,11 @@ def _rerank(table: EmbeddingTable, query: np.ndarray, qnorm: float, gold: int,
     """The exact rank of row ``gold`` for one scaled ``query`` of norm ``qnorm``,
     row ``exclude`` (-1 for none) and the zero rows left out.
 
-    The gold row is scored exactly, and the unit query is multiplied by the
-    table's unit columns, half of BLOCK_ENTRIES at a time, so that a tile and
-    its exact scores fit in BLOCK_ENTRIES. A row whose product score lies more
-    than ``tie_window`` above the gold row's exact score beats it exactly, and
-    one more than the window below loses; the rows in between are scored
-    exactly. Both sides are read off this one product, not mixed with
+    The gold row is scored exactly, and every other row by the matrix product
+    of ``_product_scores``. A row whose product score lies more than
+    ``tie_window`` above the gold row's exact score beats it exactly, and one
+    more than the window below loses; the rows in between are scored exactly.
+    Both sides are read off this one product, not mixed with
     ``_window_ranks``' counts: a product of another shape could round a row
     across an end of the window.
     """
@@ -731,20 +726,12 @@ def _rerank(table: EmbeddingTable, query: np.ndarray, qnorm: float, gold: int,
     s_gold = _per_row_cosines(table, np.array([gold]), q, qn)[0, 0]
     window = tie_window(table.dim)
     above, below = s_gold + window, s_gold - window
-    unit = query / qnorm
-    # the gold row lies within the window and only ties itself, so it counts for
-    # nothing; an exclude of -1 lies in no tile
-    skip = np.append(table._dead, exclude)
-    width = max(1, BLOCK_ENTRIES // 2)
-    rank = 1
-    for first in range(0, len(table), width):
-        S = unit @ table._unit_columns[:, first:first + width]
-        S[skip[(skip >= first) & (skip < first + len(S))] - first] = -np.inf
-        near = first + np.flatnonzero((S >= below) & (S <= above))
-        exact = _per_row_cosines(table, near, q, qn)[0]
-        rank += (np.count_nonzero(S > above) + np.count_nonzero(exact > s_gold)
-                 + np.count_nonzero(exact[near < gold] == s_gold))  # ties: the lower index
-    return rank
+    S = _product_scores(table, q / qnorm, exclude)
+    # the gold row lies within the window and only ties itself, so it counts for nothing
+    near = np.flatnonzero((S >= below) & (S <= above))
+    exact = _per_row_cosines(table, near, q, qn)[0]
+    return (1 + np.count_nonzero(S > above) + np.count_nonzero(exact > s_gold)
+            + np.count_nonzero(exact[near < gold] == s_gold))  # ties: the lower index
 
 
 def _rank_tiles(n: int, vocab: int) -> tuple[int, int]:
@@ -774,10 +761,10 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
     """Fill ``ranks`` where the matrix-product cosines prove them; the indices of
     the other queries whose gold row can be ranked.
 
-    Each tile's scores are counted as the product leaves them, unmasked. A
-    zero row's unit column is zero, so it scores exactly ±0.0 against every
-    live query; the zero rows are taken back out of the counts from that,
-    and each query's excluded row from its own score, read off its tile.
+    Each query's excluded row scores -inf in its block of scores, as in
+    ``_product_scores``. A zero row's unit column is zero, so it scores
+    exactly ±0.0 against every live query, and the zero rows are taken back
+    out of the counts from that.
     """
     n, vocab = len(queries), len(table)
     rows, width = _rank_tiles(n, vocab)
@@ -790,9 +777,8 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
     below = np.where(live, s_gold - window, np.inf)
     ahead = np.zeros(n, dtype=np.intp)  # rows above the window
     near = np.zeros(n, dtype=np.intp)  # rows at or above its low end, the gold row included
-    left_out = np.full(n, -np.inf)  # the product's score of each query's excluded row
     whole = width == vocab
-    score_buf = np.empty(rows * min(width, vocab))
+    score_buf = np.empty(rows * min(width, vocab) + 1)  # and a spare entry no block reaches
     # narrow tiles pad each mask row with zeros to a whole number of 8 bytes
     span = vocab if whole else -(-min(width, vocab) // 8) * 8
     masks = np.zeros((rows, span), dtype=bool)
@@ -803,8 +789,8 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
         tile = np.ascontiguousarray(table._unit_columns[:, first:last])
         column = targets.exclude - first
         inside = (column >= 0) & (column < last - first)
-        # where each query's excluded row lies in its block's flattened scores
-        flat = np.where(inside, np.arange(n) % rows * (last - first) + column, 0)
+        # each query's excluded row in its block's flattened scores, else -1: the spare entry
+        flat = np.where(inside, np.arange(n) % rows * (last - first) + column, -1)
         masks[:, last - first:] = False  # a last tile narrower than the others
         for start in range(0, n, rows):
             stop = min(start + rows, n)
@@ -813,6 +799,7 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
             padded = masks[:shape[0]]
             M = padded[:, :shape[1]]
             np.matmul(units[start:stop], tile, out=S)
+            score_buf[flat[start:stop]] = -np.inf
             for bound, op, count in ((above, np.greater, ahead),
                                      (below, np.greater_equal, near)):
                 op(S, bound[start:stop, None], out=M)
@@ -820,11 +807,9 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
                 # their rows eight bytes at a time
                 count[start:stop] += ([np.count_nonzero(r) for r in M] if whole
                                       else _true_counts(padded))
-            np.copyto(left_out[start:stop], S.reshape(-1).take(flat[start:stop]),
-                      where=inside[start:stop])
     dead = len(table._dead)
-    ahead -= dead * (0.0 > above) + (left_out > above)
-    near -= dead * (0.0 >= below) + (left_out >= below)
+    ahead -= dead * (0.0 > above)
+    near -= dead * (0.0 >= below)
     # a row above `above` is ahead of the gold row in the per-query product too,
     # and one below `below` behind it (see tie_window); a rank is proven when
     # only the gold row lies in between
@@ -833,15 +818,32 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
     return np.flatnonzero(live & ~proven)
 
 
+def _product_scores(table: EmbeddingTable, units: np.ndarray, exclude: int) -> np.ndarray:
+    """Each row's best matrix-product cosine over the unit queries ``units``, -inf for
+    a zero row and for row ``exclude`` (-1 for none): the scan of few queries. The
+    product with the table's unit columns is taken BLOCK_ENTRIES scores at a time."""
+    columns, vocab = table._unit_columns, len(table)
+    width = max(1, BLOCK_ENTRIES // len(units))
+    best = np.empty(vocab)
+    for first in range(0, vocab, width):
+        # the ufunc's own reduce: np.max adds a Python wrapper's cost per call
+        np.maximum.reduce(units @ columns[:, first:first + width], axis=0,
+                          out=best[first:first + width])
+    best[table._dead] = -np.inf
+    if exclude >= 0:
+        best[exclude] = -np.inf
+    return best
+
+
 def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
                 exclude: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The ``l`` rows with the best exact cosine over the queries, each row keeping
     its best score over them, and those scores, by descending score then index;
     row ``exclude`` (None for none), zero rows and zero queries take no part.
 
-    Not every row is scored exactly: unit queries are multiplied by the table's
-    unit columns, ``BLOCK_ENTRIES`` scores at a time, and only the rows whose
-    best score is within ``tie_window`` of the l-th best are scored again by
+    Not every row is scored exactly: each row's best matrix-product cosine
+    comes from ``_product_scores``, and only the rows whose best score is
+    within ``tie_window`` of the l-th best are scored again by
     ``_per_row_cosines``. Each matrix-product cosine is within β of the exact
     one and the window is at least 2β, so every row of the exact top l, the
     whole tie class at the cut included, is among them. Those rows are in index
@@ -853,21 +855,11 @@ def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
     if not live.any():
         return np.zeros(0, dtype=np.intp), np.zeros(0)
     queries, qnorms = queries[live], qnorms[live]
-    units = queries / qnorms[:, None]
-    columns, vocab = table._unit_columns, len(table)
-    width = max(1, BLOCK_ENTRIES // len(units))
-    best = np.empty(vocab)
-    for first in range(0, vocab, width):
-        # the ufunc's own reduce: np.max adds a Python wrapper's cost per call
-        np.maximum.reduce(units @ columns[:, first:first + width], axis=0,
-                          out=best[first:first + width])
-    best[table._dead] = -np.inf
+    exclude = -1 if exclude is None else exclude
+    best = _product_scores(table, queries / qnorms[:, None], exclude)
+    vocab = len(table)
     # every row but these scores a finite cosine against the live queries
-    usable = vocab - len(table._dead)
-    if exclude is not None and table._row_norms[exclude] > 0.0:
-        best[exclude] = -np.inf
-        usable -= 1
-    m = min(l, usable)
+    m = min(l, vocab - len(table._dead) - bool(exclude >= 0 and table._row_norms[exclude] > 0.0))
     if m == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0)
     cut = np.partition(best, vocab - m)[vocab - m]  # the m-th best

@@ -5,11 +5,11 @@ The CLI maps InputError to exit code 2 (bad input or configuration) and
 every other HyperprojError to exit code 1 (runtime failure). ``utf8_lines``
 makes bytes that are not UTF-8 an InputError naming the file and line, and
 drops one leading byte-order mark (U+FEFF). Text embedding files are parsed
-through it as they are read; ``read_relations`` decodes a whole file and
-reads through it only to name the line of an error. ``file_sha256`` is the
-package's one file hash, for the embedding loader and the manifests alike;
-``read_hashed`` gives the same digest of the bytes a relations reader parses
-or, through the cache, looks up.
+through it as they are read, ``read_relations`` decodes a whole file, and
+both read through it again only to name the line of an error.
+``file_sha256`` is the package's one file hash, for the embedding loader and
+the manifests' outputs; ``read_hashed`` gives the same digest of the bytes a
+relations, model or cluster reader parses or, through the cache, looks up.
 Every file the package writes goes through ``atomic_open``. Cache entries, of
 tables and of bound splits, and models are containers: magic, a sorted JSON header padded so that the payload
 is 8-byte aligned, NUL, a little-endian float64 payload, a CRC-32 of it all.
@@ -103,12 +103,15 @@ def write_container(path: str | Path, magic: bytes, header: dict, *arrays: np.nd
         fh.write(crc.to_bytes(4, "little"))
 
 
-def read_container(path: str | Path, magic: bytes) -> tuple[dict, np.ndarray]:
-    """Header and flat float64 payload (a writable view of the bytes, not a copy)."""
-    with open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        if fh.readinto(data) != len(data):
-            raise InputError(f"{path}: short read")
+def read_container(path: str | Path, magic: bytes,
+                   data: bytearray | None = None) -> tuple[dict, np.ndarray]:
+    """Header and flat float64 payload (a writable view of the bytes, not a copy) of
+    the container ``path``, whose bytes are ``data`` if the caller has read them."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            if fh.readinto(data) != len(data):
+                raise InputError(f"{path}: short read")
     if not data.startswith(magic):
         raise InputError(f"{path}: bad magic, not a {magic.decode()} file")
     end = len(data) - 4  # the CRC-32 follows the payload

@@ -98,9 +98,9 @@ def _usable_rows(table: EmbeddingTable, pairs: Relations) -> tuple[np.ndarray, i
     return rows[found], skips
 
 
-def _check_dims(model: ProjectionModel, table: EmbeddingTable) -> None:
-    if model.dim != table.dim:
-        raise InputError(f"model has dimension {model.dim}, embeddings have {table.dim}")
+def _check_dims(dim: int, table: EmbeddingTable) -> None:
+    if dim != table.dim:
+        raise InputError(f"model has dimension {dim}, embeddings have {table.dim}")
 
 
 def _project(X: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -143,8 +143,7 @@ def bind_pairs(clusters: ClusterModel, table: EmbeddingTable, pairs: Relations) 
     set with no pair left is an error.
     """
     rows, skips = _usable_rows(table, pairs)
-    if clusters.dim != table.dim:
-        raise InputError(f"model has dimension {clusters.dim}, embeddings have {table.dim}")
+    _check_dims(clusters.dim, table)
     sources, gold = rows[:, 0], rows[:, 1]
     X = table.vectors[sources]
     cluster = assign_clusters(clusters, table.vectors[gold] - X)
@@ -221,7 +220,7 @@ def predict_candidates(model: ProjectionModel, table: EmbeddingTable, word: str,
         raise InputError(f"l must be >= 1, got {l}")
     if word not in table:
         raise InputError(f"word {word!r} is not in the vocabulary")
-    _check_dims(model, table)
+    _check_dims(model.dim, table)
     idx = table.lookup(word)
     rows, scores = top_cosines(table, _project(table.vectors[idx, None], model.matrices), l, idx)
     return [(table.vocab[i], s) for i, s in zip(rows.tolist(), scores.tolist())]

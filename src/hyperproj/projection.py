@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusterModel
-from .errors import InputError, read_container, write_container
+from .errors import InputError, read_container, read_hashed, write_container
 
 log = logging.getLogger(__name__)
 
@@ -102,6 +102,7 @@ class ProjectionModel:
     lam: float
     meta: TrainingMeta
     vocab_hash: str = ""
+    source_sha256: str = field(default="", repr=False)  # of the bytes load_model read
 
     def __post_init__(self) -> None:
         self.matrices = np.ascontiguousarray(self.matrices, dtype=np.float64)
@@ -279,7 +280,8 @@ def load_model(path: str | Path) -> ProjectionModel:
     path = Path(path)
     if not path.is_file():
         raise InputError(f"model file not found: {path}")
-    header, payload = read_container(path, MODEL_MAGIC)
+    data, digest = read_hashed(path)
+    header, payload = read_container(path, MODEL_MAGIC, bytearray(data))  # writable arrays
     try:
         dim = int(header["dim"])
         k = int(header["k"])
@@ -305,4 +307,4 @@ def load_model(path: str | Path) -> ProjectionModel:
                          f"header implies {8 * expected}")
     clusters = ClusterModel(payload[:k * dim].reshape(k, dim), inertia)
     return ProjectionModel(payload[k * dim:].reshape(k, dim, dim), clusters, kind, lam, meta,
-                           vhash)
+                           vhash, digest)

@@ -722,6 +722,31 @@ def test_split_files_are_read_once(tmp_path, fixture_dir, split_dir):
     assert not set(map(Path, (c.args[0] for c in hashed.call_args_list))) & set(files)
 
 
+def test_model_and_cluster_files_are_read_once(tmp_path, fixture_dir, split_dir):
+    """``eval --model`` and ``train --clusters`` record the digest of the bytes they
+    parsed: the manifest never hashes either file again."""
+    emb = fixture_dir / "embeddings.txt"
+    clusters, model = tmp_path / "c.json", tmp_path / "m.hprj"
+    assert run("cluster", "--embeddings", emb, "--split-dir", split_dir, "--k", 1,
+               "--seed", 5, "--out", clusters) == 0
+    assert train_quick(fixture_dir, split_dir, model) == 0
+    inputs = {clusters, model}
+    file_sha256 = cli.file_sha256
+
+    def outputs_only(path):
+        assert Path(path) not in inputs, f"{path} was read again to hash it"
+        return file_sha256(path)
+
+    with mock.patch.object(cli, "file_sha256", side_effect=outputs_only):
+        assert train_quick(fixture_dir, split_dir, tmp_path / "m2.hprj",
+                           clusters=clusters) == 0
+        assert run("eval", "--model", model, "--embeddings", emb,
+                   "--test", split_dir / "test.tsv", "--out", tmp_path / "r.json") == 0
+    for path, manifest in ((clusters, "m2.hprj"), (model, "r.json")):
+        recorded = json.loads((tmp_path / f"{manifest}.manifest.json").read_text())["inputs"]
+        assert recorded[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_train_manifest_records_data_accounting(tmp_path):
     # x1..x4 train, x5 test; x2 and x4 have no negative, x3 only a held-out one
     words = ["x1", "x2", "x3", "x4", "x5", "y1", "y5", "n1", "n2"]

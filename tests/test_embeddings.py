@@ -430,12 +430,28 @@ class TestLoadersMatchReference:
     def test_first_failing_line_is_reported(self, tmp_path, parse_tokens, lines, expected):
         path = tmp_path / "e.txt"
         path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
-        with mock.patch.object(embeddings, "PARSE_TOKENS", parse_tokens):
+        with mock.patch.object(embeddings, "PARSE_TOKENS", parse_tokens), \
+                mock.patch.object(embeddings, "utf8_lines", wraps=utf8_lines) as reads:
             with pytest.raises(InputError, match=expected) as got:
                 load_embeddings(path)
         with pytest.raises(InputError) as want:
             reference_load_text(path, False)
         assert str(got.value) == str(want.value)
+        # the block parse, then one line-by-line read by _raise_first_bad_line
+        assert reads.call_count == 2
+
+    @BLOCK_SIZES
+    def test_a_valid_file_is_read_once(self, tmp_path, parse_tokens):
+        # a header, one trailing space and blank lines
+        rows = "".join(f"w{i} {i} -{i}.5 \n\n" for i in range(5))
+        path = write(tmp_path / "e.txt", "5 2\n" + rows)
+        with mock.patch.object(embeddings, "PARSE_TOKENS", parse_tokens), \
+                mock.patch.object(embeddings, "utf8_lines", wraps=utf8_lines) as reads, \
+                mock.patch.object(embeddings, "_raise_first_bad_line",
+                                  side_effect=AssertionError("a valid file was read again")):
+            table = load_embeddings(path)
+        assert reads.call_count == 1
+        assert table.vocab == [f"w{i}" for i in range(5)]
 
 
 def _fstring_writer(table, path):

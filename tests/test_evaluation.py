@@ -607,8 +607,8 @@ class TestGemmRanking:
 
     @pytest.mark.parametrize("layout", ["zero-rows-first", "hyponyms-first"])
     def test_excluded_and_zero_rows_at_tile_ends(self, tiling, layout):
-        # the scan counts each tile unmasked and then takes the zero rows and each
-        # query's excluded hyponym back out; here they sit at every tile's ends, the
+        # the scan sets each query's excluded hyponym to -inf in its tile and takes
+        # the zero rows back out of its counts; here they sit at every tile's ends, the
         # hyponym scores near 1 against its own query, and half of the gold rows score
         # below 0, so that a zero row's 0.0 lies above their window
         rng = np.random.default_rng(86)
