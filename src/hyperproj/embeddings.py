@@ -46,15 +46,19 @@ together they exceed CACHE_MAX_BYTES (``_evict``); a hit updates its
 entry's modification time (``_touch``).
 
 Similarity search has one exact scorer, ``_per_row_cosines``, on chosen
-rows: each dot product is numpy's own per-row product of one query and one
-row, so a score depends on neither the other queries, the other rows, the
-BLAS library nor its threads. Ranking runs one matrix product of unit
-queries against the table's kept unit columns, then scores exactly only the
-rows within ``tie_window`` of a cut. ``gold_ranks`` ranks a gold row per
-query from one product of many queries (``_window_ranks``), and ranks a query
-with another row within the window of its gold row again by ``_rerank``.
-``_rerank`` and ``top_cosines``, which keeps every row within the window of
-the l-th best, scan few queries one way: ``_product_scores``.
+rows: each dot product is numpy's own float64 per-row product of one query and
+one row, so a score depends on neither the other queries, the other rows, the
+BLAS library nor its threads. Ranking runs one float32 matrix product of unit
+queries against the table's kept float32 unit columns (``_unit_columns``, 4
+bytes an entry, half the table's size), then scores exactly only the rows
+within ``tie_window`` of a cut, so every rank and score is that of an exact
+float64 scan. ``gold_ranks`` ranks a gold row per query from one product of
+many queries (``_window_ranks``): the rows above the window of the gold row's
+float64 estimate are counted, and the rows inside it, read off the same
+product, are scored exactly. ``top_cosines`` keeps every row within the window
+of the l-th best of one product of few queries (``_product_scores``) and scores
+those exactly. Each float32 score is compared with window ends computed in
+float64 and rounded outward to float32 (``_float32_end``).
 ``nearest_neighbors`` is ``top_cosines`` of one query; the tests keep a
 whole-vocabulary scan as their oracle.
 Queries and rows alike are first scaled by the power of two that brings
@@ -71,7 +75,9 @@ or cuts; ``_product_scores`` scores the zero rows -inf too, and
 ``_window_ranks`` takes them, which score ±0.0, back out of its counts.
 ``gold_targets`` holds what no query changes, so that pairs ranked again and
 again bind it once. A matrix product yields at most BLOCK_ENTRIES scores
-(512 KiB) at once.
+(256 KiB of float32) at once, and the row norms and unit columns are computed
+from that many float64 entries at a time, so that no temporary array of the
+table's size is held.
 """
 
 from __future__ import annotations
@@ -94,7 +100,9 @@ from .errors import (InputError, atomic_open, file_sha256, read_container, utf8_
 log = logging.getLogger(__name__)
 
 TEXT_PRECISION = 9  # significant digits written by save_embeddings_text
-BLOCK_ENTRIES = 1 << 16  # scores one ranking matrix product yields: 512 KiB of float64
+# scores one ranking matrix product yields, 256 KiB of float32; and the float64
+# entries (512 KiB) the row norms and unit columns are computed from at a time
+BLOCK_ENTRIES = 1 << 16
 MIN_WHOLE_ROWS = 4  # gold_ranks tiles the vocabulary when fewer whole score rows fit
 GEMM_ROWS = 64  # queries per matrix product when gold_ranks tiles the vocabulary
 PARSE_TOKENS = 1 << 15  # components _parse_text converts at once: max(1, PARSE_TOKENS // dim) rows
@@ -124,9 +132,14 @@ def _row_norms(vectors: np.ndarray) -> np.ndarray:
     """L2 norm of each row, without overflow or underflow: a row whose plain norm
     overflowed or fell below NORM_FLOOR is measured again through ``_below_one``,
     the others keep ``np.linalg.norm``'s bits. A norm above the float64 maximum
-    is inf, which ``EmbeddingTable`` rejects."""
+    is inf, which ``EmbeddingTable`` rejects. Rows are measured BLOCK_ENTRIES
+    entries at a time: each row's norm is its own reduction, and the squares of
+    the whole table are never held at once."""
+    norms = np.empty(len(vectors))
+    step = max(1, BLOCK_ENTRIES // vectors.shape[1])
     with np.errstate(over="ignore", under="ignore"):
-        norms = np.linalg.norm(vectors, axis=1)
+        for first in range(0, len(vectors), step):
+            norms[first:first + step] = np.linalg.norm(vectors[first:first + step], axis=1)
         redo = np.flatnonzero((norms < NORM_FLOOR) | (norms == np.inf))
         scaled, exponent = _below_one(vectors[redo])
         norms[redo] = np.ldexp(np.linalg.norm(scaled, axis=1), exponent[:, 0])
@@ -248,15 +261,24 @@ class EmbeddingTable:
 
     @functools.cached_property
     def _unit_columns(self) -> np.ndarray:
-        """(dim, len) array whose column j is row j, scaled by 2^_shifts[j], over its
-        quartered norm, zero for a zero row: the factor of every ranking matrix
-        product, built by the first that needs it and kept. OpenBLAS multiplies a
-        few queries by a contiguous (d, V) array about twice as fast as by a
-        transposed view."""
-        columns = np.empty((self.dim, len(self)))
-        np.ldexp(self.vectors, self._shifts[:, None], out=columns.T)
-        norms = self._quarter_norms
-        np.divide(columns, norms, out=columns, where=norms > 0.0)
+        """(dim, len) float32 array whose column j is row j, scaled by 2^_shifts[j], over
+        its quartered norm, rounded once to float32, zero for a zero row: the factor of
+        every ranking matrix product, built by the first that needs it and kept.
+
+        Built BLOCK_ENTRIES float64 entries at a time, so the table is never copied
+        whole in float64; an entry that underflows to a float32 subnormal or to zero
+        is a subnormal term of ``tie_window``. OpenBLAS multiplies a few queries by a
+        contiguous (d, V) array about twice as fast as by a transposed view.
+        """
+        columns = np.empty((self.dim, len(self)), dtype=np.float32)
+        step = max(1, BLOCK_ENTRIES // self.dim)
+        for first in range(0, len(self), step):
+            rows = slice(first, first + step)
+            units = np.ldexp(self.vectors[rows], self._shifts[rows, None])
+            norms = self._quarter_norms[rows, None]
+            np.divide(units, norms, out=units, where=norms > 0.0)  # a zero row stays zero
+            with np.errstate(under="ignore"):
+                columns[:, rows] = units.T
         return columns
 
     @functools.cached_property
@@ -517,23 +539,26 @@ def _evict(kept: Path) -> None:
     may be using the same directory.
     """
     aged = []
-    with contextlib.suppress(OSError):
-        for path in kept.parent.iterdir():
-            if path.suffix not in ENTRY_SUFFIXES:
+    # one listing, with no Path built per entry: a name's suffix and stem are
+    # those of ``Path.suffix`` and ``Path.stem``
+    with contextlib.suppress(OSError), os.scandir(kept.parent) as listing:
+        for entry in listing:
+            dot = entry.name.rfind(".")
+            if dot < 1 or entry.name[dot:] not in ENTRY_SUFFIXES:
                 continue
             with contextlib.suppress(OSError):
-                if "-" not in path.stem:
-                    path.unlink()
+                if "-" not in entry.name[:dot]:
+                    (kept.parent / entry.name).unlink()
                     continue
-                st = path.stat()
-                aged.append((st.st_mtime_ns, path.name, st.st_size, path))
-    total = sum(size for *_, size, _ in aged)
-    for _, _, size, path in sorted(aged):  # the oldest first
+                st = entry.stat()
+                aged.append((st.st_mtime_ns, entry.name, st.st_size))
+    total = sum(size for *_, size in aged)
+    for _, name, size in sorted(aged):  # the oldest first
         if total <= CACHE_MAX_BYTES:
             break
-        if path != kept:
+        if name != kept.name:
             with contextlib.suppress(OSError):
-                path.unlink()
+                (kept.parent / name).unlink()
                 total -= size
 
 
@@ -617,48 +642,73 @@ def _per_row_cosines(table: EmbeddingTable, rows: np.ndarray, queries: np.ndarra
 
 @functools.cache  # one value per dimension, read by every ranking call
 def tie_window(dim: int) -> float:
-    """How far apart two cosines must be for the ranking matrix product (of
-    ``gold_ranks`` and ``top_cosines``) and the exact per-row product of
+    """How far apart two cosines must be for the float32 ranking matrix product (of
+    ``gold_ranks`` and ``top_cosines``) and the exact float64 per-row product of
     ``_per_row_cosines`` to order them alike, at embedding dimension ``dim``.
 
-    Take u = 2^-53 and γ_n = n·u / (1 - n·u). Let q be a nonzero query and v a
+    Take u = 2^-24 and u' = 2^-53, the float32 and float64 unit roundoffs, and
+    γ_n = n·u / (1 - n·u), γ'_n likewise with u'. Let q be a nonzero query and v a
     nonzero row, each scaled by the power of two of ``_quarters``, with norms qn and
     rn in [1/4, 1/2), and ρ = ‖q‖·‖v‖ / (qn·rn). Each computed norm is the true
-    one times 1 + θ with |θ| ≤ γ_{d+3}, power-of-two rescaling and a subnormal
-    norm's second measure included, so ρ ≤ 1 + γ_{2d+6}. A dot product of d
+    one times 1 + θ with |θ| ≤ γ'_{d+3}, power-of-two rescaling and a subnormal
+    norm's second measure included, so ρ ≤ 1 + γ'_{2d+6}. A dot product of d
     terms, summed in any order, with or without fused multiply-adds and however
-    threads split it, is within γ_d·Σ|a_k b_k| of the exact one, plus 2^-1074
-    for each product that underflows (Higham, Accuracy and Stability of
-    Numerical Algorithms, §2.1 and §3.1); Σ|a_k b_k| ≤ ‖a‖·‖b‖.
+    threads split it, is within γ_d·Σ|a_k b_k| of the exact one in float32, γ'_d
+    in float64, plus half the least subnormal for each product that underflows,
+    2^-150 in float32 (Higham, Accuracy and Stability of Numerical Algorithms,
+    §2.1 and §3.1); Σ|a_k b_k| ≤ ‖a‖·‖b‖.
 
-    - The matrix product scores fl(q/qn)·fl(v/rn). The two divisions add
-      γ_2, so it is within γ_{d+2}·ρ of q·v / (qn·rn), plus subnormal terms,
-      those of scaling v included, below d·2^-1071: both factors have norm
-      about 1.
-    - The per-row product scores fl(fl(q·v) / fl(qn·rn)), within
-      γ_{d+2}·ρ of q·v / (qn·rn) as well, plus subnormal terms below
-      d·2^-1069, as qn·rn ≥ 1/16: far below d·2^-103.
+    - The per-row product scores fl(fl(q·v) / fl(qn·rn)), and ``gold_ranks``
+      estimates a gold row's score as the float64 product of fl(q/qn) and
+      fl(v/rn). Both are within γ'_{d+2}·ρ of q·v / (qn·rn), plus subnormal terms
+      below d·2^-1069: qn·rn ≥ 1/16, and every factor is at most about 1.
+    - The matrix product is taken in float32, of the same two factors each
+      rounded once more to float32: times (1 + u')(1 + u), or off by at most
+      2^-150 where a factor lands in the float32 subnormals or at zero. As
+      (1 + γ_d)(1 + u)^2 ≤ 1 + γ_{d+2}, it is within ((1 + γ_{d+2})(1 + u')^2 - 1)·ρ
+      of q·v / (qn·rn), plus 3d subnormal terms, below d·2^-148 in all.
 
-    So any two of these scores of one pair, the gold score ``gold_ranks``
-    estimates included, differ by at most β = 2γ_{d+2}(1 + γ_{2d+6}) +
-    d·2^-103 + d·2^-1071, and a difference of two scores moves by at most
-    2β from one product to the other. The window adds 2u for rounding its
-    ends, c ± window with |c ± window| < 2, and u for the subnormal terms and
-    for evaluating this formula. ``_rerank`` centres the window on the gold
-    row's exact score instead, which only widens the margin: a row whose
-    product score lies outside it is at least window - β from the gold row
-    exactly. A best score over several queries moves by at most β too, so a
-    row of the exact top l scores at least the exact l-th best, which is at
-    least the product's l-th best less β, and the row's own product score is
-    at most β below its exact one: ``top_cosines`` keeps every row within the
-    window of the product's l-th best.
+    So any two of these scores of one pair, the float64 ones included, differ by
+    at most β = ((1 + γ_{d+2})(1 + u')^2 - 1 + γ'_{d+2})·ρ + d·2^-147, and a
+    difference of two scores moves by at most 2β from one product to the other.
+    The window adds 2u' for rounding its ends in float64, c ± window with
+    |c ± window| < 2, and u' for evaluating this formula. Each end is then
+    rounded outward to float32 (``_float32_end``), which only widens the window,
+    so that float32 scores meet float32 ends whatever numpy's promotion rules.
+    ``gold_ranks`` centres the window on the gold row's float64 estimate: a row
+    whose product score lies outside it is at least window - 2β from the gold
+    row exactly, and the gold row's own product score, at most β from the
+    estimate, lies inside. A best score over several
+    queries moves by at most β too, so a row of the exact top l scores at least
+    the exact l-th best, which is at least the product's l-th best less β, and
+    the row's own product score is at most β below its exact one:
+    ``top_cosines`` keeps every row within the window of the product's l-th
+    best. The window is about 2(d + 2)·u: 1.4e-6 at d = 10, 1.2e-5 at d = 100.
     """
-    u = float(np.finfo(np.float64).eps) / 2
+    u, u64 = 2.0 ** -24, 2.0 ** -53
 
-    def gamma(k: int) -> float:
-        return k * u / (1 - k * u)
+    def gamma(k: int, unit: float) -> float:
+        return k * unit / (1 - k * unit)
 
-    return 4 * gamma(dim + 2) * (1 + gamma(2 * dim + 6)) + dim * 2.0 ** -102 + 3 * u
+    g = gamma(dim + 2, u)
+    # (1 + g)(1 + u64)^2 - 1 without the cancellation
+    product = g + (1 + g) * (2 + u64) * u64
+    beta = (product + gamma(dim + 2, u64)) * (1 + gamma(2 * dim + 6, u64)) + dim * 2.0 ** -147
+    return 2 * beta + 3 * u64
+
+
+def _float32_end(bound, toward: float) -> np.ndarray | np.float32:
+    """The float64 window ends ``bound`` rounded to float32 toward ``toward``: +inf
+    for upper ends, -inf for lower ones. Comparing a float32 score with it, in
+    float32, never narrows the window, and relies on no promotion rule, which
+    differs between numpy versions."""
+    nearest = np.float32(bound)  # an array for an array, else a scalar
+    widened = np.float64(nearest)
+    inward = widened < bound if toward > 0 else widened > bound
+    if np.ndim(inward):
+        return np.where(inward, np.nextafter(nearest, np.float32(toward)), nearest)
+    # one end, that of a predict: a scalar choice costs a third of np.where's
+    return np.nextafter(nearest, np.float32(toward)) if inward else nearest
 
 
 class GoldTargets(NamedTuple):
@@ -690,48 +740,28 @@ def gold_targets(table: EmbeddingTable, gold: np.ndarray, exclude: np.ndarray) -
 def gold_ranks(table: EmbeddingTable, queries: np.ndarray,
                targets: GoldTargets) -> tuple[np.ndarray, int]:
     """1-based rank of row ``targets.gold[i]`` among query i's exact cosines
-    (``_per_row_cosines``), and how many queries were ranked again.
+    (``_per_row_cosines``), and how many queries had rows scored exactly.
 
     Ties go to the lower vocabulary index, and zero rows and row
     ``targets.exclude[i]`` take no part; the rank is 0 where the gold row or
     the query is zero, or the gold row is the one left out. Blocks of unit
-    queries are scored with one matrix product against tiles of the table's
-    unit columns (see ``_rank_tiles``). Those cosines can be off from the exact
-    ones, so a rank is counted from them only when no other row scores within
-    ``tie_window`` of the gold row; any other query is ranked again by
-    ``_rerank``. Every rank equals the exact one.
+    queries are scored with one float32 matrix product against tiles of the
+    table's unit columns (``_window_ranks``). A row whose product score lies
+    above the ``tie_window`` of the gold row's float64 estimate beats it
+    exactly, and one below loses; the rows inside the window, read off the same
+    product, are scored exactly against the gold row. Every rank equals the
+    exact one.
     """
     queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
-    ranks = np.zeros(len(queries), dtype=np.intp)
-    redo = _window_ranks(table, queries, qnorms, targets, ranks)
-    for i in redo.tolist():
-        ranks[i] = _rerank(table, queries[i], qnorms[i], targets.gold[i], targets.exclude[i])
-    return ranks, len(redo)
-
-
-def _rerank(table: EmbeddingTable, query: np.ndarray, qnorm: float, gold: int,
-            exclude: int) -> int:
-    """The exact rank of row ``gold`` for one scaled ``query`` of norm ``qnorm``,
-    row ``exclude`` (-1 for none) and the zero rows left out.
-
-    The gold row is scored exactly, and every other row by the matrix product
-    of ``_product_scores``. A row whose product score lies more than
-    ``tie_window`` above the gold row's exact score beats it exactly, and one
-    more than the window below loses; the rows in between are scored exactly.
-    Both sides are read off this one product, not mixed with
-    ``_window_ranks``' counts: a product of another shape could round a row
-    across an end of the window.
-    """
-    q, qn = query[None, :], np.array([qnorm])
-    s_gold = _per_row_cosines(table, np.array([gold]), q, qn)[0, 0]
-    window = tie_window(table.dim)
-    above, below = s_gold + window, s_gold - window
-    S = _product_scores(table, q / qnorm, exclude)
-    # the gold row lies within the window and only ties itself, so it counts for nothing
-    near = np.flatnonzero((S >= below) & (S <= above))
-    exact = _per_row_cosines(table, near, q, qn)[0]
-    return (1 + np.count_nonzero(S > above) + np.count_nonzero(exact > s_gold)
-            + np.count_nonzero(exact[near < gold] == s_gold))  # ties: the lower index
+    ranks, near = _window_ranks(table, queries, qnorms, targets)
+    for i, rows in near.items():
+        gold = targets.gold[i]
+        exact = _per_row_cosines(table, np.append(rows, gold), queries[i, None],
+                                 qnorms[i, None])[0]
+        s_gold, exact = exact[-1], exact[:-1]
+        ranks[i] += (np.count_nonzero(exact > s_gold)
+                     + np.count_nonzero(exact[rows < gold] == s_gold))  # ties: the lower index
+    return ranks, len(near)
 
 
 def _rank_tiles(n: int, vocab: int) -> tuple[int, int]:
@@ -757,14 +787,17 @@ def _true_counts(mask: np.ndarray) -> np.ndarray:
 
 
 def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray,
-                  targets: GoldTargets, ranks: np.ndarray) -> np.ndarray:
-    """Fill ``ranks`` where the matrix-product cosines prove them; the indices of
-    the other queries whose gold row can be ranked.
+                  targets: GoldTargets) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Each query's rank counted from the matrix-product cosines, 1 + the rows
+    above the window of its gold row (0 where the gold row cannot be ranked),
+    and, for each query with another row inside that window, those rows.
 
     Each query's excluded row scores -inf in its block of scores, as in
     ``_product_scores``. A zero row's unit column is zero, so it scores
     exactly ±0.0 against every live query, and the zero rows are taken back
-    out of the counts from that.
+    out of the counts from that. The gold row itself lies inside the window
+    wherever it is scored (see ``tie_window``); each block's other rows inside
+    are found from its counts, and read off that block's scores.
     """
     n, vocab = len(queries), len(table)
     rows, width = _rank_tiles(n, vocab)
@@ -772,13 +805,16 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
     with np.errstate(divide="ignore", invalid="ignore"):  # zero queries and rows: NaN
         units = queries / qnorms[:, None]
         s_gold = np.einsum("ij,ij->i", units, targets.units)
+    with np.errstate(under="ignore"):
+        units = units.astype(np.float32)
     window = tie_window(table.dim)
-    above = np.where(live, s_gold + window, np.inf)
-    below = np.where(live, s_gold - window, np.inf)
+    above = _float32_end(np.where(live, s_gold + window, np.inf), np.inf)
+    below = _float32_end(np.where(live, s_gold - window, np.inf), -np.inf)
     ahead = np.zeros(n, dtype=np.intp)  # rows above the window
-    near = np.zeros(n, dtype=np.intp)  # rows at or above its low end, the gold row included
+    found: dict[int, list[np.ndarray]] = {}  # rows inside, of queries with others there
     whole = width == vocab
-    score_buf = np.empty(rows * min(width, vocab) + 1)  # and a spare entry no block reaches
+    # float32 scores, and a spare entry no block reaches
+    score_buf = np.empty(rows * min(width, vocab) + 1, dtype=np.float32)
     # narrow tiles pad each mask row with zeros to a whole number of 8 bytes
     span = vocab if whole else -(-min(width, vocab) // 8) * 8
     masks = np.zeros((rows, span), dtype=bool)
@@ -791,6 +827,7 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
         inside = (column >= 0) & (column < last - first)
         # each query's excluded row in its block's flattened scores, else -1: the spare entry
         flat = np.where(inside, np.arange(n) % rows * (last - first) + column, -1)
+        gold_here = live & (targets.gold >= first) & (targets.gold < last)
         masks[:, last - first:] = False  # a last tile narrower than the others
         for start in range(0, n, rows):
             stop = min(start + rows, n)
@@ -800,31 +837,43 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
             M = padded[:, :shape[1]]
             np.matmul(units[start:stop], tile, out=S)
             score_buf[flat[start:stop]] = -np.inf
-            for bound, op, count in ((above, np.greater, ahead),
-                                     (below, np.greater_equal, near)):
+            counts = []  # of the rows above the window, then of those at or above its low end
+            for bound, op in ((above, np.greater), (below, np.greater_equal)):
                 op(S, bound[start:stop, None], out=M)
                 # one 1-D count per whole row is fastest; narrow tiles add up
                 # their rows eight bytes at a time
-                count[start:stop] += ([np.count_nonzero(r) for r in M] if whole
-                                      else _true_counts(padded))
-    dead = len(table._dead)
-    ahead -= dead * (0.0 > above)
-    near -= dead * (0.0 >= below)
-    # a row above `above` is ahead of the gold row in the per-query product too,
-    # and one below `below` behind it (see tie_window); a rank is proven when
-    # only the gold row lies in between
-    proven = live & (near == ahead + 1)
-    ranks[proven] = 1 + ahead[proven]
-    return np.flatnonzero(live & ~proven)
+                counts.append(np.array([np.count_nonzero(r) for r in M]) if whole
+                              else _true_counts(padded))
+            ahead[start:stop] += counts[0]
+            # M holds the rows at or above the low end: the window, and the rows above it
+            others = counts[1] - counts[0] - gold_here[start:stop]
+            for q in np.flatnonzero(others > 0).tolist():
+                i = start + q
+                found.setdefault(i, []).append(
+                    first + np.flatnonzero(M[q] & (S[q] <= above[i])))
+    ahead -= len(table._dead) * (0.0 > above)
+    ranks = np.where(live, 1 + ahead, 0)
+    # a rank is proven when only the gold row lies inside the window, zero rows
+    # aside; any other query's rows inside are left to gold_ranks
+    near = {}
+    for i, parts in found.items():
+        rows_i = np.concatenate(parts)
+        rows_i = rows_i[(rows_i != targets.gold[i]) & (table._row_norms[rows_i] > 0.0)]
+        if rows_i.size:
+            near[i] = rows_i
+    return ranks, near
 
 
 def _product_scores(table: EmbeddingTable, units: np.ndarray, exclude: int) -> np.ndarray:
-    """Each row's best matrix-product cosine over the unit queries ``units``, -inf for
-    a zero row and for row ``exclude`` (-1 for none): the scan of few queries. The
-    product with the table's unit columns is taken BLOCK_ENTRIES scores at a time."""
+    """Each row's best float32 matrix-product cosine over the float64 unit queries
+    ``units``, rounded once to float32, -inf for a zero row and for row ``exclude``
+    (-1 for none): the scan of few queries. The product with the table's unit
+    columns is taken BLOCK_ENTRIES scores at a time."""
     columns, vocab = table._unit_columns, len(table)
+    with np.errstate(under="ignore"):
+        units = units.astype(np.float32)
     width = max(1, BLOCK_ENTRIES // len(units))
-    best = np.empty(vocab)
+    best = np.empty(vocab, dtype=np.float32)
     for first in range(0, vocab, width):
         # the ufunc's own reduce: np.max adds a Python wrapper's cost per call
         np.maximum.reduce(units @ columns[:, first:first + width], axis=0,
@@ -863,7 +912,7 @@ def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
     if m == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0)
     cut = np.partition(best, vocab - m)[vocab - m]  # the m-th best
-    short = np.flatnonzero(best >= cut - tie_window(table.dim))
+    short = np.flatnonzero(best >= _float32_end(float(cut) - tie_window(table.dim), -np.inf))
     exact = np.maximum.reduce(_per_row_cosines(table, short, queries, qnorms), axis=0)
     # every score is finite, and the indices ascend: ties go to the lower index
     top = np.argsort(-exact, kind="stable")[:l]

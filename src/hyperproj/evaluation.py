@@ -9,27 +9,27 @@ Evaluation protocol. eval (and validation during training) routes each
 pair to the cluster nearest its gold offset y - x, so the cluster choice
 uses the answer. predict has no gold word: it projects through every
 cluster and keeps each word's best cosine. Ties go to the lower
-vocabulary index. Each holds at most 512 KiB of scores at once.
+vocabulary index. Each holds at most 256 KiB of float32 scores at once.
 
 ``bind_pairs`` looks the pairs' words up, routes each pair and divides its
 gold row by its norm once: ``hit_at`` and ``evaluate`` take the
 ``BoundPairs`` in place of a list, and training binds its validation pairs
 once per run, so that a check only projects and ranks.
 
-Both rank through one matrix product of unit queries against the table's
-kept unit columns, then make it exact. eval and validation rank through
-``_rank_pairs`` and ``embeddings.gold_ranks``: a gold word's rank is
-counted from the product's scores, without sorting them, and a query with
-another word within ``embeddings.tie_window`` of its gold score is ranked
-again from its own product, which scores exactly, by the per-row product
-``embeddings._per_row_cosines``, only the gold word and the words within
-the window of it. predict ranks through ``embeddings.top_cosines``: only
-the words within the same window of the l-th best score are scored again,
-by the same per-row product, so every rank and printed score is that of an
-exact scan of the whole vocabulary, whatever the BLAS library or its
-threads. Both project through ``_project``, which computes a
-projection that overflows again from factors scaled by powers of two, and
-both score every query scaled by a power of two
+Both rank through one float32 matrix product of unit queries against the
+table's kept float32 unit columns, then make it exact in float64. eval and
+validation rank through ``_rank_pairs`` and ``embeddings.gold_ranks``: a
+gold word's rank is counted from the product's scores, without sorting
+them, and for a query with other words within ``embeddings.tie_window`` of
+its gold score, the gold word and those words, read off the same product,
+are scored exactly by the float64 per-row product
+``embeddings._per_row_cosines``. predict ranks through
+``embeddings.top_cosines``: only the words within the same window of the
+l-th best score are scored again, by the same per-row product, so every
+rank and printed score is that of an exact float64 scan of the whole
+vocabulary, whatever the BLAS library or its threads. Both project through
+``_project``, which computes a projection that overflows again from factors
+scaled by powers of two, and both score every query scaled by a power of two
 (``embeddings._scaled_queries``), so no score depends on a query's scale.
 """
 
@@ -68,7 +68,7 @@ class EvalReport:
     auc: float
     per_pair: list[PairResult]
     skips: int
-    rechecked: int  # pairs ranked again by the per-query product
+    rechecked: int  # pairs whose rank needed words near the gold one scored exactly
 
     @property
     def l_max(self) -> int:
@@ -164,8 +164,8 @@ def _bound(model: ProjectionModel, table: EmbeddingTable,
 
 
 def _rank_pairs(model: ProjectionModel, bound: BoundPairs) -> tuple[np.ndarray, int]:
-    """1-based rank of each bound pair's gold word, and how many pairs
-    ``gold_ranks`` re-ranked.
+    """1-based rank of each bound pair's gold word, and for how many pairs
+    ``gold_ranks`` scored words near the gold one exactly.
 
     A rank of 0 means the gold word cannot be ranked: its score is -inf
     because the projection is zero, the word has a zero vector, or it is
@@ -176,7 +176,7 @@ def _rank_pairs(model: ProjectionModel, bound: BoundPairs) -> tuple[np.ndarray, 
     for c, idx in bound.members:
         queries[idx] = _project(X[idx], model.matrices[c])
     ranks, rechecked = gold_ranks(bound.table, queries, bound.targets)
-    log.debug("ranked %d pair(s), %d re-ranked by the per-query product", len(X), rechecked)
+    log.debug("ranked %d pair(s), %d with near ties scored exactly", len(X), rechecked)
     return ranks, rechecked
 
 

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -804,10 +805,26 @@ class TestRowScaling:
         with np.errstate(invalid="ignore"):
             units = want / want_norms[:, None]
         units[~live] = 0.0
-        assert table._unit_columns.tobytes() == np.ascontiguousarray(units.T).tobytes()
+        # the columns are the units rounded once to float32, some to its subnormals or 0
+        assert table._unit_columns.dtype == np.float32
+        assert table._unit_columns.tobytes() == units.T.astype(np.float32).tobytes()
         targets = embeddings.gold_targets(table, np.arange(len(rows)), np.full(len(rows), -1))
         np.testing.assert_array_equal(targets.units[live], units[live])
         assert np.isnan(targets.units[~live]).all()
+
+    def test_columns_are_built_without_a_float64_copy_of_the_table(self):
+        # the float32 columns are built a block of rows at a time, so that besides
+        # them much less than the table's float64 size is held at once
+        rows = np.random.default_rng(6).normal(size=(100_000, 10))
+        table = EmbeddingTable([f"w{i}" for i in range(len(rows))], rows)
+        tracemalloc.start()
+        try:
+            columns = table._unit_columns
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert columns.dtype == np.float32 and columns.shape == (10, 100_000)
+        assert peak < columns.nbytes + table.vectors.nbytes // 4
 
 
 def below_one_route(queries):

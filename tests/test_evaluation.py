@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -419,8 +420,8 @@ def rank_pairs(model, table, pairs):
 
 
 def oracle_rechecked(model, table, pairs):
-    """How many pairs the scan must rank again: those with another row whose exact
-    cosine ties their gold row's. A row within twice the window but not tied could
+    """How many pairs the scan must score rows of exactly: those with another row
+    whose exact cosine ties their gold row's. A row within twice the window but not tied could
     go either way, and the fixtures that use this have none."""
     _, ranks = oracle_rank_pairs(model, table, pairs)
     _, queries, sources, gold = pair_queries(model, table, pairs)
@@ -446,6 +447,16 @@ def assert_ranks_match_oracle(model, table, pairs):
 
 def pair_words(table, pairs):
     return [hyp(table.vocab[a], table.vocab[b]) for a, b in pairs]
+
+
+def float32_end(end, side):
+    """The float64 window end ``end`` rounded outward to float32: up for the high
+    end (``side`` 1), down for the low one (-1). The nearest float32 must lie
+    inside the window, so that a row planted on the end tells outward rounding
+    from rounding to nearest and from a float64 comparison."""
+    nearest = np.float32(end)
+    assert (float(nearest) - end) * side < 0
+    return np.nextafter(nearest, np.float32(side * np.inf))
 
 
 class TestGemmRanking:
@@ -501,8 +512,8 @@ class TestGemmRanking:
         assert assert_ranks_match_oracle(model, table, pairs) == len(pairs) - 2
 
     def test_a_window_that_splits_the_vocabulary(self, tiling, monkeypatch):
-        # with a window of 0.25, every pair is ranked again, and its query has rows
-        # above, inside and below the window, in more than one tile of the re-rank;
+        # with a window of 0.25, every pair has rows scored exactly, and its query has
+        # rows above, inside and below the window, in more than one tile of the scan;
         # rows 3, 21 and 30 are exact copies, and in the window of each of them lie
         # the zero rows and the excluded hyponym, row 13; both lie above the window
         # of row 33
@@ -551,9 +562,9 @@ class TestGemmRanking:
         assert_predict_is_the_brute_force(model, table, table.vocab, 10)
 
     @staticmethod
-    def row_with_cosine(target, b0):
-        """Row (1, b) near (1, b0) whose computed cosine with the query (1, 0) is ``target``."""
-        b = b0
+    def row_with_cosine(target):
+        """Row (1, b) whose computed cosine with the query (1, 0) is ``target``."""
+        b = float(np.sqrt(1.0 / target ** 2 - 1.0))
         for _ in range(10_000):
             cosine = 1.0 / embeddings._row_norms(np.array([[1.0, b]]))[0]
             if cosine == target:
@@ -561,20 +572,23 @@ class TestGemmRanking:
             b = np.nextafter(b, np.inf if cosine > target else -np.inf)
         raise AssertionError(f"no row has the cosine {target!r}")
 
+    # a float32 cosine: the float32 product scores the rows (1, b) of such cosines
+    # exactly, as the float64 products do
+    C_GOLD = float(np.float32(0.6))
+
     @pytest.mark.parametrize("side, beyond, rank", [
-        ("above", False, 2), ("above", True, 2), ("below", False, 1), ("below", True, 1)],
+        (1, False, 2), (1, True, 2), (-1, False, 1), (-1, True, 1)],
         ids=["at-the-high-end", "past-the-high-end", "at-the-low-end", "past-the-low-end"])
     def test_pair_planted_at_the_window_edge(self, side, beyond, rank):
         # the query (1, 0) and rows (1, b) have exact dot products, so each cosine is
-        # 1 / (the row's norm) in every product; a row at the window's end is a near
-        # tie that is rechecked, one a float further is ranked from the GEMM
-        gold = [1.0, 4.0 / 3.0]  # cosine about 0.6
-        c_gold = 1.0 / embeddings._row_norms(np.array([gold]))[0]
-        window = embeddings.tie_window(2)
-        edge = c_gold + window if side == "above" else c_gold - window
+        # 1 / (the row's norm) in every product; a row at the window's end, rounded
+        # outward to float32, is a near tie that is rechecked, one a float32 further
+        # is ranked from the GEMM
+        gold = self.row_with_cosine(self.C_GOLD)
+        edge = float32_end(self.C_GOLD + side * embeddings.tie_window(2), side)
         if beyond:
-            edge = np.nextafter(edge, np.inf if side == "above" else -np.inf)
-        other = self.row_with_cosine(edge, gold[1])
+            edge = np.nextafter(edge, np.float32(side * np.inf))
+        other = self.row_with_cosine(float(edge))
         table = EmbeddingTable(["x", "g", "j", "z"],
                                np.array([[1.0, 0.0], gold, other, [0.0, -1.0]]))
         pairs = [hyp("x", "g")]
@@ -625,7 +639,7 @@ class TestGemmRanking:
             vectors[up] = vectors[h] @ phi + 0.5 * rng.normal(size=d)
             vectors[down] = -(vectors[h] @ phi) + 0.5 * rng.normal(size=d)
             pairs += [(h, up), (h, down)]
-        vectors[next(free)] = vectors[pairs[0][1]]  # an exact tie: that pair is ranked again
+        vectors[next(free)] = vectors[pairs[0][1]]  # an exact tie: that pair is rechecked
         table = EmbeddingTable([f"w{i}" for i in range(37)], vectors)
         model = make_model(phi)
         pairs = pair_words(table, pairs)
@@ -646,12 +660,23 @@ class TestGemmRanking:
         assert embeddings._rank_tiles(1000, 70_000) == (64, 1024)
 
     def test_window_is_the_derived_bound(self):
-        u = 2.0 ** -53
+        u, u64 = 2.0 ** -24, 2.0 ** -53
+        gamma = lambda k, unit: k * unit / (1 - k * unit)  # noqa: E731
         for d in (1, 10, 100, 1000):
-            gamma = lambda k: k * u / (1 - k * u)  # noqa: E731
-            want = 4 * gamma(d + 2) * (1 + gamma(2 * d + 6)) + d * 2.0 ** -102 + 3 * u
-            assert embeddings.tie_window(d) == want
-        assert embeddings.tie_window(10) < 1e-14  # near ties only: about (4d + 11) u
+            g = gamma(d + 2, u)
+            beta = ((g + (1 + g) * (2 + u64) * u64 + gamma(d + 2, u64))
+                    * (1 + gamma(2 * d + 6, u64)) + d * 2.0 ** -147)
+            assert embeddings.tie_window(d) == 2 * beta + 3 * u64
+            # evaluated in float64, the window still covers the bound's exact value
+            # and the 2u' of rounding its ends
+            U, U64 = Fraction(u), Fraction(u64)
+            G = lambda k, unit: k * unit / (1 - k * unit)  # noqa: E731
+            exact = 2 * (((1 + G(d + 2, U)) * (1 + U64) ** 2 - 1 + G(d + 2, U64))
+                         * (1 + G(2 * d + 6, U64)) + d * Fraction(2) ** -147) + 2 * U64
+            assert Fraction(embeddings.tie_window(d)) >= exact
+        # near ties only: about 2(d + 2) u, a few float32 ulps of a cosine
+        assert 1.4e-6 < embeddings.tie_window(10) < 1.5e-6
+        assert 1.2e-5 < embeddings.tie_window(100) < 1.25e-5
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n_words=st.integers(2, 24), dim=st.integers(1, 4),
@@ -752,14 +777,14 @@ class TestPredictShortlist:
     @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
     @pytest.mark.parametrize("beyond", [False, True], ids=["at-the-end", "past-the-end"])
     def test_competitor_planted_at_the_window_edge(self, side, beyond):
-        # as in TestGemmRanking: (1, 0) and rows (1, b) have exact dot products, so
-        # row j's cosine is exactly its planted distance from row g's in both products
-        gold = [1.0, 4.0 / 3.0]
-        c_gold = 1.0 / embeddings._row_norms(np.array([gold]))[0]
-        edge = c_gold + side * embeddings.tie_window(2)
+        # as in TestGemmRanking: (1, 0) and rows (1, b) of float32 cosines have exact
+        # dot products, so row j's cosine is exactly its planted distance from row
+        # g's in every product
+        gold = TestGemmRanking.row_with_cosine(TestGemmRanking.C_GOLD)
+        edge = float32_end(TestGemmRanking.C_GOLD + side * embeddings.tie_window(2), side)
         if beyond:
-            edge = np.nextafter(edge, side * np.inf)
-        other = TestGemmRanking.row_with_cosine(edge, gold[1])
+            edge = np.nextafter(edge, np.float32(side * np.inf))
+        other = TestGemmRanking.row_with_cosine(float(edge))
         table = EmbeddingTable(["x", "g", "j", "z"],
                                np.array([[1.0, 0.0], gold, other, [0.0, -1.0]]))
         for l in (1, 2, 3):
@@ -780,6 +805,80 @@ class TestPredictShortlist:
                            centroids=rng.normal(size=(2, d)))
         for l in (1, 2, 5, 10, 25):
             assert_predict_is_the_brute_force(model, table, table.vocab[:20], l)
+
+
+def exactly_scored(monkeypatch):
+    """The rows of every ``_per_row_cosines`` call from here on, in call order."""
+    calls = []
+    scorer = embeddings._per_row_cosines
+
+    def spy(table, rows, queries, qnorms):
+        calls.append(np.asarray(rows).tolist())
+        return scorer(table, rows, queries, qnorms)
+
+    monkeypatch.setattr(embeddings, "_per_row_cosines", spy)
+    return calls
+
+
+class TestFloat32WindowEnds:
+    """The float32 scores are compared with window ends computed in float64 and
+    rounded outward to float32. The rows (1, b) planted here have exact dot
+    products with the query (1, 0), so their float32 product score is their
+    cosine rounded once to float32."""
+
+    C = TestGemmRanking.C_GOLD
+
+    @staticmethod
+    def planted(rows):
+        """The query row x = (1, 0), then ``rows`` as r0, r1, ..., then z = (0, -1)."""
+        words = ["x"] + [f"r{i}" for i in range(len(rows))] + ["z"]
+        return EmbeddingTable(words, np.array([[1.0, 0.0], *rows, [0.0, -1.0]]))
+
+    @classmethod
+    def with_cosines(cls, cosines):
+        return cls.planted([TestGemmRanking.row_with_cosine(float(c)) for c in cosines])
+
+    def test_gold_ranks_scores_the_rows_at_both_ends_exactly(self, monkeypatch):
+        # r1 copies the gold row r0, so that the pair's rank is not proven from the
+        # counts; r2 and r3 sit on the window's ends rounded outward, r4 and r5 a
+        # float32 beyond them
+        w = embeddings.tie_window(2)
+        high, low = float32_end(self.C + w, 1), float32_end(self.C - w, -1)
+        cosines = [self.C, self.C, high, low, np.nextafter(high, np.float32(np.inf)),
+                   np.nextafter(low, np.float32(-np.inf))]
+        table = self.with_cosines(cosines)
+        calls = exactly_scored(monkeypatch)
+        assert assert_ranks_match_oracle(make_model(np.eye(2)), table, [hyp("x", "r0")]) == 1
+        assert rank_pairs(make_model(np.eye(2)), table, [hyp("x", "r0")])[1].tolist() == [3]
+        # the rows inside the window, r1 to r3, then the gold row r0
+        assert calls[-1] == [2, 3, 4, 1]
+
+    @pytest.mark.parametrize("side, rank", [(1, 2), (-1, 1)], ids=["rounds-up", "rounds-down"])
+    def test_ends_hold_the_rounding_of_a_zero_window(self, monkeypatch, side, rank):
+        # with no window at all the ends still hold the product's one rounding here:
+        # the gold cosine lies off the float32 grid, the nearest float32 N is
+        # `side` of it, and row r1's cosine lies strictly between the two, so that
+        # both rows score N; r1 beats the gold row exactly only when N is above it
+        n = float(np.nextafter(np.float32(self.C), np.float32(np.inf)))
+        rows = [[1.0, float(np.sqrt(1.0 / c ** 2 - 1.0))]
+                for c in (n - side * 2.0 ** -30, n - side * 2.0 ** -31)]
+        table = self.planted(rows)
+        c_gold, c_other = 1.0 / table._row_norms[1:3]  # the computed cosines
+        assert 0.0 < side * (n - c_other) < side * (n - c_gold) < 2.0 ** -29
+        assert np.float32(c_gold) == np.float32(c_other) == np.float32(n)
+        monkeypatch.setattr(embeddings, "tie_window", lambda dim: 0.0)
+        pairs = [hyp("x", "r0")]
+        assert assert_ranks_match_oracle(make_model(np.eye(2)), table, pairs) == 1
+        assert rank_pairs(make_model(np.eye(2)), table, pairs)[1].tolist() == [rank]
+
+    def test_shortlist_reaches_the_low_end_rounded_outward(self, monkeypatch):
+        # r0 is the best row; r1 sits on the low end of its window rounded down to
+        # float32, r2 a float32 below that
+        low = float32_end(self.C - embeddings.tie_window(2), -1)
+        table = self.with_cosines([self.C, low, np.nextafter(low, np.float32(-np.inf))])
+        calls = exactly_scored(monkeypatch)
+        assert_predict_is_the_brute_force(make_model(np.eye(2)), table, ["x"], 1)
+        assert calls[-1] == [1, 2]
 
 
 class TestRecheckCount:
