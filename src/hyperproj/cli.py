@@ -9,14 +9,11 @@ HYPERPROJ_LOG environment variable (debug/info/warning/error) controls
 log verbosity.
 
 Every command that reads ``--embeddings`` goes through ``_load_table``,
-which keeps parsed text tables in a cache directory (see ``embeddings``):
-HYPERPROJ_CACHE, else ``$XDG_CACHE_HOME/hyperproj``, else
-``~/.cache/hyperproj``. ``cluster`` and ``train`` read ``--split-dir``
-through ``_read_split``, which keeps the bound split in the same directory
-(see ``dataset.read_split_dir``), so that every arm trained on one split
-skips its parse. Outputs are the same with a cold or a warm cache; a
-manifest's ``cache`` maps each input looked up there to "hit" or "miss",
-and is left out when nothing was.
+and ``cluster`` and ``train`` read ``--split-dir`` through ``_read_split``:
+both look their input up in the cache directory (see ``cache``), so that
+every arm trained on one split skips its parse. Outputs are the same with a
+cold or a warm cache; a manifest's ``cache`` maps each input looked up there
+to "hit" or "miss", and is left out when nothing was.
 """
 
 from __future__ import annotations
@@ -33,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cache, evaluation, synth, training
 from . import dataset as ds
-from . import evaluation, synth, training
 from .clustering import ClusterModel, fit_kmeans, offsets
 from .embeddings import FORMATS, EmbeddingTable, load_embeddings, vocab_hash
 from .errors import HyperprojError, InputError, atomic_open, file_sha256, read_hashed
@@ -103,25 +100,11 @@ class Manifest:
             fh.write(json.dumps(self.payload, sort_keys=True, indent=2) + "\n")
 
 
-def _cache_dir() -> Path | None:
-    """HYPERPROJ_CACHE, else $XDG_CACHE_HOME/hyperproj, else ~/.cache/hyperproj;
-    None, so that tables and splits are parsed every time, if there is no home
-    directory."""
-    if os.environ.get("HYPERPROJ_CACHE"):
-        return Path(os.environ["HYPERPROJ_CACHE"])
-    if os.environ.get("XDG_CACHE_HOME"):
-        return Path(os.environ["XDG_CACHE_HOME"]) / "hyperproj"
-    try:
-        return Path.home() / ".cache" / "hyperproj"
-    except RuntimeError:  # neither HOME nor a password entry names one
-        return None
-
-
 def _load_table(args, manifest: Manifest | None = None) -> EmbeddingTable:
     """The --embeddings table, through the cache; the manifest gets the digest of its bytes."""
     path = Path(args.embeddings)
     table = load_embeddings(path, format=args.format, normalize=args.normalize,
-                            cache=_cache_dir())
+                            cache=cache.directory())
     if manifest is not None:
         manifest.add_input(path, table.source_sha256, table.cache_status)
     return table
@@ -130,7 +113,7 @@ def _load_table(args, manifest: Manifest | None = None) -> EmbeddingTable:
 def _read_split(args, table, manifest: Manifest) -> ds.RelationDataset:
     """The bound --split-dir, through the cache; the manifest gets the digest of each
     file's bytes."""
-    bound = ds.read_split_dir(args.split_dir, table, cache=_cache_dir())
+    bound = ds.read_split_dir(args.split_dir, table, cache=cache.directory())
     for path, digest in bound.source_sha256.items():
         manifest.add_input(path, digest, bound.cache_status)
     return bound

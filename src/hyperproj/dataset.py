@@ -15,13 +15,14 @@ both end in it. A bound dataset's word list is the table's vocabulary, so
 its word ids are table rows: training, clustering, validation and
 ``negative_index`` take them as they are.
 
-``read_split_dir`` can keep bound splits in the cache directory of parsed
-tables (see ``embeddings``), as ``.hpsplit`` entries keyed by the digests
-of the bytes it reads and the table's ``vocab_hash``. A hit builds the
-bound dataset from the stored table rows, relation codes and buckets,
-skipping the parse and ``bind``, and logs the duplicate-row warnings and
-the drop message of the parse again, with its own paths. A miss parses
-the bytes already read; only a split that loads gets an entry.
+``read_split_dir`` can keep bound splits in a cache directory (see
+``cache``): ``.hpsplit`` entries keyed by the digests of the bytes it reads
+and the table's ``vocab_hash``, whose header holds the key and the row,
+duplicate-row and drop counts, and whose payload the table rows, relation
+codes and buckets. A hit builds the bound dataset from them, skipping the
+parse and ``bind``, and logs the parse's duplicate-row warnings and drop
+message again, with its own paths. A miss parses the bytes already read;
+only a split that loads gets an entry.
 
 Every function that takes relations takes a ``Relations``. ``pair_rows``
 resolves them to table rows for evaluation, clustering and training;
@@ -46,8 +47,9 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, _entry_path, _store, _touch, vocab_hash
-from .errors import InputError, atomic_open, read_container, read_hashed, utf8_lines
+from .cache import entry_path, lookup, store
+from .embeddings import EmbeddingTable, vocab_hash
+from .errors import InputError, atomic_open, read_hashed, utf8_lines
 
 log = logging.getLogger(__name__)
 
@@ -544,22 +546,15 @@ def _whole(values: np.ndarray, low: int, high: int) -> bool:
     return bool(((values >= low) & (values < high) & (values == np.floor(values))).all())
 
 
-def _cached_split(entry: Path, key: list[str], files: dict[Path, tuple[bytes, str]],
+def _cached_split(header: dict, payload: np.ndarray, files: dict[Path, tuple[bytes, str]],
                   table: EmbeddingTable) -> RelationDataset | None:
-    """The bound split a cache entry holds, its warnings and its drop message logged
-    as the parse logs them, or None if the entry is missing, unsound or another key's."""
-    try:
-        header, payload = read_container(entry, SPLIT_MAGIC)
-        n, m, duplicates, dropped = (header["positives"], header["negatives"],
-                                     header["duplicates"], header["dropped"])
-        counts = [n, m, *duplicates, *dropped]
-        sound = (header["version"] == SPLIT_CACHE_VERSION and header["key"] == key
-                 and all(type(c) is int and c >= 0 for c in counts)
-                 and len(duplicates) == len(SPLIT_FILES) and len(dropped) == 2
-                 and payload.size == 4 * n + 3 * m)
-    except (OSError, InputError, TypeError, KeyError):
-        return None
-    if not sound:
+    """The bound split of a split entry's ``header`` and payload, its warnings and its
+    drop message logged as the parse logs them, or None if the entry is unsound."""
+    n, m, duplicates, dropped = (header["positives"], header["negatives"],
+                                 header["duplicates"], header["dropped"])
+    if not (all(type(c) is int and c >= 0 for c in [n, m, *duplicates, *dropped])
+            and len(duplicates) == len(SPLIT_FILES) and len(dropped) == 2
+            and payload.size == 4 * n + 3 * m):
         return None
     pos, pos_codes, buckets, neg, neg_codes = np.split(payload, np.cumsum([2 * n, n, n, 2 * m]))
     vocab = len(table)
@@ -567,7 +562,6 @@ def _cached_split(entry: Path, key: list[str], files: dict[Path, tuple[bytes, st
             and _whole(buckets, 0, len(BUCKETS)) and _whole(neg, 0, vocab)
             and _whole(neg_codes, HYPERNYM + 1, len(RELATIONS))):
         return None
-    _touch(entry)
     for path, count in zip(files, duplicates):  # a missing negatives.tsv dropped none
         _warn_duplicates(path, count)
     _log_dropped(*dropped)
@@ -590,12 +584,9 @@ def read_split_dir(split_dir: str | Path, table: EmbeddingTable,
     row of ``negatives.tsv`` may be one; otherwise the first row that breaks
     this is an ``InputError``.
 
-    Given a ``cache`` directory, the bound split is looked up there first,
-    keyed by the digests of the bytes read and the table's vocabulary
-    (``_split_key``); a hit builds it from the stored table rows and logs
-    the parse's warnings and drop message again, with this call's paths. A
-    miss parses the same bytes and stores the bound split, if it loads.
-    The dataset's ``cache_status`` tells which; None parses every time.
+    Given a ``cache`` directory, the bound split is looked up there first, keyed
+    by ``_split_key`` (see the module docstring); the dataset's ``cache_status``
+    tells "hit" or "miss", and is None when nothing was looked up.
     """
     split_dir = Path(split_dir)
     paths = [split_dir / f"{name}.tsv" for name in SPLIT_FILES]
@@ -603,8 +594,9 @@ def read_split_dir(split_dir: str | Path, table: EmbeddingTable,
     key, entry = _split_key(files, table), None
     if key is not None:
         name = hashlib.sha256(" ".join(key).encode("ascii")).hexdigest()
-        entry = _entry_path(cache, name, SPLIT_CACHE_VERSION, ".hpsplit")
-        cached = _cached_split(entry, key, files, table)
+        entry = entry_path(cache, name, SPLIT_CACHE_VERSION, ".hpsplit")
+        cached = lookup(entry, SPLIT_MAGIC, SPLIT_CACHE_VERSION, "key", key,
+                        lambda header, payload: _cached_split(header, payload, files, table))
         if cached is not None:
             return cached
     words = _Words()
@@ -640,7 +632,7 @@ def read_split_dir(split_dir: str | Path, table: EmbeddingTable,
         header = {"version": SPLIT_CACHE_VERSION, "key": key, "positives": len(bound.hypernyms),
                   "negatives": len(bound.negatives), "duplicates": duplicates,
                   "dropped": [bound.dropped_positives, bound.dropped_negatives]}
-        _store(entry, SPLIT_MAGIC, header, bound.hypernyms.ids, bound.hypernyms.codes,
-               bound.buckets, bound.negatives.ids, bound.negatives.codes)
+        store(entry, SPLIT_MAGIC, header, bound.hypernyms.ids, bound.hypernyms.codes,
+              bound.buckets, bound.negatives.ids, bound.negatives.codes)
         bound.cache_status = "miss"
     return bound

@@ -16,34 +16,20 @@ before a dimension mismatch, which comes before a non-finite value. Binary
 payloads are converted in one call, and report their first failing word.
 
 ``load_embeddings`` has one flow for every format and cache setting: hash
-the file (``file_sha256``); given a ``cache`` directory, look a text file's
-parse up there as ``<sha256>-<CACHE_VERSION>.hptab``, so that versions of
-the package sharing a directory keep their own entries; else parse the file
-as it is read, hash it again, which must give the same digest, and store
-the parse. A hit reads the file once, a miss three times, and every table's
-``source_sha256`` names the bytes it came from. An entry holds the words in
-file order, duplicates included, and the float64 rows bit for bit, so a hit
-gives the table a parse gives: duplicates, their warning and ``normalize``
-are applied after either. An entry that is missing, short or unsound in any
-way is a miss, an unwritable directory only means parsing every time, and a
-file that fails to load, or changes while it is read, never gets an entry.
-``load_embeddings`` sets the table's ``cache_status`` to "hit" or "miss"
-when it looked the file up, else leaves it None. An entry is a container,
-as a model file is (see ``errors``): ``CACHE_MAGIC``, a header of version,
-sha256, count, dim and the words joined by spaces (which no word holds),
-and the row-major float64 rows as its payload. A
-binary file is hashed but never cached: its float64 entry would be twice
-the file's size, and on a large table (70k rows of 100) a hit saved only
-about a seventh of a parse while a miss cost about a third more.
-
-A cache directory holds two kinds of entry under one naming scheme,
-``<sha256>-<version><suffix>`` (``_entry_path``): tables here, as
-``.hptab``, and bound splits (see ``dataset.read_split_dir``), as
-``.hpsplit``. Both are written through ``_store``. After writing an entry
-of either kind, entries named by a digest alone, which no version reads,
-are deleted, and then the least recently used entries of both kinds while
-together they exceed CACHE_MAX_BYTES (``_evict``); a hit updates its
-entry's modification time (``_touch``).
+the file (``file_sha256``); given a ``cache`` directory (see ``cache``),
+look a text file's parse up there by that digest; else parse the file as it
+is read, hash it again, which must give the same digest, and store the
+parse, unless the file fails to load. A hit reads the file once, a miss
+three times, and every table's ``source_sha256`` names the bytes it came
+from. A table entry (``.hptab``, CACHE_VERSION) holds CACHE_MAGIC, a header
+of version, sha256, count, dim and the words in file order, duplicates
+included, joined by spaces (which no word holds), and the row-major float64
+rows, so a hit gives the table a parse gives: duplicates, their warning and
+``normalize`` are applied after either. The table's ``cache_status`` is
+"hit" or "miss" when the file was looked up, else None. A binary file is
+hashed but never cached: its float64 entry would be twice the file's size,
+and on a large table (70k rows of 100) a hit saved only about a seventh of
+a parse while a miss cost about a third more.
 
 Similarity search has one exact scorer, ``_per_row_cosines``, on chosen
 rows: each dot product is numpy's own float64 per-row product of one query and
@@ -82,20 +68,18 @@ table's size is held.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .errors import (InputError, atomic_open, file_sha256, read_container, utf8_lines,
-                     write_container)
+from .cache import entry_path, lookup, store
+from .errors import InputError, atomic_open, file_sha256, utf8_lines
 
 log = logging.getLogger(__name__)
 
@@ -111,8 +95,6 @@ NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 FORMATS = ("text", "binary")
 CACHE_MAGIC = b"HPTAB1"
 CACHE_VERSION = 3  # in each entry's name and header: entries of other rules are not read
-CACHE_MAX_BYTES = 1 << 30  # entries a cache directory keeps, of both kinds, see _evict
-ENTRY_SUFFIXES = (".hptab", ".hpsplit")  # a parsed table, a bound split
 
 
 def _below_one(A: np.ndarray, axis: int | tuple[int, ...] = -1) -> tuple[np.ndarray, np.ndarray]:
@@ -482,84 +464,12 @@ def _parse_binary(path: Path) -> tuple[list[str], np.ndarray]:
     return words, _binary_rows(words, payloads, dim, path)
 
 
-def _entry_path(cache: str | Path, key: str, version: int, suffix: str) -> Path:
-    """Where a cache entry lives: ``<key>-<version><suffix>`` in ``cache``, the
-    one naming scheme of both entry kinds (ENTRY_SUFFIXES)."""
-    return Path(cache) / f"{key}-{version}{suffix}"
-
-
-def _touch(entry: Path) -> None:
-    """Mark a hit entry as the most recently used, see _evict."""
-    with contextlib.suppress(OSError):
-        os.utime(entry)
-
-
-def _store(entry: Path, magic: bytes, header: dict, *arrays: np.ndarray) -> None:
-    """Write a cache entry, a container, then evict; failures are only logged."""
-    try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        write_container(entry, magic, header, *arrays)
-    except OSError as exc:
-        log.info("cache entry not written: %s", exc)
-        return
-    _evict(entry)
-
-
-def _read_entry(entry: Path, digest: str) -> tuple[list[str], np.ndarray] | None:
-    """The words and rows a table's cache entry holds, or None if it is missing or unsound."""
-    try:
-        header, rows = read_container(entry, CACHE_MAGIC)
-        words, count, dim = header["words"].split(" "), header["count"], header["dim"]
-        sound = (header["version"] == CACHE_VERSION and header["sha256"] == digest
-                 and type(count) is int and type(dim) is int and count >= 1 and dim >= 1
-                 and len(words) == count and rows.size == count * dim)
-    except (OSError, InputError, TypeError, KeyError, AttributeError):
-        return None
+def _entry_rows(header: dict, rows: np.ndarray) -> tuple[list[str], np.ndarray] | None:
+    """The words and rows of a table entry's ``header`` and payload, or None if they disagree."""
+    words, count, dim = header["words"].split(" "), header["count"], header["dim"]
+    sound = (type(count) is int and type(dim) is int and count >= 1 and dim >= 1
+             and len(words) == count and rows.size == count * dim)
     return (words, rows.reshape(count, dim)) if sound else None
-
-
-def _write_entry(entry: Path, digest: str, words: list[str], vectors: np.ndarray) -> None:
-    """Store a parse as a table's cache entry; failures are only logged."""
-    header = {"version": CACHE_VERSION, "sha256": digest, "count": len(words),
-              "dim": vectors.shape[1], "words": " ".join(words)}  # no word holds a space
-    _store(entry, CACHE_MAGIC, header, vectors)
-
-
-def _evict(kept: Path) -> None:
-    """Delete the entries beside ``kept`` named by a digest alone, which no version
-    reads, then the least recently used ones while the entries, tables and
-    splits together, hold more than CACHE_MAX_BYTES; ``kept``, just written, stays.
-
-    1 GiB holds about 17 tables of 70k words at d=100 (57 MB each) or 1,700
-    of 7k words at d=10, about 1,350 with a split entry beside each (0.15 MB
-    for 6,000 rows), so every fixture of a sweep over seeds stays warm, while
-    a directory that has filled up costs no more disk than that. An
-    entry's modification time is when it was last written or hit. An entry
-    that cannot be listed, read or deleted is passed over: another process
-    may be using the same directory.
-    """
-    aged = []
-    # one listing, with no Path built per entry: a name's suffix and stem are
-    # those of ``Path.suffix`` and ``Path.stem``
-    with contextlib.suppress(OSError), os.scandir(kept.parent) as listing:
-        for entry in listing:
-            dot = entry.name.rfind(".")
-            if dot < 1 or entry.name[dot:] not in ENTRY_SUFFIXES:
-                continue
-            with contextlib.suppress(OSError):
-                if "-" not in entry.name[:dot]:
-                    (kept.parent / entry.name).unlink()
-                    continue
-                st = entry.stat()
-                aged.append((st.st_mtime_ns, entry.name, st.st_size))
-    total = sum(size for *_, size in aged)
-    for _, name, size in sorted(aged):  # the oldest first
-        if total <= CACHE_MAX_BYTES:
-            break
-        if name != kept.name:
-            with contextlib.suppress(OSError):
-                (kept.parent / name).unlink()
-                total -= size
 
 
 def load_embeddings(path: str | Path, format: str = "text", normalize: bool = False,
@@ -587,10 +497,9 @@ def load_embeddings(path: str | Path, format: str = "text", normalize: bool = Fa
     digest = file_sha256(path)
     entry = None  # binary files are never cached, see the module docstring
     if cache is not None and format == "text":
-        entry = _entry_path(cache, digest, CACHE_VERSION, ".hptab")
-        cached = _read_entry(entry, digest)
+        entry = entry_path(cache, digest, CACHE_VERSION, ".hptab")
+        cached = lookup(entry, CACHE_MAGIC, CACHE_VERSION, "sha256", digest, _entry_rows)
         if cached is not None:
-            _touch(entry)
             table = _finish(*cached, normalize, str(path), digest)
             table.cache_status = "hit"
             return table
@@ -598,8 +507,10 @@ def load_embeddings(path: str | Path, format: str = "text", normalize: bool = Fa
     if file_sha256(path) != digest:
         raise InputError(f"{path}: changed while it was read")
     table = _finish(*parsed, normalize, str(path), digest)
-    if entry is not None:
-        _write_entry(entry, digest, *parsed)  # only a file that loads gets an entry
+    if entry is not None:  # only a file that loads gets an entry
+        words, vectors = parsed
+        store(entry, CACHE_MAGIC, {"version": CACHE_VERSION, "sha256": digest, "count": len(words),
+                                   "dim": vectors.shape[1], "words": " ".join(words)}, vectors)
         table.cache_status = "miss"
     return table
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperproj import cli, dataset, embeddings
+from hyperproj import cache, cli, dataset, embeddings
 from hyperproj.cli import main
 from hyperproj.embeddings import load_embeddings
 from hyperproj.errors import read_container, write_container
@@ -807,14 +807,14 @@ class TestEmbeddingCache:
         monkeypatch.setenv("HYPERPROJ_CACHE", str(tmp_path / "mine"))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
-        assert cli._cache_dir() == tmp_path / "mine"
+        assert cache.directory() == tmp_path / "mine"
         monkeypatch.setenv("HYPERPROJ_CACHE", "")
-        assert cli._cache_dir() == tmp_path / "xdg" / "hyperproj"
+        assert cache.directory() == tmp_path / "xdg" / "hyperproj"
         monkeypatch.delenv("HYPERPROJ_CACHE")
         monkeypatch.delenv("XDG_CACHE_HOME")
-        assert cli._cache_dir() == tmp_path / "home" / ".cache" / "hyperproj"
+        assert cache.directory() == tmp_path / "home" / ".cache" / "hyperproj"
         monkeypatch.setattr(Path, "home", mock.Mock(side_effect=RuntimeError("no home")))
-        assert cli._cache_dir() is None
+        assert cache.directory() is None
 
     def test_embeddings_are_parsed_once_and_hashed_once_per_warm_command(
             self, tmp_path, monkeypatch, fixture_dir, split_dir):
@@ -867,7 +867,7 @@ class TestEmbeddingCache:
     def test_without_a_cache_directory_manifests_leave_the_field_out(
             self, tmp_path, fixture_dir, split_dir):
         flags = ["--embeddings", fixture_dir / "embeddings.txt"]
-        with mock.patch.object(cli, "_cache_dir", return_value=None):
+        with mock.patch.object(cache, "directory", return_value=None):
             assert run("cluster", *flags, "--split-dir", split_dir, "--k", 1,
                        "--out", tmp_path / "c.json") == 0
             assert run("train", *flags, "--split-dir", split_dir, "--k", 1, "--epochs", 2,

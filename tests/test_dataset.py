@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperproj import cli, dataset, embeddings
+from hyperproj import cli, dataset
 from hyperproj.clustering import offsets
 from hyperproj.dataset import (
     BUCKETS,
@@ -1049,7 +1049,7 @@ class TestSplitCache:
             read_split_dir(split, CACHE_TABLE)
         capsys.readouterr()
         for cache in (None, tmp_path / "cache", tmp_path / "cache"):
-            with mock.patch.object(cli, "_cache_dir", return_value=cache):
+            with mock.patch("hyperproj.cache.directory", return_value=cache):
                 code = cli.main(["cluster", "--embeddings", str(fixture / "embeddings.txt"),
                                  "--split-dir", str(split), "--k", "1",
                                  "--out", str(tmp_path / "c.json")])
@@ -1155,7 +1155,7 @@ class TestSplitCache:
         os.utime(table_entry, ns=(0, 2 * 10**9))
         # room for two tables, not for two tables and a split
         assert split_entry.stat().st_size < table_entry.stat().st_size
-        monkeypatch.setattr(embeddings, "CACHE_MAX_BYTES", 2 * table_entry.stat().st_size)
+        monkeypatch.setattr("hyperproj.cache.MAX_BYTES", 2 * table_entry.stat().st_size)
         load_embeddings(emb[1], cache=cache)  # a table entry evicts the split's
         assert table_entry.exists() and not split_entry.exists()
         assert len(list(cache.iterdir())) == 2

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperproj import embeddings
+from hyperproj.cache import store
 from hyperproj.embeddings import (
     TEXT_PRECISION,
     EmbeddingTable,
@@ -162,8 +163,8 @@ def test_an_entry_of_the_old_rules_is_not_served(tmp_path):
     path = write(tmp_path / "e.txt", "5 2\na 1 0\nb 0 1\n")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     name = entry_name(path)  # at this version's name, so the header's version is checked
-    with mock.patch.object(embeddings, "CACHE_VERSION", 2):
-        embeddings._write_entry(tmp_path / "cache" / name, digest, ["a", "b"], np.eye(2))
+    store(tmp_path / "cache" / name, embeddings.CACHE_MAGIC,
+          {"version": 2, "sha256": digest, "count": 2, "dim": 2, "words": "a b"}, np.eye(2))
     with pytest.raises(InputError, match="header declares 5 rows"):
         load_embeddings(path, cache=tmp_path / "cache")
 
@@ -1085,7 +1086,7 @@ class TestCache:
         os.utime(first, ns=(0, 10**9))
         os.utime(second, ns=(0, 2 * 10**9))  # the first is the least recently written
         size = first.stat().st_size
-        monkeypatch.setattr(embeddings, "CACHE_MAX_BYTES", 2 * size)  # room for two
+        monkeypatch.setattr("hyperproj.cache.MAX_BYTES", 2 * size)  # room for two
         with mock.patch.object(embeddings, "_parse_text", side_effect=AssertionError):
             load_embeddings(paths[0], cache=cache)  # a hit: now the most recently used
         load_embeddings(paths[2], cache=cache)  # a third entry evicts the second
@@ -1095,7 +1096,7 @@ class TestCache:
         assert second.exists() and len(entries(cache)) == 2
 
     def test_the_entry_just_written_is_never_evicted(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(embeddings, "CACHE_MAX_BYTES", 0)
+        monkeypatch.setattr("hyperproj.cache.MAX_BYTES", 0)
         for i in range(3):
             path = write(tmp_path / f"e{i}.txt", f"w {i} 1\n")
             load_embeddings(path, cache=tmp_path / "cache")
@@ -1113,10 +1114,10 @@ class TestCache:
         assert [e.name for e in entries(cache)] == sorted([entry_name(path), other.name])
 
     def test_failed_touch_and_delete_are_ignored(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(embeddings, "CACHE_MAX_BYTES", 0)
+        monkeypatch.setattr("hyperproj.cache.MAX_BYTES", 0)
         paths = [write(tmp_path / f"e{i}.txt", f"w {i} 1\n") for i in range(2)]
         load_embeddings(paths[0], cache=tmp_path / "cache")
-        with mock.patch.object(embeddings.os, "utime", side_effect=OSError("read-only")), \
+        with mock.patch("hyperproj.cache.os.utime", side_effect=OSError("read-only")), \
                 mock.patch.object(Path, "unlink", side_effect=OSError("busy")):
             for path in paths:  # a hit and a miss
                 assert_same_table(load_embeddings(path, cache=tmp_path / "cache"),
