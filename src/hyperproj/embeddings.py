@@ -31,22 +31,22 @@ hashed but never cached: its float64 entry would be twice the file's size,
 and on a large table (70k rows of 100) a hit saved only about a seventh of
 a parse while a miss cost about a third more.
 
-Similarity search has one exact scorer, ``_per_row_cosines``, on chosen
-rows: each dot product is numpy's own float64 per-row product of one query and
-one row, so a score depends on neither the other queries, the other rows, the
-BLAS library nor its threads. Ranking runs one float32 matrix product of unit
-queries against the table's kept float32 unit columns (``_unit_columns``, 4
-bytes an entry, half the table's size), then scores exactly only the rows
-within ``tie_window`` of a cut, so every rank and score is that of an exact
-float64 scan. ``gold_ranks`` ranks a gold row per query from one product of
-many queries (``_window_ranks``): the rows above the window of the gold row's
-float64 estimate are counted, and the rows inside it, read off the same
-product, are scored exactly. ``top_cosines`` keeps every row within the window
-of the l-th best of one product of few queries (``_product_scores``) and scores
-those exactly. Each float32 score is compared with window ends computed in
-float64 and rounded outward to float32 (``_float32_end``).
-``nearest_neighbors`` is ``top_cosines`` of one query; the tests keep a
-whole-vocabulary scan as their oracle.
+Similarity search has one exact scorer, ``_per_row_cosines``, called once per
+ranking call: one ``np.einsum`` forms each dot product as numpy's own float64
+per-row product of one query and one row, so a score depends on neither the
+other pairs, how they broadcast, the BLAS library nor its threads. Ranking runs
+one float32 matrix product of unit queries against the table's kept float32
+unit columns (``_unit_columns``, 4 bytes an entry, half the table's size), then
+scores exactly only the rows within ``tie_window`` of a cut, so every rank and
+score is that of an exact float64 scan. ``gold_ranks`` ranks a gold row per
+query from one product of many queries (``_window_ranks``): the rows above the
+window of the gold row's float64 estimate are counted, and those inside it,
+read off each block with one ``np.nonzero``, are scored exactly in one call.
+``top_cosines`` keeps every row within the window of the l-th best of one
+product of few queries (``_product_scores``) and scores those exactly. Each
+float32 score is compared with window ends computed in float64 and rounded
+outward to float32 (``_float32_end``). ``nearest_neighbors`` is ``top_cosines``
+of one query; the tests keep a whole-vocabulary scan as their oracle.
 Queries and rows alike are first scaled by the power of two that brings
 their norm into [1/4, 1/2) (``_quarters``): exact, so no score depends on a
 scale, and every table ranks through the window. A table keeps each row's
@@ -531,24 +531,21 @@ def save_embeddings_text(table: EmbeddingTable, path: str | Path) -> None:
 
 def _per_row_cosines(table: EmbeddingTable, rows: np.ndarray, queries: np.ndarray,
                      qnorms: np.ndarray) -> np.ndarray:
-    """The (len(queries), len(rows)) exact cosines fl(fl(q_i·v_j) / fl(rn_j·qn_i)) of
-    ``queries``, scaled by ``_scaled_queries`` with norms ``qnorms``, against the
-    table rows ``rows``, each scaled by the power of two the table keeps for it
-    (``_shifts``, norm ``_quarter_norms``); NaN for a zero row or query, which the
-    caller leaves out.
+    """The exact cosines fl(fl(q·v) / fl(rn·qn)) of the table rows ``rows`` and
+    ``queries``, scaled by ``_scaled_queries`` with norms ``qnorms``, pair by pair as
+    ``rows`` and ``qnorms`` broadcast: (k, 1, d) queries and m rows give (k, m) scores,
+    one query per row one score per row. Each row is scaled by the power of two the
+    table keeps (``_shifts``, norm ``_quarter_norms``); NaN for a zero row or query.
 
-    ``np.einsum`` forms each dot product in numpy's own loop over one row and
+    One ``np.einsum`` forms each dot product in numpy's own loop over one row and
     one query, whose order of operations depends only on the dimension, so a
-    score has the same bits whatever other rows or queries are in the call and
-    whatever the BLAS library or its thread count.
+    score has the same bits whatever other pairs are in the call, however they
+    broadcast, and whatever the BLAS library or its thread count.
     """
     vectors = np.ldexp(table.vectors[rows], table._shifts[rows, None])
-    out = np.empty((len(queries), len(vectors)))
-    for q, row in zip(queries, out):
-        np.einsum("ij,j->i", vectors, q, out=row)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(out, np.multiply(table._quarter_norms[rows], qnorms[:, None]), out=out)
-    return out
+        return (np.einsum("...j,...j->...", vectors, queries)
+                / (table._quarter_norms[rows] * qnorms))
 
 
 @functools.cache  # one value per dimension, read by every ranking call
@@ -660,19 +657,22 @@ def gold_ranks(table: EmbeddingTable, queries: np.ndarray,
     table's unit columns (``_window_ranks``). A row whose product score lies
     above the ``tie_window`` of the gold row's float64 estimate beats it
     exactly, and one below loses; the rows inside the window, read off the same
-    product, are scored exactly against the gold row. Every rank equals the
-    exact one.
+    product, and each of their queries' gold row are scored exactly in one call,
+    and one ``np.bincount`` adds up the wins. Every rank equals the exact one.
     """
     queries, qnorms = _scaled_queries(np.asarray(queries, dtype=np.float64))
-    ranks, near = _window_ranks(table, queries, qnorms, targets)
-    for i, rows in near.items():
-        gold = targets.gold[i]
-        exact = _per_row_cosines(table, np.append(rows, gold), queries[i, None],
-                                 qnorms[i, None])[0]
-        s_gold, exact = exact[-1], exact[:-1]
-        ranks[i] += (np.count_nonzero(exact > s_gold)
-                     + np.count_nonzero(exact[rows < gold] == s_gold))  # ties: the lower index
-    return ranks, len(near)
+    ranks, which, rows = _window_ranks(table, queries, qnorms, targets)
+    if not which.size:  # no near tie: every rank is counted
+        return ranks, 0
+    tied, of_pair = np.unique(which, return_inverse=True)  # their gold rows are scored last
+    both = np.concatenate([which, tied])
+    exact = _per_row_cosines(table, np.concatenate([rows, targets.gold[tied]]), queries[both],
+                             qnorms[both])
+    s_gold, exact = exact[len(which):][of_pair], exact[:len(which)]
+    # of a tie, the lower index ranks first
+    wins = (exact > s_gold) | ((exact == s_gold) & (rows < targets.gold[which]))
+    ranks += np.bincount(which[wins], minlength=len(ranks))
+    return ranks, len(tied)
 
 
 def _rank_tiles(n: int, vocab: int) -> tuple[int, int]:
@@ -698,17 +698,18 @@ def _true_counts(mask: np.ndarray) -> np.ndarray:
 
 
 def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray,
-                  targets: GoldTargets) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+                  targets: GoldTargets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each query's rank counted from the matrix-product cosines, 1 + the rows
     above the window of its gold row (0 where the gold row cannot be ranked),
-    and, for each query with another row inside that window, those rows.
+    and the (query, row) pairs of the other nonzero rows inside that window.
 
     Each query's excluded row scores -inf in its block of scores, as in
     ``_product_scores``. A zero row's unit column is zero, so it scores
     exactly ±0.0 against every live query, and the zero rows are taken back
     out of the counts from that. The gold row itself lies inside the window
-    wherever it is scored (see ``tie_window``); each block's other rows inside
-    are found from its counts, and read off that block's scores.
+    wherever it is scored (see ``tie_window``); one ``np.nonzero`` per block reads
+    off the rows inside for the queries whose counts show others there, and the
+    gold and zero rows are dropped from the pairs after the scan.
     """
     n, vocab = len(queries), len(table)
     rows, width = _rank_tiles(n, vocab)
@@ -722,7 +723,8 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
     above = _float32_end(np.where(live, s_gold + window, np.inf), np.inf)
     below = _float32_end(np.where(live, s_gold - window, np.inf), -np.inf)
     ahead = np.zeros(n, dtype=np.intp)  # rows above the window
-    found: dict[int, list[np.ndarray]] = {}  # rows inside, of queries with others there
+    # the (query, row) pairs inside the window, of queries with other rows there
+    near_queries, near_rows = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     whole = width == vocab
     # float32 scores, and a spare entry no block reaches
     score_buf = np.empty(rows * min(width, vocab) + 1, dtype=np.float32)
@@ -757,22 +759,18 @@ def _window_ranks(table: EmbeddingTable, queries: np.ndarray, qnorms: np.ndarray
                               else _true_counts(padded))
             ahead[start:stop] += counts[0]
             # M holds the rows at or above the low end: the window, and the rows above it
-            others = counts[1] - counts[0] - gold_here[start:stop]
-            for q in np.flatnonzero(others > 0).tolist():
-                i = start + q
-                found.setdefault(i, []).append(
-                    first + np.flatnonzero(M[q] & (S[q] <= above[i])))
+            others = np.flatnonzero(counts[1] - counts[0] > gold_here[start:stop])
+            if others.size:
+                q, column = np.nonzero(M[others] & (S[others] <= above[start + others, None]))
+                near_queries.append(start + others[q])
+                near_rows.append(first + column)
     ahead -= len(table._dead) * (0.0 > above)
     ranks = np.where(live, 1 + ahead, 0)
     # a rank is proven when only the gold row lies inside the window, zero rows
     # aside; any other query's rows inside are left to gold_ranks
-    near = {}
-    for i, parts in found.items():
-        rows_i = np.concatenate(parts)
-        rows_i = rows_i[(rows_i != targets.gold[i]) & (table._row_norms[rows_i] > 0.0)]
-        if rows_i.size:
-            near[i] = rows_i
-    return ranks, near
+    which, inside = np.concatenate(near_queries), np.concatenate(near_rows)
+    keep = (inside != targets.gold[which]) & (table._row_norms[inside] > 0.0)
+    return ranks, which[keep], inside[keep]
 
 
 def _product_scores(table: EmbeddingTable, units: np.ndarray, exclude: int) -> np.ndarray:
@@ -824,7 +822,8 @@ def top_cosines(table: EmbeddingTable, queries: np.ndarray, l: int,
         return np.zeros(0, dtype=np.intp), np.zeros(0)
     cut = np.partition(best, vocab - m)[vocab - m]  # the m-th best
     short = np.flatnonzero(best >= _float32_end(float(cut) - tie_window(table.dim), -np.inf))
-    exact = np.maximum.reduce(_per_row_cosines(table, short, queries, qnorms), axis=0)
+    exact = np.maximum.reduce(_per_row_cosines(table, short, queries[:, None], qnorms[:, None]),
+                              axis=0)
     # every score is finite, and the indices ascend: ties go to the lower index
     top = np.argsort(-exact, kind="stable")[:l]
     return short[top], exact[top]

@@ -20,14 +20,14 @@ Both rank through one float32 matrix product of unit queries against the
 table's kept float32 unit columns, then make it exact in float64. eval and
 validation rank through ``_rank_pairs`` and ``embeddings.gold_ranks``: a
 gold word's rank is counted from the product's scores, without sorting
-them, and for a query with other words within ``embeddings.tie_window`` of
-its gold score, the gold word and those words, read off the same product,
-are scored exactly by the float64 per-row product
-``embeddings._per_row_cosines``. predict ranks through
+them, and for every query with other words within ``embeddings.tie_window``
+of its gold score, the gold word and those words, read off the same product
+block by block, are scored exactly in one call of the float64 per-row
+product ``embeddings._per_row_cosines``. predict ranks through
 ``embeddings.top_cosines``: only the words within the same window of the
-l-th best score are scored again, by the same per-row product, so every
-rank and printed score is that of an exact float64 scan of the whole
-vocabulary, whatever the BLAS library or its threads. Both project through
+l-th best score are scored again, by one call of the same per-row product,
+so every rank and printed score is that of an exact float64 scan of the
+whole vocabulary, whatever the BLAS library or its threads. Both project through
 ``_project``, which computes a projection that overflows again from factors
 scaled by powers of two, and both score every query scaled by a power of two
 (``embeddings._scaled_queries``), so no score depends on a query's scale.

@@ -155,8 +155,10 @@ def exact_cosines(table, queries, exclude=None):
     the query scaled by ``_scaled_queries`` and the row by the power of two the
     table keeps for it, over the product of their quartered norms: the bits
     the package's exact scorer, ``embeddings._per_row_cosines``, gives for any
-    subset of rows. Zero rows, zero queries and, per query, the row
-    ``exclude[i]`` when it is >= 0 score -inf.
+    (row, query) pairs, in whatever shape they broadcast: it keeps the loop of
+    one query at a time, as an oracle independent of that broadcast. Zero rows,
+    zero queries and, per query, the row ``exclude[i]`` when it is >= 0 score
+    -inf.
     """
     queries, qnorms = embeddings._scaled_queries(np.asarray(queries, dtype=np.float64))
     rows = np.ldexp(table.vectors, table._shifts[:, None])

@@ -737,8 +737,35 @@ class TestPerRowProduct:
         subsets += [rng.choice(n_words, size=rng.integers(1, n_words), replace=False)
                     for _ in range(40)]
         for rows in map(np.array, subsets):
-            got = embeddings._per_row_cosines(table, rows, scaled, qnorms)
+            got = embeddings._per_row_cosines(table, rows, scaled[:, None], qnorms[:, None])
             assert got.tobytes() == whole[:, rows].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 17, 100, 300])
+    def test_both_call_shapes_score_bitwise_as_the_per_query_loop(self, dim):
+        # (k, 1, d) queries against m rows, as predict scores its shortlist, and one
+        # query per row, as gold_ranks scores its near ties, give each pair the bits
+        # of the oracle's loop of one query at a time, at any scale of row
+        rng = np.random.default_rng(300 + dim)
+        vectors = rng.normal(size=(60, dim))
+        vectors[:5] = 0.0
+        vectors[5:15] *= 2.0 ** 1000
+        vectors[15:25] *= 2.0 ** -1000
+        vectors[25:35] *= 2.0 ** -1060  # subnormal entries and norms
+        vectors[35:40] = vectors[45]
+        table = EmbeddingTable([f"w{i}" for i in range(60)], vectors)
+        queries = rng.normal(size=(4, dim)) * 2.0 ** np.array([[0], [-1000], [1000], [-1060]])
+        want = exact_cosines(table, queries)
+        scaled, qnorms = embeddings._scaled_queries(queries)
+        rows = np.concatenate([rng.permutation(60), [45, 36, 45, 0]])  # rows repeated
+        dead = table._row_norms[rows] == 0.0
+        assert dead.any()
+        grid = embeddings._per_row_cosines(table, rows, scaled[:, None], qnorms[:, None])
+        assert grid.shape == (4, len(rows)) and np.isnan(grid[:, dead]).all()
+        assert grid[:, ~dead].tobytes() == want[:, rows[~dead]].tobytes()
+        which = rng.integers(4, size=len(rows))
+        pairs = embeddings._per_row_cosines(table, rows, scaled[which], qnorms[which])
+        assert pairs.shape == rows.shape and np.isnan(pairs[dead]).all()
+        assert pairs[~dead].tobytes() == want[which, rows][~dead].tobytes()
 
     def test_rows_score_bitwise_as_their_copies_at_any_scale(self):
         # a row and its norm are scaled by a power of two before the per-row

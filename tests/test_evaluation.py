@@ -547,6 +547,33 @@ class TestGemmRanking:
         assert assert_ranks_match_oracle(model, table, pairs) == sum(near) == len(pairs)
         assert np.diff(rank_pairs(model, table, pairs)[1][:3]).tolist() == [1, 1]
 
+    def test_near_ties_of_many_queries_are_scored_in_one_call(self, tiling, monkeypatch):
+        # five of eight queries have other rows inside their window, in several tiles
+        # and query blocks: w9 doubles the hyponym w1, which it excludes, and w16 and
+        # w30 copy w9, so that w1's window holds its three gold rows, tied exactly,
+        # and the excluded w1; w13 = e1 is orthogonal to its gold w20 and to w3, which
+        # beats it in an exact tie, and the zero rows w6 and w27 lie in that window;
+        # w22 and w35 are w11 a few ulps off
+        rng = np.random.default_rng(88)
+        vectors = rng.normal(size=(37, 3))
+        vectors[[9, 16, 30]] = 2.0 * vectors[1]
+        vectors[13], vectors[20], vectors[3] = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]
+        vectors[[6, 27]] = 0.0
+        vectors[[22, 35]] = vectors[11]
+        vectors[22, 0] *= 1 + 2.0 ** -48
+        vectors[35, 1] *= 1 - 2.0 ** -48
+        table = EmbeddingTable([f"w{i}" for i in range(37)], vectors)
+        model = make_model(np.eye(3))
+        pairs = pair_words(table, [(1, 9), (1, 16), (1, 30), (13, 20), (2, 11), (4, 12),
+                                   (5, 25), (7, 33)])
+        calls = exactly_scored(monkeypatch)
+        assert assert_ranks_match_oracle(model, table, pairs) == 5
+        # one scorer call: the other nonzero rows inside the windows, w1 and the zero
+        # rows left out, then each of the five gold rows once
+        assert len(calls) == 1 and calls[0][-5:] == [9, 16, 30, 20, 11]
+        assert sorted(calls[0][:-5]) == [3, 9, 9, 16, 16, 22, 30, 30, 35]
+        assert rank_pairs(model, table, pairs)[1][:3].tolist() == [1, 2, 3]
+
     @pytest.mark.parametrize("norm", [1e-300, 2.0 ** -969, 1e-310, 2.0 ** -1060],
                              ids=["1e-300", "2^-969", "1e-310", "2^-1060"])
     def test_rows_of_tiny_norm_rank_through_the_window(self, norm):
