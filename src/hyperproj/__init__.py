@@ -11,7 +11,7 @@ word ids and relation codes, as ``read_relations`` reads a file and
 row's bucket as its int8 index in ``dataset.BUCKETS``.
 
 The one-query forms (``embeddings.nearest_neighbors``, which is
-``embeddings.top_cosines`` of one query, ``clustering.assign_cluster`` and
+``ranking.top_cosines`` of one query, ``clustering.assign_cluster`` and
 ``dataset.sample_negative``) are imported from their modules.
 """
 

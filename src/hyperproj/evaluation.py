@@ -16,21 +16,12 @@ gold row by its norm once: ``hit_at`` and ``evaluate`` take the
 ``BoundPairs`` in place of a list, and training binds its validation pairs
 once per run, so that a check only projects and ranks.
 
-Both rank through one float32 matrix product of unit queries against the
-table's kept float32 unit columns, then make it exact in float64. eval and
-validation rank through ``_rank_pairs`` and ``embeddings.gold_ranks``: a
-gold word's rank is counted from the product's scores, without sorting
-them, and for every query with other words within ``embeddings.tie_window``
-of its gold score, the gold word and those words, read off the same product
-block by block, are scored exactly in one call of the float64 per-row
-product ``embeddings._per_row_cosines``. predict ranks through
-``embeddings.top_cosines``: only the words within the same window of the
-l-th best score are scored again, by one call of the same per-row product,
-so every rank and printed score is that of an exact float64 scan of the
-whole vocabulary, whatever the BLAS library or its threads. Both project through
-``_project``, which computes a projection that overflows again from factors
-scaled by powers of two, and both score every query scaled by a power of two
-(``embeddings._scaled_queries``), so no score depends on a query's scale.
+Both rank through ``ranking``: eval and validation through ``_rank_pairs``
+and ``ranking.gold_ranks``, predict through ``ranking.top_cosines``, so every
+rank and printed score is that of an exact float64 scan of the whole
+vocabulary, whatever the BLAS library or its threads (see ``ranking``). Both
+project through ``_project``, which computes a projection that overflows
+again from factors scaled by powers of two (``ranking._below_one``).
 """
 
 from __future__ import annotations
@@ -43,11 +34,11 @@ import numpy as np
 
 from .clustering import ClusterModel, assign_clusters
 from .dataset import Relations, pair_rows
-from .embeddings import (EmbeddingTable, GoldTargets, _below_one, gold_ranks, gold_targets,
-                         top_cosines)
+from .embeddings import EmbeddingTable
 from .embeddings import nearest_neighbors  # noqa: F401  (perfbench's tracer test patches it here)
 from .errors import InputError, atomic_open
 from .projection import ProjectionModel
+from .ranking import GoldTargets, _below_one, gold_ranks, gold_targets, top_cosines
 
 log = logging.getLogger(__name__)
 
@@ -107,7 +98,7 @@ def _project(X: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """Rows ``X @ matrices``, broadcast as ``X[:, None, :] @ matrices``: an (n, d) array.
 
     A row that overflows is computed again from its row of ``X`` and its
-    matrix, each scaled by ``embeddings._below_one`` so that its largest entry
+    matrix, each scaled by ``ranking._below_one`` so that its largest entry
     is below 1: exact, and no cosine depends on the scale. Every finite row
     keeps its bits.
     """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hyperproj import embeddings
+from hyperproj import ranking
 from hyperproj.clustering import ClusterModel, assign_clusters
 from hyperproj.dataset import BUCKETS, RELATIONS, RelationDataset, RelationPair, Relations
 from hyperproj.embeddings import EmbeddingTable
@@ -54,8 +54,11 @@ TILINGS = {"whole-rows": (1 << 16, 64, 4), "tiles-of-7": (42, 6, 1 << 30),
 
 
 def set_tiling(mp, name):
+    default = ranking._rank_tiles(100, 7000)
     for attr, value in zip(("BLOCK_ENTRIES", "GEMM_ROWS", "MIN_WHOLE_ROWS"), TILINGS[name]):
-        mp.setattr(embeddings, attr, value)
+        mp.setattr(ranking, attr, value)
+    # a tiling the kernel does not read would only test the default one again
+    assert name == "whole-rows" or ranking._rank_tiles(100, 7000) != default
 
 
 @pytest.fixture(params=list(TILINGS), ids=list(TILINGS))
@@ -154,13 +157,13 @@ def exact_cosines(table, queries, exclude=None):
     Each dot product is numpy's own per-row product of one query and one row,
     the query scaled by ``_scaled_queries`` and the row by the power of two the
     table keeps for it, over the product of their quartered norms: the bits
-    the package's exact scorer, ``embeddings._per_row_cosines``, gives for any
+    the package's exact scorer, ``ranking._per_row_cosines``, gives for any
     (row, query) pairs, in whatever shape they broadcast: it keeps the loop of
     one query at a time, as an oracle independent of that broadcast. Zero rows,
     zero queries and, per query, the row ``exclude[i]`` when it is >= 0 score
     -inf.
     """
-    queries, qnorms = embeddings._scaled_queries(np.asarray(queries, dtype=np.float64))
+    queries, qnorms = ranking._scaled_queries(np.asarray(queries, dtype=np.float64))
     rows = np.ldexp(table.vectors, table._shifts[:, None])
     S = np.empty((len(queries), len(table)))
     for q, out in zip(queries, S):

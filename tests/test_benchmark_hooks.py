@@ -32,3 +32,11 @@ def test_every_hook_names_a_callable(hook):
     for part in hook.attr.split("."):
         target = getattr(target, part, None)
     assert callable(target), f"{hook.name}: {tracing.PACKAGE}.{hook.module}.{hook.attr}"
+
+
+def test_evaluation_reexports_the_hooked_nearest_neighbors():
+    # the tracer's own test reads the hooked embeddings.nearest_neighbors through
+    # evaluation, and the tracer wraps only the references to that one function
+    evaluation = importlib.import_module(f"{tracing.PACKAGE}.evaluation")
+    embeddings = importlib.import_module(f"{tracing.PACKAGE}.embeddings")
+    assert evaluation.nearest_neighbors is embeddings.nearest_neighbors

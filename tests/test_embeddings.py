@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperproj import embeddings
+from hyperproj import embeddings, ranking
 from hyperproj.cache import store
 from hyperproj.embeddings import (
     TEXT_PRECISION,
@@ -613,7 +613,7 @@ class TestNearestNeighbors:
 
     def test_top_cosines_without_an_exclusion_keeps_the_last_row(self):
         table = EmbeddingTable(["a", "b", "c"], np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]))
-        rows, scores = embeddings.top_cosines(table, np.array([[2.0, 0.0]]), 2, None)
+        rows, scores = ranking.top_cosines(table, np.array([[2.0, 0.0]]), 2, None)
         assert rows.tolist() == [2, 1] and scores.tolist() == pytest.approx([1.0, 0.5 ** 0.5])
         assert nearest_neighbors(table, np.array([2.0, 0.0]), 1).words() == ["c"]
 
@@ -732,12 +732,12 @@ class TestPerRowProduct:
         table = EmbeddingTable([f"w{i}" for i in range(n_words)], vectors)
         queries = rng.normal(size=(5, dim))
         whole = exact_cosines(table, queries)
-        scaled, qnorms = embeddings._scaled_queries(queries)
+        scaled, qnorms = ranking._scaled_queries(queries)
         subsets = [[0], [n_words - 1], [int(rng.integers(n_words))], list(range(n_words))]
         subsets += [rng.choice(n_words, size=rng.integers(1, n_words), replace=False)
                     for _ in range(40)]
         for rows in map(np.array, subsets):
-            got = embeddings._per_row_cosines(table, rows, scaled[:, None], qnorms[:, None])
+            got = ranking._per_row_cosines(table, rows, scaled[:, None], qnorms[:, None])
             assert got.tobytes() == whole[:, rows].tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 10, 17, 100, 300])
@@ -755,15 +755,15 @@ class TestPerRowProduct:
         table = EmbeddingTable([f"w{i}" for i in range(60)], vectors)
         queries = rng.normal(size=(4, dim)) * 2.0 ** np.array([[0], [-1000], [1000], [-1060]])
         want = exact_cosines(table, queries)
-        scaled, qnorms = embeddings._scaled_queries(queries)
+        scaled, qnorms = ranking._scaled_queries(queries)
         rows = np.concatenate([rng.permutation(60), [45, 36, 45, 0]])  # rows repeated
         dead = table._row_norms[rows] == 0.0
         assert dead.any()
-        grid = embeddings._per_row_cosines(table, rows, scaled[:, None], qnorms[:, None])
+        grid = ranking._per_row_cosines(table, rows, scaled[:, None], qnorms[:, None])
         assert grid.shape == (4, len(rows)) and np.isnan(grid[:, dead]).all()
         assert grid[:, ~dead].tobytes() == want[:, rows[~dead]].tobytes()
         which = rng.integers(4, size=len(rows))
-        pairs = embeddings._per_row_cosines(table, rows, scaled[which], qnorms[which])
+        pairs = ranking._per_row_cosines(table, rows, scaled[which], qnorms[which])
         assert pairs.shape == rows.shape and np.isnan(pairs[dead]).all()
         assert pairs[~dead].tobytes() == want[which, rows][~dead].tobytes()
 
@@ -836,7 +836,7 @@ class TestRowScaling:
         # the columns are the units rounded once to float32, some to its subnormals or 0
         assert table._unit_columns.dtype == np.float32
         assert table._unit_columns.tobytes() == units.T.astype(np.float32).tobytes()
-        targets = embeddings.gold_targets(table, np.arange(len(rows)), np.full(len(rows), -1))
+        targets = ranking.gold_targets(table, np.arange(len(rows)), np.full(len(rows), -1))
         np.testing.assert_array_equal(targets.units[live], units[live])
         assert np.isnan(targets.units[~live]).all()
 
@@ -859,7 +859,7 @@ def below_one_route(queries):
     """``_scaled_queries`` as it is without its fast path: every query through
     ``_below_one`` first."""
     with np.errstate(under="ignore"):
-        return embeddings._quartered(embeddings._below_one(queries)[0])
+        return ranking._quartered(ranking._below_one(queries)[0])
 
 
 class TestScaledQueries:
@@ -883,7 +883,7 @@ class TestScaledQueries:
         if strided:  # a view the fast path must measure as the copy is measured
             queries = np.repeat(queries, 2, axis=1)[:, ::2]
         before = queries.copy()
-        got, got_norms = embeddings._scaled_queries(queries)
+        got, got_norms = ranking._scaled_queries(queries)
         want, want_norms = below_one_route(queries)
         assert got.tobytes() == want.tobytes()
         assert got_norms.tobytes() == want_norms.tobytes()
@@ -895,16 +895,16 @@ class TestScaledQueries:
         queries = rng.normal(size=(4, 10)) * scale
         queries[0, 3] = 0.0
         want = below_one_route(queries)
-        monkeypatch.setattr(embeddings, "_below_one", None)  # the fast path must not call it
-        got = embeddings._scaled_queries(queries)
+        monkeypatch.setattr(ranking, "_below_one", None)  # the fast path must not call it
+        got = ranking._scaled_queries(queries)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @pytest.mark.parametrize("entry", [2.0 ** -256, 2.0 ** 254, 1e-300, 1e300])
     def test_queries_near_the_limits_take_below_one(self, monkeypatch, entry):
         calls = []
-        below_one = embeddings._below_one
-        monkeypatch.setattr(embeddings, "_below_one", lambda A: calls.append(A) or below_one(A))
-        embeddings._scaled_queries(np.array([[1.0, entry], [0.5, 0.25]]))
+        below_one = ranking._below_one
+        monkeypatch.setattr(ranking, "_below_one", lambda A: calls.append(A) or below_one(A))
+        ranking._scaled_queries(np.array([[1.0, entry], [0.5, 0.25]]))
         assert len(calls) == 1
 
 

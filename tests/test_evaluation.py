@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperproj import embeddings
+from hyperproj import embeddings, ranking
 from hyperproj.clustering import assign_cluster
 from hyperproj.dataset import RelationPair
 from hyperproj.embeddings import EmbeddingTable
@@ -381,7 +381,7 @@ class TestBlockedScorerMatchesOracle:
         table, pairs, model = random_fixture(61, n_words=50, k=4)
         results = []
         for entries in (1, len(table) * len(pairs)):
-            monkeypatch.setattr(embeddings, "BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(ranking, "BLOCK_ENTRIES", entries)
             report = evaluate(model, table, relations_of(pairs), l_max=10)
             results.append(([r.rank for r in report.per_pair],
                             [predict_candidates(model, table, w, 10) for w in table.vocab]))
@@ -425,7 +425,7 @@ def oracle_rechecked(model, table, pairs):
     go either way, and the fixtures that use this have none."""
     _, ranks = oracle_rank_pairs(model, table, pairs)
     _, queries, sources, gold = pair_queries(model, table, pairs)
-    window = embeddings.tie_window(table.dim)
+    window = ranking.tie_window(table.dim)
     count = 0
     for row, g, rank in zip(exact_cosines(table, queries, sources), gold, ranks):
         if rank == 0:
@@ -508,7 +508,7 @@ class TestGemmRanking:
         vectors[5] = 0.0
         table = EmbeddingTable(table.vocab, vectors)
         pairs += pair_words(table, [(0, 5), (6, 6)])  # a zero gold row, and gold = hyponym
-        monkeypatch.setattr(embeddings, "tie_window", lambda dim: 4.0)
+        monkeypatch.setattr(ranking, "tie_window", lambda dim: 4.0)
         assert assert_ranks_match_oracle(model, table, pairs) == len(pairs) - 2
 
     def test_a_window_that_splits_the_vocabulary(self, tiling, monkeypatch):
@@ -531,7 +531,7 @@ class TestGemmRanking:
         model = make_model([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])  # 13 onto (1, 0)
         table = EmbeddingTable([f"w{i}" for i in range(37)], vectors)
         pairs = pair_words(table, [(13, 3), (13, 21), (13, 30), (13, 8), (13, 25), (13, 33)])
-        monkeypatch.setattr(embeddings, "tie_window", lambda dim: window)
+        monkeypatch.setattr(ranking, "tie_window", lambda dim: window)
         _, queries, sources, gold = pair_queries(model, table, pairs)
         full = exact_cosines(table, queries)  # the hyponym not left out
         for i, (row, g) in enumerate(zip(full, gold)):
@@ -612,7 +612,7 @@ class TestGemmRanking:
         # outward to float32, is a near tie that is rechecked, one a float32 further
         # is ranked from the GEMM
         gold = self.row_with_cosine(self.C_GOLD)
-        edge = float32_end(self.C_GOLD + side * embeddings.tie_window(2), side)
+        edge = float32_end(self.C_GOLD + side * ranking.tie_window(2), side)
         if beyond:
             edge = np.nextafter(edge, np.float32(side * np.inf))
         other = self.row_with_cosine(float(edge))
@@ -682,9 +682,9 @@ class TestGemmRanking:
     def test_the_measured_tiling(self):
         # desk: 9 whole score rows of 7,000 words; mid: 64 queries against tiles of
         # 1,024 of its 70,000 columns
-        assert embeddings._rank_tiles(100, 7000) == (9, 7000)
-        assert embeddings._rank_tiles(3, 7000) == (3, 7000)
-        assert embeddings._rank_tiles(1000, 70_000) == (64, 1024)
+        assert ranking._rank_tiles(100, 7000) == (9, 7000)
+        assert ranking._rank_tiles(3, 7000) == (3, 7000)
+        assert ranking._rank_tiles(1000, 70_000) == (64, 1024)
 
     def test_window_is_the_derived_bound(self):
         u, u64 = 2.0 ** -24, 2.0 ** -53
@@ -693,17 +693,17 @@ class TestGemmRanking:
             g = gamma(d + 2, u)
             beta = ((g + (1 + g) * (2 + u64) * u64 + gamma(d + 2, u64))
                     * (1 + gamma(2 * d + 6, u64)) + d * 2.0 ** -147)
-            assert embeddings.tie_window(d) == 2 * beta + 3 * u64
+            assert ranking.tie_window(d) == 2 * beta + 3 * u64
             # evaluated in float64, the window still covers the bound's exact value
             # and the 2u' of rounding its ends
             U, U64 = Fraction(u), Fraction(u64)
             G = lambda k, unit: k * unit / (1 - k * unit)  # noqa: E731
             exact = 2 * (((1 + G(d + 2, U)) * (1 + U64) ** 2 - 1 + G(d + 2, U64))
                          * (1 + G(2 * d + 6, U64)) + d * Fraction(2) ** -147) + 2 * U64
-            assert Fraction(embeddings.tie_window(d)) >= exact
+            assert Fraction(ranking.tie_window(d)) >= exact
         # near ties only: about 2(d + 2) u, a few float32 ulps of a cosine
-        assert 1.4e-6 < embeddings.tie_window(10) < 1.5e-6
-        assert 1.2e-5 < embeddings.tie_window(100) < 1.25e-5
+        assert 1.4e-6 < ranking.tie_window(10) < 1.5e-6
+        assert 1.2e-5 < ranking.tie_window(100) < 1.25e-5
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n_words=st.integers(2, 24), dim=st.integers(1, 4),
@@ -798,7 +798,7 @@ class TestPredictShortlist:
         matrices[min(1, k - 1):] *= 2.0 ** power
         model = make_model(matrices, centroids=rng.normal(size=(k, dim)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embeddings, "BLOCK_ENTRIES", block)  # more than one score tile
+            mp.setattr(ranking, "BLOCK_ENTRIES", block)  # more than one score tile
             assert_predict_is_the_brute_force(model, table, table.vocab[:4], l)
 
     @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
@@ -808,7 +808,7 @@ class TestPredictShortlist:
         # dot products, so row j's cosine is exactly its planted distance from row
         # g's in every product
         gold = TestGemmRanking.row_with_cosine(TestGemmRanking.C_GOLD)
-        edge = float32_end(TestGemmRanking.C_GOLD + side * embeddings.tie_window(2), side)
+        edge = float32_end(TestGemmRanking.C_GOLD + side * ranking.tie_window(2), side)
         if beyond:
             edge = np.nextafter(edge, np.float32(side * np.inf))
         other = TestGemmRanking.row_with_cosine(float(edge))
@@ -837,13 +837,13 @@ class TestPredictShortlist:
 def exactly_scored(monkeypatch):
     """The rows of every ``_per_row_cosines`` call from here on, in call order."""
     calls = []
-    scorer = embeddings._per_row_cosines
+    scorer = ranking._per_row_cosines
 
     def spy(table, rows, queries, qnorms):
         calls.append(np.asarray(rows).tolist())
         return scorer(table, rows, queries, qnorms)
 
-    monkeypatch.setattr(embeddings, "_per_row_cosines", spy)
+    monkeypatch.setattr(ranking, "_per_row_cosines", spy)
     return calls
 
 
@@ -869,7 +869,7 @@ class TestFloat32WindowEnds:
         # r1 copies the gold row r0, so that the pair's rank is not proven from the
         # counts; r2 and r3 sit on the window's ends rounded outward, r4 and r5 a
         # float32 beyond them
-        w = embeddings.tie_window(2)
+        w = ranking.tie_window(2)
         high, low = float32_end(self.C + w, 1), float32_end(self.C - w, -1)
         cosines = [self.C, self.C, high, low, np.nextafter(high, np.float32(np.inf)),
                    np.nextafter(low, np.float32(-np.inf))]
@@ -893,7 +893,7 @@ class TestFloat32WindowEnds:
         c_gold, c_other = 1.0 / table._row_norms[1:3]  # the computed cosines
         assert 0.0 < side * (n - c_other) < side * (n - c_gold) < 2.0 ** -29
         assert np.float32(c_gold) == np.float32(c_other) == np.float32(n)
-        monkeypatch.setattr(embeddings, "tie_window", lambda dim: 0.0)
+        monkeypatch.setattr(ranking, "tie_window", lambda dim: 0.0)
         pairs = [hyp("x", "r0")]
         assert assert_ranks_match_oracle(make_model(np.eye(2)), table, pairs) == 1
         assert rank_pairs(make_model(np.eye(2)), table, pairs)[1].tolist() == [rank]
@@ -901,7 +901,7 @@ class TestFloat32WindowEnds:
     def test_shortlist_reaches_the_low_end_rounded_outward(self, monkeypatch):
         # r0 is the best row; r1 sits on the low end of its window rounded down to
         # float32, r2 a float32 below that
-        low = float32_end(self.C - embeddings.tie_window(2), -1)
+        low = float32_end(self.C - ranking.tie_window(2), -1)
         table = self.with_cosines([self.C, low, np.nextafter(low, np.float32(-np.inf))])
         calls = exactly_scored(monkeypatch)
         assert_predict_is_the_brute_force(make_model(np.eye(2)), table, ["x"], 1)
